@@ -12,14 +12,14 @@ import argparse
 import json
 import os
 import sys
-import time
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Optional
 
 from . import cmils_master, instance, oracles
-from .errors import InstanceFormatError, LotforgeError, RoundLimitError
+from .errors import (InstanceFormatError, InvariantError, LotforgeError,
+                     RoundLimitError)
 
 DIGITS = 12
 
@@ -142,15 +142,12 @@ def cmd_solve(args) -> int:
     except InstanceFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    started = time.perf_counter()
     try:
         result = cmils_master.run_pipeline(inst, max_rounds=args.max_rounds, trace=trace)
     except RoundLimitError as exc:
         print(f"round cap exceeded: {exc}", file=sys.stderr)
         return 2
-    elapsed = (time.perf_counter() - started) * 1000.0
     instance.save_schedule(result.schedule, args.out)
-    result.elapsed_ms = elapsed
     report = build_report(os.path.basename(args.infile), result, None)
     doc = report.to_json_dict()
     doc["certificate"] = result.certificate.to_json_dict()
@@ -266,6 +263,9 @@ def main(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
+    except InvariantError as exc:
+        print(f"invariant failed: {exc}", file=sys.stderr)
+        return 2
     except (OSError, ValueError, LotforgeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -224,6 +224,10 @@ def run_pipeline(inst: CmilsInstance, max_rounds: int = 200,
         ordering_bound_ok=schedule.ordering_cost <= 10 * lp_order_part,
         holding_bound_ok=schedule.holding_cost <= Fraction(5, 2) * hcost(inst, sol.x),
     )
+    if not (cert.ordering_bound_ok and cert.holding_bound_ok):
+        raise InvariantError(f"ratio certificate failed: "
+                             f"ordering_bound_ok={cert.ordering_bound_ok} "
+                             f"holding_bound_ok={cert.holding_bound_ok}")
     elapsed = (time.perf_counter() - started) * 1000.0
     return PipelineResult(schedule=schedule, certificate=cert, lp_solution=sol,
                           payload=payload, cuts=list(state.cut_pool),

@@ -1,11 +1,20 @@
 """Exact-rational linear programming to optimal vertex solutions.
 
 Minimization LPs with sparse rows and finite box bounds are solved by a
-two-phase primal simplex over `fractions.Fraction`.  Bland's least-index
-rule governs both the entering and the leaving choice, so the solver cannot
+two-phase primal simplex in exact arithmetic.  Bland's least-index rule
+governs both the entering and the leaving choice, so the solver cannot
 cycle and is fully deterministic.  Variables fixed by their bounds are
 substituted out; the remaining bounds are handled natively (nonbasic
-variables rest at a bound), which keeps the dense tableau small.
+variables rest at a bound), which keeps the tableau small.
+
+The tableau is fraction-free (after Bareiss elimination and the
+integer-preserving simplex of Azulay and Pique): each row is a list of
+Python ints over one positive row denominator, divided by its gcd after
+every update, and a pivot touches only the rows with a nonzero in the
+entering column, at the pivot row's nonzero columns.  `Fraction` appears
+only at the API boundary -- the LP's data in, the solution out -- and in
+the column values and step lengths that the ratio test compares, so every
+pivot choice is the same exact comparison a rational tableau would make.
 
 The optimum returned is always a basic solution: the constraints tight at
 it span the full variable space, which `verify_vertex` re-checks from
@@ -16,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Mapping, Optional, Sequence
 
 from .errors import InvariantError
@@ -78,23 +88,17 @@ class LpSolution:
     at_bound: frozenset[int] = frozenset()
 
 
-def dump_lp(lp: LinearProgram) -> str:
-    """Plain-text inequality rendering, for debugging."""
-    out = ["min " + " + ".join(f"{c}*x{j}" for j, c in enumerate(lp.objective) if c)]
-    for idx, row in enumerate(lp.rows):
-        lhs = " + ".join(f"{v}*x{j}" for j, v in sorted(row.coeffs.items()))
-        out.append(f"r{idx}: {lhs or '0'} {row.relation} {row.rhs}")
-    for j, (lo, hi) in enumerate(lp.bounds):
-        out.append(f"x{j} in [{lo}, {hi}]")
-    return "\n".join(out)
-
-
 class _Tableau:
-    """Bounded-variable simplex working state.
+    """Bounded-variable simplex working state over integer rows.
 
     Columns: free structural variables first, then one slack per non-equality
-    row, then phase-1 artificials.  `val` holds the current value of every
-    column; nonbasic columns always sit at a bound.
+    row, then phase-1 artificials.  Row i is the integer list `tab[i]` over
+    the positive integer `den[i]`: its entry in column k is tab[i][k] / den[i],
+    and its basic column holds exactly den[i].  Every row is divided by the
+    gcd of its entries and its denominator after each update, so the pair is
+    the row's lowest-terms form and never grows past its rational content.
+    `val` holds the current value of every column as a Fraction; nonbasic
+    columns always sit at a bound.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -112,157 +116,161 @@ class _Tableau:
                 self.col_of_var[j] = len(self.lo)
                 self.lo.append(lo)
                 self.hi.append(hi)
-        self.n_struct = len(self.lo)
-
-        # Row setup: move fixed variables to the rhs, attach slack columns.
-        self.tab: list[list[Fraction]] = []
-        rhs: list[Fraction] = []
-        slack_col_of_row: list[Optional[int]] = []
-        for row in lp.rows:
-            dense = [_ZERO] * self.n_struct
-            shift = Fraction(row.rhs)
-            for j, v in row.coeffs.items():
-                if j in self.fixed:
-                    shift -= v * self.fixed[j]
-                else:
-                    dense[self.col_of_var[j]] += v
-            self.tab.append(dense)
-            rhs.append(shift)
-            if row.relation == EQ:
-                slack_col_of_row.append(None)
-            else:
-                col = self.n_struct + sum(1 for c in slack_col_of_row if c is not None)
-                slack_col_of_row.append(col)
-        m = len(self.tab)
-        n_slack = sum(1 for c in slack_col_of_row if c is not None)
-        for i, col in enumerate(slack_col_of_row):
-            if col is None:
-                continue
-            coef = _ONE if self.lp.rows[i].relation == LE else -_ONE
-            for k, dense in enumerate(self.tab):
-                dense.append(coef if k == i else _ZERO)
-            self.lo.append(_ZERO)
-            self.hi.append(None)
-        self.ncols = self.n_struct + n_slack
-
+        n_struct = len(self.lo)
+        n_slack = sum(1 for row in lp.rows if row.relation != EQ)
+        self.ncols = n_struct + n_slack
+        self.lo += [_ZERO] * n_slack
+        self.hi += [None] * n_slack
         # Start every column at its lower bound; slacks start at 0.
         self.val: list[Fraction] = list(self.lo)
-        self.basis: list[int] = [-1] * m
-        self.in_basis: list[bool] = [False] * self.ncols
 
-        # Choose an initial basis: a slack when its sign works out, otherwise
-        # an artificial column, negating the row so the basic value is >= 0.
+        # Rows: fixed variables move to the rhs, coefficients are scaled to
+        # integers by the lcm of their denominators (which leaves the row in
+        # lowest terms), and each row is signed so that its initial basic
+        # column -- its slack when the slack's value comes out >= 0,
+        # otherwise a new artificial -- has coefficient +den.
+        self.tab: list[list[int]] = []
+        self.den: list[int] = []
+        self.basis: list[int] = []
         self.art_cols: list[int] = []
-        for i in range(m):
-            resid = rhs[i]
-            for j in range(self.ncols):
-                v = self.tab[i][j]
-                if v:
-                    resid -= v * self.val[j]
-            scol = slack_col_of_row[i]
-            rel = lp.rows[i].relation
-            if scol is not None and ((rel == LE and resid >= 0) or (rel == GE and resid <= 0)):
-                if rel == GE:  # slack coefficient is -1; flip the row
-                    self.tab[i] = [-v for v in self.tab[i]]
-                    resid = -resid
-                self._make_basic(i, scol, self.val[scol] + resid)
+        art_rows: list[int] = []
+        scol = n_struct
+        for i, row in enumerate(lp.rows):
+            coeffs: dict[int, Fraction] = {}
+            resid = Fraction(row.rhs)
+            for j, v in row.coeffs.items():
+                if j in self.fixed:
+                    resid -= v * self.fixed[j]
+                else:
+                    col = self.col_of_var[j]
+                    coeffs[col] = v
+                    resid -= v * self.lo[col]
+            den = lcm(*(v.denominator for v in coeffs.values()))
+            ints = [0] * self.ncols
+            for col, v in coeffs.items():
+                ints[col] = v.numerator * (den // v.denominator)
+            rel = row.relation
+            if rel != EQ:
+                ints[scol] = den if rel == LE else -den
+            if (rel == LE and resid >= 0) or (rel == GE and resid <= 0):
+                sign, basic = (1 if rel == LE else -1), scol
             else:
-                if resid < 0:
-                    self.tab[i] = [-v for v in self.tab[i]]
-                    resid = -resid
-                acol = self.ncols
-                for k, dense in enumerate(self.tab):
-                    dense.append(_ONE if k == i else _ZERO)
-                self.lo.append(_ZERO)
-                self.hi.append(None)
-                self.val.append(_ZERO)
-                self.in_basis.append(False)
-                self.art_cols.append(acol)
-                self.ncols += 1
-                self._make_basic(i, acol, resid)
+                sign, basic = (-1 if resid < 0 else 1), -1
+                art_rows.append(i)
+            if rel != EQ:
+                scol += 1
+            if sign < 0:
+                ints = [-v for v in ints]
+                resid = -resid
+            self.tab.append(ints)
+            self.den.append(den)
+            self.basis.append(basic)
+            if basic >= 0:
+                self.val[basic] = resid
+            else:
+                self.val.append(resid)
+        n_art = len(art_rows)
+        for row in self.tab:
+            row.extend([0] * n_art)
+        for i in art_rows:
+            acol = self.ncols
+            self.tab[i][acol] = self.den[i]
+            self.basis[i] = acol
+            self.art_cols.append(acol)
+            self.ncols += 1
+        self.lo += [_ZERO] * n_art
+        self.hi += [None] * n_art
+        self.in_basis: list[bool] = [False] * self.ncols
+        for b in self.basis:
+            self.in_basis[b] = True
         self.banned: set[int] = set()
-
-    def _make_basic(self, i: int, j: int, value: Fraction) -> None:
-        self.basis[i] = j
-        self.in_basis[j] = True
-        self.val[j] = value
 
     # -- simplex machinery ------------------------------------------------
 
-    def reduced_costs(self, cost: list[Fraction]) -> list[Fraction]:
-        cbar = list(cost)
+    def reduced_costs(self, cost: list[Fraction]) -> tuple[list[int], int]:
+        """Integer row and positive denominator of cost - c_B B^-1 A."""
+        cden = lcm(*(c.denominator for c in cost))
+        cbar = [c.numerator * (cden // c.denominator) for c in cost]
         for i, b in enumerate(self.basis):
             cb = cost[b]
             if cb:
-                row = self.tab[i]
-                for j in range(self.ncols):
-                    if row[j]:
-                        cbar[j] -= cb * row[j]
-        return cbar
+                # cbar/cden - cb * tab[i]/den[i], over the lcm of the denominators
+                q = cb.denominator * self.den[i]
+                g = gcd(cden, q)
+                sx, sy = q // g, cb.numerator * (cden // g)
+                cbar = [x * sx - y * sy for x, y in zip(cbar, self.tab[i])]
+                cden *= sx
+        return _lowest_terms(cbar, cden)
 
-    def _pivot(self, r: int, j: int, cbar: list[Fraction]) -> None:
+    def _pivot(self, r: int, j: int) -> list[tuple[int, int]]:
+        """Make column j basic in row r; returns the pivot row's nonzeros.
+
+        The pivot row takes its pivot entry as denominator, so its entry in
+        column j reads exactly 1.  Only the rows with a nonzero in column j
+        are updated, each at the pivot row's nonzero columns (see
+        `_eliminate`).
+        """
         prow = self.tab[r]
         piv = prow[j]
-        if piv != 1:
-            inv = 1 / piv
-            self.tab[r] = prow = [v * inv for v in prow]
+        if piv < 0:
+            prow = [-v for v in prow]
+            piv = -piv
+        prow, piv = _lowest_terms(prow, piv)
+        self.tab[r] = prow
+        self.den[r] = piv
+        nz = [(k, v) for k, v in enumerate(prow) if v]
         for i, row in enumerate(self.tab):
-            if i == r:
-                continue
-            f = row[j]
-            if f:
-                self.tab[i] = [a - f * b for a, b in zip(row, prow)]
-        f = cbar[j]
-        if f:
-            for k in range(self.ncols):
-                if prow[k]:
-                    cbar[k] -= f * prow[k]
-        leaving = self.basis[r]
-        self.in_basis[leaving] = False
+            if i != r and row[j]:
+                self.tab[i], self.den[i] = _eliminate(row, self.den[i], piv, j, nz)
+        self.in_basis[self.basis[r]] = False
         self.basis[r] = j
         self.in_basis[j] = True
+        return nz
 
     def run(self, cost: list[Fraction]) -> str:
         """Minimize cost over the current basis; returns OPTIMAL or UNBOUNDED."""
-        cbar = self.reduced_costs(cost)
-        guard = 2000 + 200 * (len(self.tab) + self.ncols)
+        cbar, cden = self.reduced_costs(cost)
+        tab, den, basis = self.tab, self.den, self.basis
+        val, lo, hi = self.val, self.lo, self.hi
+        guard = 2000 + 200 * (len(tab) + self.ncols)
         for _ in range(guard):
+            # Bland: the lowest-index column whose move improves the cost
+            # (only the sign of a reduced cost matters, and cden > 0).
             enter = -1
             direction = 0
             for j in range(self.ncols):
                 if self.in_basis[j] or j in self.banned:
                     continue
-                lo, hi = self.lo[j], self.hi[j]
-                if hi is not None and lo == hi:
-                    continue
-                if self.val[j] == lo and cbar[j] < 0:
+                if cbar[j] < 0 and val[j] == lo[j]:
                     enter, direction = j, 1
                     break
-                if hi is not None and self.val[j] == hi and cbar[j] > 0:
+                if cbar[j] > 0 and hi[j] is not None and val[j] == hi[j]:
                     enter, direction = j, -1
                     break
             if enter < 0:
                 return OPTIMAL
 
-            # Ratio test: how far can the entering column move?
-            hi_e = self.hi[enter]
-            best_t: Optional[Fraction] = None if hi_e is None else hi_e - self.lo[enter]
+            # Ratio test: how far can the entering column move?  The step
+            # bound of row i is an exact Fraction, the same value the
+            # rational tableau entry coef / den[i] gives.
+            hi_e = hi[enter]
+            best_t: Optional[Fraction] = None if hi_e is None else hi_e - lo[enter]
             best_row = -1  # -1 means a bound flip of the entering column
-            for i, row in enumerate(self.tab):
+            for i, row in enumerate(tab):
                 coef = direction * row[enter]
                 if not coef:
                     continue
-                b = self.basis[i]
+                b = basis[i]
                 if coef > 0:
-                    t = (self.val[b] - self.lo[b]) / coef
-                elif self.hi[b] is not None:
-                    t = (self.hi[b] - self.val[b]) / (-coef)
+                    t = (val[b] - lo[b]) * den[i] / coef
+                elif hi[b] is not None:
+                    t = (hi[b] - val[b]) * den[i] / -coef
                 else:
                     continue
                 # ties: a bound flip beats a pivot, otherwise the blocking
                 # basic variable with the smallest index leaves (Bland)
                 if best_t is None or t < best_t or (t == best_t and best_row >= 0
-                                                    and b < self.basis[best_row]):
+                                                    and b < basis[best_row]):
                     best_t = t
                     best_row = i
             if best_t is None:
@@ -270,47 +278,42 @@ class _Tableau:
 
             t = best_t
             if t:
-                self.val[enter] += direction * t
-                for i, row in enumerate(self.tab):
+                step = direction * t
+                val[enter] += step
+                for i, row in enumerate(tab):
                     c = row[enter]
                     if c:
-                        self.val[self.basis[i]] -= direction * c * t
+                        val[basis[i]] -= step * c / den[i]
             if best_row >= 0:
-                leaving = self.basis[best_row]
-                coef = direction * self.tab[best_row][enter]
-                self.val[leaving] = self.lo[leaving] if coef > 0 else self.hi[leaving]
-                self._pivot(best_row, enter, cbar)
+                leaving = basis[best_row]
+                coef = direction * tab[best_row][enter]
+                val[leaving] = lo[leaving] if coef > 0 else hi[leaving]
+                nz = self._pivot(best_row, enter)
+                if cbar[enter]:
+                    cbar, cden = _eliminate(cbar, cden, den[best_row], enter, nz)
         raise InvariantError("simplex failed to terminate (cycling guard tripped)")
 
     def drop_artificials(self) -> None:
         """Pivot zero-valued artificials out of the basis; delete dead rows."""
+        arts = set(self.art_cols)
         for i in range(len(self.tab) - 1, -1, -1):
             b = self.basis[i]
-            if b not in self.art_cols:
+            if b not in arts:
                 continue
             if self.val[b] != 0:
                 raise InvariantError("artificial variable basic at nonzero value")
             row = self.tab[i]
-            target = -1
-            for j in range(self.ncols):
-                if j in self.art_cols or self.in_basis[j]:
-                    continue
-                hj = self.hi[j]
-                if hj is not None and self.lo[j] == hj:
-                    continue
-                if row[j]:
-                    target = j
-                    break
+            target = next((j for j in range(self.ncols)
+                           if row[j] and j not in arts and not self.in_basis[j]), -1)
             if target >= 0:
-                cbar = [_ZERO] * self.ncols
-                self._pivot(i, target, cbar)
+                self._pivot(i, target)
             else:
-                # Row only touches artificials/fixed columns: redundant.
+                # Row only touches artificials: redundant.
                 self.in_basis[b] = False
                 del self.tab[i]
+                del self.den[i]
                 del self.basis[i]
-        for a in self.art_cols:
-            self.banned.add(a)
+        self.banned |= arts
 
     def solution_values(self) -> list[Fraction]:
         out = []
@@ -320,6 +323,34 @@ class _Tableau:
             else:
                 out.append(self.val[self.col_of_var[j]])
         return out
+
+
+def _lowest_terms(row: list[int], den: int) -> tuple[list[int], int]:
+    """Divide an integer row and its positive denominator by their gcd."""
+    g = gcd(den, *row)
+    if g == 1:
+        return row, den
+    return [v // g for v in row], den // g
+
+
+def _eliminate(row: list[int], den: int, piv: int, j: int,
+               nz: list[tuple[int, int]]) -> tuple[list[int], int]:
+    """row/den minus row[j]/den times the pivot row, whose entry j is 1.
+
+    The pivot row is nz (its nonzero (column, integer) pairs) over piv.
+    Over the common denominator den * piv / g, with g = gcd(row[j], piv),
+    the row is scaled by piv / g and the pivot row by row[j] / g; when piv
+    divides row[j] the row keeps its denominator and is updated in place.
+    """
+    a = row[j]
+    g = gcd(a, piv)
+    scale, f = piv // g, a // g
+    if scale != 1:
+        row = [v * scale for v in row]
+        den *= scale
+    for k, v in nz:
+        row[k] -= f * v
+    return _lowest_terms(row, den)
 
 
 def _eval_row(row: Row, values: Sequence[Fraction]) -> Fraction:

@@ -31,6 +31,17 @@ def solve_square(rows: list[list[Fraction]], rhs: list[Fraction]):
     return [aug[i][k] for i in range(k)]
 
 
+def dump_lp(lp: lp_core.LinearProgram) -> str:
+    """Plain-text inequality rendering of an LP, for debugging and digests."""
+    out = ["min " + " + ".join(f"{c}*x{j}" for j, c in enumerate(lp.objective) if c)]
+    for idx, row in enumerate(lp.rows):
+        lhs = " + ".join(f"{v}*x{j}" for j, v in sorted(row.coeffs.items()))
+        out.append(f"r{idx}: {lhs or '0'} {row.relation} {row.rhs}")
+    for j, (lo, hi) in enumerate(lp.bounds):
+        out.append(f"x{j} in [{lo}, {hi}]")
+    return "\n".join(out)
+
+
 def enumerate_optimum(lp: lp_core.LinearProgram):
     """Optimal value by enumerating every vertex candidate basis.
 

@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 
+from lotforge import cmils_master
 from lotforge.cli import decimal_str, main
 from lotforge.instance import gen_kc_gap, gen_random, load, save
 
@@ -74,6 +75,15 @@ class TestSolveVerify:
                                "--out", str(tmp_path / "s.json"),
                                "--max-rounds", "0")
         assert code == 2 and "round cap" in err
+
+    def test_false_certificate_exit_code(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cmils_master, "hcost", lambda inst, x: Fraction(-1))
+        inst_path = tmp_path / "gap.json"
+        save(gen_kc_gap(Fraction(1000)), inst_path)
+        code, out, err = run_cli(capsys, "solve", "--in", str(inst_path),
+                                 "--out", str(tmp_path / "s.json"))
+        assert code == 2 and out == ""
+        assert "ratio certificate failed" in err
 
     def test_missing_file_exit_code(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "solve", "--in",

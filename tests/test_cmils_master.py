@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,8 @@ from helpers import schedule_to_fractional
 from lotforge.cmils_master import (MasterState, add_cut, build_base_lp,
                                    run_pipeline, solve_master)
 from lotforge.cuts import CoveringCut, cut_demand, cut_lhs
-from lotforge.errors import RoundLimitError
+from lotforge import cmils_master
+from lotforge.errors import InvariantError, RoundLimitError
 from lotforge.instance import (CmilsInstance, check_feasible, gen_kc_gap,
                                gen_random, hcost)
 from lotforge.oracles import brute_force_cmils
@@ -229,6 +231,17 @@ class TestPipeline:
             assert ok, bad
             opt = brute_force_cmils(inst).optimum_cost
             assert result.schedule.total_cost <= 10 * opt
+
+    @pytest.mark.parametrize("flag", ["ordering_bound_ok", "holding_bound_ok"])
+    def test_false_certificate_raises(self, monkeypatch, flag):
+        if flag == "ordering_bound_ok":
+            real = cmils_master.make_schedule
+            monkeypatch.setattr(cmils_master, "make_schedule", lambda *args:
+                                dataclasses.replace(real(*args), ordering_cost=F(10**9)))
+        else:
+            monkeypatch.setattr(cmils_master, "hcost", lambda inst, x: F(-1))
+        with pytest.raises(InvariantError, match=f"{flag}=False"):
+            run_pipeline(gen_kc_gap(F(1000)))
 
     def test_certificate_json_shape(self):
         result = run_pipeline(gen_kc_gap(F(100)))

@@ -1,13 +1,19 @@
+import hashlib
+import json
+import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import enumerate_optimum, random_lp
-from lotforge import lp_core
+from helpers import dump_lp, enumerate_optimum, random_lp
+from lotforge import cmils_master, instance
 from lotforge.lp_core import (EQ, GE, INFEASIBLE, LE, OPTIMAL, LinearProgram,
                               LpSolution, solve_to_vertex, verify_vertex)
 
 F = Fraction
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_vertices.json")
 
 
 def box_lp(n, objective, bounds=None):
@@ -139,5 +145,124 @@ def test_well_formed_rejects_bad_rows():
 def test_dump_lp_mentions_rows():
     lp = box_lp(1, [1])
     lp.add_row({0: F(1)}, GE, 1)
-    text = lp_core.dump_lp(lp)
+    text = dump_lp(lp)
     assert ">= 1" in text and "x0 in [0, 1]" in text
+
+
+# -- golden vertices ---------------------------------------------------------
+#
+# GOLDEN pins the exact vertex that the dense-Fraction Bland simplex returned
+# for each case below.  The tableau may change representation, but as long as
+# every entering and leaving choice is the same the returned vertex is too,
+# byte for byte.  Rewrite the file (`PYTHONPATH=src python tests/test_lp_core.py`)
+# only in a change that means to alter the pivot sequence, and say so in its
+# notes.
+
+def golden_cases():
+    """(name, LP) pairs: small random LPs plus first and cut master LPs."""
+    for seed in range(200):
+        yield f"random_lp-{seed}", random_lp(seed)
+    for seed in range(10):
+        slack = F(1) if seed % 2 else F(3, 2)
+        inst = instance.gen_random(seed, T=10, N=6, slack_factor=slack)
+        yield f"gen_random-{seed}-T10-N6-slack{slack}", cmils_master.build_base_lp(inst)
+    for R in ("10", "1000", "1000000", "7/2", "123457/3"):
+        inst = instance.gen_kc_gap(instance.parse_rat(R))
+        yield f"kc-gap-{R}", cmils_master.build_base_lp(inst)
+        cuts = cmils_master.run_pipeline(inst).cuts
+        if cuts:
+            state = cmils_master.MasterState.new(inst)
+            for cut in cuts:
+                coeffs, rhs = cmils_master.cut_row(cut, inst, state.layout)
+                state.lp.add_row(coeffs, GE, rhs)
+            yield f"kc-gap-{R}-with-cuts", state.lp
+
+
+def golden_record(name, lp):
+    sol = solve_to_vertex(lp)
+    return {
+        "name": name,
+        "lp_sha256": hashlib.sha256(dump_lp(lp).encode()).hexdigest(),
+        "status": sol.status,
+        "values": None if sol.values is None else [str(v) for v in sol.values],
+        "objective_value": None if sol.objective_value is None else str(sol.objective_value),
+        "tight_rows": sorted(sol.tight_rows),
+        "at_bound": sorted(sol.at_bound),
+    }
+
+
+def golden_text(records) -> str:
+    return json.dumps(records, indent=1, sort_keys=True) + "\n"
+
+
+def test_golden_vertices_are_byte_identical():
+    with open(GOLDEN, encoding="utf-8") as fh:
+        text = fh.read()
+    expected = json.loads(text)
+    records = [golden_record(name, lp) for name, lp in golden_cases()]
+    assert [r["name"] for r in records] == [r["name"] for r in expected]
+    for got, want in zip(records, expected):
+        assert got["lp_sha256"] == want["lp_sha256"], f"{got['name']}: input LP changed"
+        assert got == want, got["name"]
+    assert golden_text(records) == text
+
+
+# -- property test -------------------------------------------------------------
+
+def _rationals(bound):
+    ints = st.integers(-bound, bound)
+    return st.one_of(ints.map(F), st.builds(F, ints, st.integers(1, 1000)))
+
+
+@st.composite
+def small_lps(draw):
+    """LE/GE/EQ rows over n <= 4 boxed variables, some fixed, some rows doubled.
+
+    Each rhs is the row's value at a point of the box plus an offset that is
+    zero half the time, so both feasible and infeasible LPs come up; an exact
+    or scaled copy of an earlier row makes phase 1 delete a redundant row.
+    """
+    n = draw(st.integers(1, 4))
+    bounds, point = [], []
+    for _ in range(n):
+        lo = draw(_rationals(100))
+        fixed = draw(st.integers(0, 3)) == 0
+        width = F(0) if fixed else abs(draw(_rationals(1000)))
+        bounds.append((lo, lo + width))
+        point.append(lo + width * draw(st.fractions(0, 1, max_denominator=7)))
+    lp = LinearProgram(num_vars=n, objective=draw(st.lists(_rationals(10**6),
+                                                          min_size=n, max_size=n)),
+                       bounds=bounds)
+    for _ in range(draw(st.integers(1, 5))):
+        if lp.rows and draw(st.booleans()):
+            row = draw(st.sampled_from(lp.rows))
+            scale = draw(st.sampled_from([F(1), F(3), F(-2, 7)]))
+            relation = row.relation if scale > 0 else {LE: GE, GE: LE, EQ: EQ}[row.relation]
+            lp.add_row({j: scale * v for j, v in row.coeffs.items()}, relation,
+                       scale * row.rhs)
+            continue
+        coeffs = draw(st.dictionaries(st.integers(0, n - 1), _rationals(10**6),
+                                      min_size=1, max_size=n))
+        at_point = sum((v * point[j] for j, v in coeffs.items()), F(0))
+        offset = draw(st.one_of(st.just(F(0)), _rationals(10**6)))
+        lp.add_row(coeffs, draw(st.sampled_from([LE, GE, EQ, EQ])), at_point + offset)
+    return lp
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(small_lps())
+def test_random_mixed_lps_match_enumeration(lp):
+    sol = solve_to_vertex(lp)
+    best = enumerate_optimum(lp)
+    if best is None:
+        assert sol.status == INFEASIBLE
+    else:
+        assert sol.status == OPTIMAL
+        assert all(isinstance(v, Fraction) for v in sol.values)
+        assert sol.objective_value == best
+        assert verify_vertex(lp, sol)
+
+
+if __name__ == "__main__":
+    with open(GOLDEN, "w", encoding="utf-8") as fh:
+        fh.write(golden_text([golden_record(name, lp) for name, lp in golden_cases()]))
