@@ -1,24 +1,28 @@
-"""Final demand placement through a bipartite feasible flow.
+"""Final demand placement by an earliest-deadline-first sweep.
 
 The fractional x of the master LP is first stretched into a profile x' by
 scaling each item's distribution by 5/2 and truncating once the cumulative
 mass reaches 1, so prefix-wise x'[<=t, i] = min((5/2) x[<=t, i], 1).  Each
-profile entry becomes a supply node whose demand share may only be served
-by selected order periods in [s, r_i]; order periods are capacity nodes.
-A saturating flow yields the final placement x*, which by construction is
-prefix-dominated by x' and therefore holds at most 5/2 times the holding
-cost of x.  Infeasibility of the flow signals a coverage shortfall.
+profile entry (s, i) is a supply of x'[(s, i)] * d_i units that may only go
+to a selected order period in [s, r_i].  Every supply's periods form an
+interval, so this is a convex bipartite transportation problem, which an
+earliest-deadline-first sweep solves exactly (Glover, 1967): walk the
+periods in order, release each supply at its period, and pour each
+selected period's capacity into the released supplies with the earliest
+deadline.  A supply still unserved at its deadline proves a coverage
+shortfall.  Supplies are only served at or after their release, so the
+placement x* is prefix-dominated by x' and therefore holds at most 5/2
+times the holding cost of x.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+import heapq
 from fractions import Fraction
 from typing import Mapping, Optional
 
 from .errors import InvariantError
-from .instance import CmilsInstance, hcost
+from .instance import CmilsInstance
 
 SCALE = Fraction(5, 2)
 
@@ -42,76 +46,6 @@ def scaled_profile(x: Mapping[tuple[int, int], Fraction],
     return profile
 
 
-@dataclass(frozen=True)
-class FlowNetwork:
-    """Supplies (s, i) -> units, capacities s' -> C_s', and the edge rule:
-    supply (s, i) may reach s' iff s <= s' <= r_i and s' is selected."""
-
-    supplies: dict[tuple[int, int], Fraction]
-    capacities: dict[int, Fraction]
-    edges: frozenset[tuple[tuple[int, int], int]]
-
-
-def build_network(inst: CmilsInstance, selected,
-                  profile: Mapping[tuple[int, int], Fraction]) -> FlowNetwork:
-    selected = frozenset(selected)
-    supplies = {(s, i): profile[(s, i)] * inst.demand(i)
-                for (s, i) in sorted(profile) if profile[(s, i)]}
-    capacities = {s: inst.cap(s) for s in sorted(selected)}
-    edges = frozenset((key, t) for key in supplies for t in selected
-                      if key[0] <= t <= inst.deadline(key[1]))
-    return FlowNetwork(supplies=supplies, capacities=capacities, edges=edges)
-
-
-class _MaxFlow:
-    """Edmonds-Karp with exact rational capacities."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.head: list[list[int]] = [[] for _ in range(n)]
-        self.to: list[int] = []
-        self.cap: list[Fraction] = []
-
-    def add_edge(self, u: int, v: int, cap: Fraction) -> int:
-        idx = len(self.to)
-        self.head[u].append(idx)
-        self.to.append(v)
-        self.cap.append(Fraction(cap))
-        self.head[v].append(idx + 1)
-        self.to.append(u)
-        self.cap.append(Fraction(0))
-        return idx
-
-    def run(self, source: int, sink: int) -> Fraction:
-        total = Fraction(0)
-        while True:
-            prev_edge = [-1] * self.n
-            prev_edge[source] = -2
-            queue = deque([source])
-            while queue and prev_edge[sink] == -1:
-                u = queue.popleft()
-                for e in self.head[u]:
-                    v = self.to[e]
-                    if prev_edge[v] == -1 and self.cap[e] > 0:
-                        prev_edge[v] = e
-                        queue.append(v)
-            if prev_edge[sink] == -1:
-                return total
-            bottleneck = None
-            v = sink
-            while v != source:
-                e = prev_edge[v]
-                bottleneck = self.cap[e] if bottleneck is None else min(bottleneck, self.cap[e])
-                v = self.to[e ^ 1]
-            v = sink
-            while v != source:
-                e = prev_edge[v]
-                self.cap[e] -= bottleneck
-                self.cap[e ^ 1] += bottleneck
-                v = self.to[e ^ 1]
-            total += bottleneck
-
-
 def solve_assignment(inst: CmilsInstance, selected,
                      profile: Mapping[tuple[int, int], Fraction]
                      ) -> Optional[dict[tuple[int, int], Fraction]]:
@@ -119,36 +53,30 @@ def solve_assignment(inst: CmilsInstance, selected,
 
     Returns x*[(s', i)] fractions with sum 1 per item, respecting period
     capacities and the deadline/selection support rule, and prefix-dominated
-    by the profile.  None when the flow cannot saturate the supplies.
+    by the profile.  None when some supply cannot be served by its deadline.
     """
-    net = build_network(inst, selected, profile)
-    supply_keys = sorted(net.supplies)
-    period_keys = sorted(net.capacities)
-    node_of_supply = {key: 1 + idx for idx, key in enumerate(supply_keys)}
-    node_of_period = {t: 1 + len(supply_keys) + idx for idx, t in enumerate(period_keys)}
-    sink = 1 + len(supply_keys) + len(period_keys)
-    flow = _MaxFlow(sink + 1)
-    for key in supply_keys:
-        flow.add_edge(0, node_of_supply[key], net.supplies[key])
-    edge_of: dict[tuple[tuple[int, int], int], int] = {}
-    for key in supply_keys:
-        s, i = key
-        for t in period_keys:
-            if ((s, i), t) in net.edges:
-                edge_of[(key, t)] = flow.add_edge(node_of_supply[key],
-                                                  node_of_period[t], net.supplies[key])
-    for t in period_keys:
-        flow.add_edge(node_of_period[t], sink, net.capacities[t])
-
-    want = sum(net.supplies.values(), Fraction(0))
-    got = flow.run(0, sink)
-    if got < want:
-        return None
+    selected = frozenset(selected)
+    released: dict[int, list[int]] = {}
+    for s, i in sorted(profile):
+        if profile[(s, i)]:
+            released.setdefault(s, []).append(i)
+    heap: list[list] = []  # [r_i, s, i, units left]; the key (r_i, s, i) is unique
     units: dict[tuple[int, int], Fraction] = {}
-    for (key, t), e in edge_of.items():
-        sent = net.supplies[key] - flow.cap[e]
-        if sent:
-            units[(t, key[1])] = units.get((t, key[1]), Fraction(0)) + sent
+    for t in inst.periods():
+        for i in released.get(t, ()):
+            heapq.heappush(heap, [inst.deadline(i), t, i, profile[(t, i)] * inst.demand(i)])
+        room = inst.cap(t) if t in selected else Fraction(0)
+        while heap and room:
+            entry = heap[0]
+            i = entry[2]
+            sent = min(entry[3], room)
+            units[(t, i)] = units.get((t, i), Fraction(0)) + sent
+            room -= sent
+            entry[3] -= sent
+            if not entry[3]:
+                heapq.heappop(heap)
+        if heap and heap[0][0] <= t:
+            return None
     placement = {(t, i): qty / inst.demand(i) for (t, i), qty in units.items()}
     _check_placement(inst, selected, profile, placement)
     return placement
@@ -178,8 +106,3 @@ def _check_placement(inst, selected, profile, placement) -> None:
                     for i in inst.items()), Fraction(0))
         if used > inst.cap(t):
             raise InvariantError(f"placement overloads period {t}")
-
-
-def hcost_bound_check(inst: CmilsInstance, x: Mapping, placement: Mapping) -> bool:
-    """Exact check that the placement holds at most 5/2 the cost of x."""
-    return hcost(inst, placement) <= SCALE * hcost(inst, x)

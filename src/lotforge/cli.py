@@ -162,10 +162,12 @@ def cmd_verify(args) -> int:
     except InstanceFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    bad = instance.validate(inst)
+    if bad:
+        raise ValueError("invalid instance: " + "; ".join(bad))
     ok, problems = instance.check_feasible(inst, sched)
     if not ok:
-        for line in problems:
-            print(f"mismatch: {line}", file=sys.stderr)
+        print("mismatch: " + "; ".join(problems), file=sys.stderr)
         return 3
     ordering, holding, total = instance.cost(inst, sched)
     stated = (sched.ordering_cost, sched.holding_cost, sched.total_cost)

@@ -13,7 +13,7 @@ d(I) - C(S1), so their usable capacity is capped at it.
 
 run_pipeline alternates exact LP solves with the rounding/separation step
 until the rounded order set covers every interval requirement, then places
-the demand by a feasible flow.
+the demand by an earliest-deadline-first sweep.
 """
 
 from __future__ import annotations
@@ -173,7 +173,7 @@ class PipelineResult:
 
 
 def run_pipeline(inst: CmilsInstance, max_rounds: int = 200,
-                 add_all_violated: bool = False, trace: Trace = None) -> PipelineResult:
+                 trace: Trace = None) -> PipelineResult:
     """Full solve: cut loop, interval rounding, then demand placement."""
     started = time.perf_counter()
     bad = validate(inst)
@@ -184,19 +184,17 @@ def run_pipeline(inst: CmilsInstance, max_rounds: int = 200,
     prev_value = state.lp_value
     payload = None
     while True:
-        outcome = separation.try_round(sol, inst, all_cuts=add_all_violated)
+        outcome = separation.try_round(sol, inst)
         if isinstance(outcome, separation.IntervalRequirements):
             payload = outcome
             break
         state.round += 1
         if state.round > max_rounds:
             raise RoundLimitError(f"no rounding after {max_rounds} cut rounds", state=state)
-        cuts = outcome if isinstance(outcome, list) else [outcome]
-        for cut in cuts:
-            add_cut(state, cut)
-            if trace:
-                trace(f"round={state.round} cut S1={sorted(cut.S1)} "
-                      f"S2={sorted(cut.S2)} I={sorted(cut.I)}")
+        add_cut(state, outcome)
+        if trace:
+            trace(f"round={state.round} cut S1={sorted(outcome.S1)} "
+                  f"S2={sorted(outcome.S2)} I={sorted(outcome.I)}")
         sol = solve_master(state)
         if state.lp_value < prev_value:
             raise InvariantError("LP value decreased after adding rows")
@@ -211,7 +209,7 @@ def run_pipeline(inst: CmilsInstance, max_rounds: int = 200,
     profile = assign_mod.scaled_profile(sol.x, inst)
     placement = assign_mod.solve_assignment(inst, orders, profile)
     if placement is None:
-        raise InvariantError("assignment flow infeasible despite covered requirements")
+        raise InvariantError("placement sweep infeasible despite covered requirements")
     units = {(s, i): frac * inst.demand(i) for (s, i), frac in placement.items() if frac}
     schedule = make_schedule(inst, orders, units)
 

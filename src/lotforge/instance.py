@@ -20,12 +20,17 @@ from typing import Mapping
 from .errors import InstanceFormatError
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; bool is an int subclass but not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_rat(text) -> Fraction:
     """Parse "p/q" (or a bare integer / int value) into an exact Fraction."""
-    if isinstance(text, int):
-        return Fraction(text)
     if isinstance(text, Fraction):
         return text
+    if _is_int(text):
+        return Fraction(text)
     if not isinstance(text, str):
         raise InstanceFormatError(f"expected rational string, got {text!r}")
     try:
@@ -83,13 +88,6 @@ class FractionalSolution:
 
     def x_val(self, s: int, i: int) -> Fraction:
         return self.x.get((s, i), Fraction(0))
-
-    def x_prefix(self, i: int, t: int) -> Fraction:
-        """Sum of x[s, i] over s <= t (zero when t <= 0)."""
-        total = Fraction(0)
-        for s in range(1, t + 1):
-            total += self.x.get((s, i), Fraction(0))
-        return total
 
 
 @dataclass(frozen=True)
@@ -309,29 +307,42 @@ def to_json_dict(inst: CmilsInstance) -> dict:
     }
 
 
-def from_json_dict(doc: dict) -> CmilsInstance:
-    def need(obj, key, where):
-        if key not in obj:
-            raise InstanceFormatError(f"missing field {key!r} in {where}")
-        return obj[key]
+def _field(obj, key: str, where: str):
+    if not isinstance(obj, dict):
+        raise InstanceFormatError(f"{where} must be a JSON object, got {obj!r}")
+    if key not in obj:
+        raise InstanceFormatError(f"missing field {key!r} in {where}")
+    return obj[key]
 
-    T = need(doc, "T", "instance")
-    N = need(doc, "N", "instance")
-    if not isinstance(T, int) or not isinstance(N, int):
-        raise InstanceFormatError("T and N must be integers")
-    K = tuple(parse_rat(v) for v in need(doc, "K", "instance"))
-    C = tuple(parse_rat(v) for v in need(doc, "C", "instance"))
-    items = need(doc, "items", "instance")
+
+def _int_field(obj, key: str, where: str) -> int:
+    value = _field(obj, key, where)
+    if not _is_int(value):
+        raise InstanceFormatError(f"{where}.{key} must be an integer, got {value!r}")
+    return value
+
+
+def _list_field(obj, key: str, where: str) -> list:
+    value = _field(obj, key, where)
+    if not isinstance(value, list):
+        raise InstanceFormatError(f"{where}.{key} must be a list, got {value!r}")
+    return value
+
+
+def from_json_dict(doc: dict) -> CmilsInstance:
+    T = _int_field(doc, "T", "instance")
+    N = _int_field(doc, "N", "instance")
+    K = tuple(parse_rat(v) for v in _list_field(doc, "K", "instance"))
+    C = tuple(parse_rat(v) for v in _list_field(doc, "C", "instance"))
+    items = _list_field(doc, "items", "instance")
     if len(items) != N:
         raise InstanceFormatError(f"items has length {len(items)}, expected N={N}")
     d, r, h = [], [], []
     for idx, item in enumerate(items, start=1):
-        d.append(parse_rat(need(item, "d", f"items[{idx}]")))
-        rv = need(item, "r", f"items[{idx}]")
-        if not isinstance(rv, int):
-            raise InstanceFormatError(f"items[{idx}].r must be an integer")
-        r.append(rv)
-        h.append(tuple(parse_rat(v) for v in need(item, "h", f"items[{idx}]")))
+        where = f"items[{idx}]"
+        d.append(parse_rat(_field(item, "d", where)))
+        r.append(_int_field(item, "r", where))
+        h.append(tuple(parse_rat(v) for v in _list_field(item, "h", where)))
     return CmilsInstance(T=T, N=N, K=K, C=C, d=tuple(d), r=tuple(r), h=tuple(h))
 
 
@@ -366,24 +377,21 @@ def schedule_to_json_dict(sched: OrderSchedule) -> dict:
 
 
 def schedule_from_json_dict(doc: dict) -> OrderSchedule:
-    for key in ("orders", "assignment", "costs"):
-        if key not in doc:
-            raise InstanceFormatError(f"missing field {key!r} in schedule")
+    orders = _list_field(doc, "orders", "schedule")
+    for s in orders:
+        if not _is_int(s):
+            raise InstanceFormatError(f"schedule.orders must hold integers, got {s!r}")
     assignment = {}
-    for entry in doc["assignment"]:
-        for key in ("s", "i", "qty"):
-            if key not in entry:
-                raise InstanceFormatError(f"missing field {key!r} in assignment entry")
-        assignment[(entry["s"], entry["i"])] = parse_rat(entry["qty"])
-    costs = doc["costs"]
-    for key in ("ordering", "holding", "total"):
-        if key not in costs:
-            raise InstanceFormatError(f"missing field {key!r} in schedule costs")
-    return OrderSchedule(orders=frozenset(doc["orders"]),
-                         assignment=assignment,
-                         ordering_cost=parse_rat(costs["ordering"]),
-                         holding_cost=parse_rat(costs["holding"]),
-                         total_cost=parse_rat(costs["total"]))
+    for entry in _list_field(doc, "assignment", "schedule"):
+        where = "assignment entry"
+        key = (_int_field(entry, "s", where), _int_field(entry, "i", where))
+        assignment[key] = parse_rat(_field(entry, "qty", where))
+    costs = _field(doc, "costs", "schedule")
+    ordering, holding, total = (parse_rat(_field(costs, key, "schedule costs"))
+                                for key in ("ordering", "holding", "total"))
+    return OrderSchedule(orders=frozenset(orders), assignment=assignment,
+                         ordering_cost=ordering, holding_cost=holding,
+                         total_cost=total)
 
 
 def save_schedule(sched: OrderSchedule, path) -> None:

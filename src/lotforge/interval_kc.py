@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 from . import laminar_kc
 from .errors import InvariantError
-from .intervals import all_intervals, cap_within
+from .intervals import all_intervals, cap_within, capped_mass_and_count
 from .laminar_kc import Interval, LaminarFamily
 
 Trace = Optional[Callable[[str], None]]
@@ -117,19 +117,6 @@ def construct_laminar_family(y, locked, C, T: int) -> LaminarFamily:
         T, members, coverable={iv: scores[iv] for iv in members})
 
 
-def _scaled_disjunction_holds(a, b, need, y, locked, C,
-                              mass_factor: int, count_floor: int) -> bool:
-    mass = Fraction(0)
-    count = Fraction(0)
-    for s in range(a + 1, b + 1):
-        if s in locked:
-            continue
-        mass += min(C[s - 1], need) * y[s - 1]
-        if C[s - 1] >= need:
-            count += y[s - 1]
-    return mass >= mass_factor * need or count >= count_floor
-
-
 def solve_interval_kc(ikc: IntervalKcInstance, y_scaled, locked,
                       residual: dict, trace: Trace = None) -> frozenset[int]:
     """Select periods covering every interval requirement.
@@ -148,19 +135,22 @@ def solve_interval_kc(ikc: IntervalKcInstance, y_scaled, locked,
         want = max(need - cap_within(ikc.C, a, b, locked), Fraction(0))
         if residual.get((a, b), Fraction(0)) != want:
             raise InvariantError(f"residual for ({a}, {b}] inconsistent")
-        if want > 0 and not _scaled_disjunction_holds(
-                a, b, want, y_scaled, locked, ikc.C, 10, 6):
-            raise InvariantError(
-                f"scaled coverage disjunction fails on ({a}, {b}]")
+        if want > 0:
+            mass, count = capped_mass_and_count(ikc.C, a, b, want, y_scaled, locked)
+            if mass < 10 * want and count < 6:
+                raise InvariantError(
+                    f"scaled coverage disjunction fails on ({a}, {b}]")
 
     family = construct_laminar_family(y_scaled, locked, ikc.C, ikc.T)
     member_req: dict[Interval, Fraction] = {}
     member_residual: dict[Interval, Fraction] = {}
     for iv in family.members:
         coverable = family.coverable[iv]
-        if coverable > 0 and not _scaled_disjunction_holds(
-                iv[0], iv[1], coverable, y_scaled, locked, ikc.C, 2, 1):
-            raise InvariantError(f"member score of {iv} is not attained")
+        if coverable > 0:
+            mass, count = capped_mass_and_count(ikc.C, iv[0], iv[1], coverable,
+                                                y_scaled, locked)
+            if mass < 2 * coverable and count < 1:
+                raise InvariantError(f"member score of {iv} is not attained")
         full = coverable + cap_within(ikc.C, iv[0], iv[1], locked)
         if full > 0:
             member_req[iv] = full
@@ -179,16 +169,3 @@ def solve_interval_kc(ikc: IntervalKcInstance, y_scaled, locked,
         raise InvariantError("selection exceeds the scaled fractional budget")
     return selected
 
-
-def family_dominates_requirements(family: LaminarFamily, residual: dict,
-                                  y_scaled, locked) -> bool:
-    """Probe: every interval with unmet requirement has a nested member
-    whose score is at least that requirement.  Not on the solve path."""
-    for (a, b), need in residual.items():
-        if need <= 0:
-            continue
-        hit = any(a <= ma and mb <= b and family.coverable[(ma, mb)] >= need
-                  for (ma, mb) in family.members)
-        if not hit:
-            return False
-    return True

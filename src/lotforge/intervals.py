@@ -17,10 +17,6 @@ def all_intervals(T: int) -> Iterator[tuple[int, int]]:
             yield (a, b)
 
 
-def periods_of(a: int, b: int) -> range:
-    return range(a + 1, b + 1)
-
-
 def cap_within(C, a: int, b: int, chosen: Iterable[int]) -> Fraction:
     """Total capacity of the chosen periods that fall inside (a, b]."""
     total = Fraction(0)
@@ -28,3 +24,27 @@ def cap_within(C, a: int, b: int, chosen: Iterable[int]) -> Fraction:
         if a < s <= b:
             total += C[s - 1]
     return total
+
+
+def capped_mass_and_count(C, a: int, b: int, need: Fraction, y,
+                          skip) -> tuple[Fraction, Fraction]:
+    """The two sides of every covering test on (a, b], periods in skip left out.
+
+    mass  = sum of min(C_s, need) * y_s: capacity capped at the requirement;
+    count = sum of y_s over the periods with C_s >= need: openings of
+            periods that could cover the requirement alone.
+
+    Each caller compares them to its own thresholds "mass >= k * need or
+    count >= c": separation (1, 3/5) on the master y, interval rounding
+    (10, 6) on the scaled y and (2, 1) for family members, laminar rounding
+    (2, 1) for its mass and count rows.
+    """
+    mass = Fraction(0)
+    count = Fraction(0)
+    for s in range(a + 1, b + 1):
+        if s in skip:
+            continue
+        mass += min(C[s - 1], need) * y[s - 1]
+        if C[s - 1] >= need:
+            count += y[s - 1]
+    return mass, count

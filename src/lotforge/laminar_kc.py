@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Optional
 
 from . import lp_core
 from .errors import InvariantError
-from .intervals import cap_within
+from .intervals import cap_within, capped_mass_and_count
 
 Interval = tuple[int, int]
 Trace = Optional[Callable[[str], None]]
@@ -67,35 +67,6 @@ class LaminarFamily:
                    children={m: tuple(c) for m, c in children.items()},
                    coverable=dict(coverable or {}))
 
-    def is_binary_with_unit_leaves(self) -> bool:
-        for m in self.members:
-            kids = self.children[m]
-            if not kids:
-                if m[1] - m[0] != 1:
-                    return False
-            else:
-                if len(kids) != 2:
-                    return False
-                (a, b), (la, lb), (ra, rb) = m, kids[0], kids[1]
-                if not (la == a and lb == ra and rb == b):
-                    return False
-        return True
-
-    def render_tree(self) -> str:
-        lines: list[str] = []
-
-        def walk(iv: Interval, depth: int) -> None:
-            mark = self.coverable.get(iv)
-            note = f"  coverable={mark}" if mark is not None else ""
-            lines.append("  " * depth + f"({iv[0]}, {iv[1]}]{note}")
-            for kid in self.children[iv]:
-                walk(kid, depth + 1)
-
-        for m in self.members:
-            if self.parent[m] is None:
-                walk(m, 0)
-        return "\n".join(lines)
-
 
 @dataclass(frozen=True)
 class LaminarKcInstance:
@@ -127,25 +98,6 @@ class RoundingState:
         return sorted(self.mass_active | self.count_active)
 
 
-def _count_row_holds(iv: Interval, need: Fraction, y, selected, C) -> bool:
-    """Fractional openings of periods with capacity >= need reach one."""
-    a, b = iv
-    total = Fraction(0)
-    for s in range(a + 1, b + 1):
-        if s not in selected and C[s - 1] >= need:
-            total += y[s - 1]
-    return total >= 1
-
-
-def _mass_row_holds(iv: Interval, need: Fraction, y, selected, C) -> bool:
-    a, b = iv
-    total = Fraction(0)
-    for s in range(a + 1, b + 1):
-        if s not in selected:
-            total += min(C[s - 1], need) * y[s - 1]
-    return total >= 2 * need
-
-
 def init_state(inst: LaminarKcInstance, y, locked, residual: dict) -> RoundingState:
     """Set up the rounding state; rejects inputs that break the contract."""
     inst.check()
@@ -166,8 +118,9 @@ def init_state(inst: LaminarKcInstance, y, locked, residual: dict) -> RoundingSt
         need = residual.get(iv, Fraction(0))
         if need <= 0:
             continue
-        count_ok = _count_row_holds(iv, need, y, locked, inst.C)
-        if not count_ok and not _mass_row_holds(iv, need, y, locked, inst.C):
+        mass, count = capped_mass_and_count(inst.C, iv[0], iv[1], need, y, locked)
+        count_ok = count >= 1
+        if not count_ok and mass < 2 * need:
             raise InvariantError(f"input y fails both cover conditions on {iv}")
         remaining[iv] = need
         (count_active if count_ok else mass_active).add(iv)
@@ -302,8 +255,9 @@ def solve(inst: LaminarKcInstance, y, locked, residual: dict,
                     del state.remaining[iv]
                     if trace:
                         trace(f"iter={rounds} event=retire iv={iv}")
-                elif iv in state.mass_active and _count_row_holds(
-                        iv, state.remaining[iv], state.y, state.selected, inst.C):
+                elif iv in state.mass_active and capped_mass_and_count(
+                        inst.C, a, b, state.remaining[iv], state.y,
+                        state.selected)[1] >= 1:
                     state.mass_active.discard(iv)
                     state.count_active.add(iv)
                     if trace:

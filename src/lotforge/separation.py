@@ -8,9 +8,11 @@ the capacity that any acceptable order set must place inside (a, b].  The y
 vector is scaled up tenfold (capped at 1); periods already at 1 are locked.
 For every interval whose requirement is not yet met by locked capacity, one
 covering inequality is checked.  The first violated one is returned as a
-cut; if none is violated, the scaled solution provably meets the coverage
-precondition of the interval knapsack solver, which is re-checked here
-before handing the payload over.
+cut.  Where it holds, the unlocked periods must carry capped mass of the
+residual requirement or a count of 3/5 among the large periods (checked).
+Since unlocked periods are scaled exactly tenfold, that is the
+tenfold-mass-or-count-of-six precondition of the interval knapsack solver,
+which checks it again at its entry.
 """
 
 from __future__ import annotations
@@ -22,9 +24,8 @@ from typing import Union
 from .cuts import CoveringCut, cut_demand, cut_lhs
 from .errors import InvariantError
 from .instance import CmilsInstance, FractionalSolution
-from .intervals import all_intervals, cap_within
+from .intervals import all_intervals, cap_within, capped_mass_and_count
 
-_TAIL_CUTOFF = Fraction(2, 5)   # items with x[<=a, i] below this still need (a, b]
 _SCALE = 10
 
 
@@ -38,23 +39,32 @@ class IntervalRequirements:
     residual: dict[tuple[int, int], Fraction]
 
 
-def compute_requirements(sol: FractionalSolution, inst: CmilsInstance) -> dict:
-    """Requirement of every interval (a, b], from x alone."""
-    prefix = {}
+def shortfalls(sol: FractionalSolution, inst: CmilsInstance) -> dict:
+    """Positive shortfalls 1 - (5/2) * x[<=a, i], keyed (a, i), for a < r_i.
+
+    Item i still needs capacity after period a exactly when (a, i) is a key.
+    """
+    short: dict[tuple[int, int], Fraction] = {}
     for i in inst.items():
         run = Fraction(0)
-        prefix[(0, i)] = run
-        for s in range(1, inst.T + 1):
-            run += sol.x_val(s, i)
-            prefix[(s, i)] = run
+        for a in range(inst.deadline(i)):
+            run += sol.x_val(a, i)  # x[<=a, i]; there is no period 0
+            value = 1 - Fraction(5, 2) * run
+            if value > 0:
+                short[(a, i)] = value
+    return short
+
+
+def compute_requirements(sol: FractionalSolution, inst: CmilsInstance,
+                         short: dict | None = None) -> dict:
+    """Requirement of every interval (a, b], from x alone."""
+    short = shortfalls(sol, inst) if short is None else short
     req: dict[tuple[int, int], Fraction] = {}
     for a, b in all_intervals(inst.T):
         total = Fraction(0)
         for i in inst.items():
-            if a < inst.deadline(i) <= b:
-                short = 1 - Fraction(5, 2) * prefix[(a, i)]
-                if short > 0:
-                    total += short * inst.demand(i)
+            if a < inst.deadline(i) <= b and (a, i) in short:
+                total += short[(a, i)] * inst.demand(i)
         req[(a, b)] = total
     return req
 
@@ -73,87 +83,33 @@ def residual_requirements(req: dict, locked, C) -> dict:
     }
 
 
-def _mass_or_count_holds(sol, inst, interior, need: Fraction) -> bool:
-    """After capping capacities at the residual, either the fractional mass
-    covers it outright or enough large periods carry 3/5 of fractional mass."""
-    mass = Fraction(0)
-    count = Fraction(0)
-    for s in interior:
-        ys = sol.y[s - 1]
-        mass += min(inst.cap(s), need) * ys
-        if inst.cap(s) >= need:
-            count += ys
-    return mass >= need or count >= Fraction(3, 5)
-
-
-def try_round(sol: FractionalSolution, inst: CmilsInstance, all_cuts: bool = False
-              ) -> Union[CoveringCut, list, IntervalRequirements]:
-    """Return the first violated covering cut, or the certified payload.
-
-    With all_cuts=True every violated cut found in the scan is returned as a
-    list (experiment mode; the default mirrors a one-cut-per-round oracle).
-    """
-    req = compute_requirements(sol, inst)
+def try_round(sol: FractionalSolution, inst: CmilsInstance
+              ) -> Union[CoveringCut, IntervalRequirements]:
+    """Return the first violated covering cut, or the certified payload."""
+    short = shortfalls(sol, inst)
+    req = compute_requirements(sol, inst, short)
     y_scaled, locked = scale_y(sol.y)
     residual = residual_requirements(req, locked, inst.C)
 
-    found: list[CoveringCut] = []
     for a, b in all_intervals(inst.T):
-        if residual[(a, b)] <= 0:
+        need = residual[(a, b)]
+        if need <= 0:
             continue
         s1 = frozenset(s for s in range(a + 1, b + 1) if s in locked)
         s2 = frozenset(s for s in range(a + 1, b + 1) if s not in locked)
         cap1 = sum((inst.cap(s) for s in s1), Fraction(0))
         if cap1 >= req[(a, b)]:
             continue  # residual would be zero; unreachable when residual > 0
-        item_set = frozenset(
-            i for i in inst.items()
-            if a < inst.deadline(i) <= b and sol.x_prefix(i, a) < _TAIL_CUTOFF
-        )
+        item_set = frozenset(i for i in inst.items()
+                             if a < inst.deadline(i) <= b and (a, i) in short)
         cut = CoveringCut(S1=s1, S2=s2, I=item_set)
         if cut_lhs(cut, sol, inst) < cut_demand(cut, inst):
-            if not all_cuts:
-                return cut
-            found.append(cut)
-        else:
-            # the checked inequality held: the capped-mass-or-count property
-            # must transfer to the residual requirement
-            if not _mass_or_count_holds(sol, inst, sorted(s2), residual[(a, b)]):
-                raise InvariantError(
-                    f"transfer property failed on interval ({a}, {b}]")
+            return cut
+        # the checked inequality held: the capped-mass-or-count property
+        # must transfer to the residual requirement
+        mass, count = capped_mass_and_count(inst.C, a, b, need, sol.y, locked)
+        if mass < need and count < Fraction(3, 5):
+            raise InvariantError(f"transfer property failed on interval ({a}, {b}]")
 
-    if found:
-        return found
-
-    payload = IntervalRequirements(y_scaled=y_scaled, locked=locked,
-                                   R=req, residual=residual)
-    assert_scaled_cover(payload, inst.C)
-    return payload
-
-
-def assert_scaled_cover(payload: IntervalRequirements, C) -> None:
-    """Every unmet interval must satisfy the scaled coverage disjunction:
-    tenfold capped mass, or a count of six among the large periods."""
-    for (a, b), need in payload.residual.items():
-        if need <= 0:
-            continue
-        mass = Fraction(0)
-        count = Fraction(0)
-        for s in range(a + 1, b + 1):
-            if s in payload.locked:
-                continue
-            ys = payload.y_scaled[s - 1]
-            mass += min(C[s - 1], need) * ys
-            if C[s - 1] >= need:
-                count += ys
-        if mass < 10 * need and count < 6:
-            raise InvariantError(
-                f"scaled coverage disjunction failed on interval ({a}, {b}]")
-
-
-def requirements_csv(req: dict, residual: dict) -> str:
-    """Debug dump of the requirement table."""
-    lines = ["a,b,requirement,residual"]
-    for (a, b) in sorted(req):
-        lines.append(f"{a},{b},{req[(a, b)]},{residual[(a, b)]}")
-    return "\n".join(lines)
+    return IntervalRequirements(y_scaled=y_scaled, locked=locked,
+                                R=req, residual=residual)

@@ -7,7 +7,8 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from lotforge import lp_core
-from lotforge.instance import CmilsInstance, FractionalSolution, OrderSchedule
+from lotforge.assignment import SCALE
+from lotforge.instance import CmilsInstance, FractionalSolution, OrderSchedule, hcost
 from lotforge.interval_kc import IntervalKcInstance, max_coverable
 from lotforge.intervals import all_intervals, cap_within
 from lotforge.laminar_kc import LaminarFamily, LaminarKcInstance
@@ -221,3 +222,62 @@ def random_interval_kc(seed: int, max_T: int = 10) -> IntervalKcInstance:
             capsum = sum((C[s - 1] for s in range(a + 1, b + 1)), Fraction(0))
             R[(a, b)] = Fraction(rng.randint(1, int(capsum)))
     return IntervalKcInstance(T=T, C=C, K=K, R=R)
+
+
+def hcost_bound_check(inst: CmilsInstance, x, placement) -> bool:
+    """Exact check that the placement holds at most 5/2 the cost of x."""
+    return hcost(inst, placement) <= SCALE * hcost(inst, x)
+
+
+def requirements_csv(req: dict, residual: dict) -> str:
+    """Debug dump of the requirement table."""
+    lines = ["a,b,requirement,residual"]
+    for (a, b) in sorted(req):
+        lines.append(f"{a},{b},{req[(a, b)]},{residual[(a, b)]}")
+    return "\n".join(lines)
+
+
+def is_binary_with_unit_leaves(family: LaminarFamily) -> bool:
+    """Every member is a unit leaf or splits into exactly two adjacent halves."""
+    for m in family.members:
+        kids = family.children[m]
+        if not kids:
+            if m[1] - m[0] != 1:
+                return False
+        else:
+            if len(kids) != 2:
+                return False
+            (a, b), (la, lb), (ra, rb) = m, kids[0], kids[1]
+            if not (la == a and lb == ra and rb == b):
+                return False
+    return True
+
+
+def render_tree(family: LaminarFamily) -> str:
+    """Indented listing of the family, children under their parent."""
+    lines: list[str] = []
+
+    def walk(iv, depth: int) -> None:
+        mark = family.coverable.get(iv)
+        note = f"  coverable={mark}" if mark is not None else ""
+        lines.append("  " * depth + f"({iv[0]}, {iv[1]}]{note}")
+        for kid in family.children[iv]:
+            walk(kid, depth + 1)
+
+    for m in family.members:
+        if family.parent[m] is None:
+            walk(m, 0)
+    return "\n".join(lines)
+
+
+def family_dominates_requirements(family: LaminarFamily, residual: dict) -> bool:
+    """Every interval with unmet requirement has a nested member whose
+    score is at least that requirement."""
+    for (a, b), need in residual.items():
+        if need <= 0:
+            continue
+        hit = any(a <= ma and mb <= b and family.coverable[(ma, mb)] >= need
+                  for (ma, mb) in family.members)
+        if not hit:
+            return False
+    return True

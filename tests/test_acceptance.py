@@ -10,13 +10,13 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (enumerate_optimum, grid_scan_coverable, random_interval_kc,
-                     random_laminar_case, random_lp)
+from helpers import (enumerate_optimum, family_dominates_requirements,
+                     grid_scan_coverable, random_interval_kc, random_laminar_case,
+                     random_lp)
 from lotforge.assignment import scaled_profile, solve_assignment
 from lotforge.cmils_master import MasterState, run_pipeline, solve_master
 from lotforge.instance import check_feasible, gen_kc_gap, gen_random, hcost
-from lotforge.interval_kc import (construct_laminar_family,
-                                  family_dominates_requirements, max_coverable)
+from lotforge.interval_kc import construct_laminar_family, max_coverable
 from lotforge.intervals import all_intervals, cap_within
 from lotforge.laminar_kc import solve as laminar_solve
 from lotforge.lp_core import INFEASIBLE, OPTIMAL, LpSolution, solve_to_vertex, verify_vertex
@@ -189,13 +189,11 @@ def test_criterion_7_family_domination_probe(pipeline_sweep, interval_sweep):
         payload = result.payload
         family = construct_laminar_family(payload.y_scaled, payload.locked,
                                           inst.C, inst.T)
-        assert family_dominates_requirements(family, payload.residual,
-                                             payload.y_scaled, payload.locked)
+        assert family_dominates_requirements(family, payload.residual)
         probed += 1
     for _seed, ikc, run, _opt in interval_sweep[0]:
         family = construct_laminar_family(run.y_scaled, run.locked, ikc.C, ikc.T)
-        assert family_dominates_requirements(family, run.residual,
-                                             run.y_scaled, run.locked)
+        assert family_dominates_requirements(family, run.residual)
         probed += 1
     assert probed == 250
     elapsed = time.perf_counter() - started

@@ -1,10 +1,10 @@
 import random
 from fractions import Fraction
 
-from lotforge.assignment import (build_network, hcost_bound_check, scaled_profile,
-                                 solve_assignment)
+from helpers import hcost_bound_check
+from lotforge.assignment import scaled_profile, solve_assignment
 from lotforge.cmils_master import run_pipeline
-from lotforge.instance import CmilsInstance, gen_random, hcost
+from lotforge.instance import CmilsInstance, gen_kc_gap, gen_random, hcost
 from lotforge.intervals import all_intervals, cap_within
 from lotforge.separation import compute_requirements
 
@@ -70,16 +70,39 @@ class TestSolveAssignment:
             assert hcost_bound_check(inst, result.lp_solution.x, placement)
 
     def test_network_edge_rule(self):
+        # supply (s, i) may only land on a selected period in [s, r_i]
         inst = three_period()
         profile = {(1, 1): F(1, 2), (2, 1): F(1, 2)}
-        net = build_network(inst, {2, 3}, profile)
-        assert (((1, 1), 2)) in net.edges and (((2, 1), 2)) in net.edges
-        assert (((2, 1), 1)) not in net.edges  # period 1 not selected
-        assert net.supplies[(1, 1)] == 2 and net.capacities[3] == 9
+        assert solve_assignment(inst, {2, 3}, profile) == {(2, 1): F(1)}
+        # period 1 has room but comes before the only supply's release
+        assert solve_assignment(inst, {1, 3}, {(2, 1): F(1)}) == {(3, 1): F(1)}
+        rng = random.Random(5)
+        for seed in range(20):
+            inst = gen_random(seed, T=6, N=4)
+            profile = scaled_profile(run_pipeline(inst).lp_solution.x, inst)
+            for _ in range(8):
+                chosen = frozenset(s for s in inst.periods() if rng.random() < 0.6)
+                placement = solve_assignment(inst, chosen, profile)
+                if placement is None:
+                    continue
+                for (t, i), share in placement.items():
+                    assert share > 0 and t in chosen and t <= inst.deadline(i)
+                for i in inst.items():
+                    for t in inst.periods():
+                        placed = sum((v for (s, j), v in placement.items()
+                                      if j == i and s <= t), F(0))
+                        released = sum((v for (s, j), v in profile.items()
+                                        if j == i and s <= t), F(0))
+                        assert placed <= released, (seed, i, t)
 
     def test_hall_equivalence_exhaustive_small(self):
-        for seed in (1, 4, 6):
-            inst = gen_random(seed, T=5, N=3)
+        # the sweep is feasible on a selection iff the selection covers
+        # every interval requirement, over every subset of periods
+        cases = [gen_random(seed, T=5, N=3) for seed in (1, 4, 6)]
+        cases += [gen_random(seed, T=6, N=4) for seed in (2, 3, 5, 7, 8, 9)]
+        cases += [gen_random(seed, T=4, N=5) for seed in (10, 11)]
+        cases.append(gen_kc_gap(F(1000)))
+        for case, inst in enumerate(cases):
             result = run_pipeline(inst)
             x = result.lp_solution.x
             profile = scaled_profile(x, inst)
@@ -90,7 +113,7 @@ class TestSolveAssignment:
                 covered = all(cap_within(inst.C, a, b, chosen) >= req[(a, b)]
                               for a, b in all_intervals(inst.T))
                 feasible = solve_assignment(inst, chosen, profile) is not None
-                assert feasible == covered, (seed, sorted(chosen))
+                assert feasible == covered, (case, sorted(chosen))
 
     def test_worst_interval_violation_is_infeasible(self):
         # the profile concentrates all mass on period 1; dropping period 1

@@ -1,9 +1,18 @@
+import contextlib
+import copy
+import io
 import json
+import os
+import tempfile
 from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lotforge import cmils_master
 from lotforge.cli import decimal_str, main
-from lotforge.instance import gen_kc_gap, gen_random, load, save
+from lotforge.instance import (gen_kc_gap, gen_random, load, save,
+                               schedule_to_json_dict, to_json_dict)
 
 
 def run_cli(capsys, *argv):
@@ -188,3 +197,95 @@ class TestMisc:
         code, _, err = run_cli(capsys, "solve", "--in", str(inst_path),
                                "--out", str(tmp_path / "s.json"))
         assert code == 0 and "round=" in err
+
+
+# ---------------------------------------------------------------------------
+# malformed files: every outcome is an exit code and at most one stderr line
+
+JUNK = (None, True, False, 0, -1, 1, 2, 7, 10 ** 30, 1.5, "", "1", "3", "-2",
+        "x", "1/0", "2/3", [], [1], ["1/1"], [[2]], {}, {"d": "1"})
+
+
+def _paths(doc, prefix=()):
+    """Every location in a JSON document, the root included."""
+    yield prefix
+    if isinstance(doc, dict):
+        for key in sorted(doc):
+            yield from _paths(doc[key], prefix + (key,))
+    elif isinstance(doc, list):
+        for j, value in enumerate(doc):
+            yield from _paths(value, prefix + (j,))
+
+
+def _mutate(doc, data):
+    """Replace, delete or extend one to three locations of doc with junk."""
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(list(_paths(doc))))
+        kind = data.draw(st.sampled_from(("replace", "delete", "extend")))
+        junk = copy.deepcopy(data.draw(st.sampled_from(JUNK)))
+        if not path:
+            doc = junk if kind == "replace" else doc
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        target = parent[path[-1]]
+        if kind == "delete":
+            del parent[path[-1]]
+        elif kind == "extend" and isinstance(target, list):
+            target.append(junk)
+        elif kind == "extend" and isinstance(target, dict):
+            target["extra"] = junk
+        else:
+            parent[path[-1]] = junk
+    return doc
+
+
+def _base_instance(data):
+    if data.draw(st.booleans()):
+        return gen_kc_gap(data.draw(st.sampled_from((2, 10, 1000))))
+    return gen_random(data.draw(st.integers(0, 20)), T=data.draw(st.integers(1, 3)),
+                      N=data.draw(st.integers(1, 3)))
+
+
+def _run_cli_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_mutated_instance_never_escapes_solve(data):
+    doc = _mutate(to_json_dict(_base_instance(data)), data)
+    with tempfile.TemporaryDirectory() as tmp:
+        inst_path = os.path.join(tmp, "i.json")
+        with open(inst_path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        code, err = _run_cli_quietly(["solve", "--in", inst_path,
+                                      "--out", os.path.join(tmp, "s.json")])
+    assert code in (0, 1, 2) and len(err.splitlines()) <= 1, (code, err)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_mutated_files_never_escape_verify(data):
+    inst = _base_instance(data)
+    inst_doc = to_json_dict(inst)
+    sched_doc = schedule_to_json_dict(cmils_master.run_pipeline(inst).schedule)
+    which = data.draw(st.sampled_from(("instance", "schedule", "both")))
+    if which != "schedule":
+        inst_doc = _mutate(inst_doc, data)
+    if which != "instance":
+        sched_doc = _mutate(sched_doc, data)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for name, doc in (("i.json", inst_doc), ("s.json", sched_doc)):
+            paths.append(os.path.join(tmp, name))
+            with open(paths[-1], "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+        code, err = _run_cli_quietly(["verify", "--instance", paths[0],
+                                      "--schedule", paths[1]])
+    assert code in (0, 1, 3) and len(err.splitlines()) <= 1, (code, err)
+

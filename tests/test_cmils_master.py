@@ -206,10 +206,6 @@ class TestPipeline:
                 checked += 1
         assert checked >= 6
 
-    def test_add_all_violated_mode(self):
-        result = run_pipeline(gen_kc_gap(F(50)), add_all_violated=True)
-        assert result.schedule.total_cost == 1
-
     def test_stacked_gaps_need_multiple_rounds(self):
         # chained copies of the gap pattern force the loop through several
         # cut rounds before a coverable solution appears

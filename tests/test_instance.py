@@ -6,7 +6,8 @@ from lotforge.errors import InstanceFormatError
 from lotforge.instance import (CmilsInstance, FractionalSolution, OrderSchedule,
                                check_feasible, cost, from_json_dict, gen_kc_gap,
                                gen_random, hcost, load, make_schedule, parse_rat,
-                               prefix_feasible, save, to_json_dict, validate)
+                               prefix_feasible, save, schedule_from_json_dict,
+                               to_json_dict, validate)
 from lotforge.oracles import brute_force_cmils, min_holding_for_orders
 
 F = Fraction
@@ -208,6 +209,46 @@ class TestSerialization:
         with pytest.raises(InstanceFormatError):
             parse_rat("x/y")
 
+    @pytest.mark.parametrize("field,value,match", [
+        ("T", True, "instance.T must be an integer"),
+        ("N", 2.0, "instance.N must be an integer"),
+        ("K", "12", "instance.K must be a list"),
+        ("items", {"d": "1/1"}, "instance.items must be a list"),
+    ])
+    def test_wrong_json_types_rejected(self, field, value, match):
+        doc = to_json_dict(gen_random(1, T=3, N=2))
+        doc[field] = value
+        with pytest.raises(InstanceFormatError, match=match):
+            from_json_dict(doc)
+
+    def test_non_object_item_rejected(self):
+        doc = to_json_dict(gen_random(1, T=3, N=2))
+        doc["items"][1] = 5
+        with pytest.raises(InstanceFormatError, match="items\\[2\\] must be a JSON object"):
+            from_json_dict(doc)
+        doc["items"][1] = {"d": "1/1", "r": False, "h": ["0/1"]}
+        with pytest.raises(InstanceFormatError, match="items\\[2\\].r"):
+            from_json_dict(doc)
+
+    def test_bool_is_not_a_rational(self):
+        with pytest.raises(InstanceFormatError):
+            parse_rat(True)
+
+    @pytest.mark.parametrize("patch,match", [
+        ({"orders": 3}, "schedule.orders must be a list"),
+        ({"orders": [1, "2"]}, "orders must hold integers"),
+        ({"assignment": [{"s": "1", "i": 1, "qty": "1/1"}]}, "entry.s must be an integer"),
+        ({"assignment": [{"s": 1, "i": True, "qty": "1/1"}]}, "entry.i must be an integer"),
+        ({"costs": []}, "schedule costs must be a JSON object"),
+    ])
+    def test_schedule_json_types_rejected(self, patch, match):
+        doc = {"orders": [1], "assignment": [{"s": 1, "i": 1, "qty": "3/1"}],
+               "costs": {"ordering": "7/1", "holding": "0/1", "total": "7/1"}}
+        schedule_from_json_dict(doc)  # the unpatched document loads
+        doc.update(patch)
+        with pytest.raises(InstanceFormatError, match=match):
+            schedule_from_json_dict(doc)
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -218,6 +259,4 @@ class TestSerialization:
 def test_fractional_solution_helpers():
     sol = FractionalSolution(x={(1, 1): F(1, 3), (2, 1): F(2, 3)}, y=(F(1), F(0)))
     assert sol.x_val(3, 1) == 0
-    assert sol.x_prefix(1, 0) == 0
-    assert sol.x_prefix(1, 1) == F(1, 3)
-    assert sol.x_prefix(1, 2) == 1
+    assert sol.x_val(2, 1) == F(2, 3)

@@ -3,12 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import grid_scan_coverable
+from helpers import (family_dominates_requirements, grid_scan_coverable,
+                     is_binary_with_unit_leaves, render_tree)
 from lotforge.errors import InvariantError
 from lotforge.instance import gen_kc_gap
 from lotforge.interval_kc import (IntervalKcInstance, construct_laminar_family,
-                                  family_dominates_requirements, max_coverable,
-                                  solve_interval_kc)
+                                  max_coverable, solve_interval_kc)
 from lotforge.intervals import all_intervals, cap_within
 from lotforge.cmils_master import run_pipeline
 
@@ -85,7 +85,7 @@ class TestConstructFamily:
             fam = construct_laminar_family(y, locked, caps, T)
             assert len(fam.members) == 2 * T - 1
             assert (0, T) in fam.members
-            assert fam.is_binary_with_unit_leaves()
+            assert is_binary_with_unit_leaves(fam)
             assert all(iv in fam.coverable for iv in fam.members)
 
 
@@ -156,7 +156,7 @@ class TestSolveIntervalKc:
         for a, b in all_intervals(T):
             assert cap_within(caps, a, b, selected) >= R[(a, b)]
         fam = construct_laminar_family(y, locked, caps, T)
-        assert family_dominates_requirements(fam, residual, y, locked)
+        assert family_dominates_requirements(fam, residual)
 
     def test_failed_disjunction_rejected(self):
         T = 2
@@ -171,8 +171,7 @@ class TestSolveIntervalKc:
 class TestDominationProbe:
     def test_vacuous_when_nothing_residual(self):
         fam = construct_laminar_family((F(1, 2),), frozenset(), (F(3),), 1)
-        assert family_dominates_requirements(fam, {(0, 1): F(0)}, (F(1, 2),),
-                                             frozenset())
+        assert family_dominates_requirements(fam, {(0, 1): F(0)})
 
     def test_holds_on_pipeline_payloads(self):
         from lotforge.instance import gen_random
@@ -182,11 +181,10 @@ class TestDominationProbe:
             payload = result.payload
             fam = construct_laminar_family(payload.y_scaled, payload.locked,
                                            inst.C, inst.T)
-            assert family_dominates_requirements(fam, payload.residual,
-                                                 payload.y_scaled, payload.locked)
+            assert family_dominates_requirements(fam, payload.residual)
 
     def test_render_tree_lists_members(self):
         fam = construct_laminar_family((F(1, 2), F(1, 2)), frozenset(),
                                        (F(3), F(3)), 2)
-        text = fam.render_tree()
+        text = render_tree(fam)
         assert "(0, 2]" in text and "coverable=" in text

@@ -1,14 +1,20 @@
 from fractions import Fraction
 
-from helpers import naive_requirements, schedule_to_fractional
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import naive_requirements, requirements_csv, schedule_to_fractional
+from lotforge import separation
 from lotforge.cmils_master import MasterState, solve_master
 from lotforge.cuts import CoveringCut, cut_demand, cut_lhs
+from lotforge.errors import InvariantError
 from lotforge.instance import (CmilsInstance, FractionalSolution, gen_kc_gap,
                                gen_random)
-from lotforge.intervals import all_intervals
+from lotforge.intervals import all_intervals, capped_mass_and_count
 from lotforge.oracles import brute_force_cmils
 from lotforge.separation import (IntervalRequirements, compute_requirements,
-                                 requirements_csv, residual_requirements, scale_y,
+                                 residual_requirements, scale_y, shortfalls,
                                  try_round)
 
 F = Fraction
@@ -42,6 +48,17 @@ class TestRequirements:
         state = MasterState.new(inst)
         sol = solve_master(state)
         assert compute_requirements(sol, inst) == naive_requirements(sol, inst)
+
+    def test_shortfall_keys_are_the_thin_prefixes(self):
+        # (a, i) has a shortfall exactly when x[<=a, i] < 2/5, for a < r_i
+        for seed in (5, 9):
+            inst = gen_random(seed, T=6, N=4)
+            sol = solve_master(MasterState.new(inst))
+            short = shortfalls(sol, inst)
+            for i in inst.items():
+                for a in range(inst.deadline(i)):
+                    prefix = sum((sol.x_val(s, i) for s in range(1, a + 1)), F(0))
+                    assert ((a, i) in short) == (prefix < F(2, 5))
 
     def test_requirement_count(self):
         inst = gen_random(2, T=7, N=3)
@@ -96,14 +113,36 @@ class TestTryRound:
         assert payload.y_scaled == scaled and payload.locked == locked
         assert payload.residual == residual_requirements(payload.R, locked, inst.C)
 
-    def test_all_cuts_mode_bounded_by_interval_count(self):
-        inst = gen_kc_gap(F(1000))
-        state = MasterState.new(inst)
-        sol = solve_master(state)
-        outcome = try_round(sol, inst, all_cuts=True)
-        assert isinstance(outcome, list)
-        assert 1 <= len(outcome) <= inst.T * (inst.T + 1) // 2
-        assert all(cut_lhs(c, sol, inst) < cut_demand(c, inst) for c in outcome)
+    def test_transfer_check_runs_through_the_shared_sum(self, monkeypatch):
+        # twelve unlocked periods at y = 1/11 satisfy the (0, 12] cut, so
+        # the transfer check runs there; (2, 12] is the first violated cut
+        inst = CmilsInstance(T=12, N=1, K=(F(1),) * 12, C=(F(5),) * 12,
+                             d=(F(4),), r=(12,), h=((F(0),) * 12,))
+        sol = FractionalSolution(x={(12, 1): F(1)}, y=(F(1, 11),) * 12)
+        cut = try_round(sol, inst)
+        assert isinstance(cut, CoveringCut) and cut.S2 == frozenset(range(3, 13))
+        monkeypatch.setattr(separation, "capped_mass_and_count",
+                            lambda *args: (F(0), F(0)))
+        with pytest.raises(InvariantError, match="transfer property failed on interval \\(0, 12\\]"):
+            try_round(sol, inst)
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(1, 20), st.integers(0, 40),
+                          st.integers(1, 40)), min_size=1, max_size=6),
+       st.integers(1, 30), st.integers(1, 4))
+def test_transfer_check_equals_scaled_entry_check(periods, need_num, need_den):
+    """(1, 3/5) on y holds iff (10, 6) holds on scale_y(y): the unlocked
+    periods are exactly those with y_s < 1/10, which scale exactly tenfold.
+    This is why the interval solver's entry check needs no second copy."""
+    C = tuple(F(c) for c, _, _ in periods)
+    y = tuple(F(num, 40 * den) for _, num, den in periods)  # in [0, 1]
+    y_scaled, locked = scale_y(y)
+    need = F(need_num, need_den)
+    for a, b in all_intervals(len(C)):
+        mass, count = capped_mass_and_count(C, a, b, need, y, locked)
+        mass10, count10 = capped_mass_and_count(C, a, b, need, y_scaled, locked)
+        assert (mass10, count10) == (10 * mass, 10 * count)
+        assert (mass >= need or count >= F(3, 5)) == (mass10 >= 10 * need or count10 >= 6)
 
 
 def test_requirements_csv_dump():
