@@ -4,17 +4,24 @@ Minimization LPs with sparse rows and finite box bounds are solved by a
 two-phase primal simplex in exact arithmetic.  Bland's least-index rule
 governs both the entering and the leaving choice, so the solver cannot
 cycle and is fully deterministic.  Variables fixed by their bounds are
-substituted out; the remaining bounds are handled natively (nonbasic
-variables rest at a bound), which keeps the tableau small.
+substituted out; the remaining bounds are handled natively by the classic
+bounded-variable simplex: each column is measured by its offset from one
+of its bounds, at first the lower one.  When the offset reaches the
+column's width -- a bound flip, or a basic column leaving at its far
+bound -- the column is complemented, that is measured from its other bound
+instead, so every nonbasic offset is 0.
 
 The tableau is fraction-free (after Bareiss elimination and the
 integer-preserving simplex of Azulay and Pique): each row is a list of
 Python ints over one positive row denominator, divided by its gcd after
-every update, and a pivot touches only the rows with a nonzero in the
-entering column, at the pivot row's nonzero columns.  `Fraction` appears
-only at the API boundary -- the LP's data in, the solution out -- and in
-the column values and step lengths that the ratio test compares, so every
-pivot choice is the same exact comparison a rational tableau would make.
+every update, and ends in a constant column whose entry over the
+denominator is the row's basic offset.  A pivot touches only the rows with
+a nonzero in the entering column, at the pivot row's nonzero columns, and
+carries the constants along, so basic values need no update of their own.
+The ratio test compares integer (numerator, denominator) step pairs by
+cross-multiplication.  `Fraction` appears only at the API boundary -- the
+LP's data in, the solution out -- and every pivot choice is the same exact
+comparison a rational tableau would make.
 
 The optimum returned is always a basic solution: the constraints tight at
 it span the full variable space, which `verify_vertex` re-checks from
@@ -84,21 +91,32 @@ class LpSolution:
     status: str
     values: Optional[list[Fraction]]
     objective_value: Optional[Fraction]
-    tight_rows: frozenset[int] = frozenset()
-    at_bound: frozenset[int] = frozenset()
 
 
 class _Tableau:
     """Bounded-variable simplex working state over integer rows.
 
     Columns: free structural variables first, then one slack per non-equality
-    row, then phase-1 artificials.  Row i is the integer list `tab[i]` over
-    the positive integer `den[i]`: its entry in column k is tab[i][k] / den[i],
-    and its basic column holds exactly den[i].  Every row is divided by the
-    gcd of its entries and its denominator after each update, so the pair is
+    row, then phase-1 artificials.  Column k's value is lo[k] + z_k, or
+    lo[k] + width[k] - z_k once it is complemented (comp[k]); every nonbasic
+    z is 0, so a nonbasic column sits at its lower bound, or at its upper
+    bound when complemented.  width[k] is the integer pair (numerator,
+    denominator) of hi - lo, or None for a column without an upper bound.
+
+    Row i is the integer list tab[i] over the positive integer den[i]; its
+    last entry is the row's constant, so the row reads
+
+        den[i] * z_basis[i] + sum_(k nonbasic) tab[i][k] * z_k = tab[i][-1]
+
+    Its basic column holds exactly den[i], and the basic offset is
+    tab[i][-1] / den[i].  Every row is divided by the gcd of its entries,
+    constant included, and its denominator after each update, so the pair is
     the row's lowest-terms form and never grows past its rational content.
-    `val` holds the current value of every column as a Fraction; nonbasic
-    columns always sit at a bound.
+
+    The ratio test reads its step bounds off these integers: a row whose
+    entry a in the entering column is positive lets the entering offset grow
+    to tab[i][-1] / a, one with a < 0 to (w * den[i] - tab[i][-1]) / -a,
+    where w is its basic column's width, so each bound is an integer pair.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -107,28 +125,29 @@ class _Tableau:
         self.fixed: dict[int, Fraction] = {}
         self.col_of_var: dict[int, int] = {}
         self.lo: list[Fraction] = []
-        self.hi: list[Optional[Fraction]] = []
+        self.width: list[Optional[tuple[int, int]]] = []
         for j in range(n):
             lo, hi = lp.bounds[j]
             if lo == hi:
                 self.fixed[j] = lo
             else:
+                w = hi - lo
                 self.col_of_var[j] = len(self.lo)
                 self.lo.append(lo)
-                self.hi.append(hi)
+                self.width.append((w.numerator, w.denominator))
         n_struct = len(self.lo)
         n_slack = sum(1 for row in lp.rows if row.relation != EQ)
         self.ncols = n_struct + n_slack
         self.lo += [_ZERO] * n_slack
-        self.hi += [None] * n_slack
-        # Start every column at its lower bound; slacks start at 0.
-        self.val: list[Fraction] = list(self.lo)
+        self.width += [None] * n_slack
 
-        # Rows: fixed variables move to the rhs, coefficients are scaled to
-        # integers by the lcm of their denominators (which leaves the row in
-        # lowest terms), and each row is signed so that its initial basic
-        # column -- its slack when the slack's value comes out >= 0,
-        # otherwise a new artificial -- has coefficient +den.
+        # Rows: every column starts at its lower bound (slacks at 0), so
+        # fixed variables and lower bounds move into the constant.  The
+        # coefficients and the constant are scaled to integers by the lcm of
+        # their denominators, which leaves the row in lowest terms, and each
+        # row is signed so that its initial basic column -- its slack when
+        # the slack's value comes out >= 0, otherwise a new artificial --
+        # has coefficient +den.
         self.tab: list[list[int]] = []
         self.den: list[int] = []
         self.basis: list[int] = []
@@ -145,10 +164,11 @@ class _Tableau:
                     col = self.col_of_var[j]
                     coeffs[col] = v
                     resid -= v * self.lo[col]
-            den = lcm(*(v.denominator for v in coeffs.values()))
-            ints = [0] * self.ncols
+            den = lcm(resid.denominator, *(v.denominator for v in coeffs.values()))
+            ints = [0] * (self.ncols + 1)
             for col, v in coeffs.items():
                 ints[col] = v.numerator * (den // v.denominator)
+            ints[-1] = resid.numerator * (den // resid.denominator)
             rel = row.relation
             if rel != EQ:
                 ints[scol] = den if rel == LE else -den
@@ -161,17 +181,12 @@ class _Tableau:
                 scol += 1
             if sign < 0:
                 ints = [-v for v in ints]
-                resid = -resid
             self.tab.append(ints)
             self.den.append(den)
             self.basis.append(basic)
-            if basic >= 0:
-                self.val[basic] = resid
-            else:
-                self.val.append(resid)
         n_art = len(art_rows)
         for row in self.tab:
-            row.extend([0] * n_art)
+            row[-1:-1] = [0] * n_art
         for i in art_rows:
             acol = self.ncols
             self.tab[i][acol] = self.den[i]
@@ -179,7 +194,8 @@ class _Tableau:
             self.art_cols.append(acol)
             self.ncols += 1
         self.lo += [_ZERO] * n_art
-        self.hi += [None] * n_art
+        self.width += [None] * n_art
+        self.comp: list[bool] = [False] * self.ncols
         self.in_basis: list[bool] = [False] * self.ncols
         for b in self.basis:
             self.in_basis[b] = True
@@ -188,9 +204,15 @@ class _Tableau:
     # -- simplex machinery ------------------------------------------------
 
     def reduced_costs(self, cost: list[Fraction]) -> tuple[list[int], int]:
-        """Integer row and positive denominator of cost - c_B B^-1 A."""
+        """Integer row and positive denominator of cost - c_B B^-1 A over z.
+
+        A complemented column's cost is negated, because its z runs against
+        its value.  The row ends in a constant slot that follows the same
+        updates as a tableau row's constant.
+        """
+        cost = [-c if f else c for c, f in zip(cost, self.comp)]
         cden = lcm(*(c.denominator for c in cost))
-        cbar = [c.numerator * (cden // c.denominator) for c in cost]
+        cbar = [c.numerator * (cden // c.denominator) for c in cost] + [0]
         for i, b in enumerate(self.basis):
             cb = cost[b]
             if cb:
@@ -208,7 +230,8 @@ class _Tableau:
         The pivot row takes its pivot entry as denominator, so its entry in
         column j reads exactly 1.  Only the rows with a nonzero in column j
         are updated, each at the pivot row's nonzero columns (see
-        `_eliminate`).
+        `_eliminate`); the constants ride along, which moves every basic
+        value by the step.
         """
         prow = self.tab[r]
         piv = prow[j]
@@ -227,70 +250,73 @@ class _Tableau:
         self.in_basis[j] = True
         return nz
 
+    def complement(self, j: int, rows: list[int]) -> None:
+        """Measure column j from its other bound in the given rows.
+
+        The rows must be all that have a nonzero in column j: every row with
+        one for a nonbasic column, the row it is basic in for a basic one.
+        """
+        wn, wd = self.width[j]
+        for i in rows:
+            self.tab[i], self.den[i] = _complement(self.tab[i], self.den[i], j, wn, wd)
+        self.comp[j] = not self.comp[j]
+
     def run(self, cost: list[Fraction]) -> str:
         """Minimize cost over the current basis; returns OPTIMAL or UNBOUNDED."""
         cbar, cden = self.reduced_costs(cost)
-        tab, den, basis = self.tab, self.den, self.basis
-        val, lo, hi = self.val, self.lo, self.hi
-        guard = 2000 + 200 * (len(tab) + self.ncols)
+        tab, den, basis, width = self.tab, self.den, self.basis, self.width
+        banned = self.banned
+        ncols = self.ncols
+        guard = 2000 + 200 * (len(tab) + ncols)
         for _ in range(guard):
-            # Bland: the lowest-index column whose move improves the cost
-            # (only the sign of a reduced cost matters, and cden > 0).
-            enter = -1
-            direction = 0
-            for j in range(self.ncols):
-                if self.in_basis[j] or j in self.banned:
-                    continue
-                if cbar[j] < 0 and val[j] == lo[j]:
-                    enter, direction = j, 1
+            # Bland: the lowest-index column whose increase lowers the cost.
+            # Only the sign of a reduced cost matters (cden > 0), and a basic
+            # column's reduced cost is exactly 0.
+            for enter in range(ncols):
+                if cbar[enter] < 0 and enter not in banned:
                     break
-                if cbar[j] > 0 and hi[j] is not None and val[j] == hi[j]:
-                    enter, direction = j, -1
-                    break
-            if enter < 0:
+            else:
                 return OPTIMAL
 
-            # Ratio test: how far can the entering column move?  The step
-            # bound of row i is an exact Fraction, the same value the
-            # rational tableau entry coef / den[i] gives.
-            hi_e = hi[enter]
-            best_t: Optional[Fraction] = None if hi_e is None else hi_e - lo[enter]
+            # Ratio test: how far can z_enter grow?  Each bound is a pair
+            # (num, dn) with dn > 0, compared by cross-multiplication; dn == 0
+            # marks no bound yet.  Ties: a bound flip beats a pivot, otherwise
+            # the blocking basic column with the smallest index leaves (Bland).
+            w = width[enter]
+            best_n, best_d = (0, 0) if w is None else w
             best_row = -1  # -1 means a bound flip of the entering column
             for i, row in enumerate(tab):
-                coef = direction * row[enter]
-                if not coef:
+                a = row[enter]
+                if not a:
                     continue
-                b = basis[i]
-                if coef > 0:
-                    t = (val[b] - lo[b]) * den[i] / coef
-                elif hi[b] is not None:
-                    t = (hi[b] - val[b]) * den[i] / -coef
+                if a > 0:
+                    # the basic offset falls to 0
+                    num, dn = row[-1], a
                 else:
-                    continue
-                # ties: a bound flip beats a pivot, otherwise the blocking
-                # basic variable with the smallest index leaves (Bland)
-                if best_t is None or t < best_t or (t == best_t and best_row >= 0
-                                                    and b < basis[best_row]):
-                    best_t = t
-                    best_row = i
-            if best_t is None:
+                    # the basic offset rises to its width
+                    wb = width[basis[i]]
+                    if wb is None:
+                        continue
+                    num, dn = wb[0] * den[i] - row[-1] * wb[1], -a * wb[1]
+                if best_d:
+                    lhs, rhs = num * best_d, best_n * dn
+                    if lhs > rhs or (lhs == rhs and (best_row < 0
+                                                     or basis[i] > basis[best_row])):
+                        continue
+                best_n, best_d, best_row = num, dn, i
+            if not best_d:
                 return UNBOUNDED
 
-            t = best_t
-            if t:
-                step = direction * t
-                val[enter] += step
-                for i, row in enumerate(tab):
-                    c = row[enter]
-                    if c:
-                        val[basis[i]] -= step * c / den[i]
-            if best_row >= 0:
-                leaving = basis[best_row]
-                coef = direction * tab[best_row][enter]
-                val[leaving] = lo[leaving] if coef > 0 else hi[leaving]
+            if best_row < 0:
+                self.complement(enter, [i for i, row in enumerate(tab) if row[enter]])
+                cbar, cden = _complement(cbar, cden, enter, *w)
+            else:
+                if tab[best_row][enter] < 0:
+                    # the leaving column stops at its far bound; being basic,
+                    # it has a nonzero in its own row only
+                    self.complement(basis[best_row], [best_row])
                 nz = self._pivot(best_row, enter)
-                if cbar[enter]:
-                    cbar, cden = _eliminate(cbar, cden, den[best_row], enter, nz)
+                cbar, cden = _eliminate(cbar, cden, den[best_row], enter, nz)
         raise InvariantError("simplex failed to terminate (cycling guard tripped)")
 
     def drop_artificials(self) -> None:
@@ -300,9 +326,9 @@ class _Tableau:
             b = self.basis[i]
             if b not in arts:
                 continue
-            if self.val[b] != 0:
-                raise InvariantError("artificial variable basic at nonzero value")
             row = self.tab[i]
+            if row[-1]:
+                raise InvariantError("artificial variable basic at nonzero value")
             target = next((j for j in range(self.ncols)
                            if row[j] and j not in arts and not self.in_basis[j]), -1)
             if target >= 0:
@@ -315,13 +341,25 @@ class _Tableau:
                 del self.basis[i]
         self.banned |= arts
 
+    def artificials_at_zero(self) -> bool:
+        """True iff every artificial is 0 (nonbasic ones always are)."""
+        arts = set(self.art_cols)
+        return not any(row[-1] for row, b in zip(self.tab, self.basis) if b in arts)
+
     def solution_values(self) -> list[Fraction]:
+        """Every variable's value; the only place the tableau builds Fractions."""
+        offset = {b: Fraction(row[-1], d)
+                  for row, d, b in zip(self.tab, self.den, self.basis) if row[-1]}
         out = []
         for j in range(self.lp.num_vars):
             if j in self.fixed:
                 out.append(self.fixed[j])
-            else:
-                out.append(self.val[self.col_of_var[j]])
+                continue
+            col = self.col_of_var[j]
+            z = offset.get(col, _ZERO)
+            if self.comp[col]:
+                z = Fraction(*self.width[col]) - z
+            out.append(self.lo[col] + z)
         return out
 
 
@@ -353,6 +391,25 @@ def _eliminate(row: list[int], den: int, piv: int, j: int,
     return _lowest_terms(row, den)
 
 
+def _complement(row: list[int], den: int, j: int, wn: int,
+                wd: int) -> tuple[list[int], int]:
+    """row/den with z_j replaced by wn/wd - z_j.
+
+    Column j is negated and wn/wd times its entry moves into the constant.
+    A fractional width first scales the row by wd; an integer one changes
+    the row in place and keeps its gcd.
+    """
+    a = row[j]
+    if wd == 1:
+        row[j] = -a
+        row[-1] -= a * wn
+        return row, den
+    row = [v * wd for v in row]
+    row[j] = -a * wd
+    row[-1] -= a * wn
+    return _lowest_terms(row, den * wd)
+
+
 def _eval_row(row: Row, values: Sequence[Fraction]) -> Fraction:
     return sum((v * values[j] for j, v in row.coeffs.items()), _ZERO)
 
@@ -372,7 +429,7 @@ def solve_to_vertex(lp: LinearProgram) -> LpSolution:
         status = tab.run(phase1)
         if status != OPTIMAL:
             raise InvariantError("phase-1 objective cannot be unbounded")
-        if sum((tab.val[a] for a in tab.art_cols), _ZERO) != 0:
+        if not tab.artificials_at_zero():
             return LpSolution(status=INFEASIBLE, values=None, objective_value=None)
         tab.drop_artificials()
 
@@ -385,15 +442,7 @@ def solve_to_vertex(lp: LinearProgram) -> LpSolution:
 
     values = tab.solution_values()
     obj = sum((lp.objective[j] * values[j] for j in range(lp.num_vars)), _ZERO)
-    tight = frozenset(
-        idx for idx, row in enumerate(lp.rows) if _eval_row(row, values) == row.rhs
-    )
-    at_bound = frozenset(
-        j for j in range(lp.num_vars)
-        if values[j] == lp.bounds[j][0] or values[j] == lp.bounds[j][1]
-    )
-    return LpSolution(status=OPTIMAL, values=values, objective_value=obj,
-                      tight_rows=tight, at_bound=at_bound)
+    return LpSolution(status=OPTIMAL, values=values, objective_value=obj)
 
 
 def _rank(matrix: list[list[Fraction]], width: int) -> int:

@@ -14,10 +14,10 @@ from lotforge.intervals import all_intervals, cap_within
 from lotforge.laminar_kc import LaminarFamily, LaminarKcInstance
 
 
-def solve_square(rows: list[list[Fraction]], rhs: list[Fraction]):
-    """Unique solution of a k x k rational system, or None if singular."""
+def invert_square(rows: list[list[Fraction]]):
+    """Inverse of a k x k rational matrix, or None if it is singular."""
     k = len(rows)
-    aug = [rows[i][:] + [rhs[i]] for i in range(k)]
+    aug = [rows[i][:] + [Fraction(int(i == c)) for c in range(k)] for i in range(k)]
     for col in range(k):
         pivot = next((i for i in range(col, k) if aug[i][col]), None)
         if pivot is None:
@@ -29,7 +29,17 @@ def solve_square(rows: list[list[Fraction]], rhs: list[Fraction]):
             if i != col and aug[i][col]:
                 f = aug[i][col]
                 aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-    return [aug[i][k] for i in range(k)]
+    return [row[k:] for row in aug]
+
+
+def tight_sets(lp: lp_core.LinearProgram, values) -> tuple[frozenset, frozenset]:
+    """Indices of the rows met with equality and of the variables at a bound."""
+    tight_rows = frozenset(
+        idx for idx, row in enumerate(lp.rows)
+        if sum((v * values[j] for j, v in row.coeffs.items()), Fraction(0)) == row.rhs)
+    at_bound = frozenset(j for j, (lo, hi) in enumerate(lp.bounds)
+                         if values[j] == lo or values[j] == hi)
+    return tight_rows, at_bound
 
 
 def dump_lp(lp: lp_core.LinearProgram) -> str:
@@ -63,23 +73,23 @@ def enumerate_optimum(lp: lp_core.LinearProgram):
             free_set = set(free)
             fixed = [j for j in range(n) if j not in free_set]
             for tight in combinations(range(m), k):
-                sub = [[dense_rows[r][0][j] for j in free] for r in tight]
+                # The square system depends only on (free, tight): invert it
+                # once, then each bound pattern costs one matrix-vector product.
+                inverse = invert_square([[dense_rows[r][0][j] for j in free] for r in tight])
+                if inverse is None:
+                    continue
                 for pattern in product((0, 1), repeat=len(fixed)):
                     values = [Fraction(0)] * n
                     for j, side in zip(fixed, pattern):
                         values[j] = lp.bounds[j][side]
-                    if k:
-                        rhs = []
-                        for idx, r in enumerate(tight):
-                            adj = dense_rows[r][1]
-                            for j in fixed:
-                                adj -= dense_rows[r][0][j] * values[j]
-                            rhs.append(adj)
-                        sol = solve_square(sub, rhs)
-                        if sol is None:
-                            continue
-                        for j, v in zip(free, sol):
-                            values[j] = v
+                    rhs = []
+                    for r in tight:
+                        adj = dense_rows[r][1]
+                        for j in fixed:
+                            adj -= dense_rows[r][0][j] * values[j]
+                        rhs.append(adj)
+                    for j, inv_row in zip(free, inverse):
+                        values[j] = sum((a * b for a, b in zip(inv_row, rhs)), Fraction(0))
                     if lp_core.is_feasible(lp, values):
                         obj = sum((lp.objective[j] * values[j] for j in range(n)),
                                   Fraction(0))

@@ -1,14 +1,16 @@
+import contextlib
 import hashlib
 import json
 import os
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dump_lp, enumerate_optimum, random_lp
-from lotforge import cmils_master, instance
+from helpers import dump_lp, enumerate_optimum, random_lp, tight_sets
+from lotforge import cmils_master, instance, lp_core
 from lotforge.lp_core import (EQ, GE, INFEASIBLE, LE, OPTIMAL, LinearProgram,
                               LpSolution, solve_to_vertex, verify_vertex)
 
@@ -129,8 +131,10 @@ def test_tight_rows_and_bounds_reported():
     lp.add_row({0: F(1), 1: F(1)}, GE, 1)
     sol = solve_to_vertex(lp)
     assert sol.status == OPTIMAL
-    assert 0 in sol.tight_rows
-    assert sol.values[0] + sol.values[1] == 1
+    tight_rows, at_bound = tight_sets(lp, sol.values)
+    assert tight_rows == {0}
+    assert at_bound == {0, 1}
+    assert sol.values == [F(0), F(1)]
 
 
 def test_well_formed_rejects_bad_rows():
@@ -147,6 +151,111 @@ def test_dump_lp_mentions_rows():
     lp.add_row({0: F(1)}, GE, 1)
     text = dump_lp(lp)
     assert ">= 1" in text and "x0 in [0, 1]" in text
+
+
+# -- tableau invariant -----------------------------------------------------------
+
+@contextlib.contextmanager
+def recording_tableaus():
+    """Collect every _Tableau that solve_to_vertex builds, with its events.
+
+    An event is ("flip", wd) when a nonbasic column is complemented (a bound
+    flip) and ("leave", wd) when a basic one is (it leaves at its upper
+    bound); wd is the denominator of the column's width.
+    """
+    made = []
+
+    class Recording(lp_core._Tableau):
+        def __init__(self, lp):
+            super().__init__(lp)
+            self.events = []
+            made.append(self)
+
+        def complement(self, j, rows):
+            self.events.append(("leave" if self.in_basis[j] else "flip", self.width[j][1]))
+            super().complement(j, rows)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp_core, "_Tableau", Recording)
+        yield made
+
+
+def column_values(tab, lp, values):
+    """Value of every tableau column at an optimal solution's variable values."""
+    x = [F(0)] * tab.ncols
+    for j, col in tab.col_of_var.items():
+        x[col] = values[j]
+    slack_rows = [row for row in lp.rows if row.relation != EQ]
+    for col, row in enumerate(slack_rows, start=len(tab.col_of_var)):
+        lhs = sum((v * values[j] for j, v in row.coeffs.items()), F(0))
+        x[col] = row.rhs - lhs if row.relation == LE else lhs - row.rhs
+    return x
+
+
+def check_rows(tab, x=None):
+    """Check the integer row invariant of a solved tableau.
+
+    Each row is in lowest terms over den > 0 and its basic column is den
+    times a unit column.  Its constant / den is the basic column's offset
+    from its active bound: equal to the offset at the column values x when
+    they are given, otherwise within the column's width.  At x, every
+    nonbasic column sits at its active bound.
+    """
+    def offset(k):
+        z = x[k] - tab.lo[k]
+        return F(*tab.width[k]) - z if tab.comp[k] else z
+
+    for i, (row, den, b) in enumerate(zip(tab.tab, tab.den, tab.basis)):
+        assert len(row) == tab.ncols + 1
+        assert den > 0 and gcd(den, *row) == 1
+        assert row[b] == den
+        assert all(other[b] == 0 for r, other in enumerate(tab.tab) if r != i)
+        z = F(row[-1], den)
+        assert z >= 0 and (tab.width[b] is None or z <= F(*tab.width[b]))
+        if x is not None:
+            assert z == offset(b)
+    if x is not None:
+        basic = set(tab.basis)
+        assert all(offset(k) == 0 for k in range(tab.ncols) if k not in basic)
+
+
+def solve_and_check_rows(lp):
+    with recording_tableaus() as made:
+        sol = solve_to_vertex(lp)
+    tab = made[-1]
+    check_rows(tab, column_values(tab, lp, sol.values) if sol.status == OPTIMAL else None)
+    return sol, tab
+
+
+def test_tableau_rows_keep_their_invariant():
+    for seed in range(200):
+        solve_and_check_rows(random_lp(seed))
+
+
+def test_fractional_widths_flip_and_leave_at_upper_bound():
+    # Phase 1 flips x0 to 5/3 (width 2/3), then x1 enters.  Phase 2 lowers
+    # x0 again, which raises the basic x1 to its upper bound 3/2 (width 3/2),
+    # so x1 leaves there: both complements scale rows by a width denominator.
+    lp = LinearProgram(num_vars=2, objective=[F(1), F(-1)],
+                       bounds=[(F(1), F(5, 3)), (F(0), F(3, 2))])
+    lp.add_row({0: F(2), 1: F(1)}, GE, 4)
+    sol, tab = solve_and_check_rows(lp)
+    assert sol.status == OPTIMAL
+    assert sol.values == [F(5, 4), F(3, 2)]
+    assert sol.objective_value == enumerate_optimum(lp) == F(-1, 4)
+    assert verify_vertex(lp, sol)
+    assert tab.events == [("flip", 3), ("leave", 2)]
+
+
+def test_bound_flip_wins_a_ratio_tie():
+    # x0 may grow by 1 before it meets its upper bound and before the row's
+    # slack reaches 0: the tie goes to the bound flip, so x0 stays nonbasic.
+    lp = box_lp(2, [-1, 0])
+    lp.add_row({0: F(1), 1: F(1)}, LE, 1)
+    sol, tab = solve_and_check_rows(lp)
+    assert sol.values == [F(1), F(0)]
+    assert tab.events == [("flip", 1)]
+    assert tab.col_of_var[0] not in tab.basis
 
 
 # -- golden vertices ---------------------------------------------------------
@@ -180,14 +289,15 @@ def golden_cases():
 
 def golden_record(name, lp):
     sol = solve_to_vertex(lp)
+    tight_rows, at_bound = tight_sets(lp, sol.values) if sol.values is not None else ((), ())
     return {
         "name": name,
         "lp_sha256": hashlib.sha256(dump_lp(lp).encode()).hexdigest(),
         "status": sol.status,
         "values": None if sol.values is None else [str(v) for v in sol.values],
         "objective_value": None if sol.objective_value is None else str(sol.objective_value),
-        "tight_rows": sorted(sol.tight_rows),
-        "at_bound": sorted(sol.at_bound),
+        "tight_rows": sorted(tight_rows),
+        "at_bound": sorted(at_bound),
     }
 
 
@@ -252,7 +362,7 @@ def small_lps(draw):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(small_lps())
 def test_random_mixed_lps_match_enumeration(lp):
-    sol = solve_to_vertex(lp)
+    sol, _ = solve_and_check_rows(lp)
     best = enumerate_optimum(lp)
     if best is None:
         assert sol.status == INFEASIBLE
