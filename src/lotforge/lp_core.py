@@ -347,7 +347,7 @@ class _Tableau:
         return not any(row[-1] for row, b in zip(self.tab, self.basis) if b in arts)
 
     def solution_values(self) -> list[Fraction]:
-        """Every variable's value; the only place the tableau builds Fractions."""
+        """Every variable's value, read off the integer rows as Fractions."""
         offset = {b: Fraction(row[-1], d)
                   for row, d, b in zip(self.tab, self.den, self.basis) if row[-1]}
         out = []
