@@ -13,7 +13,8 @@ d(I) - C(S1), so their usable capacity is capped at it.
 
 run_pipeline alternates exact LP solves with the rounding/separation step
 until the rounded order set covers every interval requirement, then places
-the demand by an earliest-deadline-first sweep.
+the demand by an earliest-deadline-first sweep.  Each solve after a cut
+starts from the last optimal tableau (a dual simplex over the cut row).
 """
 
 from __future__ import annotations
@@ -105,6 +106,7 @@ class MasterState:
     cut_keys: set = field(default_factory=set)
     current: Optional[FractionalSolution] = None
     lp_value: Optional[Fraction] = None
+    solution: Optional[lp_core.LpSolution] = None
     round: int = 0
 
     @classmethod
@@ -114,11 +116,13 @@ class MasterState:
 
 
 def solve_master(state: MasterState) -> FractionalSolution:
-    sol = lp_core.solve_to_vertex(state.lp)
+    """Solve the master, warm from the last optimum once there is one."""
+    sol = lp_core.solve_to_vertex(state.lp, start=state.solution)
     if sol.status == lp_core.INFEASIBLE:
         raise ValueError("master LP infeasible: the demands cannot be met")
     if sol.status != lp_core.OPTIMAL:
         raise InvariantError(f"master LP came back {sol.status}")
+    state.solution = sol
     state.current = state.layout.extract(sol.values, state.instance)
     state.lp_value = sol.objective_value
     for cut in state.cut_pool:
@@ -200,7 +204,8 @@ def run_pipeline(inst: CmilsInstance, max_rounds: int = 200,
             raise InvariantError("LP value decreased after adding rows")
         prev_value = state.lp_value
         if trace:
-            trace(f"round={state.round} lp_value={state.lp_value}")
+            trace(f"round={state.round} lp_value={state.lp_value} "
+                  f"pivots={state.solution.pivots}")
 
     ikc = interval_kc.IntervalKcInstance(T=inst.T, C=inst.C, K=inst.K, R=payload.R)
     orders = interval_kc.solve_interval_kc(

@@ -240,6 +240,10 @@ def gen_random(seed: int, *, T: int, N: int,
     are non-increasing and end at zero.  Capacities are bumped until every
     deadline prefix holds slack_factor times the demand due by then.
     """
+    if T < 1:
+        raise ValueError("T must be a positive integer")
+    if N < 1:
+        raise ValueError("N must be a positive integer")
     if Fraction(slack_factor) < 1:
         raise ValueError("slack_factor must be >= 1")
     for name, (lo, hi) in (("capacity_range", capacity_range),

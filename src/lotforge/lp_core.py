@@ -26,6 +26,19 @@ comparison a rational tableau would make.
 The optimum returned is always a basic solution: the constraints tight at
 it span the full variable space, which `verify_vertex` re-checks from
 scratch by exact Gaussian elimination.
+
+An optimal solution keeps its final tableau, so that rows appended to its
+LP afterwards -- the cutting-plane master's cuts -- are re-solved warm
+rather than from scratch.  Each appended LE/GE row gets a new slack column
+that is basic in it, and the row is reduced by the current basis; the
+basis stays dual feasible, and a violated row leaves its slack's offset
+negative.  Lemke's dual simplex then restores primal feasibility under a
+dual least-index rule (after Bland): the leaving row is the one whose
+basic column has the lowest index among all offsets below 0 or above their
+width, and the entering column has the least ratio of reduced cost to the
+row's entry, ties to the lowest index.  The primal phase 2 that follows
+recomputes every reduced cost, so a warm optimum passes the same test as a
+cold one.
 """
 
 from __future__ import annotations
@@ -33,6 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
+from operator import is_
 from typing import Mapping, Optional, Sequence
 
 from .errors import InvariantError
@@ -88,9 +102,18 @@ class LinearProgram:
 
 @dataclass
 class LpSolution:
+    """A solve's outcome.
+
+    pivots counts the basis changes the solve made, in phase 1, phase 2 and
+    the dual simplex alike.  tableau is the final tableau of an OPTIMAL
+    solve, an opaque handle for `solve_to_vertex`'s start, and None
+    otherwise or once it has been used.
+    """
     status: str
     values: Optional[list[Fraction]]
     objective_value: Optional[Fraction]
+    pivots: int = field(default=0, compare=False)
+    tableau: Optional["_Tableau"] = field(default=None, compare=False, repr=False)
 
 
 class _Tableau:
@@ -140,14 +163,12 @@ class _Tableau:
         self.ncols = n_struct + n_slack
         self.lo += [_ZERO] * n_slack
         self.width += [None] * n_slack
+        self.comp: list[bool] = [False] * self.ncols
 
-        # Rows: every column starts at its lower bound (slacks at 0), so
-        # fixed variables and lower bounds move into the constant.  The
-        # coefficients and the constant are scaled to integers by the lcm of
-        # their denominators, which leaves the row in lowest terms, and each
+        # Rows: every column starts at its lower bound (slacks at 0), and each
         # row is signed so that its initial basic column -- its slack when
-        # the slack's value comes out >= 0, otherwise a new artificial --
-        # has coefficient +den.
+        # the slack's value comes out >= 0, otherwise a new artificial -- has
+        # coefficient +den.
         self.tab: list[list[int]] = []
         self.den: list[int] = []
         self.basis: list[int] = []
@@ -155,20 +176,7 @@ class _Tableau:
         art_rows: list[int] = []
         scol = n_struct
         for i, row in enumerate(lp.rows):
-            coeffs: dict[int, Fraction] = {}
-            resid = Fraction(row.rhs)
-            for j, v in row.coeffs.items():
-                if j in self.fixed:
-                    resid -= v * self.fixed[j]
-                else:
-                    col = self.col_of_var[j]
-                    coeffs[col] = v
-                    resid -= v * self.lo[col]
-            den = lcm(resid.denominator, *(v.denominator for v in coeffs.values()))
-            ints = [0] * (self.ncols + 1)
-            for col, v in coeffs.items():
-                ints[col] = v.numerator * (den // v.denominator)
-            ints[-1] = resid.numerator * (den // resid.denominator)
+            ints, den, resid = self._integer_row(row, self.ncols)
             rel = row.relation
             if rel != EQ:
                 ints[scol] = den if rel == LE else -den
@@ -195,11 +203,74 @@ class _Tableau:
             self.ncols += 1
         self.lo += [_ZERO] * n_art
         self.width += [None] * n_art
-        self.comp: list[bool] = [False] * self.ncols
+        self.comp += [False] * n_art
         self.in_basis: list[bool] = [False] * self.ncols
         for b in self.basis:
             self.in_basis[b] = True
         self.banned: set[int] = set()
+        self.pivots = 0
+        # What a warm start checks the LP against (see `_resume`).
+        self.rows_seen: list[Row] = list(lp.rows)
+        self.bounds_seen = list(lp.bounds)
+        self.objective_seen = list(lp.objective)
+
+    def _integer_row(self, row: Row, size: int) -> tuple[list[int], int, Fraction]:
+        """An LP row over the current columns: (integer entries, den, constant).
+
+        Fixed variables and each column's active bound move into the
+        constant, and a complemented column's coefficient is negated.  The
+        coefficients and the constant are scaled to integers by the lcm of
+        their denominators, which leaves the row in lowest terms; the list
+        has `size` column entries, all 0 but the row's, then the constant.
+        """
+        coeffs: dict[int, Fraction] = {}
+        resid = Fraction(row.rhs)
+        for j, v in row.coeffs.items():
+            if j in self.fixed:
+                resid -= v * self.fixed[j]
+                continue
+            col = self.col_of_var[j]
+            resid -= v * self.lo[col]
+            if self.comp[col]:
+                resid -= v * Fraction(*self.width[col])
+                v = -v
+            coeffs[col] = v
+        den = lcm(resid.denominator, *(v.denominator for v in coeffs.values()))
+        ints = [0] * (size + 1)
+        for col, v in coeffs.items():
+            ints[col] = v.numerator * (den // v.denominator)
+        ints[-1] = resid.numerator * (den // resid.denominator)
+        return ints, den, resid
+
+    def append_row(self, row: Row) -> None:
+        """Add an LE/GE row of the LP, with a new slack column basic in it.
+
+        The slack column goes before the constant in every row.  Each basic
+        column is eliminated from the new row by its own row, which is
+        already in pivot-row form (its basic entry equals its denominator).
+        The row is then signed so that its slack is basic at +den; a row
+        that the current vertex violates leaves that offset negative.
+        """
+        for r in self.tab:
+            r.insert(-1, 0)
+        scol = self.ncols
+        self.ncols += 1
+        self.lo.append(_ZERO)
+        self.width.append(None)
+        self.comp.append(False)
+        self.in_basis.append(True)
+        ints, den, _ = self._integer_row(row, self.ncols)
+        ints[scol] = den if row.relation == LE else -den
+        for i, b in enumerate(self.basis):
+            if ints[b]:
+                nz = [(k, v) for k, v in enumerate(self.tab[i]) if v]
+                ints, den = _eliminate(ints, den, self.den[i], b, nz)
+        if ints[scol] < 0:
+            ints = [-v for v in ints]
+        self.tab.append(ints)
+        self.den.append(den)
+        self.basis.append(scol)
+        self.rows_seen.append(row)
 
     # -- simplex machinery ------------------------------------------------
 
@@ -248,6 +319,7 @@ class _Tableau:
         self.in_basis[self.basis[r]] = False
         self.basis[r] = j
         self.in_basis[j] = True
+        self.pivots += 1
         return nz
 
     def complement(self, j: int, rows: list[int]) -> None:
@@ -318,6 +390,52 @@ class _Tableau:
                 nz = self._pivot(best_row, enter)
                 cbar, cden = _eliminate(cbar, cden, den[best_row], enter, nz)
         raise InvariantError("simplex failed to terminate (cycling guard tripped)")
+
+    def dual(self, cost: list[Fraction]) -> bool:
+        """Dual simplex to a feasible basis; False if the LP has none.
+
+        The basis must be dual feasible for cost: no unbanned column has a
+        negative reduced cost.  Each step takes the out-of-range offset
+        whose basic column has the lowest index and pivots that column out
+        at the bound it violates.
+        """
+        cbar, cden = self.reduced_costs(cost)
+        tab, den, basis, width = self.tab, self.den, self.basis, self.width
+        banned = self.banned
+        guard = 2000 + 200 * (len(tab) + self.ncols)
+        for _ in range(guard):
+            r, above = -1, False
+            for i, row in enumerate(tab):
+                b = basis[i]
+                if r >= 0 and b > basis[r]:
+                    continue
+                if row[-1] < 0:
+                    r, above = i, False
+                elif (w := width[b]) is not None and row[-1] * w[1] > w[0] * den[i]:
+                    r, above = i, True
+            if r < 0:
+                return True
+            if above:
+                # Measured from its other bound the basic offset is below 0;
+                # negating the row gives its basic entry +den again.  The
+                # reduced costs stay: the column's own is 0, and its cost and
+                # its row change sign together.
+                self.complement(basis[r], [r])
+                tab[r] = [-v for v in tab[r]]
+
+            # Entering: the least cbar[k] / -row[k] over row[k] < 0, ties to
+            # the lowest k; with none, the row cannot reach its range.
+            row = tab[r]
+            enter, best_n, best_d = -1, 0, 1
+            for k in range(self.ncols):
+                a = row[k]
+                if a < 0 and k not in banned and (enter < 0 or cbar[k] * best_d < best_n * -a):
+                    enter, best_n, best_d = k, cbar[k], -a
+            if enter < 0:
+                return False
+            nz = self._pivot(r, enter)
+            cbar, cden = _eliminate(cbar, cden, den[r], enter, nz)
+        raise InvariantError("dual simplex failed to terminate (cycling guard tripped)")
 
     def drop_artificials(self) -> None:
         """Pivot zero-valued artificials out of the basis; delete dead rows."""
@@ -414,35 +532,77 @@ def _eval_row(row: Row, values: Sequence[Fraction]) -> Fraction:
     return sum((v * values[j] for j, v in row.coeffs.items()), _ZERO)
 
 
-def solve_to_vertex(lp: LinearProgram) -> LpSolution:
+def solve_to_vertex(lp: LinearProgram, start: Optional[LpSolution] = None) -> LpSolution:
     """Solve to an optimal basic (vertex) solution, exactly.
 
     Same LP in, same solution out: the pivot rule has no randomness.
+
+    start, when given, is the OPTIMAL solution that an earlier call returned
+    for this same LinearProgram object, and every row added since then must
+    be an LE or GE row added by `add_row`.  The solve then goes on from
+    start's final tableau: the new rows are appended to it and the dual
+    simplex re-optimizes.  That uses the tableau up, and the new solution
+    carries it on.  A start from another LP or already used, replaced
+    earlier rows (or bounds, or objective) and an appended EQ row raise
+    ValueError.
     """
     lp.check_well_formed()
-    tab = _Tableau(lp)
-
-    if tab.art_cols:
-        phase1 = [_ZERO] * tab.ncols
-        for a in tab.art_cols:
-            phase1[a] = _ONE
-        status = tab.run(phase1)
-        if status != OPTIMAL:
-            raise InvariantError("phase-1 objective cannot be unbounded")
-        if not tab.artificials_at_zero():
-            return LpSolution(status=INFEASIBLE, values=None, objective_value=None)
-        tab.drop_artificials()
+    if start is None:
+        tab = _Tableau(lp)
+        if tab.art_cols:
+            phase1 = [_ZERO] * tab.ncols
+            for a in tab.art_cols:
+                phase1[a] = _ONE
+            status = tab.run(phase1)
+            if status != OPTIMAL:
+                raise InvariantError("phase-1 objective cannot be unbounded")
+            if not tab.artificials_at_zero():
+                return LpSolution(status=INFEASIBLE, values=None, objective_value=None,
+                                  pivots=tab.pivots)
+            tab.drop_artificials()
+    else:
+        tab = _resume(lp, start)
 
     cost = [_ZERO] * tab.ncols
     for j, col in tab.col_of_var.items():
         cost[col] = Fraction(lp.objective[j])
+    if start is not None and not tab.dual(cost):
+        return LpSolution(status=INFEASIBLE, values=None, objective_value=None,
+                          pivots=tab.pivots)
     status = tab.run(cost)
     if status == UNBOUNDED:
-        return LpSolution(status=UNBOUNDED, values=None, objective_value=None)
+        return LpSolution(status=UNBOUNDED, values=None, objective_value=None,
+                          pivots=tab.pivots)
 
     values = tab.solution_values()
     obj = sum((lp.objective[j] * values[j] for j in range(lp.num_vars)), _ZERO)
-    return LpSolution(status=OPTIMAL, values=values, objective_value=obj)
+    return LpSolution(status=OPTIMAL, values=values, objective_value=obj,
+                      pivots=tab.pivots, tableau=tab)
+
+
+def _same(seen: list, now: list) -> bool:
+    return len(seen) == len(now) and all(map(is_, seen, now))
+
+
+def _resume(lp: LinearProgram, start: LpSolution) -> _Tableau:
+    """Take start's tableau for lp and append the rows added since."""
+    tab = start.tableau
+    if tab is None:
+        raise ValueError("start has no tableau: it is not optimal or was already used")
+    if tab.lp is not lp:
+        raise ValueError("start was solved for another LinearProgram")
+    seen = len(tab.rows_seen)
+    if not (_same(tab.rows_seen, lp.rows[:seen]) and _same(tab.bounds_seen, lp.bounds)
+            and _same(tab.objective_seen, lp.objective)):
+        raise ValueError("start is stale: the LP's rows, bounds or objective were replaced")
+    new = lp.rows[seen:]
+    if any(row.relation == EQ for row in new):
+        raise ValueError("a warm start takes appended LE and GE rows only")
+    start.tableau = None
+    tab.pivots = 0
+    for row in new:
+        tab.append_row(row)
+    return tab
 
 
 def _rank(matrix: list[list[Fraction]], width: int) -> int:

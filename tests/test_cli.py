@@ -3,9 +3,11 @@ import copy
 import io
 import json
 import os
+import re
 import tempfile
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -48,6 +50,19 @@ class TestGenerate:
         code, _, err = run_cli(capsys, "generate", "--out",
                                str(tmp_path / "x.json"))
         assert code == 1 and "needs" in err
+
+    @pytest.mark.parametrize("T, N, message", [
+        ("3", "0", "N must be a positive integer"),
+        ("0", "3", "T must be a positive integer"),
+        ("-2", "1", "T must be a positive integer"),
+    ])
+    def test_nonpositive_sizes_rejected(self, tmp_path, capsys, T, N, message):
+        out = tmp_path / "x.json"
+        code, stdout, err = run_cli(capsys, "generate", "--T", T, "--N", N,
+                                    "--out", str(out))
+        assert code == 1 and stdout == ""
+        assert err == f"error: {message}\n"
+        assert not out.exists()
 
 
 class TestSolveVerify:
@@ -132,9 +147,20 @@ class TestSolveVerify:
                                "--out", str(tmp_path / "s.json"), "--trace")
         assert code == 0
         assert "round=" in err
+        assert re.search(r"^round=1 lp_value=\S+ pivots=\d+$", err, re.MULTILINE)
 
 
 class TestBench:
+    @pytest.mark.parametrize("T, N", [("0", "3"), ("4", "0")])
+    def test_nonpositive_sizes_rejected(self, tmp_path, capsys, T, N):
+        out = tmp_path / "bench.csv"
+        code, stdout, err = run_cli(capsys, "bench", "--seeds", "1..2", "--T", T,
+                                    "--N", N, "--out", str(out))
+        assert code == 1 and stdout == ""
+        assert err.startswith("error: ") and "must be a positive integer" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_csv_shape_and_determinism(self, capsys):
         code, out1, _ = run_cli(capsys, "bench", "--seeds", "1..3", "--T", "4",
                                 "--N", "3")

@@ -7,10 +7,10 @@ from helpers import schedule_to_fractional
 from lotforge.cmils_master import (MasterState, add_cut, build_base_lp,
                                    run_pipeline, solve_master)
 from lotforge.cuts import CoveringCut, cut_demand, cut_lhs
-from lotforge import cmils_master
+from lotforge import cmils_master, lp_core
 from lotforge.errors import InvariantError, RoundLimitError
 from lotforge.instance import (CmilsInstance, check_feasible, gen_kc_gap,
-                               gen_random, hcost)
+                               gen_random, hcost, parse_rat)
 from lotforge.oracles import brute_force_cmils
 
 F = Fraction
@@ -270,3 +270,39 @@ class TestPipeline:
         result = run_pipeline(inst)
         assert result.schedule.ordering_cost == 0
         assert result.certificate.ordering_bound_ok
+
+
+class TestWarmResolve:
+    """The cut loop re-solves the master warm; a cold solve is the reference."""
+
+    # (instance, cut rounds); kc-gap at R = 10 and 7/2 certifies its first LP
+    CASES = ([pytest.param(gen_kc_gap(parse_rat(R)), rounds, id=f"kc-gap-{R}")
+              for R, rounds in (("10", 0), ("1000", 1), ("1000000", 1), ("7/2", 0),
+                                ("123457/3", 1))]
+             # the gen_random seeds below 200 at these sizes that reach the cut loop
+             + [pytest.param(gen_random(seed, T=T, N=N), 1, id=f"random-{seed}-T{T}-N{N}")
+                for seed, T, N in ((19, 6, 4), (114, 6, 4), (3, 8, 5), (122, 8, 5),
+                                   (179, 8, 5))])
+
+    @pytest.mark.parametrize("inst, rounds", CASES)
+    def test_warm_resolves_match_cold_solves(self, monkeypatch, inst, rounds):
+        real = lp_core.solve_to_vertex
+        starts = []
+
+        def checked(lp, start=None):
+            sol = real(lp, start=start)
+            starts.append(start)
+            if start is not None:
+                fresh = lp_core.LinearProgram(num_vars=lp.num_vars,
+                                              objective=list(lp.objective),
+                                              rows=list(lp.rows), bounds=list(lp.bounds))
+                cold = real(fresh)
+                assert sol.status == cold.status == lp_core.OPTIMAL
+                assert sol.objective_value == cold.objective_value
+                assert lp_core.verify_vertex(lp, sol)
+            return sol
+
+        monkeypatch.setattr(lp_core, "solve_to_vertex", checked)
+        assert run_pipeline(inst).certificate.rounds == rounds
+        # one cold solve, then one warm re-solve per cut round
+        assert [start is None for start in starts] == [True] + [False] * rounds

@@ -160,8 +160,9 @@ def recording_tableaus():
     """Collect every _Tableau that solve_to_vertex builds, with its events.
 
     An event is ("flip", wd) when a nonbasic column is complemented (a bound
-    flip) and ("leave", wd) when a basic one is (it leaves at its upper
-    bound); wd is the denominator of the column's width.
+    flip), ("leave", wd) when a basic one is (it leaves at its upper bound)
+    and ("above", wd) when the dual simplex complements a basic column that
+    stands above its width; wd is the denominator of the column's width.
     """
     made = []
 
@@ -169,11 +170,21 @@ def recording_tableaus():
         def __init__(self, lp):
             super().__init__(lp)
             self.events = []
+            self.in_dual = False
             made.append(self)
 
         def complement(self, j, rows):
-            self.events.append(("leave" if self.in_basis[j] else "flip", self.width[j][1]))
+            kind = "above" if self.in_dual else "leave" if self.in_basis[j] else "flip"
+            self.events.append((kind, self.width[j][1]))
             super().complement(j, rows)
+
+        def dual(self, cost):
+            self.in_dual = True
+            try:
+                return super().dual(cost)
+            finally:
+                self.in_dual = False
+                self.after_dual = (self.pivots, len(self.events))
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lp_core, "_Tableau", Recording)
@@ -185,21 +196,27 @@ def column_values(tab, lp, values):
     x = [F(0)] * tab.ncols
     for j, col in tab.col_of_var.items():
         x[col] = values[j]
+    # Slacks of the first solve's rows precede its artificials, and the
+    # slacks of rows appended for a warm start follow them.
+    arts = set(tab.art_cols)
+    slack_cols = [k for k in range(len(tab.col_of_var), tab.ncols) if k not in arts]
     slack_rows = [row for row in lp.rows if row.relation != EQ]
-    for col, row in enumerate(slack_rows, start=len(tab.col_of_var)):
+    assert len(slack_cols) == len(slack_rows)
+    for col, row in zip(slack_cols, slack_rows):
         lhs = sum((v * values[j] for j, v in row.coeffs.items()), F(0))
         x[col] = row.rhs - lhs if row.relation == LE else lhs - row.rhs
     return x
 
 
-def check_rows(tab, x=None):
+def check_rows(tab, x=None, in_range=True):
     """Check the integer row invariant of a solved tableau.
 
     Each row is in lowest terms over den > 0 and its basic column is den
     times a unit column.  Its constant / den is the basic column's offset
     from its active bound: equal to the offset at the column values x when
-    they are given, otherwise within the column's width.  At x, every
-    nonbasic column sits at its active bound.
+    they are given, otherwise within the column's width unless in_range is
+    false (a dual simplex that found no feasible basis stops out of range).
+    At x, every nonbasic column sits at its active bound.
     """
     def offset(k):
         z = x[k] - tab.lo[k]
@@ -211,7 +228,8 @@ def check_rows(tab, x=None):
         assert row[b] == den
         assert all(other[b] == 0 for r, other in enumerate(tab.tab) if r != i)
         z = F(row[-1], den)
-        assert z >= 0 and (tab.width[b] is None or z <= F(*tab.width[b]))
+        if in_range:
+            assert z >= 0 and (tab.width[b] is None or z <= F(*tab.width[b]))
         if x is not None:
             assert z == offset(b)
     if x is not None:
@@ -371,6 +389,133 @@ def test_random_mixed_lps_match_enumeration(lp):
         assert all(isinstance(v, Fraction) for v in sol.values)
         assert sol.objective_value == best
         assert verify_vertex(lp, sol)
+
+
+# -- warm re-solves --------------------------------------------------------------
+
+@st.composite
+def warm_cases(draw):
+    """A small_lps() LP, 1-3 LE/GE rows to append after its first solve, and
+    whether to re-solve after each row (chained warm starts) or once.
+
+    Each rhs is the row's value at a point of the box plus an offset that is
+    zero half the time, so an appended row may cut the optimum off, keep it,
+    or leave the LP infeasible.
+    """
+    lp = draw(small_lps())
+    point = [lo + (hi - lo) * draw(st.fractions(0, 1, max_denominator=7))
+             for lo, hi in lp.bounds]
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        coeffs = draw(st.dictionaries(st.integers(0, lp.num_vars - 1), _rationals(1000),
+                                      min_size=1, max_size=lp.num_vars))
+        at_point = sum((v * point[j] for j, v in coeffs.items()), F(0))
+        offset = draw(st.one_of(st.just(F(0)), _rationals(1000)))
+        rows.append((coeffs, draw(st.sampled_from([LE, GE])), at_point + offset))
+    return lp, rows, draw(st.booleans())
+
+
+def test_warm_resolves_match_enumeration():
+    reached = set()
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(warm_cases())
+    def check(case):
+        lp, rows, chained = case
+        with recording_tableaus():
+            sol = solve_to_vertex(lp)
+        if sol.status != OPTIMAL:
+            assert sol.tableau is None
+            return
+        tab = sol.tableau
+        if tab.banned:
+            reached.add("banned artificials")
+        batches = [[row] for row in rows] if chained else [rows]
+        for batch in batches:
+            for coeffs, relation, rhs in batch:
+                lp.add_row(coeffs, relation, rhs)
+            sol = solve_to_vertex(lp, start=sol)
+            best = enumerate_optimum(lp)
+            if best is None:
+                assert sol.status == INFEASIBLE and sol.tableau is None
+                check_rows(tab, in_range=False)
+                reached.add("infeasible")
+                break
+            assert sol.status == OPTIMAL and sol.tableau is tab
+            # the dual simplex keeps the basis dual feasible, so it ends at
+            # an optimum: the primal phase 2 after it neither pivots nor flips
+            assert (sol.pivots, len(tab.events)) == tab.after_dual
+            assert sol.objective_value == best
+            assert verify_vertex(lp, sol)
+            check_rows(tab, column_values(tab, lp, sol.values))
+        if any(kind == "above" and wd > 1 for kind, wd in tab.events):
+            reached.add("above a fractional width")
+
+    check()
+    assert reached == {"banned artificials", "infeasible", "above a fractional width"}
+
+
+def warm_start_lp():
+    lp = box_lp(2, [1, 2])
+    lp.add_row({0: F(1), 1: F(1)}, GE, 1)
+    return lp
+
+
+def test_warm_resolve_of_a_cut_row():
+    lp = warm_start_lp()
+    sol = solve_to_vertex(lp)
+    assert sol.values == [F(1), F(0)] and sol.tableau is not None
+    lp.add_row({0: F(1)}, LE, F(1, 3))
+    warm = solve_to_vertex(lp, start=sol)
+    assert warm.values == [F(1, 3), F(2, 3)] and warm.pivots == 1
+    assert sol.tableau is None and warm.tableau is not None
+    again = solve_to_vertex(lp, start=warm)
+    assert again == warm and again.pivots == 0
+
+
+def test_warm_start_from_another_lp_rejected():
+    sol = solve_to_vertex(warm_start_lp())
+    with pytest.raises(ValueError, match="another LinearProgram"):
+        solve_to_vertex(warm_start_lp(), start=sol)
+
+
+def test_warm_start_used_twice_rejected():
+    lp = warm_start_lp()
+    sol = solve_to_vertex(lp)
+    solve_to_vertex(lp, start=sol)
+    with pytest.raises(ValueError, match="already used"):
+        solve_to_vertex(lp, start=sol)
+
+
+def test_warm_start_without_an_optimum_rejected():
+    lp = box_lp(1, [1])
+    lp.add_row({0: F(1)}, GE, 2)
+    sol = solve_to_vertex(lp)
+    assert sol.status == INFEASIBLE and sol.tableau is None
+    with pytest.raises(ValueError, match="not optimal"):
+        solve_to_vertex(lp, start=sol)
+
+
+def test_warm_start_after_replaced_rows_rejected():
+    lp = warm_start_lp()
+    sol = solve_to_vertex(lp)
+    lp.rows[0] = lp_core.Row(coeffs=lp.rows[0].coeffs, relation=GE, rhs=F(3, 2))
+    with pytest.raises(ValueError, match="replaced"):
+        solve_to_vertex(lp, start=sol)
+    lp = warm_start_lp()
+    sol = solve_to_vertex(lp)
+    lp.bounds[1] = (F(0), F(2))
+    with pytest.raises(ValueError, match="replaced"):
+        solve_to_vertex(lp, start=sol)
+
+
+def test_warm_start_with_an_appended_eq_row_rejected():
+    lp = warm_start_lp()
+    sol = solve_to_vertex(lp)
+    lp.add_row({0: F(1)}, EQ, F(1, 2))
+    with pytest.raises(ValueError, match="LE and GE rows only"):
+        solve_to_vertex(lp, start=sol)
+    assert sol.tableau is not None  # a rejected start is not used up
 
 
 if __name__ == "__main__":
