@@ -263,6 +263,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
+    if getattr(args, "max_rounds", 0) < 0:
+        print("error: --max-rounds must be a non-negative integer", file=sys.stderr)
+        return 1
     try:
         return args.func(args)
     except InvariantError as exc:

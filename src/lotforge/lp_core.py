@@ -1,12 +1,13 @@
 """Exact-rational linear programming to optimal vertex solutions.
 
 Minimization LPs with sparse rows and finite box bounds are solved by a
-two-phase primal simplex in exact arithmetic.  Bland's least-index rule
-governs both the entering and the leaving choice, so the solver cannot
-cycle and is fully deterministic.  Variables fixed by their bounds are
-substituted out; the remaining bounds are handled natively by the classic
-bounded-variable simplex: each column is measured by its offset from one
-of its bounds, at first the lower one.  When the offset reaches the
+two-phase primal simplex in exact arithmetic.  The entering column is the
+one with the most negative reduced cost (Dantzig's rule); after a run of
+DEGENERATE_RUN zero-length steps, Bland's least-index rule takes over until
+a step moves, so the solver cannot cycle.  Variables fixed by their bounds
+are substituted out; the remaining bounds are handled natively by the
+classic bounded-variable simplex: each column is measured by its offset from
+one of its bounds, at first the lower one.  When the offset reaches the
 column's width -- a bound flip, or a basic column leaving at its far
 bound -- the column is complemented, that is measured from its other bound
 instead, so every nonbasic offset is 0.
@@ -23,9 +24,14 @@ cross-multiplication.  `Fraction` appears only at the API boundary -- the
 LP's data in, the solution out -- and every pivot choice is the same exact
 comparison a rational tableau would make.
 
-The optimum returned is always a basic solution: the constraints tight at
-it span the full variable space, which `verify_vertex` re-checks from
-scratch by exact Gaussian elimination.
+The optimum returned is the lexicographically least optimal point (after
+the lexicographic rule of Dantzig, Orden and Wolfe): once the objective is
+optimal, each structural variable in index order is minimized over the
+optimal face left by the ones before it.  That point is unique, so the
+vertex returned does not depend on the pivot path: not on the pricing rule,
+and not on whether the solve started warm or cold.  It is a basic solution:
+the constraints tight at it span the full variable space, which
+`verify_vertex` re-checks from scratch by exact Gaussian elimination.
 
 An optimal solution keeps its final tableau, so that rows appended to its
 LP afterwards -- the cutting-plane master's cuts -- are re-solved warm
@@ -61,6 +67,10 @@ UNBOUNDED = "unbounded"
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+# Zero-length primal steps in a row after which pricing falls back from
+# Dantzig's rule to Bland's until a step moves.
+DEGENERATE_RUN = 50
 
 
 @dataclass(frozen=True)
@@ -104,8 +114,8 @@ class LinearProgram:
 class LpSolution:
     """A solve's outcome.
 
-    pivots counts the basis changes the solve made, in phase 1, phase 2 and
-    the dual simplex alike.  tableau is the final tableau of an OPTIMAL
+    pivots counts the basis changes the solve made, in phase 1, phase 2, the
+    dual simplex and the lexicographic stage alike.  tableau is the final tableau of an OPTIMAL
     solve, an opaque handle for `solve_to_vertex`'s start, and None
     otherwise or once it has been used.
     """
@@ -333,22 +343,37 @@ class _Tableau:
             self.tab[i], self.den[i] = _complement(self.tab[i], self.den[i], j, wn, wd)
         self.comp[j] = not self.comp[j]
 
-    def run(self, cost: list[Fraction]) -> str:
-        """Minimize cost over the current basis; returns OPTIMAL or UNBOUNDED."""
-        cbar, cden = self.reduced_costs(cost)
+    def run(self, cbar: list[int], cden: int) -> Optional[list[int]]:
+        """Minimize from the reduced-cost row cbar / cden of the current basis.
+
+        Returns the final reduced-cost row, over a positive denominator, at
+        an optimum, or None if the objective is unbounded.
+        """
         tab, den, basis, width = self.tab, self.den, self.basis, self.width
         banned = self.banned
         ncols = self.ncols
+        degenerate = 0  # zero-length steps in a row
         guard = 2000 + 200 * (len(tab) + ncols)
         for _ in range(guard):
-            # Bland: the lowest-index column whose increase lowers the cost.
-            # Only the sign of a reduced cost matters (cden > 0), and a basic
-            # column's reduced cost is exactly 0.
-            for enter in range(ncols):
-                if cbar[enter] < 0 and enter not in banned:
-                    break
+            # Dantzig: the column whose increase lowers the cost fastest; the
+            # row shares one denominator cden > 0, so integers compare, and
+            # ties go to the lowest index.  After DEGENERATE_RUN zero-length
+            # steps in a row, Bland's lowest-index rule takes over until a
+            # step moves, so the loop cannot cycle.  A basic column's reduced
+            # cost is exactly 0.
+            enter, most = -1, 0
+            if degenerate < DEGENERATE_RUN:
+                for k in range(ncols):
+                    c = cbar[k]
+                    if c < most and k not in banned:
+                        enter, most = k, c
             else:
-                return OPTIMAL
+                for k in range(ncols):
+                    if cbar[k] < 0 and k not in banned:
+                        enter = k
+                        break
+            if enter < 0:
+                return cbar
 
             # Ratio test: how far can z_enter grow?  Each bound is a pair
             # (num, dn) with dn > 0, compared by cross-multiplication; dn == 0
@@ -377,8 +402,10 @@ class _Tableau:
                         continue
                 best_n, best_d, best_row = num, dn, i
             if not best_d:
-                return UNBOUNDED
+                return None
 
+            # a bound flip moves by the column's width, which is positive
+            degenerate = degenerate + 1 if best_row >= 0 and not best_n else 0
             if best_row < 0:
                 self.complement(enter, [i for i, row in enumerate(tab) if row[enter]])
                 cbar, cden = _complement(cbar, cden, enter, *w)
@@ -390,6 +417,51 @@ class _Tableau:
                 nz = self._pivot(best_row, enter)
                 cbar, cden = _eliminate(cbar, cden, den[best_row], enter, nz)
         raise InvariantError("simplex failed to terminate (cycling guard tripped)")
+
+    def lex_min(self, cbar: list[int]) -> None:
+        """Move an optimal basis to the lexicographically least optimal point.
+
+        cbar is the objective's final reduced-cost row.  The optimal face is
+        where every column with a positive reduced cost stays at its bound,
+        so those columns are banned.  Each structural variable in index
+        order is then minimized over the face, and the columns with a
+        positive reduced cost for that stage are banned in turn, until every
+        nonbasic column is.  A stage's entering columns have reduced cost 0
+        for every earlier objective, so no earlier reduced-cost row changes
+        and the basis stays optimal (dual feasible) for the true one.
+
+        A unit objective's reduced costs are read off the tableau: for a
+        basic column, its row over den with the column's own entry 0,
+        negated unless the column is complemented (then its z runs against
+        its value); a nonbasic column at its lower bound is already least.
+        The bans are lifted again at the end, back to the artificials.
+        """
+        tab, den, basis, comp, banned = self.tab, self.den, self.basis, self.comp, self.banned
+        ncols = self.ncols
+
+        def ban_positive(row: list[int]) -> bool:
+            """Ban every column with a positive entry; True once all nonbasic are."""
+            banned.update(k for k in range(ncols) if row[k] > 0)
+            return len(banned) + len(tab) == ncols
+
+        done = ban_positive(cbar)
+        for col in range(len(self.col_of_var)):
+            if done:
+                break
+            if self.in_basis[col]:
+                i = basis.index(col)
+                sign = 1 if comp[col] else -1
+                row, rden = [sign * v for v in tab[i]], den[i]
+                row[col] = 0
+            elif comp[col]:
+                row, rden = [0] * (ncols + 1), 1
+                row[col] = -1
+            else:
+                banned.add(col)
+                done = len(banned) + len(tab) == ncols
+                continue
+            done = ban_positive(self.run(row, rden))
+        self.banned = set(self.art_cols)
 
     def dual(self, cost: list[Fraction]) -> bool:
         """Dual simplex to a feasible basis; False if the LP has none.
@@ -533,9 +605,12 @@ def _eval_row(row: Row, values: Sequence[Fraction]) -> Fraction:
 
 
 def solve_to_vertex(lp: LinearProgram, start: Optional[LpSolution] = None) -> LpSolution:
-    """Solve to an optimal basic (vertex) solution, exactly.
+    """Solve to the lexicographically least optimal point, exactly.
 
-    Same LP in, same solution out: the pivot rule has no randomness.
+    Among the optimal points, the one returned has the least x_0, then the
+    least x_1 among those, and so on.  It is unique and a vertex, so the
+    same LP gives the same solution whatever the pivot path: cold or warm,
+    under Dantzig's pricing or Bland's.
 
     start, when given, is the OPTIMAL solution that an earlier call returned
     for this same LinearProgram object, and every row added since then must
@@ -553,8 +628,7 @@ def solve_to_vertex(lp: LinearProgram, start: Optional[LpSolution] = None) -> Lp
             phase1 = [_ZERO] * tab.ncols
             for a in tab.art_cols:
                 phase1[a] = _ONE
-            status = tab.run(phase1)
-            if status != OPTIMAL:
+            if tab.run(*tab.reduced_costs(phase1)) is None:
                 raise InvariantError("phase-1 objective cannot be unbounded")
             if not tab.artificials_at_zero():
                 return LpSolution(status=INFEASIBLE, values=None, objective_value=None,
@@ -569,10 +643,11 @@ def solve_to_vertex(lp: LinearProgram, start: Optional[LpSolution] = None) -> Lp
     if start is not None and not tab.dual(cost):
         return LpSolution(status=INFEASIBLE, values=None, objective_value=None,
                           pivots=tab.pivots)
-    status = tab.run(cost)
-    if status == UNBOUNDED:
+    cbar = tab.run(*tab.reduced_costs(cost))
+    if cbar is None:
         return LpSolution(status=UNBOUNDED, values=None, objective_value=None,
                           pivots=tab.pivots)
+    tab.lex_min(cbar)
 
     values = tab.solution_values()
     obj = sum((lp.objective[j] * values[j] for j in range(lp.num_vars)), _ZERO)

@@ -53,12 +53,13 @@ def dump_lp(lp: lp_core.LinearProgram) -> str:
     return "\n".join(out)
 
 
-def enumerate_optimum(lp: lp_core.LinearProgram):
-    """Optimal value by enumerating every vertex candidate basis.
+def feasible_basic_points(lp: lp_core.LinearProgram):
+    """Every feasible basic point, by enumerating each vertex candidate basis.
 
     A vertex fixes some variables at bounds and pins the rest by tight rows;
     all (free set, tight row subset, bound pattern) choices are tried and
-    each candidate re-checked for feasibility.  None means infeasible.
+    each candidate re-checked for feasibility.  A vertex may come up more
+    than once.
     """
     n, m = lp.num_vars, len(lp.rows)
     dense_rows = []
@@ -67,7 +68,6 @@ def enumerate_optimum(lp: lp_core.LinearProgram):
         for j, v in row.coeffs.items():
             dense[j] = v
         dense_rows.append((dense, row.rhs))
-    best = None
     for k in range(0, min(n, m) + 1):
         for free in combinations(range(n), k):
             free_set = set(free)
@@ -91,11 +91,27 @@ def enumerate_optimum(lp: lp_core.LinearProgram):
                     for j, inv_row in zip(free, inverse):
                         values[j] = sum((a * b for a, b in zip(inv_row, rhs)), Fraction(0))
                     if lp_core.is_feasible(lp, values):
-                        obj = sum((lp.objective[j] * values[j] for j in range(n)),
-                                  Fraction(0))
-                        if best is None or obj < best:
-                            best = obj
-    return best
+                        yield values
+
+
+def _objective(lp: lp_core.LinearProgram, values) -> Fraction:
+    return sum((c * v for c, v in zip(lp.objective, values)), Fraction(0))
+
+
+def enumerate_optimum(lp: lp_core.LinearProgram):
+    """Optimal value over every feasible basic point; None means infeasible."""
+    return min((_objective(lp, values) for values in feasible_basic_points(lp)),
+               default=None)
+
+
+def enumerate_lex_optimum(lp: lp_core.LinearProgram):
+    """The lexicographically least optimal point, or None if infeasible.
+
+    A polytope's lexicographically least point is a vertex, so the least
+    (objective, values) pair over every feasible basic point is it.
+    """
+    return min(((_objective(lp, values), values) for values in feasible_basic_points(lp)),
+               default=(None, None))[1]
 
 
 def random_lp(seed: int) -> lp_core.LinearProgram:

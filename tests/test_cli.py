@@ -216,6 +216,20 @@ class TestMisc:
     def test_usage_error_returns_one(self, capsys):
         assert main(["no-such-command"]) == 1
 
+    @pytest.mark.parametrize("command, rounds", [("solve", "-1"), ("solve", "-3"),
+                                                 ("bench", "-1")])
+    def test_negative_max_rounds_rejected(self, tmp_path, capsys, command, rounds):
+        inst_path = tmp_path / "gap.json"
+        save(gen_kc_gap(Fraction(1000)), inst_path)
+        out = tmp_path / "out"
+        where = {"solve": ["--in", str(inst_path)],
+                 "bench": ["--seeds", "1..2", "--T", "4", "--N", "2"]}[command]
+        code, stdout, err = run_cli(capsys, command, *where, "--out", str(out),
+                                    "--max-rounds", rounds)
+        assert code == 1 and stdout == ""
+        assert err == "error: --max-rounds must be a non-negative integer\n"
+        assert not out.exists()
+
     def test_env_var_enables_trace(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("LOTFORGE_TRACE", "1")
         inst_path = tmp_path / "gap.json"

@@ -1,4 +1,7 @@
+import contextlib
 import dataclasses
+import io
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,13 +10,26 @@ from helpers import schedule_to_fractional
 from lotforge.cmils_master import (MasterState, add_cut, build_base_lp,
                                    run_pipeline, solve_master)
 from lotforge.cuts import CoveringCut, cut_demand, cut_lhs
-from lotforge import cmils_master, lp_core
+from lotforge import cli, cmils_master, lp_core
 from lotforge.errors import InvariantError, RoundLimitError
 from lotforge.instance import (CmilsInstance, check_feasible, gen_kc_gap,
-                               gen_random, hcost, parse_rat)
+                               gen_random, hcost, parse_rat, save)
 from lotforge.oracles import brute_force_cmils
 
 F = Fraction
+
+
+def stacked_gaps(levels, R=F(1000)):
+    """Chained copies of the two-period gap pattern, one item per level."""
+    K, C, d, r, h = [], [], [], [], []
+    for j in range(levels):
+        K += [F(0), F(1)]
+        C += [R - 1, R]
+        d.append(R)
+        r.append(2 * (j + 1))
+        h.append(tuple(F(0) for _ in range(2 * (j + 1))))
+    return CmilsInstance(T=2 * levels, N=levels, K=tuple(K), C=tuple(C),
+                         d=tuple(d), r=tuple(r), h=tuple(h))
 
 
 def single_period():
@@ -185,19 +201,9 @@ class TestPipeline:
 
     def test_pooled_cuts_valid_for_oracle_witness(self):
         # the stacked-gap instances actually pool cuts; random seeds rarely do
-        R = F(1000)
         checked = 0
-        for levels in (1, 2, 3):
-            T = 2 * levels
-            K, C, d, r, h = [], [], [], [], []
-            for j in range(levels):
-                K += [F(0), F(1)]
-                C += [R - 1, R]
-                d.append(R)
-                r.append(2 * (j + 1))
-                h.append(tuple(F(0) for _ in range(2 * (j + 1))))
-            inst = CmilsInstance(T=T, N=levels, K=tuple(K), C=tuple(C),
-                                 d=tuple(d), r=tuple(r), h=tuple(h))
+        for levels in (1, 2, 3, 4):
+            inst = stacked_gaps(levels)
             result = run_pipeline(inst)
             witness = brute_force_cmils(inst).witness
             integral = schedule_to_fractional(inst, witness)
@@ -207,22 +213,14 @@ class TestPipeline:
         assert checked >= 6
 
     def test_stacked_gaps_need_multiple_rounds(self):
-        # chained copies of the gap pattern force the loop through several
-        # cut rounds before a coverable solution appears
-        R = F(1000)
-        for levels in (2, 3):
-            T = 2 * levels
-            K, C, d, r, h = [], [], [], [], []
-            for j in range(levels):
-                K += [F(0), F(1)]
-                C += [R - 1, R]
-                d.append(R)
-                r.append(2 * (j + 1))
-                h.append(tuple(F(0) for _ in range(2 * (j + 1))))
-            inst = CmilsInstance(T=T, N=levels, K=tuple(K), C=tuple(C),
-                                 d=tuple(d), r=tuple(r), h=tuple(h))
+        # chained copies of the gap pattern take the loop through more than
+        # one cut round before a coverable solution appears; each master
+        # solve returns the lexicographically least optimal vertex, so the
+        # count is exact for every level
+        for levels, rounds in ((1, 1), (2, 2), (3, 2), (4, 2)):
+            inst = stacked_gaps(levels)
             result = run_pipeline(inst)
-            assert result.certificate.rounds >= levels
+            assert result.certificate.rounds == rounds, levels
             ok, bad = check_feasible(inst, result.schedule)
             assert ok, bad
             opt = brute_force_cmils(inst).optimum_cost
@@ -299,6 +297,7 @@ class TestWarmResolve:
                 cold = real(fresh)
                 assert sol.status == cold.status == lp_core.OPTIMAL
                 assert sol.objective_value == cold.objective_value
+                assert sol.values == cold.values
                 assert lp_core.verify_vertex(lp, sol)
             return sol
 
@@ -306,3 +305,43 @@ class TestWarmResolve:
         assert run_pipeline(inst).certificate.rounds == rounds
         # one cold solve, then one warm re-solve per cut round
         assert [start is None for start in starts] == [True] + [False] * rounds
+
+
+# gap-stack input 84 of the seed-902 benchmark pool: a cold and a warm re-solve
+# once reached different optimal vertices of equal value here
+GAP_STACK_902_84 = CmilsInstance(
+    T=6, N=5,
+    K=(F(2), F(17), F(2), F(4), F(2), F(16)),
+    C=(F(1000002), F(1000003), F(106), F(107), F(1000005), F(1000006)),
+    d=(F(1000003), F(107), F(1000006), F(2), F(5)),
+    r=(2, 4, 6, 1, 4),
+    h=((F(0),) * 2, (F(0),) * 4, (F(0),) * 6, (F(0),), (F(4), F(1), F(0), F(0))))
+
+
+@pytest.mark.parametrize("inst", [pytest.param(gen_kc_gap(parse_rat(R)), id=f"kc-gap-{R}")
+                                  for R in ("10", "1000", "1000000", "7/2", "123457/3")]
+                         + [pytest.param(stacked_gaps(levels), id=f"stacked-gaps-{levels}")
+                            for levels in (1, 2, 3, 4)]
+                         + [pytest.param(GAP_STACK_902_84, id="gap-stack-902-84")])
+def test_cold_resolves_give_the_same_report(monkeypatch, tmp_path, inst):
+    """`solve` reports and schedules are byte-identical, warm or cold."""
+    inst_path = tmp_path / "inst.json"
+    save(inst, inst_path)
+
+    def solve(name):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["solve", "--in", str(inst_path),
+                             "--out", str(tmp_path / name)]) == 0
+        report = re.sub(r'\n *"wall_time_ms": [^\n]*', "", out.getvalue())
+        return report, (tmp_path / name).read_bytes()
+
+    warm = solve("warm.json")
+    real = cmils_master.solve_master
+
+    def cold(state):
+        state.solution = None
+        return real(state)
+
+    monkeypatch.setattr(cmils_master, "solve_master", cold)
+    assert solve("cold.json") == warm

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dump_lp, enumerate_optimum, random_lp, tight_sets
+from helpers import (dump_lp, enumerate_lex_optimum, enumerate_optimum, random_lp,
+                     tight_sets)
 from lotforge import cmils_master, instance, lp_core
 from lotforge.lp_core import (EQ, GE, INFEASIBLE, LE, OPTIMAL, LinearProgram,
                               LpSolution, solve_to_vertex, verify_vertex)
@@ -163,6 +164,8 @@ def recording_tableaus():
     flip), ("leave", wd) when a basic one is (it leaves at its upper bound)
     and ("above", wd) when the dual simplex complements a basic column that
     stands above its width; wd is the denominator of the column's width.
+    after_dual and before_lex are (pivots, events) as the dual simplex ends
+    and as the lexicographic stage starts.
     """
     made = []
 
@@ -185,6 +188,10 @@ def recording_tableaus():
             finally:
                 self.in_dual = False
                 self.after_dual = (self.pivots, len(self.events))
+
+        def lex_min(self, cbar):
+            self.before_lex = (self.pivots, len(self.events))
+            super().lex_min(cbar)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lp_core, "_Tableau", Recording)
@@ -237,6 +244,28 @@ def check_rows(tab, x=None, in_range=True):
         assert all(offset(k) == 0 for k in range(tab.ncols) if k not in basic)
 
 
+def column_costs(tab, lp):
+    """The LP's objective over the tableau's columns."""
+    cost = [F(0)] * tab.ncols
+    for j, col in tab.col_of_var.items():
+        cost[col] = lp.objective[j]
+    return cost
+
+
+def check_still_optimal(tab, lp, values):
+    """The lexicographic stage left a basis that is optimal for the objective.
+
+    Its bans are lifted back to the artificials, and a primal run from the
+    final basis neither pivots nor flips a bound: every reduced cost of an
+    unbanned column is still >= 0, which the next warm start relies on.
+    """
+    assert tab.banned == set(tab.art_cols)
+    before = (tab.pivots, len(tab.events))
+    assert tab.run(*tab.reduced_costs(column_costs(tab, lp))) is not None
+    assert (tab.pivots, len(tab.events)) == before
+    assert tab.solution_values() == values
+
+
 def solve_and_check_rows(lp):
     with recording_tableaus() as made:
         sol = solve_to_vertex(lp)
@@ -278,12 +307,13 @@ def test_bound_flip_wins_a_ratio_tie():
 
 # -- golden vertices ---------------------------------------------------------
 #
-# GOLDEN pins the exact vertex that the dense-Fraction Bland simplex returned
-# for each case below.  The tableau may change representation, but as long as
-# every entering and leaving choice is the same the returned vertex is too,
-# byte for byte.  Rewrite the file (`PYTHONPATH=src python tests/test_lp_core.py`)
-# only in a change that means to alter the pivot sequence, and say so in its
-# notes.
+# GOLDEN pins the vertex returned for each case below: the lexicographically
+# least optimal point, which is unique.  Any correct pivot rule must reproduce
+# it byte for byte, however it prices and whatever basis it starts from, so
+# a change to pricing, the tableau or the warm start leaves the file as it
+# is.  Rewrite the file (`PYTHONPATH=src python tests/test_lp_core.py`) only
+# in a change that means to alter which optimum is returned, and say so in
+# its notes.
 
 def golden_cases():
     """(name, LP) pairs: small random LPs plus first and cut master LPs."""
@@ -335,6 +365,14 @@ def test_golden_vertices_are_byte_identical():
     assert golden_text(records) == text
 
 
+def test_bland_pricing_returns_the_golden_vertices(monkeypatch):
+    # With DEGENERATE_RUN = 0 every primal step prices by Bland's rule.
+    with open(GOLDEN, encoding="utf-8") as fh:
+        text = fh.read()
+    monkeypatch.setattr(lp_core, "DEGENERATE_RUN", 0)
+    assert golden_text([golden_record(name, lp) for name, lp in golden_cases()]) == text
+
+
 # -- property test -------------------------------------------------------------
 
 def _rationals(bound):
@@ -358,9 +396,10 @@ def small_lps(draw):
         width = F(0) if fixed else abs(draw(_rationals(1000)))
         bounds.append((lo, lo + width))
         point.append(lo + width * draw(st.fractions(0, 1, max_denominator=7)))
-    lp = LinearProgram(num_vars=n, objective=draw(st.lists(_rationals(10**6),
-                                                          min_size=n, max_size=n)),
-                       bounds=bounds)
+    # zero coefficients make optima tie, which gives the lexicographic stage work
+    objective = draw(st.lists(st.one_of(st.just(F(0)), _rationals(10**6)),
+                              min_size=n, max_size=n))
+    lp = LinearProgram(num_vars=n, objective=objective, bounds=bounds)
     for _ in range(draw(st.integers(1, 5))):
         if lp.rows and draw(st.booleans()):
             row = draw(st.sampled_from(lp.rows))
@@ -380,7 +419,7 @@ def small_lps(draw):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(small_lps())
 def test_random_mixed_lps_match_enumeration(lp):
-    sol, _ = solve_and_check_rows(lp)
+    sol, tab = solve_and_check_rows(lp)
     best = enumerate_optimum(lp)
     if best is None:
         assert sol.status == INFEASIBLE
@@ -388,7 +427,9 @@ def test_random_mixed_lps_match_enumeration(lp):
         assert sol.status == OPTIMAL
         assert all(isinstance(v, Fraction) for v in sol.values)
         assert sol.objective_value == best
+        assert sol.values == enumerate_lex_optimum(lp)
         assert verify_vertex(lp, sol)
+        check_still_optimal(tab, lp, sol.values)
 
 
 # -- warm re-solves --------------------------------------------------------------
@@ -413,6 +454,11 @@ def warm_cases(draw):
         offset = draw(st.one_of(st.just(F(0)), _rationals(1000)))
         rows.append((coeffs, draw(st.sampled_from([LE, GE])), at_point + offset))
     return lp, rows, draw(st.booleans())
+
+
+def copy_lp(lp):
+    return LinearProgram(num_vars=lp.num_vars, objective=list(lp.objective),
+                         rows=list(lp.rows), bounds=list(lp.bounds))
 
 
 def test_warm_resolves_match_enumeration():
@@ -444,10 +490,13 @@ def test_warm_resolves_match_enumeration():
             assert sol.status == OPTIMAL and sol.tableau is tab
             # the dual simplex keeps the basis dual feasible, so it ends at
             # an optimum: the primal phase 2 after it neither pivots nor flips
-            assert (sol.pivots, len(tab.events)) == tab.after_dual
+            assert tab.before_lex == tab.after_dual
             assert sol.objective_value == best
+            # the optimum returned does not depend on the start
+            assert sol.values == solve_to_vertex(copy_lp(lp)).values
             assert verify_vertex(lp, sol)
             check_rows(tab, column_values(tab, lp, sol.values))
+            check_still_optimal(tab, lp, sol.values)
         if any(kind == "above" and wd > 1 for kind, wd in tab.events):
             reached.add("above a fractional width")
 
@@ -471,6 +520,24 @@ def test_warm_resolve_of_a_cut_row():
     assert sol.tableau is None and warm.tableau is not None
     again = solve_to_vertex(lp, start=warm)
     assert again == warm and again.pivots == 0
+
+
+def test_warm_resolve_moves_to_the_least_optimal_point():
+    # Every point is optimal for a zero objective.  The dual simplex meets
+    # the cut x0 + 2 x1 >= 1 by raising x0, the lowest-index tie, to 1; the
+    # lexicographic stage then moves to the least point (0, 1/2), which is
+    # what a cold solve returns.
+    lp = box_lp(2, [0, 0], bounds=[(F(0), F(2))] * 2)
+    lp.add_row({0: F(-1), 1: F(2)}, LE, 2)
+    with recording_tableaus():
+        sol = solve_to_vertex(lp)
+    assert sol.values == [F(0), F(0)]
+    tab = sol.tableau
+    lp.add_row({0: F(1), 1: F(2)}, GE, 1)
+    warm = solve_to_vertex(lp, start=sol)
+    assert tab.after_dual == tab.before_lex == (1, 0) and warm.pivots == 2
+    assert warm.values == [F(0), F(1, 2)] == solve_to_vertex(copy_lp(lp)).values
+    check_still_optimal(tab, lp, warm.values)
 
 
 def test_warm_start_from_another_lp_rejected():
