@@ -356,13 +356,20 @@ def save(inst: CmilsInstance, path) -> None:
         fh.write("\n")
 
 
-def load(path) -> CmilsInstance:
+def _read_json(path):
+    """The JSON document in path; malformed or too deeply nested text is an
+    InstanceFormatError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"{path}: line {exc.lineno}: {exc.msg}") from None
-    return from_json_dict(doc)
+    except RecursionError:
+        raise InstanceFormatError(f"{path}: JSON nested too deeply") from None
+
+
+def load(path) -> CmilsInstance:
+    return from_json_dict(_read_json(path))
 
 
 def schedule_to_json_dict(sched: OrderSchedule) -> dict:
@@ -405,9 +412,4 @@ def save_schedule(sched: OrderSchedule, path) -> None:
 
 
 def load_schedule(path) -> OrderSchedule:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise InstanceFormatError(f"{path}: line {exc.lineno}: {exc.msg}") from None
-    return schedule_from_json_dict(doc)
+    return schedule_from_json_dict(_read_json(path))

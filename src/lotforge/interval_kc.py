@@ -13,6 +13,11 @@ A binary laminar family over (0, T] is built by recursively splitting at
 the point that maximizes the weaker side's score; scoring the members and
 handing them to the laminar solver yields a selection that covers every
 interval requirement, not just the members'.
+
+The scores and the covering checks run on one integer view of (C, y),
+intervals.ScaledCover, and the locked or selected capacity inside an
+interval is a difference of prefix sums, intervals.prefix_caps.  The
+covering tests build no Fraction.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from typing import Callable, Optional
 
 from . import laminar_kc
 from .errors import InvariantError
-from .intervals import all_intervals, cap_within, capped_mass_and_count
+from .intervals import ScaledCover, all_intervals, prefix_caps
 from .laminar_kc import Interval, LaminarFamily
 
 Trace = Optional[Callable[[str], None]]
@@ -40,47 +45,50 @@ class IntervalKcInstance:
         return self.R.get((a, b), Fraction(0))
 
 
-def max_coverable(a: int, b: int, y, locked, C) -> Fraction:
+def max_coverable(a: int, b: int, view: ScaledCover, locked) -> Fraction:
     """Largest W >= 0 the free mass of (a, b] can cover (0 if none).
 
     The capped-mass condition defines a concave piecewise-linear function of
     W starting at 0, so its feasible set is [0, W1]; the count condition is
     a right-closed step set [0, W2] whose supremum is a capacity value.
     Both suprema are attained; the answer is their maximum, exact.
+
+    The walk runs on the view's integers: with W = w / cden, the capped
+    mass minus 2W, times cden * yden, is sum min(c_s, w) u_s - 2 yden w.
+    Only the answer is built as a Fraction.
     """
-    weight: dict[Fraction, Fraction] = {}
+    weight: dict[int, int] = {}
+    c, u = view.c, view.u
     for s in range(a + 1, b + 1):
-        if s not in locked and y[s - 1] > 0:
-            weight[C[s - 1]] = weight.get(C[s - 1], Fraction(0)) + y[s - 1]
+        if s not in locked and u[s - 1] > 0:
+            weight[c[s - 1]] = weight.get(c[s - 1], 0) + u[s - 1]
     if not weight:
         return Fraction(0)
 
-    # W1: walk the breakpoints; on the segment below breakpoint c the slope
-    # of (capped mass - 2W) is (total weight of capacities >= c) - 2.
-    w1 = None
-    f = Fraction(0)
-    w_prev = Fraction(0)
-    suffix = sum(weight.values(), Fraction(0))
-    for c in sorted(weight):
-        f_next = f + (suffix - 2) * (c - w_prev)
+    # W1 = (w_prev + f / drop) / cden: walk the breakpoints; on the segment
+    # below breakpoint w the slope of the scaled slack is (total weight of
+    # capacities >= w) - 2 yden.  Beyond the last breakpoint it is -2 yden.
+    two = 2 * view.yden
+    f, w_prev, suffix, drop = 0, 0, sum(weight.values()), two
+    for w in sorted(weight):
+        f_next = f + (suffix - two) * (w - w_prev)
         if f_next < 0:
-            w1 = w_prev + f / (2 - suffix)
+            drop = two - suffix
             break
-        f = f_next
-        w_prev = c
-        suffix -= weight[c]
-    if w1 is None:
-        w1 = w_prev + f / 2  # beyond the last breakpoint the slope is -2
+        f, w_prev = f_next, w
+        suffix -= weight[w]
+    w1 = w_prev * drop + f  # W1 = w1 / (drop * cden)
 
-    # W2: the largest capacity whose suffix of fractional openings reaches 1.
-    w2 = Fraction(0)
-    acc = Fraction(0)
-    for c in sorted(weight, reverse=True):
-        acc += weight[c]
-        if acc >= 1:
-            w2 = c
+    # W2 = w2 / cden: the largest capacity whose suffix of openings reaches 1.
+    w2, acc = 0, 0
+    for w in sorted(weight, reverse=True):
+        acc += weight[w]
+        if acc >= view.yden:
+            w2 = w
             break
-    return max(w1, w2)
+    if w2 * drop > w1:
+        return Fraction(w2, view.cden)
+    return Fraction(w1, drop * view.cden)
 
 
 def construct_laminar_family(y, locked, C, T: int) -> LaminarFamily:
@@ -89,11 +97,12 @@ def construct_laminar_family(y, locked, C, T: int) -> LaminarFamily:
     Each non-unit interval splits at the cut maximizing the smaller child
     score; ties go to the smallest cut point.  Scores are memoized per call.
     """
+    view = ScaledCover(C, y)
     scores: dict[Interval, Fraction] = {}
 
     def score(a: int, b: int) -> Fraction:
         if (a, b) not in scores:
-            scores[(a, b)] = max_coverable(a, b, y, locked, C)
+            scores[(a, b)] = max_coverable(a, b, view, locked)
         return scores[(a, b)]
 
     members: list[Interval] = []
@@ -130,28 +139,24 @@ def solve_interval_kc(ikc: IntervalKcInstance, y_scaled, locked,
     locked = frozenset(locked)
     if locked != {s for s in range(1, ikc.T + 1) if y_scaled[s - 1] == 1}:
         raise InvariantError("locked set must be exactly the all-ones periods")
+    view = ScaledCover(ikc.C, y_scaled)
+    held = prefix_caps(ikc.C, locked)
     for a, b in all_intervals(ikc.T):
-        need = ikc.req(a, b)
-        want = max(need - cap_within(ikc.C, a, b, locked), Fraction(0))
+        want = max(ikc.req(a, b) - (held[b] - held[a]), Fraction(0))
         if residual.get((a, b), Fraction(0)) != want:
             raise InvariantError(f"residual for ({a}, {b}] inconsistent")
-        if want > 0:
-            mass, count = capped_mass_and_count(ikc.C, a, b, want, y_scaled, locked)
-            if mass < 10 * want and count < 6:
-                raise InvariantError(
-                    f"scaled coverage disjunction fails on ({a}, {b}]")
+        if want > 0 and not view.holds(a, b, want, locked, mass=10, count=6):
+            raise InvariantError(f"scaled coverage disjunction fails on ({a}, {b}]")
 
     family = construct_laminar_family(y_scaled, locked, ikc.C, ikc.T)
     member_req: dict[Interval, Fraction] = {}
     member_residual: dict[Interval, Fraction] = {}
     for iv in family.members:
         coverable = family.coverable[iv]
-        if coverable > 0:
-            mass, count = capped_mass_and_count(ikc.C, iv[0], iv[1], coverable,
-                                                y_scaled, locked)
-            if mass < 2 * coverable and count < 1:
-                raise InvariantError(f"member score of {iv} is not attained")
-        full = coverable + cap_within(ikc.C, iv[0], iv[1], locked)
+        if coverable > 0 and not view.holds(iv[0], iv[1], coverable, locked,
+                                            mass=2, count=1):
+            raise InvariantError(f"member score of {iv} is not attained")
+        full = coverable + held[iv[1]] - held[iv[0]]
         if full > 0:
             member_req[iv] = full
             member_residual[iv] = coverable
@@ -159,8 +164,9 @@ def solve_interval_kc(ikc: IntervalKcInstance, y_scaled, locked,
                                        family=family, R=member_req)
     selected = laminar_kc.solve(lkc, y_scaled, locked, member_residual, trace=trace)
 
+    got = prefix_caps(ikc.C, selected)
     for a, b in all_intervals(ikc.T):
-        if cap_within(ikc.C, a, b, selected) < ikc.req(a, b):
+        if got[b] - got[a] < ikc.req(a, b):
             raise InvariantError(f"interval ({a}, {b}] requirement uncovered")
     cost = sum((ikc.K[s - 1] for s in selected), Fraction(0))
     budget = sum((y_scaled[s - 1] * ikc.K[s - 1] for s in range(1, ikc.T + 1)),

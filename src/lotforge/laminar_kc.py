@@ -11,7 +11,10 @@ of the input y.
 Active intervals live in one of two pools, mirroring the two row shapes of
 the LP: "mass" rows ask the capped fractional capacity inside the interval
 to reach twice the remaining requirement; "count" rows ask the fractional
-openings of large-enough periods to reach one.
+openings of large-enough periods to reach one.  Pool membership,
+migration between the pools and the per-step state check evaluate those
+rows with intervals.ScaledCover, on integers; the LP itself is built only
+to be solved.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Callable, Iterable, Optional
 
 from . import lp_core
 from .errors import InvariantError
-from .intervals import cap_within, capped_mass_and_count
+from .intervals import ScaledCover, prefix_caps
 
 Interval = tuple[int, int]
 Trace = Optional[Callable[[str], None]]
@@ -107,10 +110,12 @@ def init_state(inst: LaminarKcInstance, y, locked, residual: dict) -> RoundingSt
     locked = frozenset(locked)
     if locked != {s for s in range(1, inst.T + 1) if y[s - 1] == 1}:
         raise InvariantError("locked set must be exactly the all-ones periods of y")
-    for iv in inst.R:
-        want = max(inst.R[iv] - cap_within(inst.C, iv[0], iv[1], locked), Fraction(0))
+    held = prefix_caps(inst.C, locked)
+    for iv, need in inst.R.items():
+        want = max(need - (held[iv[1]] - held[iv[0]]), Fraction(0))
         if residual.get(iv, Fraction(0)) != want:
             raise InvariantError(f"residual for {iv} inconsistent with R and locked")
+    view = ScaledCover(inst.C, y)
     remaining: dict[Interval, Fraction] = {}
     mass_active: set[Interval] = set()
     count_active: set[Interval] = set()
@@ -118,9 +123,8 @@ def init_state(inst: LaminarKcInstance, y, locked, residual: dict) -> RoundingSt
         need = residual.get(iv, Fraction(0))
         if need <= 0:
             continue
-        mass, count = capped_mass_and_count(inst.C, iv[0], iv[1], need, y, locked)
-        count_ok = count >= 1
-        if not count_ok and mass < 2 * need:
+        count_ok = view.holds(iv[0], iv[1], need, locked, count=1)
+        if not count_ok and not view.holds(iv[0], iv[1], need, locked, mass=2):
             raise InvariantError(f"input y fails both cover conditions on {iv}")
         remaining[iv] = need
         (count_active if count_ok else mass_active).add(iv)
@@ -185,8 +189,29 @@ def build_iter_lp(state: RoundingState, inst: LaminarKcInstance | None = None
 
 
 def _assert_state_feasible(state: RoundingState, where: str) -> None:
-    lp = build_iter_lp(state)
-    if not lp_core.is_feasible(lp, state.y):
+    """Check state.y against the bounds and rows build_iter_lp would write.
+
+    Discarded periods must sit at 0, selected ones at 1, and all in [0, 1].
+    A mass row on (a, b] is the capped-mass side of ScaledCover.holds with
+    threshold 2 and the selected periods skipped, a count row its count
+    side with threshold 1; both are evaluated on integers without
+    building the LP.
+    """
+    y = state.y
+    view = ScaledCover(state.instance.C, y)
+    feasible = all(
+        y[s - 1] == 0 if s in state.discarded else
+        y[s - 1] == 1 if s in state.selected else
+        0 <= y[s - 1] <= 1
+        for s in range(1, state.instance.T + 1)
+    ) and all(
+        view.holds(a, b, state.remaining[(a, b)], state.selected, mass=2)
+        for a, b in state.mass_active
+    ) and all(
+        view.holds(a, b, state.remaining[(a, b)], state.selected, count=1)
+        for a, b in state.count_active
+    )
+    if not feasible:
         raise InvariantError(f"current y infeasible for the rounding LP ({where})")
 
 
@@ -210,8 +235,9 @@ def solve(inst: LaminarKcInstance, y, locked, residual: dict,
             raise InvariantError("rounding exceeded its T-iteration bound")
         if trace:
             trace(f"iter={rounds} event=head active={len(state.active())}")
+        got = prefix_caps(inst.C, state.selected)
         for iv in state.active():  # remaining must track the selected capacity
-            want = inst.R[iv] - cap_within(inst.C, iv[0], iv[1], state.selected)
+            want = inst.R[iv] - (got[iv[1]] - got[iv[0]])
             if state.remaining[iv] != want or want <= 0:
                 raise InvariantError(f"stale remaining requirement on {iv}")
         _assert_state_feasible(state, "loop head")
@@ -225,6 +251,7 @@ def solve(inst: LaminarKcInstance, y, locked, residual: dict,
             raise InvariantError("rounding LP cost increased")
         prev_cost = cost
         state.y = list(sol.values)
+        view = ScaledCover(inst.C, state.y)
         if trace:
             trace(f"iter={rounds} event=lp cost={cost}")
 
@@ -255,9 +282,8 @@ def solve(inst: LaminarKcInstance, y, locked, residual: dict,
                     del state.remaining[iv]
                     if trace:
                         trace(f"iter={rounds} event=retire iv={iv}")
-                elif iv in state.mass_active and capped_mass_and_count(
-                        inst.C, a, b, state.remaining[iv], state.y,
-                        state.selected)[1] >= 1:
+                elif iv in state.mass_active and view.holds(
+                        a, b, state.remaining[iv], state.selected, count=1):
                     state.mass_active.discard(iv)
                     state.count_active.add(iv)
                     if trace:
@@ -269,8 +295,9 @@ def solve(inst: LaminarKcInstance, y, locked, residual: dict,
     selected = frozenset(state.selected)
     if not selected >= frozenset(locked):
         raise InvariantError("selection lost a locked period")
+    got = prefix_caps(inst.C, selected)
     for iv, need in inst.R.items():
-        if cap_within(inst.C, iv[0], iv[1], selected) < need:
+        if got[iv[1]] - got[iv[0]] < need:
             raise InvariantError(f"requirement on {iv} left uncovered")
     cost = sum((inst.K[s - 1] for s in selected), Fraction(0))
     if cost > input_budget:

@@ -24,7 +24,7 @@ from typing import Union
 from .cuts import CoveringCut, cut_demand, cut_lhs
 from .errors import InvariantError
 from .instance import CmilsInstance, FractionalSolution
-from .intervals import all_intervals, cap_within, capped_mass_and_count
+from .intervals import ScaledCover, all_intervals, prefix_caps
 
 _SCALE = 10
 
@@ -77,8 +77,9 @@ def scale_y(y) -> tuple[tuple[Fraction, ...], frozenset[int]]:
 
 
 def residual_requirements(req: dict, locked, C) -> dict:
+    held = prefix_caps(C, locked)
     return {
-        (a, b): max(value - cap_within(C, a, b, locked), Fraction(0))
+        (a, b): max(value - (held[b] - held[a]), Fraction(0))
         for (a, b), value in req.items()
     }
 
@@ -90,6 +91,7 @@ def try_round(sol: FractionalSolution, inst: CmilsInstance
     req = compute_requirements(sol, inst, short)
     y_scaled, locked = scale_y(sol.y)
     residual = residual_requirements(req, locked, inst.C)
+    view = ScaledCover(inst.C, sol.y)
 
     for a, b in all_intervals(inst.T):
         need = residual[(a, b)]
@@ -107,8 +109,7 @@ def try_round(sol: FractionalSolution, inst: CmilsInstance
             return cut
         # the checked inequality held: the capped-mass-or-count property
         # must transfer to the residual requirement
-        mass, count = capped_mass_and_count(inst.C, a, b, need, sol.y, locked)
-        if mass < need and count < Fraction(3, 5):
+        if not view.holds(a, b, need, locked, mass=1, count=Fraction(3, 5)):
             raise InvariantError(f"transfer property failed on interval ({a}, {b}]")
 
     return IntervalRequirements(y_scaled=y_scaled, locked=locked,

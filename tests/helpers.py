@@ -10,7 +10,7 @@ from lotforge import lp_core
 from lotforge.assignment import SCALE
 from lotforge.instance import CmilsInstance, FractionalSolution, OrderSchedule, hcost
 from lotforge.interval_kc import IntervalKcInstance, max_coverable
-from lotforge.intervals import all_intervals, cap_within
+from lotforge.intervals import ScaledCover, all_intervals, cap_within
 from lotforge.laminar_kc import LaminarFamily, LaminarKcInstance
 
 
@@ -154,6 +154,24 @@ def naive_requirements(sol: FractionalSolution, inst: CmilsInstance) -> dict:
     return out
 
 
+def capped_mass_and_count(C, a: int, b: int, need: Fraction, y,
+                          skip) -> tuple[Fraction, Fraction]:
+    """Fraction reference for ScaledCover.holds on (a, b], skip left out.
+
+    mass  = sum of min(C_s, need) * y_s: capacity capped at the requirement;
+    count = sum of y_s over the periods with C_s >= need.
+    """
+    mass = Fraction(0)
+    count = Fraction(0)
+    for s in range(a + 1, b + 1):
+        if s in skip:
+            continue
+        mass += min(C[s - 1], need) * y[s - 1]
+        if C[s - 1] >= need:
+            count += y[s - 1]
+    return mass, count
+
+
 def grid_scan_coverable(a, b, y, locked, C) -> Fraction:
     """Independent supremum check for max_coverable over a provably complete
     candidate grid: every capacity, plus the roots of the capped-mass slack
@@ -223,7 +241,7 @@ def random_laminar_case(seed: int):
     req: dict = {}
     residual: dict = {}
     for iv in family.members:
-        room = max_coverable(iv[0], iv[1], y, locked, C)
+        room = max_coverable(iv[0], iv[1], ScaledCover(C, y), locked)
         if room > 0 and rng.random() < 0.9:
             want = room * Fraction(rng.randint(1, 4), 4)
             residual[iv] = want

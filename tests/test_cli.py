@@ -115,6 +115,27 @@ class TestSolveVerify:
                                "--out", str(tmp_path / "s.json"))
         assert code == 1 and "error" in err
 
+    def test_deeply_nested_instance_is_one_line(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run_cli(capsys, "solve", "--in", str(deep),
+                                 "--out", str(tmp_path / "s.json"))
+        assert (code, out) == (1, "")
+        assert err == f"error: {deep}: JSON nested too deeply\n"
+
+    @pytest.mark.parametrize("which", ["instance", "schedule"])
+    def test_deeply_nested_verify_file_is_one_line(self, tmp_path, capsys, which):
+        paths = {"instance": tmp_path / "i.json", "schedule": tmp_path / "s.json"}
+        inst = gen_kc_gap(Fraction(1000))
+        save(inst, paths["instance"])
+        paths["schedule"].write_text(json.dumps(
+            schedule_to_json_dict(cmils_master.run_pipeline(inst).schedule)))
+        paths[which].write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run_cli(capsys, "verify", "--instance", str(paths["instance"]),
+                                 "--schedule", str(paths["schedule"]))
+        assert (code, out) == (1, "")
+        assert err == f"error: {paths[which]}: JSON nested too deeply\n"
+
     def test_tampered_quantity_detected(self, tmp_path, capsys):
         inst_path = tmp_path / "i.json"
         sched_path = tmp_path / "s.json"

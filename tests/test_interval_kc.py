@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (family_dominates_requirements, grid_scan_coverable,
                      is_binary_with_unit_leaves, render_tree)
@@ -9,7 +11,7 @@ from lotforge.errors import InvariantError
 from lotforge.instance import gen_kc_gap
 from lotforge.interval_kc import (IntervalKcInstance, construct_laminar_family,
                                   max_coverable, solve_interval_kc)
-from lotforge.intervals import all_intervals, cap_within
+from lotforge.intervals import ScaledCover, all_intervals, cap_within
 from lotforge.cmils_master import run_pipeline
 
 F = Fraction
@@ -17,26 +19,26 @@ F = Fraction
 
 class TestMaxCoverable:
     def test_all_zero_openings(self):
-        assert max_coverable(0, 3, (F(0),) * 3, frozenset(), (F(5),) * 3) == 0
+        assert max_coverable(0, 3, ScaledCover((F(5),) * 3, (F(0),) * 3), frozenset()) == 0
 
     def test_two_half_open_knapsacks(self):
-        got = max_coverable(0, 2, (F(1, 2), F(1, 2)), frozenset(), (F(5), F(5)))
+        got = max_coverable(0, 2, ScaledCover((F(5), F(5)), (F(1, 2), F(1, 2))), frozenset())
         assert got == 5  # the count condition reaches 1 exactly at W = 5
 
     def test_single_half_open_knapsack(self):
-        assert max_coverable(0, 1, (F(1, 2),), frozenset(), (F(10),)) == 0
+        assert max_coverable(0, 1, ScaledCover((F(10),), (F(1, 2),)), frozenset()) == 0
 
     def test_locked_periods_are_excluded(self):
         y = (F(1), F(1, 2))
-        assert max_coverable(0, 2, y, frozenset({1}), (F(9), F(5))) == \
-            max_coverable(1, 2, y, frozenset(), (F(9), F(5)))
+        assert max_coverable(0, 2, ScaledCover((F(9), F(5)), y), frozenset({1})) == \
+            max_coverable(1, 2, ScaledCover((F(9), F(5)), y), frozenset())
 
     def test_mass_root_value(self):
         # five knapsacks of capacity 3 at 9/10: slack stays positive past the
         # breakpoint and decays at rate 2: root 3 + (4.5*3 - 6)/2 = 27/4
         y = (F(9, 10),) * 5
         caps = (F(3),) * 5
-        assert max_coverable(0, 5, y, frozenset(), caps) == F(27, 4)
+        assert max_coverable(0, 5, ScaledCover(caps, y), frozenset()) == F(27, 4)
 
     def test_matches_grid_scan(self):
         rng = random.Random(0)
@@ -47,8 +49,22 @@ class TestMaxCoverable:
             locked = frozenset(s for s in range(1, T + 1) if y[s - 1] == 1)
             a = rng.randint(0, T - 1)
             b = rng.randint(a + 1, T)
-            assert max_coverable(a, b, y, locked, caps) == \
+            assert max_coverable(a, b, ScaledCover(caps, y), locked) == \
                 grid_scan_coverable(a, b, y, locked, caps)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_matches_grid_scan_with_fractional_capacities(self, data):
+        T = data.draw(st.integers(1, 7))
+        caps = tuple(F(data.draw(st.integers(1, 40)), data.draw(st.integers(1, 7)))
+                     for _ in range(T))
+        dens = [data.draw(st.integers(1, 13)) for _ in range(T)]
+        y = tuple(F(data.draw(st.integers(0, d)), d) for d in dens)
+        locked = frozenset(s for s in range(1, T + 1) if y[s - 1] == 1)
+        view = ScaledCover(caps, y)
+        for a, b in all_intervals(T):
+            assert max_coverable(a, b, view, locked) == \
+                grid_scan_coverable(a, b, y, locked, caps), (a, b)
 
     def test_monotone_under_enlargement(self):
         rng = random.Random(1)
@@ -59,8 +75,8 @@ class TestMaxCoverable:
             locked = frozenset()
             a = rng.randint(0, T - 2)
             b = rng.randint(a + 1, T - 1)
-            inner = max_coverable(a, b, y, locked, caps)
-            outer = max_coverable(max(0, a - 1), min(T, b + 1), y, locked, caps)
+            inner = max_coverable(a, b, ScaledCover(caps, y), locked)
+            outer = max_coverable(max(0, a - 1), min(T, b + 1), ScaledCover(caps, y), locked)
             assert outer >= inner
 
 

@@ -1,0 +1,72 @@
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import capped_mass_and_count
+from lotforge.intervals import ScaledCover, all_intervals, cap_within, prefix_caps
+
+F = Fraction
+
+# (mass, count) as each caller passes them: separation, interval rounding's
+# entry, its family members, and laminar rounding's count and mass tests.
+THRESHOLDS = ((1, F(3, 5)), (10, 6), (2, 1), (None, 1), (2, None))
+
+
+def fractions(max_num: int, max_den: int, low: int = 0):
+    return st.builds(F, st.integers(low, max_num), st.integers(1, max_den))
+
+
+@st.composite
+def cover_cases(draw):
+    """C with denominators up to 7, y in [0, 1] with denominators up to 13,
+    a skip set, and needs that include capacities themselves."""
+    T = draw(st.integers(1, 9))
+    C = tuple(draw(st.lists(fractions(40, 7, low=1), min_size=T, max_size=T)))
+    y = tuple(min(v, F(1)) for v in draw(st.lists(fractions(13, 13), min_size=T,
+                                                 max_size=T)))
+    skip = frozenset(draw(st.sets(st.integers(1, T))))
+    needs = draw(st.lists(st.one_of(st.sampled_from(C), fractions(60, 11, low=1)),
+                          min_size=1, max_size=4))
+    return C, y, skip, needs
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(cover_cases())
+def test_holds_matches_the_fraction_sums(case):
+    C, y, skip, needs = case
+    view = ScaledCover(C, y)
+    for a, b in all_intervals(len(C)):
+        for need in needs:
+            mass, count = capped_mass_and_count(C, a, b, need, y, skip)
+            for k, c in THRESHOLDS:
+                want = ((k is not None and mass >= k * need)
+                        or (c is not None and count >= c))
+                assert view.holds(a, b, need, skip, mass=k, count=c) == want, \
+                    (a, b, need, k, c)
+
+
+def test_holds_is_inclusive_at_both_boundaries():
+    # C = (3, 3/2), y = (1/2, 1/2): at need 3 the count is exactly 1/2
+    # (period 1 only) and the capped mass exactly 3/2 + 3/4 = 9/4.
+    view = ScaledCover((F(3), F(3, 2)), (F(1, 2), F(1, 2)))
+    assert view.holds(0, 2, F(3), frozenset(), count=F(1, 2))
+    assert not view.holds(0, 2, F(3), frozenset(), count=F(1, 2) + F(1, 100))
+    assert view.holds(0, 2, F(3), frozenset(), mass=F(3, 4))
+    assert not view.holds(0, 2, F(3), frozenset(), mass=F(3, 4) + F(1, 100))
+    assert not view.holds(0, 2, F(3), frozenset({1}), count=F(1, 2))
+
+
+def test_holds_without_thresholds_is_false():
+    view = ScaledCover((F(1),), (F(1),))
+    assert not view.holds(0, 1, F(1), frozenset())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(fractions(30, 7), min_size=1, max_size=10), st.data())
+def test_prefix_caps_difference_is_the_chosen_capacity(C, data):
+    chosen = frozenset(data.draw(st.sets(st.integers(1, len(C)))))
+    P = prefix_caps(C, chosen)
+    assert len(P) == len(C) + 1 and P[0] == 0
+    for a, b in all_intervals(len(C)):
+        assert P[b] - P[a] == cap_within(C, a, b, chosen)

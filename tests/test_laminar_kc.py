@@ -1,12 +1,16 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_laminar_case
+from lotforge import laminar_kc
 from lotforge.errors import InvariantError
 from lotforge.intervals import cap_within
 from lotforge.laminar_kc import (LaminarFamily, LaminarKcInstance, RoundingState,
-                                 build_iter_lp, dedup, init_state, solve)
+                                 _assert_state_feasible, build_iter_lp, dedup,
+                                 init_state, solve)
 from lotforge.lp_core import is_feasible
 from lotforge.oracles import brute_force_laminar_kc
 
@@ -155,6 +159,85 @@ class TestIterLp:
             inst, y, locked, residual = random_laminar_case(seed)
             state = init_state(inst, y, locked, residual)
             assert is_feasible(build_iter_lp(state), list(y))
+
+
+def state_check_accepts(state) -> bool:
+    try:
+        _assert_state_feasible(state, "probe")
+    except InvariantError as exc:
+        assert str(exc) == "current y infeasible for the rounding LP (probe)"
+        return False
+    return True
+
+
+class TestStateCheck:
+    """_assert_state_feasible against the LP that build_iter_lp writes."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(0, 10 ** 6), st.data())
+    def test_agrees_with_the_built_lp(self, seed, data):
+        inst, y, locked, residual = random_laminar_case(seed)
+        state = init_state(inst, y, locked, residual)
+        for _ in range(data.draw(st.integers(0, 3))):
+            kind = data.draw(st.sampled_from(("discard", "select", "scale")))
+            s = data.draw(st.integers(1, inst.T))
+            if kind == "discard":  # a discarded period, maybe still above 0
+                state.selected.discard(s)
+                state.discarded.add(s)
+                if data.draw(st.booleans()):
+                    state.y[s - 1] = F(0)
+            elif kind == "select":  # a selected period, maybe still below 1
+                state.discarded.discard(s)
+                state.selected.add(s)
+                if data.draw(st.booleans()):
+                    state.y[s - 1] = F(1)
+            else:  # push y down (possibly below a row) or up (possibly past 1)
+                state.y[s - 1] *= F(data.draw(st.integers(0, 6)), 4)
+        assert state_check_accepts(state) == is_feasible(build_iter_lp(state), state.y)
+
+    def test_agrees_on_every_state_the_loop_reaches(self, monkeypatch):
+        checked = []
+
+        def compare(state, where):
+            checked.append(where)
+            assert is_feasible(build_iter_lp(state), state.y)
+            _assert_state_feasible(state, where)
+
+        monkeypatch.setattr(laminar_kc, "_assert_state_feasible", compare)
+        for seed in range(25):
+            solve(*random_laminar_case(seed))
+        assert "loop head" in checked and "after select" in checked
+
+    def test_each_mutation_is_rejected(self):
+        caught = {"row": 0, "discarded": 0, "selected": 0}
+        for seed in range(40):
+            inst, y, locked, residual = random_laminar_case(seed)
+
+            def fresh():
+                return init_state(inst, y, locked, residual)
+
+            state = fresh()
+            assert state_check_accepts(state)
+            undecided = [s for s in range(1, inst.T + 1) if s not in state.selected]
+            for a, b in state.active():  # y pushed below the interval's row
+                state = fresh()
+                for s in range(a + 1, b + 1):
+                    if s not in state.selected:
+                        state.y[s - 1] = F(0)
+                assert not is_feasible(build_iter_lp(state), state.y)
+                assert not state_check_accepts(state)
+                caught["row"] += 1
+            for s in undecided:
+                state = fresh()
+                if state.y[s - 1] > 0:  # discarded but still above 0
+                    state.discarded.add(s)
+                    assert not state_check_accepts(state)
+                    caught["discarded"] += 1
+                state = fresh()
+                state.selected.add(s)  # selected but still below 1
+                assert not state_check_accepts(state)
+                caught["selected"] += 1
+        assert min(caught.values()) >= 20, caught
 
 
 class TestSolve:

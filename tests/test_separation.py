@@ -4,14 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import naive_requirements, requirements_csv, schedule_to_fractional
-from lotforge import separation
+from helpers import (capped_mass_and_count, naive_requirements, requirements_csv,
+                     schedule_to_fractional)
 from lotforge.cmils_master import MasterState, solve_master
 from lotforge.cuts import CoveringCut, cut_demand, cut_lhs
 from lotforge.errors import InvariantError
 from lotforge.instance import (CmilsInstance, FractionalSolution, gen_kc_gap,
                                gen_random)
-from lotforge.intervals import all_intervals, capped_mass_and_count
+from lotforge.intervals import ScaledCover, all_intervals
 from lotforge.oracles import brute_force_cmils
 from lotforge.separation import (IntervalRequirements, compute_requirements,
                                  residual_requirements, scale_y, shortfalls,
@@ -121,10 +121,16 @@ class TestTryRound:
         sol = FractionalSolution(x={(12, 1): F(1)}, y=(F(1, 11),) * 12)
         cut = try_round(sol, inst)
         assert isinstance(cut, CoveringCut) and cut.S2 == frozenset(range(3, 13))
-        monkeypatch.setattr(separation, "capped_mass_and_count",
-                            lambda *args: (F(0), F(0)))
+        calls = []
+
+        def refuse(view, a, b, need, skip, mass=None, count=None):
+            calls.append((a, b, need, mass, count))
+            return False
+
+        monkeypatch.setattr(ScaledCover, "holds", refuse)
         with pytest.raises(InvariantError, match="transfer property failed on interval \\(0, 12\\]"):
             try_round(sol, inst)
+        assert calls == [(0, 12, F(4), 1, F(3, 5))]
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.lists(st.tuples(st.integers(1, 20), st.integers(0, 40),
