@@ -9,6 +9,7 @@ and as 12-significant-digit decimals.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -215,7 +216,12 @@ def cmd_bench(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process on first use.
+
+    Subcommand "x" runs `cmd_x`, which `main` looks up when it is called.
+    """
     parser = argparse.ArgumentParser(
         prog="lotforge",
         description="Capacitated multi-item lot-sizing solver suite")
@@ -232,19 +238,16 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--demand-range", default="1:8")
     gen.add_argument("--slack", default="3/2")
     gen.add_argument("--out", required=True)
-    gen.set_defaults(func=cmd_generate)
 
     solve = sub.add_parser("solve", help="run the full pipeline on an instance")
     solve.add_argument("--in", dest="infile", required=True)
     solve.add_argument("--out", required=True, help="schedule JSON output path")
     solve.add_argument("--max-rounds", type=int, default=200)
     solve.add_argument("--trace", action="store_true")
-    solve.set_defaults(func=cmd_solve)
 
     verify = sub.add_parser("verify", help="re-check a schedule against an instance")
     verify.add_argument("--instance", required=True)
     verify.add_argument("--schedule", required=True)
-    verify.set_defaults(func=cmd_verify)
 
     bench = sub.add_parser("bench", help="CSV of pipeline runs over a seed range")
     bench.add_argument("--seeds", required=True, help="inclusive range a..b")
@@ -253,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--max-rounds", type=int, default=200)
     bench.add_argument("--oracle", action="store_true")
     bench.add_argument("--out")
-    bench.set_defaults(func=cmd_bench)
     return parser
 
 
@@ -267,7 +269,7 @@ def main(argv=None) -> int:
         print("error: --max-rounds must be a non-negative integer", file=sys.stderr)
         return 1
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except InvariantError as exc:
         print(f"invariant failed: {exc}", file=sys.stderr)
         return 2

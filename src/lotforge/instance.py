@@ -25,6 +25,20 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+# Longest repr of an offending value that an error message shows.
+SHOWN = 40
+
+
+def _show(value) -> str:
+    """An offending JSON value for a one-line error message: a list or an
+    object by its type and length, anything else by its repr cut to SHOWN
+    characters."""
+    if isinstance(value, (list, dict)):
+        return f"{type(value).__name__} of length {len(value)}"
+    text = repr(value)
+    return text if len(text) <= SHOWN else f"{text[:SHOWN]}... ({len(text)} characters)"
+
+
 def parse_rat(text) -> Fraction:
     """Parse "p/q" (or a bare integer / int value) into an exact Fraction."""
     if isinstance(text, Fraction):
@@ -32,11 +46,13 @@ def parse_rat(text) -> Fraction:
     if _is_int(text):
         return Fraction(text)
     if not isinstance(text, str):
-        raise InstanceFormatError(f"expected rational string, got {text!r}")
+        raise InstanceFormatError(f"expected rational string, got {_show(text)}")
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InstanceFormatError(f"bad rational {text!r}: {exc}") from None
+    except ValueError:
+        raise InstanceFormatError(f"bad rational {_show(text)}") from None
+    except ZeroDivisionError:
+        raise InstanceFormatError(f"bad rational {_show(text)}: zero denominator") from None
 
 
 def format_rat(value: Fraction) -> str:
@@ -313,7 +329,7 @@ def to_json_dict(inst: CmilsInstance) -> dict:
 
 def _field(obj, key: str, where: str):
     if not isinstance(obj, dict):
-        raise InstanceFormatError(f"{where} must be a JSON object, got {obj!r}")
+        raise InstanceFormatError(f"{where} must be a JSON object, got {_show(obj)}")
     if key not in obj:
         raise InstanceFormatError(f"missing field {key!r} in {where}")
     return obj[key]
@@ -322,14 +338,14 @@ def _field(obj, key: str, where: str):
 def _int_field(obj, key: str, where: str) -> int:
     value = _field(obj, key, where)
     if not _is_int(value):
-        raise InstanceFormatError(f"{where}.{key} must be an integer, got {value!r}")
+        raise InstanceFormatError(f"{where}.{key} must be an integer, got {_show(value)}")
     return value
 
 
 def _list_field(obj, key: str, where: str) -> list:
     value = _field(obj, key, where)
     if not isinstance(value, list):
-        raise InstanceFormatError(f"{where}.{key} must be a list, got {value!r}")
+        raise InstanceFormatError(f"{where}.{key} must be a list, got {_show(value)}")
     return value
 
 
@@ -391,7 +407,7 @@ def schedule_from_json_dict(doc: dict) -> OrderSchedule:
     orders = _list_field(doc, "orders", "schedule")
     for s in orders:
         if not _is_int(s):
-            raise InstanceFormatError(f"schedule.orders must hold integers, got {s!r}")
+            raise InstanceFormatError(f"schedule.orders must hold integers, got {_show(s)}")
     assignment = {}
     for entry in _list_field(doc, "assignment", "schedule"):
         where = "assignment entry"

@@ -7,7 +7,10 @@ DEGENERATE_RUN zero-length steps, Bland's least-index rule takes over until
 a step moves, so the solver cannot cycle.  Variables fixed by their bounds
 are substituted out; the remaining bounds are handled natively by the
 classic bounded-variable simplex: each column is measured by its offset from
-one of its bounds, at first the lower one.  When the offset reaches the
+one of its bounds.  A column starts at its upper bound when raising it only
+loosens the rows it is in (no EQ row, positive in every GE row, negative in
+every LE row), and at its lower bound otherwise: a crash start after Bixby
+that leaves phase 1 fewer violated rows.  When the offset reaches the
 column's width -- a bound flip, or a basic column leaving at its far
 bound -- the column is complemented, that is measured from its other bound
 instead, so every nonbasic offset is 0.
@@ -175,10 +178,25 @@ class _Tableau:
         self.width += [None] * n_slack
         self.comp: list[bool] = [False] * self.ncols
 
-        # Rows: every column starts at its lower bound (slacks at 0), and each
-        # row is signed so that its initial basic column -- its slack when
-        # the slack's value comes out >= 0, otherwise a new artificial -- has
-        # coefficient +den.
+        # Crash start (after Bixby): a structural column starts at its upper
+        # bound, complemented, when raising it only loosens its rows -- it is
+        # in no EQ row, positive in every GE row and negative in every LE row
+        # -- and every other column at its lower bound.  A start at the bound
+        # that loosens every row leaves fewer violated rows for phase 1; the
+        # optimum returned is unique (see `lex_min`), so only the pivot path
+        # changes, never the vertex.
+        tightens: set[int] = set()
+        for row in lp.rows:
+            rel = row.relation
+            tightens.update(j for j, v in row.coeffs.items()
+                            if rel == EQ or (v < 0 if rel == GE else v > 0))
+        for j, col in self.col_of_var.items():
+            self.comp[col] = j not in tightens
+
+        # Rows: every column starts at the bound chosen above (slacks at 0),
+        # and each row is signed so that its initial basic column -- its
+        # slack when the slack's value comes out >= 0, otherwise a new
+        # artificial -- has coefficient +den.
         self.tab: list[list[int]] = []
         self.den: list[int] = []
         self.basis: list[int] = []

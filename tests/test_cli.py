@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lotforge import cmils_master
+from lotforge import cli, cmils_master
 from lotforge.cli import decimal_str, main
 from lotforge.instance import (gen_kc_gap, gen_random, load, save,
                                schedule_to_json_dict, to_json_dict)
@@ -136,6 +136,42 @@ class TestSolveVerify:
         assert (code, out) == (1, "")
         assert err == f"error: {paths[which]}: JSON nested too deeply\n"
 
+    @pytest.mark.parametrize("field, value", [
+        ("C", "7" * 4999 + "x"),
+        ("C", ["7" * 4999 + "x"]),
+        ("C", json.loads("[" * 900 + "]" * 900)),
+        ("T", [1] * 5000),
+    ], ids=["long-string", "long-string-entry", "nested-900", "long-list"])
+    def test_oversized_bad_value_is_one_short_line(self, tmp_path, capsys, field, value):
+        doc = to_json_dict(gen_random(1, T=3, N=2))
+        doc[field] = value
+        path = tmp_path / "i.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "solve", "--in", str(path),
+                                 "--out", str(tmp_path / "s.json"))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and len(err) <= 120
+
+    @pytest.mark.parametrize("field, value", [
+        ("orders", ["x" * 5000]),
+        ("assignment", "x" * 5000),
+        ("costs", {"ordering": json.loads("[" * 900 + "]" * 900),
+                   "holding": "0/1", "total": "0/1"}),
+        ("orders", {str(s): s for s in range(5000)}),
+    ], ids=["long-string-entry", "long-string", "nested-900", "long-object"])
+    def test_oversized_bad_schedule_value_is_one_short_line(self, tmp_path, capsys,
+                                                            field, value):
+        inst_path, sched_path = tmp_path / "i.json", tmp_path / "s.json"
+        inst = gen_kc_gap(Fraction(1000))
+        save(inst, inst_path)
+        doc = schedule_to_json_dict(cmils_master.run_pipeline(inst).schedule)
+        doc[field] = value
+        sched_path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "verify", "--instance", str(inst_path),
+                                 "--schedule", str(sched_path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and len(err) <= 120
+
     def test_tampered_quantity_detected(self, tmp_path, capsys):
         inst_path = tmp_path / "i.json"
         sched_path = tmp_path / "s.json"
@@ -236,6 +272,17 @@ class TestMisc:
 
     def test_usage_error_returns_one(self, capsys):
         assert main(["no-such-command"]) == 1
+
+    def test_parser_is_built_once_and_handlers_are_looked_up_per_call(
+            self, tmp_path, capsys, monkeypatch):
+        assert cli.build_parser() is cli.build_parser()
+        inst_path = tmp_path / "gap.json"
+        save(gen_kc_gap(Fraction(1000)), inst_path)
+        argv = ("solve", "--in", str(inst_path), "--out", str(tmp_path / "s.json"))
+        assert run_cli(capsys, *argv)[0] == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_solve", lambda args: seen.append(args.infile) or 7)
+        assert run_cli(capsys, *argv)[0] == 7 and seen == [str(inst_path)]
 
     @pytest.mark.parametrize("command, rounds", [("solve", "-1"), ("solve", "-3"),
                                                  ("bench", "-1")])

@@ -280,12 +280,15 @@ def test_tableau_rows_keep_their_invariant():
 
 
 def test_fractional_widths_flip_and_leave_at_upper_bound():
-    # Phase 1 flips x0 to 5/3 (width 2/3), then x1 enters.  Phase 2 lowers
-    # x0 again, which raises the basic x1 to its upper bound 3/2 (width 3/2),
-    # so x1 leaves there: both complements scale rows by a width denominator.
+    # The LE row never binds, but its positive coefficients tighten it, so
+    # both columns start at their lower bounds.  Phase 1 flips x0 to 5/3
+    # (width 2/3), then x1 enters.  Phase 2 lowers x0 again, which raises the
+    # basic x1 to its upper bound 3/2 (width 3/2), so x1 leaves there: both
+    # complements scale rows by a width denominator.
     lp = LinearProgram(num_vars=2, objective=[F(1), F(-1)],
                        bounds=[(F(1), F(5, 3)), (F(0), F(3, 2))])
     lp.add_row({0: F(2), 1: F(1)}, GE, 4)
+    lp.add_row({0: F(1), 1: F(1)}, LE, 4)
     sol, tab = solve_and_check_rows(lp)
     assert sol.status == OPTIMAL
     assert sol.values == [F(5, 4), F(3, 2)]
@@ -303,6 +306,51 @@ def test_bound_flip_wins_a_ratio_tie():
     assert sol.values == [F(1), F(0)]
     assert tab.events == [("flip", 1)]
     assert tab.col_of_var[0] not in tab.basis
+
+
+def start_bounds(lp):
+    """For each variable that is not fixed: True iff it starts at its upper bound."""
+    tab = lp_core._Tableau(lp)
+    return {j: tab.comp[col] for j, col in tab.col_of_var.items()}
+
+
+def test_crash_start_puts_only_loosening_columns_at_their_upper_bound():
+    lp = box_lp(6, [0] * 6)
+    lp.add_row({0: F(1), 1: F(2), 2: F(-1)}, GE, 1)
+    lp.add_row({0: F(-3), 3: F(1), 4: F(-1)}, LE, 1)
+    lp.add_row({4: F(-1), 5: F(-1)}, EQ, -1)
+    # x0 and x1 only loosen their rows; x2 tightens the GE row and x3 the
+    # LE row; x4 loosens the LE row but is in an EQ row, and so is x5.
+    assert start_bounds(lp) == {0: True, 1: True, 2: False, 3: False, 4: False, 5: False}
+    assert start_bounds(box_lp(2, [1, -1])) == {0: True, 1: True}
+    fixed = box_lp(2, [0, 0], bounds=[(F(1), F(1)), (F(0), F(1))])
+    fixed.add_row({0: F(-1), 1: F(1)}, GE, 0)
+    assert start_bounds(fixed) == {1: True}
+
+
+def base_masters():
+    for seed in range(1, 11):
+        inst = instance.gen_random(seed, T=10, N=6)
+        yield inst, cmils_master.build_base_lp(inst)
+
+
+def test_crash_start_on_base_masters():
+    # Each y_s is positive in GE rows only, so it starts at 1; each x is in
+    # its item's coverage EQ row, so it starts at 0.  Only the N coverage
+    # rows then need an artificial: every GE row's slack is >= 0 at the start.
+    for inst, lp in base_masters():
+        layout = cmils_master.MasterLayout(inst)
+        tab = lp_core._Tableau(lp)
+        assert len(tab.art_cols) == inst.N
+        assert all(tab.comp[tab.col_of_var[col]] for col in layout.y_col.values())
+        assert not any(tab.comp[tab.col_of_var[col]] for col in layout.x_col.values())
+
+
+def test_crash_start_pivot_ceiling_on_base_masters():
+    # The pivot path is deterministic: these ten masters take 392 pivots in
+    # all from the crash start (40, 39, 35, 39, 44, 39, 30, 47, 32, 47) and
+    # took 701 when every column started at its lower bound.
+    assert sum(solve_to_vertex(lp).pivots for _, lp in base_masters()) <= 420
 
 
 # -- golden vertices ---------------------------------------------------------
@@ -523,12 +571,13 @@ def test_warm_resolve_of_a_cut_row():
 
 
 def test_warm_resolve_moves_to_the_least_optimal_point():
-    # Every point is optimal for a zero objective.  The dual simplex meets
-    # the cut x0 + 2 x1 >= 1 by raising x0, the lowest-index tie, to 1; the
-    # lexicographic stage then moves to the least point (0, 1/2), which is
-    # what a cold solve returns.
+    # Every point is optimal for a zero objective.  Both columns tighten the
+    # LE row, so the cold solve starts and stays at (0, 0).  The dual simplex
+    # meets the cut x0 + 2 x1 >= 1 by raising x0, the lowest-index tie, to 1;
+    # the lexicographic stage then moves to the least point (0, 1/2), which
+    # is what a cold solve returns.
     lp = box_lp(2, [0, 0], bounds=[(F(0), F(2))] * 2)
-    lp.add_row({0: F(-1), 1: F(2)}, LE, 2)
+    lp.add_row({0: F(1), 1: F(2)}, LE, 2)
     with recording_tableaus():
         sol = solve_to_vertex(lp)
     assert sol.values == [F(0), F(0)]
