@@ -25,9 +25,9 @@ from .errors import (InstanceFormatError, InvariantError, LotforgeError,
 DIGITS = 12
 
 
-def decimal_str(value: Fraction, digits: int = DIGITS) -> str:
+def decimal_str(value: Fraction) -> str:
     with localcontext() as ctx:
-        ctx.prec = digits
+        ctx.prec = DIGITS
         return str(Decimal(value.numerator) / Decimal(value.denominator))
 
 
@@ -184,8 +184,10 @@ def cmd_bench(args) -> int:
     lo_txt, _, hi_txt = args.seeds.partition("..")
     try:
         lo, hi = int(lo_txt), int(hi_txt)
+        if lo > hi:
+            raise ValueError("empty range")
     except ValueError:
-        print(f"bad --seeds {args.seeds!r}; want a..b", file=sys.stderr)
+        print(f"bad --seeds {args.seeds!r}; want a..b with a <= b", file=sys.stderr)
         return 1
     if args.oracle and args.T > oracles.CMILS_CAP:
         print(f"--oracle refused: T={args.T} above cap {oracles.CMILS_CAP}",

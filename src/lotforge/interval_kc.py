@@ -2,9 +2,9 @@
 
 An interval instance asks for capacity R[(a, b)] inside every interval
 (a, b] over [T].  Given a fractional opening vector y whose all-ones
-periods are locked, each interval gets a score: the largest requirement W
-that the interval's free fractional mass could still cover, i.e. the
-largest W >= 0 with
+periods are locked (intervals.locked_periods), each interval gets a score:
+the largest requirement W that the interval's free fractional mass could
+still cover, i.e. the largest W >= 0 with
 
     sum_{s in (a,b] free} min(C_s, W) y_s >= 2 W      (capped mass), or
     sum_{s in (a,b] free, C_s >= W} y_s   >= 1        (count of large periods).
@@ -12,7 +12,8 @@ largest W >= 0 with
 A binary laminar family over (0, T] is built by recursively splitting at
 the point that maximizes the weaker side's score; scoring the members and
 handing them to the laminar solver yields a selection that covers every
-interval requirement, not just the members'.
+interval requirement, not just the members'.  The given locked set and
+residuals are checked against intervals.locked_periods and residuals.
 
 The scores and the covering checks run on one integer view of (C, y),
 intervals.ScaledCover, and the locked or selected capacity inside an
@@ -28,7 +29,8 @@ from typing import Callable, Optional
 
 from . import laminar_kc
 from .errors import InvariantError
-from .intervals import ScaledCover, all_intervals, prefix_caps
+from .intervals import (ScaledCover, all_intervals, locked_periods,
+                        prefix_caps, residuals)
 from .laminar_kc import Interval, LaminarFamily
 
 Trace = Optional[Callable[[str], None]]
@@ -41,8 +43,12 @@ class IntervalKcInstance:
     K: tuple[Fraction, ...]
     R: dict[Interval, Fraction]
 
-    def req(self, a: int, b: int) -> Fraction:
-        return self.R.get((a, b), Fraction(0))
+    def check(self) -> None:
+        if len(self.C) != self.T or len(self.K) != self.T:
+            raise ValueError("C and K must have one entry per period")
+        for a, b in self.R:
+            if not (0 <= a < b <= self.T):
+                raise ValueError(f"requirement on ({a}, {b}] outside [0, {self.T}]")
 
 
 def max_coverable(a: int, b: int, view: ScaledCover, locked) -> Fraction:
@@ -130,27 +136,31 @@ def solve_interval_kc(ikc: IntervalKcInstance, y_scaled, locked,
                       residual: dict, trace: Trace = None) -> frozenset[int]:
     """Select periods covering every interval requirement.
 
-    Preconditions (checked): locked is exactly the all-ones set of y_scaled;
-    residual is consistent with R; every interval with positive residual
-    satisfies the tenfold-mass-or-count-of-six disjunction.  The returned
-    selection costs at most K . y_scaled and is verified to cover all
-    T(T+1)/2 interval requirements.
+    Preconditions (checked): C, K and y_scaled have T entries and R is
+    keyed by intervals over [T] (else ValueError); locked is
+    locked_periods(y_scaled); residual agrees with intervals.residuals;
+    every interval with positive residual satisfies the
+    tenfold-mass-or-count-of-six disjunction.  The returned selection costs
+    at most K . y_scaled and is verified to cover every requirement.
     """
+    ikc.check()
+    if len(y_scaled) != ikc.T:
+        raise ValueError("y_scaled must have one entry per period")
     locked = frozenset(locked)
-    if locked != {s for s in range(1, ikc.T + 1) if y_scaled[s - 1] == 1}:
+    if locked != locked_periods(y_scaled):
         raise InvariantError("locked set must be exactly the all-ones periods")
     view = ScaledCover(ikc.C, y_scaled)
-    held = prefix_caps(ikc.C, locked)
+    want = residuals(ikc.R, ikc.C, locked)
     for a, b in all_intervals(ikc.T):
-        want = max(ikc.req(a, b) - (held[b] - held[a]), Fraction(0))
-        if residual.get((a, b), Fraction(0)) != want:
+        need = want.get((a, b), Fraction(0))
+        if residual.get((a, b), Fraction(0)) != need:
             raise InvariantError(f"residual for ({a}, {b}] inconsistent")
-        if want > 0 and not view.holds(a, b, want, locked, mass=10, count=6):
+        if need > 0 and not view.holds(a, b, need, locked, mass=10, count=6):
             raise InvariantError(f"scaled coverage disjunction fails on ({a}, {b}]")
 
     family = construct_laminar_family(y_scaled, locked, ikc.C, ikc.T)
+    held = prefix_caps(ikc.C, locked)
     member_req: dict[Interval, Fraction] = {}
-    member_residual: dict[Interval, Fraction] = {}
     for iv in family.members:
         coverable = family.coverable[iv]
         if coverable > 0 and not view.holds(iv[0], iv[1], coverable, locked,
@@ -159,14 +169,13 @@ def solve_interval_kc(ikc: IntervalKcInstance, y_scaled, locked,
         full = coverable + held[iv[1]] - held[iv[0]]
         if full > 0:
             member_req[iv] = full
-            member_residual[iv] = coverable
     lkc = laminar_kc.LaminarKcInstance(T=ikc.T, C=ikc.C, K=ikc.K,
                                        family=family, R=member_req)
-    selected = laminar_kc.solve(lkc, y_scaled, locked, member_residual, trace=trace)
+    selected = laminar_kc.solve(lkc, y_scaled, trace=trace)
 
     got = prefix_caps(ikc.C, selected)
-    for a, b in all_intervals(ikc.T):
-        if got[b] - got[a] < ikc.req(a, b):
+    for (a, b), need in ikc.R.items():
+        if got[b] - got[a] < need:
             raise InvariantError(f"interval ({a}, {b}] requirement uncovered")
     cost = sum((ikc.K[s - 1] for s in selected), Fraction(0))
     budget = sum((y_scaled[s - 1] * ikc.K[s - 1] for s in range(1, ikc.T + 1)),
@@ -174,4 +183,3 @@ def solve_interval_kc(ikc: IntervalKcInstance, y_scaled, locked,
     if cost > budget:
         raise InvariantError("selection exceeds the scaled fractional budget")
     return selected
-

@@ -3,6 +3,9 @@
 An interval (a, b] with 0 <= a < b <= T stands for the periods a+1 .. b.
 Intervals are passed around as plain (a, b) tuples.
 
+The rounding hand-off is derived here once: scale_y (y tenfold, capped
+at 1), locked_periods (y exactly 1) and residuals (max(R - C(locked), 0)).
+
 Two helpers serve every covering test of the interval and laminar layers:
 
 prefix_caps   prefix sums of the capacity of a chosen set of periods, so
@@ -42,6 +45,23 @@ def prefix_caps(C, chosen) -> list[Fraction]:
     for s, cap in enumerate(C, start=1):
         P.append(P[-1] + cap if s in chosen else P[-1])
     return P
+
+
+def scale_y(y) -> tuple[Fraction, ...]:
+    """Scale tenfold and cap at 1."""
+    return tuple(min(10 * v, Fraction(1)) for v in y)
+
+
+def locked_periods(y) -> frozenset[int]:
+    """The periods whose opening is exactly 1: they are locked open."""
+    return frozenset(s for s, v in enumerate(y, start=1) if v == 1)
+
+
+def residuals(R: dict, C, locked) -> dict:
+    """Each requirement less the locked capacity inside it, floored at 0."""
+    held = prefix_caps(C, locked)
+    return {(a, b): max(need - (held[b] - held[a]), Fraction(0))
+            for (a, b), need in R.items()}
 
 
 class ScaledCover:

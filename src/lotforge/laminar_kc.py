@@ -2,11 +2,12 @@
 
 Input: knapsacks 1..T with capacities C and costs K, a laminar family of
 intervals each demanding some capacity inside it, and a fractional opening
-vector y whose all-ones periods are already locked into the solution.  The
-solver repeatedly re-optimizes a shrinking LP to a vertex, permanently
-discards periods that hit 0 and selects periods that hit 1, and returns a
-selected set covering every requirement at cost at most the fractional cost
-of the input y.
+vector y.  The solver locks the periods at y = 1 into the selection
+(intervals.locked_periods), takes each member's residual requirement from
+intervals.residuals, repeatedly re-optimizes a shrinking LP to a vertex,
+permanently discards periods that hit 0 and selects periods that hit 1, and
+returns a selected set covering every requirement at cost at most the
+fractional cost of the input y.
 
 Active intervals live in one of two pools, mirroring the two row shapes of
 the LP: "mass" rows ask the capped fractional capacity inside the interval
@@ -25,7 +26,7 @@ from typing import Callable, Iterable, Optional
 
 from . import lp_core
 from .errors import InvariantError
-from .intervals import ScaledCover, prefix_caps
+from .intervals import ScaledCover, locked_periods, prefix_caps, residuals
 
 Interval = tuple[int, int]
 Trace = Optional[Callable[[str], None]]
@@ -101,26 +102,18 @@ class RoundingState:
         return sorted(self.mass_active | self.count_active)
 
 
-def init_state(inst: LaminarKcInstance, y, locked, residual: dict) -> RoundingState:
+def init_state(inst: LaminarKcInstance, y) -> RoundingState:
     """Set up the rounding state; rejects inputs that break the contract."""
     inst.check()
     y = [Fraction(v) for v in y]
     if len(y) != inst.T:
         raise ValueError("y must have one entry per period")
-    locked = frozenset(locked)
-    if locked != {s for s in range(1, inst.T + 1) if y[s - 1] == 1}:
-        raise InvariantError("locked set must be exactly the all-ones periods of y")
-    held = prefix_caps(inst.C, locked)
-    for iv, need in inst.R.items():
-        want = max(need - (held[iv[1]] - held[iv[0]]), Fraction(0))
-        if residual.get(iv, Fraction(0)) != want:
-            raise InvariantError(f"residual for {iv} inconsistent with R and locked")
+    locked = locked_periods(y)
     view = ScaledCover(inst.C, y)
     remaining: dict[Interval, Fraction] = {}
     mass_active: set[Interval] = set()
     count_active: set[Interval] = set()
-    for iv in sorted(inst.R):
-        need = residual.get(iv, Fraction(0))
+    for iv, need in sorted(residuals(inst.R, inst.C, locked).items()):
         if need <= 0:
             continue
         count_ok = view.holds(iv[0], iv[1], need, locked, count=1)
@@ -160,10 +153,9 @@ def dedup(state: RoundingState, trace: Trace = None) -> None:
                     trace(f"event=drop iv={iv} kept={keep}")
 
 
-def build_iter_lp(state: RoundingState, inst: LaminarKcInstance | None = None
-                  ) -> lp_core.LinearProgram:
+def build_iter_lp(state: RoundingState) -> lp_core.LinearProgram:
     """The shrinking LP: min K.y subject to the active interval rows."""
-    inst = inst or state.instance
+    inst = state.instance
     lp = lp_core.LinearProgram(
         num_vars=inst.T,
         objective=[Fraction(k) for k in inst.K],
@@ -215,8 +207,7 @@ def _assert_state_feasible(state: RoundingState, where: str) -> None:
         raise InvariantError(f"current y infeasible for the rounding LP ({where})")
 
 
-def solve(inst: LaminarKcInstance, y, locked, residual: dict,
-          trace: Trace = None) -> frozenset[int]:
+def solve(inst: LaminarKcInstance, y, trace: Trace = None) -> frozenset[int]:
     """Round y to a selected set covering every member requirement.
 
     Guarantees, all checked before returning: the selection contains every
@@ -224,7 +215,8 @@ def solve(inst: LaminarKcInstance, y, locked, residual: dict,
     the input y.  The outer loop fixes at least one new period per round and
     therefore runs at most T times.
     """
-    state = init_state(inst, y, locked, residual)
+    state = init_state(inst, y)
+    locked = frozenset(state.selected)
     input_budget = sum((state.y[s - 1] * inst.K[s - 1] for s in range(1, inst.T + 1)),
                       Fraction(0))
     prev_cost = input_budget
@@ -293,7 +285,7 @@ def solve(inst: LaminarKcInstance, y, locked, residual: dict,
             raise InvariantError("vertex solution fixed no new period")
 
     selected = frozenset(state.selected)
-    if not selected >= frozenset(locked):
+    if not selected >= locked:
         raise InvariantError("selection lost a locked period")
     got = prefix_caps(inst.C, selected)
     for iv, need in inst.R.items():

@@ -16,7 +16,8 @@ from . import interval_kc as ikc_mod
 from . import lp_core
 from .errors import InvariantError, RoundLimitError, SizeCapError
 from .instance import CmilsInstance, make_schedule, prefix_feasible
-from .intervals import all_intervals, cap_within
+from .intervals import (ScaledCover, cap_within, locked_periods, residuals,
+                        scale_y)
 from .laminar_kc import LaminarKcInstance
 
 CMILS_CAP = 14
@@ -213,8 +214,7 @@ def approx_interval_kc_details(ikc: ikc_mod.IntervalKcInstance,
         objective=[Fraction(k) for k in ikc.K],
         bounds=[(Fraction(0), Fraction(1))] * T,
     )
-    for a, b in all_intervals(T):
-        need = ikc.req(a, b)
+    for (a, b), need in sorted(ikc.R.items()):
         if need > 0:
             lp.add_row({s - 1: ikc.C[s - 1] for s in range(a + 1, b + 1)},
                        lp_core.GE, need)
@@ -225,20 +225,13 @@ def approx_interval_kc_details(ikc: ikc_mod.IntervalKcInstance,
         if sol.status != lp_core.OPTIMAL:
             raise ValueError(f"covering LP is {sol.status}; instance infeasible?")
         y = sol.values
-        y_scaled = tuple(min(10 * v, Fraction(1)) for v in y)
-        locked = frozenset(s for s in range(1, T + 1) if y_scaled[s - 1] == 1)
-        residual = {
-            (a, b): max(ikc.req(a, b) - cap_within(ikc.C, a, b, locked), Fraction(0))
-            for a, b in all_intervals(T)
-        }
+        y_scaled = scale_y(y)
+        locked = locked_periods(y_scaled)
+        residual = residuals(ikc.R, ikc.C, locked)
+        view = ScaledCover(ikc.C, y)
         violated = None
-        for a, b in all_intervals(T):
-            need = residual[(a, b)]
-            if need <= 0:
-                continue
-            lhs = sum((min(ikc.C[s - 1], need) * y[s - 1]
-                       for s in range(a + 1, b + 1) if s not in locked), Fraction(0))
-            if lhs < need:
+        for (a, b), need in sorted(residual.items()):
+            if need > 0 and not view.holds(a, b, need, locked, mass=1):
                 violated = (a, b, frozenset(locked & set(range(a + 1, b + 1))))
                 break
         if violated is None:
@@ -255,12 +248,7 @@ def approx_interval_kc_details(ikc: ikc_mod.IntervalKcInstance,
             raise InvariantError("separation returned an already-pooled cut")
         seen_cuts.add(violated)
         a, b, inside = violated
-        need = ikc.req(a, b) - sum((ikc.C[s - 1] for s in inside), Fraction(0))
+        need = residual[(a, b)]
         lp.add_row({s - 1: min(ikc.C[s - 1], need)
                     for s in range(a + 1, b + 1) if s not in inside},
                    lp_core.GE, need)
-
-
-def approx_interval_kc(ikc: ikc_mod.IntervalKcInstance,
-                       max_rounds: int = 200) -> frozenset[int]:
-    return approx_interval_kc_details(ikc, max_rounds).selected

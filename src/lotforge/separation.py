@@ -4,11 +4,12 @@ Given a master solution (x, y): each interval (a, b] carries a requirement
 
     req[(a, b)] = sum over items due in (a, b] of max(1 - (5/2) * x[<=a, i], 0) * d_i,
 
-the capacity that any acceptable order set must place inside (a, b].  The y
-vector is scaled up tenfold (capped at 1); periods already at 1 are locked.
-For every interval whose requirement is not yet met by locked capacity, one
-covering inequality is checked.  The first violated one is returned as a
-cut.  Where it holds, the unlocked periods must carry capped mass of the
+the capacity that any acceptable order set must place inside (a, b].  The
+hand-off to interval rounding (tenfold-scaled y, locked periods, residual
+requirements) is derived by intervals.scale_y, locked_periods and
+residuals.  For every interval with a positive residual, one covering
+inequality is checked.  The first violated one is returned as a cut.
+Where it holds, the unlocked periods must carry capped mass of the
 residual requirement or a count of 3/5 among the large periods (checked).
 Since unlocked periods are scaled exactly tenfold, that is the
 tenfold-mass-or-count-of-six precondition of the interval knapsack solver,
@@ -24,9 +25,8 @@ from typing import Union
 from .cuts import CoveringCut, cut_demand, cut_lhs
 from .errors import InvariantError
 from .instance import CmilsInstance, FractionalSolution
-from .intervals import ScaledCover, all_intervals, prefix_caps
-
-_SCALE = 10
+from .intervals import (ScaledCover, all_intervals, locked_periods, residuals,
+                        scale_y)
 
 
 @dataclass(frozen=True)
@@ -69,28 +69,14 @@ def compute_requirements(sol: FractionalSolution, inst: CmilsInstance,
     return req
 
 
-def scale_y(y) -> tuple[tuple[Fraction, ...], frozenset[int]]:
-    """Scale tenfold, cap at 1; the capped periods are locked open."""
-    scaled = tuple(min(_SCALE * v, Fraction(1)) for v in y)
-    locked = frozenset(s for s, v in enumerate(scaled, start=1) if v == 1)
-    return scaled, locked
-
-
-def residual_requirements(req: dict, locked, C) -> dict:
-    held = prefix_caps(C, locked)
-    return {
-        (a, b): max(value - (held[b] - held[a]), Fraction(0))
-        for (a, b), value in req.items()
-    }
-
-
 def try_round(sol: FractionalSolution, inst: CmilsInstance
               ) -> Union[CoveringCut, IntervalRequirements]:
     """Return the first violated covering cut, or the certified payload."""
     short = shortfalls(sol, inst)
     req = compute_requirements(sol, inst, short)
-    y_scaled, locked = scale_y(sol.y)
-    residual = residual_requirements(req, locked, inst.C)
+    y_scaled = scale_y(sol.y)
+    locked = locked_periods(y_scaled)
+    residual = residuals(req, inst.C, locked)
     view = ScaledCover(inst.C, sol.y)
 
     for a, b in all_intervals(inst.T):
@@ -99,9 +85,6 @@ def try_round(sol: FractionalSolution, inst: CmilsInstance
             continue
         s1 = frozenset(s for s in range(a + 1, b + 1) if s in locked)
         s2 = frozenset(s for s in range(a + 1, b + 1) if s not in locked)
-        cap1 = sum((inst.cap(s) for s in s1), Fraction(0))
-        if cap1 >= req[(a, b)]:
-            continue  # residual would be zero; unreachable when residual > 0
         item_set = frozenset(i for i in inst.items()
                              if a < inst.deadline(i) <= b and (a, i) in short)
         cut = CoveringCut(S1=s1, S2=s2, I=item_set)

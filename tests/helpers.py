@@ -217,7 +217,11 @@ def grid_scan_coverable(a, b, y, locked, C) -> Fraction:
 
 
 def random_laminar_case(seed: int):
-    """Laminar instance plus (y, locked, residual) meeting the entry contract."""
+    """Laminar instance plus an opening vector y meeting the entry contract.
+
+    Locked periods are those with y = 1; each member's requirement is a
+    fraction of its score plus the locked capacity inside it.
+    """
     rng = random.Random(seed)
     T = rng.randint(3, 10)
     C = tuple(Fraction(rng.randint(1, 10)) for _ in range(T))
@@ -239,20 +243,17 @@ def random_laminar_case(seed: int):
     locked = frozenset(s for s in range(1, T + 1) if y[s - 1] == 1)
     family = LaminarFamily.from_intervals(T, intervals)
     req: dict = {}
-    residual: dict = {}
     for iv in family.members:
         room = max_coverable(iv[0], iv[1], ScaledCover(C, y), locked)
         if room > 0 and rng.random() < 0.9:
             want = room * Fraction(rng.randint(1, 4), 4)
-            residual[iv] = want
             req[iv] = want + cap_within(C, iv[0], iv[1], locked)
         elif rng.random() < 0.3:
             anchored = cap_within(C, iv[0], iv[1], locked)
             if anchored > 0:
                 req[iv] = anchored  # already covered by the locked periods
-                residual[iv] = Fraction(0)
     inst = LaminarKcInstance(T=T, C=C, K=K, family=family, R=req)
-    return inst, y, locked, residual
+    return inst, y
 
 
 def random_interval_kc(seed: int, max_T: int = 10) -> IntervalKcInstance:

@@ -17,7 +17,7 @@ from lotforge.assignment import scaled_profile, solve_assignment
 from lotforge.cmils_master import MasterState, run_pipeline, solve_master
 from lotforge.instance import check_feasible, gen_kc_gap, gen_random, hcost
 from lotforge.interval_kc import construct_laminar_family, max_coverable
-from lotforge.intervals import ScaledCover, all_intervals, cap_within
+from lotforge.intervals import ScaledCover, all_intervals, cap_within, locked_periods
 from lotforge.laminar_kc import solve as laminar_solve
 from lotforge.lp_core import INFEASIBLE, OPTIMAL, LpSolution, solve_to_vertex, verify_vertex
 from lotforge.oracles import (approx_interval_kc_details, brute_force_cmils,
@@ -97,10 +97,10 @@ def test_criterion_3_laminar_contract():
     started = time.perf_counter()
     checked = 0
     for seed in range(100):
-        inst, y, locked, residual = random_laminar_case(seed)
+        inst, y = random_laminar_case(seed)
         events = []
-        selected = laminar_solve(inst, y, locked, residual, trace=events.append)
-        assert selected >= locked, seed
+        selected = laminar_solve(inst, y, trace=events.append)
+        assert selected >= locked_periods(y), seed
         for iv, need in inst.R.items():
             assert cap_within(inst.C, iv[0], iv[1], selected) >= need, (seed, iv)
         budget = sum((y[s - 1] * inst.K[s - 1] for s in range(1, inst.T + 1)), F(0))

@@ -247,10 +247,10 @@ class TestBench:
         assert code == 1 and "cap" in err
 
     def test_empty_seed_range(self, capsys):
-        code, out, _ = run_cli(capsys, "bench", "--seeds", "5..4", "--T", "4",
-                               "--N", "2")
-        assert code == 0
-        assert out.strip().splitlines() == [out.strip().splitlines()[0]]
+        code, out, err = run_cli(capsys, "bench", "--seeds", "5..4", "--T", "4",
+                                 "--N", "2")
+        assert code == 1 and out == ""
+        assert len(err.strip().splitlines()) == 1 and "--seeds" in err
 
     def test_bad_seed_syntax(self, capsys):
         code, _, err = run_cli(capsys, "bench", "--seeds", "abc", "--T", "4",

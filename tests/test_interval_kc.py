@@ -174,6 +174,23 @@ class TestSolveIntervalKc:
         fam = construct_laminar_family(y, locked, caps, T)
         assert family_dominates_requirements(fam, residual)
 
+    @pytest.mark.parametrize("key", [(0, 5), (2, 1), (-1, 2)])
+    def test_requirement_off_the_intervals_rejected(self, key):
+        ikc = IntervalKcInstance(T=3, C=(F(3),) * 3, K=(F(1),) * 3,
+                                 R={(0, 3): F(3), key: F(2)})
+        with pytest.raises(ValueError, match="outside"):
+            solve_interval_kc(ikc, (F(1), F(0), F(0)), frozenset({1}), {})
+
+    @pytest.mark.parametrize("C, K, y", [
+        ((F(3),) * 3, (F(1),) * 3, (F(1), F(0))),
+        ((F(3),) * 2, (F(1),) * 3, (F(1), F(0), F(0))),
+        ((F(3),) * 3, (F(1),) * 2, (F(1), F(0), F(0))),
+    ])
+    def test_short_vector_rejected(self, C, K, y):
+        ikc = IntervalKcInstance(T=3, C=C, K=K, R={(0, 3): F(3)})
+        with pytest.raises(ValueError, match="one entry per period"):
+            solve_interval_kc(ikc, y, frozenset({1}), {})
+
     def test_failed_disjunction_rejected(self):
         T = 2
         ikc = IntervalKcInstance(T=T, C=(F(3), F(3)), K=(F(1), F(1)),

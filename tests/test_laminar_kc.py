@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from helpers import random_laminar_case
 from lotforge import laminar_kc
 from lotforge.errors import InvariantError
-from lotforge.intervals import cap_within
+from lotforge.intervals import cap_within, locked_periods
 from lotforge.laminar_kc import (LaminarFamily, LaminarKcInstance, RoundingState,
                                  _assert_state_feasible, build_iter_lp, dedup,
                                  init_state, solve)
@@ -53,16 +53,16 @@ class TestInitState:
     def test_no_residual_means_no_active_pools(self):
         inst = small_instance(R={(0, 4): 3})
         y = (F(1), F(0), F(0), F(0))
-        state = init_state(inst, y, frozenset({1}), {(0, 4): F(0)})
+        state = init_state(inst, y)
         assert not state.mass_active and not state.count_active
-        assert solve(inst, y, frozenset({1}), {(0, 4): F(0)}) == frozenset({1})
+        assert solve(inst, y) == frozenset({1})
 
     def test_count_pool_membership(self):
         # two half-open periods with capacity >= the requirement: count row holds
         inst = small_instance(T=2, C=(4, 4), K=(1, 1), members={(0, 2)},
                               R={(0, 2): 4})
         y = (F(1, 2), F(1, 2))
-        state = init_state(inst, y, frozenset(), {(0, 2): F(4)})
+        state = init_state(inst, y)
         assert state.count_active == {(0, 2)}
         assert not state.mass_active
 
@@ -72,7 +72,7 @@ class TestInitState:
         inst = small_instance(T=6, C=(1,) * 6, K=(1,) * 6,
                               members={(0, 6)}, R={(0, 6): 2})
         y = (F(3, 4),) * 6
-        state = init_state(inst, y, frozenset(), {(0, 6): F(2)})
+        state = init_state(inst, y)
         assert state.mass_active == {(0, 6)}
         assert not state.count_active
 
@@ -81,13 +81,7 @@ class TestInitState:
                               R={(0, 2): 5})
         y = (F(1, 10), F(1, 10))
         with pytest.raises(InvariantError, match="cover conditions"):
-            init_state(inst, y, frozenset(), {(0, 2): F(5)})
-
-    def test_locked_mismatch_is_an_error(self):
-        inst = small_instance(R={(0, 4): 1})
-        y = (F(1), F(1), F(0), F(0))
-        with pytest.raises(InvariantError, match="locked"):
-            init_state(inst, y, frozenset({1}), {(0, 4): F(0)})
+            init_state(inst, y)
 
 
 class TestDedup:
@@ -124,8 +118,7 @@ class TestDedup:
 
     def test_no_duplicate_supports_survive(self):
         for seed in range(15):
-            inst, y, locked, residual = random_laminar_case(seed)
-            state = init_state(inst, y, locked, residual)
+            state = init_state(*random_laminar_case(seed))
             dedup(state)
             supports = [frozenset(s for s in range(iv[0] + 1, iv[1] + 1)
                                   if s not in state.discarded
@@ -138,7 +131,7 @@ class TestIterLp:
     def test_empty_pools_only_fixings(self):
         inst = small_instance(R={(0, 4): 3})
         y = (F(1), F(0), F(0), F(0))
-        state = init_state(inst, y, frozenset({1}), {(0, 4): F(0)})
+        state = init_state(inst, y)
         lp = build_iter_lp(state)
         assert not lp.rows
         assert lp.bounds[0] == (F(1), F(1))
@@ -147,7 +140,7 @@ class TestIterLp:
         inst = small_instance(T=6, C=(1,) * 6, K=(1,) * 6, members={(0, 6)},
                               R={(0, 6): 2})
         y = (F(3, 4),) * 6
-        state = init_state(inst, y, frozenset(), {(0, 6): F(2)})
+        state = init_state(inst, y)
         lp = build_iter_lp(state)
         assert len(lp.rows) == 1
         row = lp.rows[0]
@@ -156,8 +149,8 @@ class TestIterLp:
 
     def test_current_y_feasible_for_built_lp(self):
         for seed in range(10):
-            inst, y, locked, residual = random_laminar_case(seed)
-            state = init_state(inst, y, locked, residual)
+            inst, y = random_laminar_case(seed)
+            state = init_state(inst, y)
             assert is_feasible(build_iter_lp(state), list(y))
 
 
@@ -176,8 +169,8 @@ class TestStateCheck:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.integers(0, 10 ** 6), st.data())
     def test_agrees_with_the_built_lp(self, seed, data):
-        inst, y, locked, residual = random_laminar_case(seed)
-        state = init_state(inst, y, locked, residual)
+        inst, y = random_laminar_case(seed)
+        state = init_state(inst, y)
         for _ in range(data.draw(st.integers(0, 3))):
             kind = data.draw(st.sampled_from(("discard", "select", "scale")))
             s = data.draw(st.integers(1, inst.T))
@@ -211,10 +204,10 @@ class TestStateCheck:
     def test_each_mutation_is_rejected(self):
         caught = {"row": 0, "discarded": 0, "selected": 0}
         for seed in range(40):
-            inst, y, locked, residual = random_laminar_case(seed)
+            inst, y = random_laminar_case(seed)
 
             def fresh():
-                return init_state(inst, y, locked, residual)
+                return init_state(inst, y)
 
             state = fresh()
             assert state_check_accepts(state)
@@ -245,20 +238,20 @@ class TestSolve:
         inst = small_instance(T=2, C=(4, 4), K=(1, 5), members={(0, 2)},
                               R={(0, 2): 4})
         y = (F(1, 2), F(1, 2))
-        selected = solve(inst, y, frozenset(), {(0, 2): F(4)})
+        selected = solve(inst, y)
         assert selected == frozenset({1})
         oracle = brute_force_laminar_kc(inst)
         assert oracle.optimum_cost == 1 and oracle.witness == frozenset({1})
 
     def test_contract_on_random_instances(self):
         for seed in range(25):
-            inst, y, locked, residual = random_laminar_case(seed)
-            state = init_state(inst, y, locked, residual)
+            inst, y = random_laminar_case(seed)
+            state = init_state(inst, y)
             assert not (state.mass_active & state.count_active)
             assert set(state.remaining) == state.mass_active | state.count_active
             events = []
-            selected = solve(inst, y, locked, residual, trace=events.append)
-            assert selected >= locked
+            selected = solve(inst, y, trace=events.append)
+            assert selected >= locked_periods(y)
             for iv, need in inst.R.items():
                 assert cap_within(inst.C, iv[0], iv[1], selected) >= need
             budget = sum((y[s - 1] * inst.K[s - 1] for s in range(1, inst.T + 1)),
@@ -273,7 +266,6 @@ class TestSolve:
         inst = small_instance(T=2, C=(4, 4), K=(1, 5), members={(0, 2)},
                               R={(0, 2): 4})
         events = []
-        solve(inst, (F(1, 2), F(1, 2)), frozenset(), {(0, 2): F(4)},
-              trace=events.append)
+        solve(inst, (F(1, 2), F(1, 2)), trace=events.append)
         kinds = {line.split("event=")[1].split()[0] for line in events}
         assert "head" in kinds and "lp" in kinds and "select" in kinds

@@ -10,9 +10,9 @@ from lotforge.interval_kc import IntervalKcInstance
 from lotforge.intervals import cap_within
 from lotforge.laminar_kc import LaminarFamily, LaminarKcInstance
 from lotforge.lp_core import LE, LinearProgram, solve_to_vertex
-from lotforge.oracles import (approx_interval_kc, approx_interval_kc_details,
-                              brute_force_cmils, brute_force_interval_kc,
-                              brute_force_laminar_kc, min_holding_for_orders)
+from lotforge.oracles import (approx_interval_kc_details, brute_force_cmils,
+                              brute_force_interval_kc, brute_force_laminar_kc,
+                              min_holding_for_orders)
 
 F = Fraction
 
@@ -127,7 +127,7 @@ class TestApproxIntervalKc:
 
     def test_all_zero_requirements(self):
         ikc = IntervalKcInstance(T=3, C=(F(1),) * 3, K=(F(1),) * 3, R={})
-        assert approx_interval_kc(ikc) == frozenset()
+        assert approx_interval_kc_details(ikc).selected == frozenset()
 
     def test_random_instances_within_ratio(self):
         for seed in range(1, 13):

@@ -11,11 +11,11 @@ from lotforge.cuts import CoveringCut, cut_demand, cut_lhs
 from lotforge.errors import InvariantError
 from lotforge.instance import (CmilsInstance, FractionalSolution, gen_kc_gap,
                                gen_random)
-from lotforge.intervals import ScaledCover, all_intervals
+from lotforge.intervals import (ScaledCover, all_intervals, locked_periods,
+                                residuals, scale_y)
 from lotforge.oracles import brute_force_cmils
 from lotforge.separation import (IntervalRequirements, compute_requirements,
-                                 residual_requirements, scale_y, shortfalls,
-                                 try_round)
+                                 shortfalls, try_round)
 
 F = Fraction
 
@@ -70,18 +70,17 @@ class TestRequirements:
 
 class TestScaleY:
     def test_basic(self):
-        scaled, locked = scale_y((F(1, 10), F(1, 20)))
+        scaled = scale_y((F(1, 10), F(1, 20)))
         assert scaled == (F(1), F(1, 2))
-        assert locked == frozenset({1})
+        assert locked_periods(scaled) == frozenset({1})
 
     def test_zero(self):
-        scaled, locked = scale_y((F(0), F(0)))
+        scaled = scale_y((F(0), F(0)))
         assert scaled == (F(0), F(0))
-        assert locked == frozenset()
+        assert locked_periods(scaled) == frozenset()
 
     def test_boundary_is_locked(self):
-        _, locked = scale_y((F(1, 10),))
-        assert locked == frozenset({1})
+        assert locked_periods(scale_y((F(1, 10),))) == frozenset({1})
 
 
 class TestTryRound:
@@ -109,9 +108,10 @@ class TestTryRound:
         payload = try_round(sol, inst)
         assert isinstance(payload, IntervalRequirements)
         assert payload.R == compute_requirements(sol, inst)
-        scaled, locked = scale_y(sol.y)
+        scaled = scale_y(sol.y)
+        locked = locked_periods(scaled)
         assert payload.y_scaled == scaled and payload.locked == locked
-        assert payload.residual == residual_requirements(payload.R, locked, inst.C)
+        assert payload.residual == residuals(payload.R, inst.C, locked)
 
     def test_transfer_check_runs_through_the_shared_sum(self, monkeypatch):
         # twelve unlocked periods at y = 1/11 satisfy the (0, 12] cut, so
@@ -142,7 +142,8 @@ def test_transfer_check_equals_scaled_entry_check(periods, need_num, need_den):
     This is why the interval solver's entry check needs no second copy."""
     C = tuple(F(c) for c, _, _ in periods)
     y = tuple(F(num, 40 * den) for _, num, den in periods)  # in [0, 1]
-    y_scaled, locked = scale_y(y)
+    y_scaled = scale_y(y)
+    locked = locked_periods(y_scaled)
     need = F(need_num, need_den)
     for a, b in all_intervals(len(C)):
         mass, count = capped_mass_and_count(C, a, b, need, y, locked)
@@ -155,7 +156,7 @@ def test_requirements_csv_dump():
     inst = two_period_item()
     sol = FractionalSolution(x={(2, 1): F(1)}, y=(F(0), F(1)))
     req = compute_requirements(sol, inst)
-    residual = residual_requirements(req, frozenset({2}), inst.C)
+    residual = residuals(req, inst.C, frozenset({2}))
     text = requirements_csv(req, residual)
     assert text.splitlines()[0] == "a,b,requirement,residual"
     assert len(text.splitlines()) == 1 + len(req)
