@@ -13,12 +13,17 @@ A binary laminar family over (0, T] is built by recursively splitting at
 the point that maximizes the weaker side's score; scoring the members and
 handing them to the laminar solver yields a selection that covers every
 interval requirement, not just the members'.  The given locked set and
-residuals are checked against intervals.locked_periods and residuals.
+residuals are checked against intervals.locked_periods and the residual
+formula of intervals.residuals.
 
 The scores and the covering checks run on one integer view of (C, y),
 intervals.ScaledCover, and the locked or selected capacity inside an
-interval is a difference of prefix sums, intervals.prefix_caps.  The
-covering tests build no Fraction.
+interval is a difference of integer prefix sums, intervals.prefix_caps.
+The entry check compares the given residuals with intervals.uncovered's
+integers by cross-multiplication, and the final cover check reads those
+integers too; neither builds a Fraction.  A Fraction is built for a
+member's score and for its requirement, and for the cost and budget sums
+over the T periods.
 """
 
 from __future__ import annotations
@@ -29,8 +34,7 @@ from typing import Callable, Optional
 
 from . import laminar_kc
 from .errors import InvariantError
-from .intervals import (ScaledCover, all_intervals, locked_periods,
-                        prefix_caps, residuals)
+from .intervals import ScaledCover, locked_periods, prefix_caps, uncovered
 from .laminar_kc import Interval, LaminarFamily
 
 Trace = Optional[Callable[[str], None]]
@@ -136,46 +140,57 @@ def solve_interval_kc(ikc: IntervalKcInstance, y_scaled, locked,
                       residual: dict, trace: Trace = None) -> frozenset[int]:
     """Select periods covering every interval requirement.
 
-    Preconditions (checked): C, K and y_scaled have T entries and R is
-    keyed by intervals over [T] (else ValueError); locked is
-    locked_periods(y_scaled); residual agrees with intervals.residuals;
-    every interval with positive residual satisfies the
-    tenfold-mass-or-count-of-six disjunction.  The returned selection costs
-    at most K . y_scaled and is verified to cover every requirement.
+    Preconditions (checked): C, K and y_scaled have T entries and R and
+    residual are keyed by intervals over [T] (else ValueError); locked is
+    locked_periods(y_scaled); residual agrees with intervals.residuals,
+    a key missing from either dict standing for 0; every interval with
+    positive residual satisfies the tenfold-mass-or-count-of-six
+    disjunction.  The returned selection costs at most K . y_scaled and is
+    verified to cover every requirement.
     """
     ikc.check()
     if len(y_scaled) != ikc.T:
         raise ValueError("y_scaled must have one entry per period")
+    for (a, b), given in residual.items():
+        if (a, b) in ikc.R:
+            continue
+        if not (0 <= a < b <= ikc.T):
+            raise ValueError(f"residual on ({a}, {b}] outside [0, {ikc.T}]")
+        if given.numerator:  # no requirement there, so no residual either
+            raise InvariantError(f"residual for ({a}, {b}] inconsistent")
     locked = frozenset(locked)
     if locked != locked_periods(y_scaled):
         raise InvariantError("locked set must be exactly the all-ones periods")
     view = ScaledCover(ikc.C, y_scaled)
-    want = residuals(ikc.R, ikc.C, locked)
-    for a, b in all_intervals(ikc.T):
-        need = want.get((a, b), Fraction(0))
-        if residual.get((a, b), Fraction(0)) != need:
+    cden = view.cden
+    for (a, b), need, gap in sorted(uncovered(ikc.R, view.c, cden, locked)):
+        # the residual is max(gap, 0) / (need.denominator * cden)
+        given = residual.get((a, b), 0)
+        if (given.numerator * need.denominator * cden
+                != max(gap, 0) * given.denominator):
             raise InvariantError(f"residual for ({a}, {b}] inconsistent")
-        if need > 0 and not view.holds(a, b, need, locked, mass=10, count=6):
+        if gap > 0 and not view.holds(a, b, given, locked, mass=10, count=6):
             raise InvariantError(f"scaled coverage disjunction fails on ({a}, {b}]")
 
     family = construct_laminar_family(y_scaled, locked, ikc.C, ikc.T)
-    held = prefix_caps(ikc.C, locked)
+    held = prefix_caps(view.c, locked)
     member_req: dict[Interval, Fraction] = {}
     for iv in family.members:
         coverable = family.coverable[iv]
         if coverable > 0 and not view.holds(iv[0], iv[1], coverable, locked,
                                             mass=2, count=1):
             raise InvariantError(f"member score of {iv} is not attained")
-        full = coverable + held[iv[1]] - held[iv[0]]
+        # the score plus the locked capacity inside the member
+        q = coverable.denominator
+        full = coverable.numerator * cden + q * (held[iv[1]] - held[iv[0]])
         if full > 0:
-            member_req[iv] = full
+            member_req[iv] = Fraction(full, q * cden)
     lkc = laminar_kc.LaminarKcInstance(T=ikc.T, C=ikc.C, K=ikc.K,
                                        family=family, R=member_req)
     selected = laminar_kc.solve(lkc, y_scaled, trace=trace)
 
-    got = prefix_caps(ikc.C, selected)
-    for (a, b), need in ikc.R.items():
-        if got[b] - got[a] < need:
+    for (a, b), _, gap in uncovered(ikc.R, view.c, cden, selected):
+        if gap > 0:
             raise InvariantError(f"interval ({a}, {b}] requirement uncovered")
     cost = sum((ikc.K[s - 1] for s in selected), Fraction(0))
     budget = sum((y_scaled[s - 1] * ikc.K[s - 1] for s in range(1, ikc.T + 1)),

@@ -6,14 +6,21 @@ Intervals are passed around as plain (a, b) tuples.
 The rounding hand-off is derived here once: scale_y (y tenfold, capped
 at 1), locked_periods (y exactly 1) and residuals (max(R - C(locked), 0)).
 
-Two helpers serve every covering test of the interval and laminar layers:
+The covering tests of the interval and laminar layers run on integers:
 
-prefix_caps   prefix sums of the capacity of a chosen set of periods, so
-              the chosen capacity inside (a, b] is one difference P[b] - P[a].
+scale_caps    the capacities over their least common denominator cden.
+prefix_caps   prefix sums of those integers over a chosen set of periods,
+              so the chosen capacity inside (a, b] is (P[b] - P[a]) / cden.
+uncovered     each requirement less the chosen capacity inside it, as an
+              integer over the requirement's denominator times cden.
 ScaledCover   an integer view of capacities C and openings y: every C_s is
               c_s / cden and every y_s is u_s / yden, with cden and yden
               the least common denominators.  Its covering test compares
               integers and builds no Fraction.
+
+residuals walks every requirement through uncovered and builds a Fraction
+only for a positive residual; the entry check of interval rounding and the
+cover checks of both rounding layers read uncovered's integers directly.
 """
 
 from __future__ import annotations
@@ -21,6 +28,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Iterable, Iterator
+
+_ZERO = Fraction(0)
 
 
 def all_intervals(T: int) -> Iterator[tuple[int, int]]:
@@ -39,10 +48,19 @@ def cap_within(C, a: int, b: int, chosen: Iterable[int]) -> Fraction:
     return total
 
 
-def prefix_caps(C, chosen) -> list[Fraction]:
-    """P[0..T] with P[b] - P[a] the capacity of the chosen periods in (a, b]."""
-    P = [Fraction(0)]
-    for s, cap in enumerate(C, start=1):
+def scale_caps(C) -> tuple[list[int], int]:
+    """(c, cden): every capacity as c[s-1] / cden, cden the lcm of C's denominators."""
+    cden = math.lcm(*(v.denominator for v in C))
+    return [v.numerator * (cden // v.denominator) for v in C], cden
+
+
+def prefix_caps(c: list[int], chosen) -> list[int]:
+    """P[0..T] with P[b] - P[a] the sum of c over the chosen periods in (a, b].
+
+    With c from scale_caps, that sum is the chosen capacity times cden.
+    """
+    P = [0]
+    for s, cap in enumerate(c, start=1):
         P.append(P[-1] + cap if s in chosen else P[-1])
     return P
 
@@ -57,11 +75,28 @@ def locked_periods(y) -> frozenset[int]:
     return frozenset(s for s, v in enumerate(y, start=1) if v == 1)
 
 
+def uncovered(R: dict, c: list[int], cden: int,
+              chosen) -> Iterator[tuple[tuple[int, int], Fraction, int]]:
+    """(interval, need, gap) for each requirement in R, in R's order.
+
+    With c and cden from scale_caps, need less the capacity of the chosen
+    periods inside the interval is gap / (need.denominator * cden), so
+    gap > 0 exactly when the chosen periods leave part of need uncovered.
+    """
+    P = prefix_caps(c, chosen)
+    for (a, b), need in R.items():
+        yield (a, b), need, need.numerator * cden - need.denominator * (P[b] - P[a])
+
+
 def residuals(R: dict, C, locked) -> dict:
-    """Each requirement less the locked capacity inside it, floored at 0."""
-    held = prefix_caps(C, locked)
-    return {(a, b): max(need - (held[b] - held[a]), Fraction(0))
-            for (a, b), need in R.items()}
+    """Each requirement less the locked capacity inside it, floored at 0.
+
+    Only a positive residual is built as a Fraction; the others share one
+    zero.
+    """
+    c, cden = scale_caps(C)
+    return {iv: Fraction(gap, need.denominator * cden) if gap > 0 else _ZERO
+            for iv, need, gap in uncovered(R, c, cden, locked)}
 
 
 class ScaledCover:
@@ -72,9 +107,8 @@ class ScaledCover:
     """
 
     def __init__(self, C, y):
-        self.cden = math.lcm(*(v.denominator for v in C))
+        self.c, self.cden = scale_caps(C)
         self.yden = math.lcm(*(v.denominator for v in y))
-        self.c = [v.numerator * (self.cden // v.denominator) for v in C]
         self.u = [v.numerator * (self.yden // v.denominator) for v in y]
 
     def holds(self, a: int, b: int, need: Fraction, skip,

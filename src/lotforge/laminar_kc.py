@@ -14,8 +14,12 @@ the LP: "mass" rows ask the capped fractional capacity inside the interval
 to reach twice the remaining requirement; "count" rows ask the fractional
 openings of large-enough periods to reach one.  Pool membership,
 migration between the pools and the per-step state check evaluate those
-rows with intervals.ScaledCover, on integers; the LP itself is built only
-to be solved.
+rows with intervals.ScaledCover, on integers; the state keeps one view per
+y, built when y is replaced.  The stale-remaining check and the final
+cover check read each requirement less the selected capacity as an integer
+from intervals.uncovered.  A Fraction is built for a remaining
+requirement, for the LP, which is built only to be solved, and for the
+cost sums over the T periods.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from typing import Callable, Iterable, Optional
 
 from . import lp_core
 from .errors import InvariantError
-from .intervals import ScaledCover, locked_periods, prefix_caps, residuals
+from .intervals import ScaledCover, locked_periods, residuals, uncovered
 
 Interval = tuple[int, int]
 Trace = Optional[Callable[[str], None]]
@@ -97,9 +101,18 @@ class RoundingState:
     mass_active: set[Interval]
     count_active: set[Interval]
     y: list[Fraction]
+    # the integer view of (C, y), built once per y: set_y replaces both
+    view: ScaledCover = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.set_y(self.y)
 
     def active(self) -> list[Interval]:
         return sorted(self.mass_active | self.count_active)
+
+    def set_y(self, y) -> None:
+        self.y = list(y)
+        self.view = ScaledCover(self.instance.C, self.y)
 
 
 def init_state(inst: LaminarKcInstance, y) -> RoundingState:
@@ -109,21 +122,17 @@ def init_state(inst: LaminarKcInstance, y) -> RoundingState:
     if len(y) != inst.T:
         raise ValueError("y must have one entry per period")
     locked = locked_periods(y)
-    view = ScaledCover(inst.C, y)
-    remaining: dict[Interval, Fraction] = {}
-    mass_active: set[Interval] = set()
-    count_active: set[Interval] = set()
+    state = RoundingState(instance=inst, discarded=set(), selected=set(locked),
+                          remaining={}, mass_active=set(), count_active=set(), y=y)
     for iv, need in sorted(residuals(inst.R, inst.C, locked).items()):
         if need <= 0:
             continue
-        count_ok = view.holds(iv[0], iv[1], need, locked, count=1)
-        if not count_ok and not view.holds(iv[0], iv[1], need, locked, mass=2):
+        count_ok = state.view.holds(iv[0], iv[1], need, locked, count=1)
+        if not count_ok and not state.view.holds(iv[0], iv[1], need, locked, mass=2):
             raise InvariantError(f"input y fails both cover conditions on {iv}")
-        remaining[iv] = need
-        (count_active if count_ok else mass_active).add(iv)
-    return RoundingState(instance=inst, discarded=set(), selected=set(locked),
-                         remaining=remaining, mass_active=mass_active,
-                         count_active=count_active, y=y)
+        state.remaining[iv] = need
+        (state.count_active if count_ok else state.mass_active).add(iv)
+    return state
 
 
 def dedup(state: RoundingState, trace: Trace = None) -> None:
@@ -186,11 +195,10 @@ def _assert_state_feasible(state: RoundingState, where: str) -> None:
     Discarded periods must sit at 0, selected ones at 1, and all in [0, 1].
     A mass row on (a, b] is the capped-mass side of ScaledCover.holds with
     threshold 2 and the selected periods skipped, a count row its count
-    side with threshold 1; both are evaluated on integers without
-    building the LP.
+    side with threshold 1; both are evaluated on state.view, on integers,
+    without building the LP.
     """
-    y = state.y
-    view = ScaledCover(state.instance.C, y)
+    y, view = state.y, state.view
     feasible = all(
         y[s - 1] == 0 if s in state.discarded else
         y[s - 1] == 1 if s in state.selected else
@@ -210,13 +218,14 @@ def _assert_state_feasible(state: RoundingState, where: str) -> None:
 def solve(inst: LaminarKcInstance, y, trace: Trace = None) -> frozenset[int]:
     """Round y to a selected set covering every member requirement.
 
-    Guarantees, all checked before returning: the selection contains every
-    locked period, covers each requirement, and costs no more than K.y for
-    the input y.  The outer loop fixes at least one new period per round and
-    therefore runs at most T times.
+    The selection contains every locked period: it starts as the locked
+    set and only grows.  Checked before returning: it covers each
+    requirement and costs no more than K.y for the input y.  The outer loop
+    fixes at least one new period per round and therefore runs at most T
+    times.
     """
     state = init_state(inst, y)
-    locked = frozenset(state.selected)
+    cden = state.view.cden
     input_budget = sum((state.y[s - 1] * inst.K[s - 1] for s in range(1, inst.T + 1)),
                       Fraction(0))
     prev_cost = input_budget
@@ -227,10 +236,12 @@ def solve(inst: LaminarKcInstance, y, trace: Trace = None) -> frozenset[int]:
             raise InvariantError("rounding exceeded its T-iteration bound")
         if trace:
             trace(f"iter={rounds} event=head active={len(state.active())}")
-        got = prefix_caps(inst.C, state.selected)
-        for iv in state.active():  # remaining must track the selected capacity
-            want = inst.R[iv] - (got[iv[1]] - got[iv[0]])
-            if state.remaining[iv] != want or want <= 0:
+        # remaining must be R less the selected capacity, and positive
+        active = {iv: inst.R[iv] for iv in state.active()}
+        for iv, need, gap in uncovered(active, state.view.c, cden, state.selected):
+            left = state.remaining[iv]
+            if gap <= 0 or (left.numerator * need.denominator * cden
+                            != gap * left.denominator):
                 raise InvariantError(f"stale remaining requirement on {iv}")
         _assert_state_feasible(state, "loop head")
         dedup(state, trace)
@@ -242,8 +253,7 @@ def solve(inst: LaminarKcInstance, y, trace: Trace = None) -> frozenset[int]:
         if cost > prev_cost:
             raise InvariantError("rounding LP cost increased")
         prev_cost = cost
-        state.y = list(sol.values)
-        view = ScaledCover(inst.C, state.y)
+        state.set_y(sol.values)
         if trace:
             trace(f"iter={rounds} event=lp cost={cost}")
 
@@ -274,7 +284,7 @@ def solve(inst: LaminarKcInstance, y, trace: Trace = None) -> frozenset[int]:
                     del state.remaining[iv]
                     if trace:
                         trace(f"iter={rounds} event=retire iv={iv}")
-                elif iv in state.mass_active and view.holds(
+                elif iv in state.mass_active and state.view.holds(
                         a, b, state.remaining[iv], state.selected, count=1):
                     state.mass_active.discard(iv)
                     state.count_active.add(iv)
@@ -285,11 +295,8 @@ def solve(inst: LaminarKcInstance, y, trace: Trace = None) -> frozenset[int]:
             raise InvariantError("vertex solution fixed no new period")
 
     selected = frozenset(state.selected)
-    if not selected >= locked:
-        raise InvariantError("selection lost a locked period")
-    got = prefix_caps(inst.C, selected)
-    for iv, need in inst.R.items():
-        if got[iv[1]] - got[iv[0]] < need:
+    for iv, _, gap in uncovered(inst.R, state.view.c, cden, selected):
+        if gap > 0:
             raise InvariantError(f"requirement on {iv} left uncovered")
     cost = sum((inst.K[s - 1] for s in selected), Fraction(0))
     if cost > input_budget:

@@ -23,9 +23,12 @@ denominator is the row's basic offset.  A pivot touches only the rows with
 a nonzero in the entering column, at the pivot row's nonzero columns, and
 carries the constants along, so basic values need no update of their own.
 The ratio test compares integer (numerator, denominator) step pairs by
-cross-multiplication.  `Fraction` appears only at the API boundary -- the
-LP's data in, the solution out -- and every pivot choice is the same exact
-comparison a rational tableau would make.
+cross-multiplication.  `Fraction` appears only at the API boundary: a row
+enters the tableau in one integer pass that reads its coefficients'
+numerators and denominators (as does the crash start's sign test), the
+cost vectors are Fractions until reduced_costs scales them to integers,
+and the solution is built as Fractions on the way out.  Every pivot choice
+is the same exact comparison a rational tableau would make.
 
 The optimum returned is the lexicographically least optimal point (after
 the lexicographic rule of Dantzig, Orden and Wolfe): once the objective is
@@ -189,7 +192,8 @@ class _Tableau:
         for row in lp.rows:
             rel = row.relation
             tightens.update(j for j, v in row.coeffs.items()
-                            if rel == EQ or (v < 0 if rel == GE else v > 0))
+                            if rel == EQ or (v.numerator < 0 if rel == GE
+                                             else v.numerator > 0))
         for j, col in self.col_of_var.items():
             self.comp[col] = j not in tightens
 
@@ -204,7 +208,8 @@ class _Tableau:
         art_rows: list[int] = []
         scol = n_struct
         for i, row in enumerate(lp.rows):
-            ints, den, resid = self._integer_row(row, self.ncols)
+            ints, den = self._integer_row(row, self.ncols)
+            resid = ints[-1]  # the constant's numerator: den > 0
             rel = row.relation
             if rel != EQ:
                 ints[scol] = den if rel == LE else -den
@@ -242,33 +247,51 @@ class _Tableau:
         self.bounds_seen = list(lp.bounds)
         self.objective_seen = list(lp.objective)
 
-    def _integer_row(self, row: Row, size: int) -> tuple[list[int], int, Fraction]:
-        """An LP row over the current columns: (integer entries, den, constant).
+    def _integer_row(self, row: Row, size: int) -> tuple[list[int], int]:
+        """An LP row over the current columns: (integer entries, den).
 
         Fixed variables and each column's active bound move into the
         constant, and a complemented column's coefficient is negated.  The
         coefficients and the constant are scaled to integers by the lcm of
         their denominators, which leaves the row in lowest terms; the list
         has `size` column entries, all 0 but the row's, then the constant.
+
+        One pass over the nonzeros, on integers and numerators and
+        denominators only: the constant is a pair num / cd over a running
+        common denominator, reduced once at the end.  No Fraction is built.
         """
-        coeffs: dict[int, Fraction] = {}
-        resid = Fraction(row.rhs)
+        fixed, col_of_var, lo, comp = self.fixed, self.col_of_var, self.lo, self.comp
+        num, cd = row.rhs.numerator, row.rhs.denominator
+        entries: list[tuple[int, int, int]] = []  # (column, numerator, denominator)
+        den = 1  # lcm of the column entries' denominators
         for j, v in row.coeffs.items():
-            if j in self.fixed:
-                resid -= v * self.fixed[j]
-                continue
-            col = self.col_of_var[j]
-            resid -= v * self.lo[col]
-            if self.comp[col]:
-                resid -= v * Fraction(*self.width[col])
-                v = -v
-            coeffs[col] = v
-        den = lcm(resid.denominator, *(v.denominator for v in coeffs.values()))
+            p, q = v.numerator, v.denominator
+            if j in fixed:
+                bn, bd = fixed[j].numerator, fixed[j].denominator
+            else:
+                col = col_of_var[j]
+                bn, bd = lo[col].numerator, lo[col].denominator
+                if comp[col]:  # measured from its upper bound lo + width
+                    wn, wd = self.width[col]
+                    bn, bd = bn * wd + wn * bd, bd * wd
+                    entries.append((col, -p, q))
+                else:
+                    entries.append((col, p, q))
+                if q != 1:
+                    den = lcm(den, q)
+            if bn:  # the constant less v * bound
+                step = q * bd
+                g = gcd(cd, step)
+                num = num * (step // g) - p * bn * (cd // g)
+                cd *= step // g
+        g = gcd(num, cd)
+        num, cd = num // g, cd // g
+        den = lcm(den, cd)
         ints = [0] * (size + 1)
-        for col, v in coeffs.items():
-            ints[col] = v.numerator * (den // v.denominator)
-        ints[-1] = resid.numerator * (den // resid.denominator)
-        return ints, den, resid
+        for col, p, q in entries:
+            ints[col] = p * (den // q)
+        ints[-1] = num * (den // cd)
+        return ints, den
 
     def append_row(self, row: Row) -> None:
         """Add an LE/GE row of the LP, with a new slack column basic in it.
@@ -287,7 +310,7 @@ class _Tableau:
         self.width.append(None)
         self.comp.append(False)
         self.in_basis.append(True)
-        ints, den, _ = self._integer_row(row, self.ncols)
+        ints, den = self._integer_row(row, self.ncols)
         ints[scol] = den if row.relation == LE else -den
         for i, b in enumerate(self.basis):
             if ints[b]:

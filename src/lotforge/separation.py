@@ -14,10 +14,16 @@ residual requirement or a count of 3/5 among the large periods (checked).
 Since unlocked periods are scaled exactly tenfold, that is the
 tenfold-mass-or-count-of-six precondition of the interval knapsack solver,
 which checks it again at its entry.
+
+The requirements are running integer sums per a over a common denominator,
+and a Fraction is built only for a stored requirement; the covering tests
+run on intervals.ScaledCover.  Each cut's left-hand side (cuts.cut_lhs) is
+still Fraction arithmetic, once per interval with a positive residual.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -25,8 +31,9 @@ from typing import Union
 from .cuts import CoveringCut, cut_demand, cut_lhs
 from .errors import InvariantError
 from .instance import CmilsInstance, FractionalSolution
-from .intervals import (ScaledCover, all_intervals, locked_periods, residuals,
-                        scale_y)
+from .intervals import ScaledCover, locked_periods, residuals, scale_y
+
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -57,15 +64,26 @@ def shortfalls(sol: FractionalSolution, inst: CmilsInstance) -> dict:
 
 def compute_requirements(sol: FractionalSolution, inst: CmilsInstance,
                          short: dict | None = None) -> dict:
-    """Requirement of every interval (a, b], from x alone."""
+    """Requirement of every interval (a, b], from x alone.
+
+    For each a, the short items' weighted demands are grouped by deadline
+    and brought over one common denominator; req[(a, b)] is then a running
+    integer sum over b, and a Fraction is built only where it changes.
+    """
     short = shortfalls(sol, inst) if short is None else short
+    due: list[dict[int, Fraction]] = [{} for _ in range(inst.T)]
+    for (a, i), value in short.items():  # a < deadline(i) for every key
+        r = inst.deadline(i)
+        due[a][r] = due[a].get(r, 0) + value * inst.demand(i)
     req: dict[tuple[int, int], Fraction] = {}
-    for a, b in all_intervals(inst.T):
-        total = Fraction(0)
-        for i in inst.items():
-            if a < inst.deadline(i) <= b and (a, i) in short:
-                total += short[(a, i)] * inst.demand(i)
-        req[(a, b)] = total
+    for a, at in enumerate(due):
+        den = math.lcm(*(v.denominator for v in at.values()))
+        run, total = 0, _ZERO
+        for b in range(a + 1, inst.T + 1):
+            if b in at:
+                run += at[b].numerator * (den // at[b].denominator)
+                total = Fraction(run, den)
+            req[(a, b)] = total
     return req
 
 
@@ -79,9 +97,8 @@ def try_round(sol: FractionalSolution, inst: CmilsInstance
     residual = residuals(req, inst.C, locked)
     view = ScaledCover(inst.C, sol.y)
 
-    for a, b in all_intervals(inst.T):
-        need = residual[(a, b)]
-        if need <= 0:
+    for (a, b), need in residual.items():
+        if not need:  # residuals are never negative
             continue
         s1 = frozenset(s for s in range(a + 1, b + 1) if s in locked)
         s2 = frozenset(s for s in range(a + 1, b + 1) if s not in locked)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -152,6 +153,42 @@ def naive_requirements(sol: FractionalSolution, inst: CmilsInstance) -> dict:
                 total += max(1 - Fraction(5, 2) * prefix, Fraction(0)) * inst.demand(i)
         out[(a, b)] = total
     return out
+
+
+def fraction_residuals(R: dict, C, locked) -> dict:
+    """Fraction reference for intervals.residuals: the same formula over
+    Fraction prefix sums of the locked capacity."""
+    held = [Fraction(0)]
+    for s, cap in enumerate(C, start=1):
+        held.append(held[-1] + cap if s in locked else held[-1])
+    return {(a, b): max(need - (held[b] - held[a]), Fraction(0))
+            for (a, b), need in R.items()}
+
+
+def fraction_integer_row(tab, row: lp_core.Row, size: int) -> tuple[list[int], int]:
+    """Fraction reference for lp_core._Tableau._integer_row on tableau tab.
+
+    The constant takes each fixed value and active bound as Fraction
+    products; the row is then scaled by the lcm of the denominators.
+    """
+    coeffs: dict[int, Fraction] = {}
+    resid = Fraction(row.rhs)
+    for j, v in row.coeffs.items():
+        if j in tab.fixed:
+            resid -= v * tab.fixed[j]
+            continue
+        col = tab.col_of_var[j]
+        resid -= v * tab.lo[col]
+        if tab.comp[col]:
+            resid -= v * Fraction(*tab.width[col])
+            v = -v
+        coeffs[col] = v
+    den = math.lcm(resid.denominator, *(v.denominator for v in coeffs.values()))
+    ints = [0] * (size + 1)
+    for col, v in coeffs.items():
+        ints[col] = v.numerator * (den // v.denominator)
+    ints[-1] = resid.numerator * (den // resid.denominator)
+    return ints, den
 
 
 def capped_mass_and_count(C, a: int, b: int, need: Fraction, y,

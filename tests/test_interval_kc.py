@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import (family_dominates_requirements, grid_scan_coverable,
                      is_binary_with_unit_leaves, render_tree)
+from lotforge import laminar_kc
 from lotforge.errors import InvariantError
 from lotforge.instance import gen_kc_gap
 from lotforge.interval_kc import (IntervalKcInstance, construct_laminar_family,
@@ -180,6 +181,31 @@ class TestSolveIntervalKc:
                                  R={(0, 3): F(3), key: F(2)})
         with pytest.raises(ValueError, match="outside"):
             solve_interval_kc(ikc, (F(1), F(0), F(0)), frozenset({1}), {})
+
+    @pytest.mark.parametrize("key", [(0, 5), (2, 1), (-1, 2)])
+    def test_residual_off_the_intervals_rejected(self, key):
+        ikc = IntervalKcInstance(T=3, C=(F(3),) * 3, K=(F(1),) * 3,
+                                 R={(0, 3): F(3)})
+        with pytest.raises(ValueError, match="outside"):
+            solve_interval_kc(ikc, (F(1), F(0), F(0)), frozenset({1}), {key: F(2)})
+
+    def test_residual_without_a_requirement_must_be_zero(self):
+        ikc = IntervalKcInstance(T=3, C=(F(3),) * 3, K=(F(1),) * 3,
+                                 R={(0, 3): F(3)})
+        y, locked = (F(1), F(0), F(0)), frozenset({1})
+        assert solve_interval_kc(ikc, y, locked, {(1, 2): F(0)}) == locked
+        with pytest.raises(InvariantError, match=r"residual for \(1, 2\]"):
+            solve_interval_kc(ikc, y, locked, {(1, 2): F(1, 2)})
+
+    def test_selection_short_by_the_least_unit_rejected(self, monkeypatch):
+        # (0, 2] needs 4; locked period 1 covers it, period 2 alone is 1 short
+        ikc = IntervalKcInstance(T=2, C=(F(4), F(3)), K=(F(1), F(1)),
+                                 R={(0, 2): F(4)})
+        y, locked, residual = (F(1), F(0)), frozenset({1}), {(0, 2): F(0)}
+        assert solve_interval_kc(ikc, y, locked, residual) == locked
+        monkeypatch.setattr(laminar_kc, "solve", lambda *args, **kwargs: frozenset({2}))
+        with pytest.raises(InvariantError, match=r"\(0, 2\] requirement uncovered"):
+            solve_interval_kc(ikc, y, locked, residual)
 
     @pytest.mark.parametrize("C, K, y", [
         ((F(3),) * 3, (F(1),) * 3, (F(1), F(0))),

@@ -1,11 +1,13 @@
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import capped_mass_and_count
+from helpers import capped_mass_and_count, fraction_residuals
 from lotforge.intervals import (ScaledCover, all_intervals, cap_within,
-                                locked_periods, prefix_caps, residuals, scale_y)
+                                locked_periods, prefix_caps, residuals,
+                                scale_caps, scale_y)
 
 F = Fraction
 
@@ -67,30 +69,37 @@ def test_holds_without_thresholds_is_false():
 @given(st.lists(fractions(30, 7), min_size=1, max_size=10), st.data())
 def test_prefix_caps_difference_is_the_chosen_capacity(C, data):
     chosen = frozenset(data.draw(st.sets(st.integers(1, len(C)))))
-    P = prefix_caps(C, chosen)
+    c, cden = scale_caps(C)
+    assert cden == math.lcm(*(v.denominator for v in C))
+    assert all(type(v) is int and F(v, cden) == cap for v, cap in zip(c, C))
+    P = prefix_caps(c, chosen)
     assert len(P) == len(C) + 1 and P[0] == 0
+    assert all(type(v) is int for v in P)
     for a, b in all_intervals(len(C)):
-        assert P[b] - P[a] == cap_within(C, a, b, chosen)
+        assert F(P[b] - P[a], cden) == cap_within(C, a, b, chosen)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(st.lists(st.tuples(fractions(30, 7, low=1),
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(fractions(30, 13, low=1),
                           st.one_of(st.sampled_from((F(1, 10), F(1))),
                                     fractions(13, 50))),
                 min_size=1, max_size=10), st.data())
 def test_hand_off_matches_the_reference(periods, data):
-    """scale_y, locked_periods and residuals against a per-period rescan;
-    y = 1/10, the least opening that scales to 1, is drawn on purpose."""
+    """scale_y, locked_periods and residuals against a per-period rescan
+    and the Fraction formula; y = 1/10, the least opening that scales to 1,
+    is drawn on purpose, and C and R have denominators up to 13."""
     C = tuple(c for c, _ in periods)
     y = tuple(min(v, F(1)) for _, v in periods)
     T = len(C)
-    R = {iv: data.draw(fractions(80, 6)) for iv in data.draw(
+    R = {iv: data.draw(fractions(80, 13)) for iv in data.draw(
         st.sets(st.sampled_from(list(all_intervals(T)))))}
     y_scaled = scale_y(y)
     assert y_scaled == tuple(F(1) if 10 * v >= 1 else 10 * v for v in y)
     locked = locked_periods(y_scaled)
     assert locked == {s for s in range(1, T + 1) if y[s - 1] >= F(1, 10)}
     got = residuals(R, C, locked)
-    assert set(got) == set(R)
+    want = fraction_residuals(R, C, locked)
+    assert list(got.items()) == list(want.items())
+    assert all(type(v) is F for v in got.values())
     for (a, b), need in R.items():
         assert got[(a, b)] == max(need - cap_within(C, a, b, locked), 0)

@@ -186,6 +186,7 @@ class TestStateCheck:
                     state.y[s - 1] = F(1)
             else:  # push y down (possibly below a row) or up (possibly past 1)
                 state.y[s - 1] *= F(data.draw(st.integers(0, 6)), 4)
+        state.set_y(state.y)  # the solver changes y only through set_y
         assert state_check_accepts(state) == is_feasible(build_iter_lp(state), state.y)
 
     def test_agrees_on_every_state_the_loop_reaches(self, monkeypatch):
@@ -217,6 +218,7 @@ class TestStateCheck:
                 for s in range(a + 1, b + 1):
                     if s not in state.selected:
                         state.y[s - 1] = F(0)
+                state.set_y(state.y)
                 assert not is_feasible(build_iter_lp(state), state.y)
                 assert not state_check_accepts(state)
                 caught["row"] += 1
@@ -261,6 +263,20 @@ class TestSolve:
             assert len(heads) <= inst.T
             oracle = brute_force_laminar_kc(inst)
             assert oracle.optimum_cost <= sum((inst.K[s - 1] for s in selected), F(0))
+
+    def test_selection_short_by_the_least_unit_rejected(self, monkeypatch):
+        # with no active interval the loop never runs, and the final check
+        # must find (0, 2] one short: it needs 4 and locked period 2 has 3
+        inst = small_instance(T=2, C=(4, 3), members={(0, 2)}, R={(0, 2): 4})
+
+        def idle(inst, y):
+            return RoundingState(instance=inst, discarded=set(), selected={2},
+                                 remaining={}, mass_active=set(),
+                                 count_active=set(), y=list(y))
+
+        monkeypatch.setattr(laminar_kc, "init_state", idle)
+        with pytest.raises(InvariantError, match=r"\(0, 2\) left uncovered"):
+            solve(inst, (F(0), F(1)))
 
     def test_trace_replay_names_events(self):
         inst = small_instance(T=2, C=(4, 4), K=(1, 5), members={(0, 2)},

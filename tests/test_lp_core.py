@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (dump_lp, enumerate_lex_optimum, enumerate_optimum, random_lp,
-                     tight_sets)
+from helpers import (dump_lp, enumerate_lex_optimum, enumerate_optimum,
+                     fraction_integer_row, random_lp, tight_sets)
 from lotforge import cmils_master, instance, lp_core
 from lotforge.lp_core import (EQ, GE, INFEASIBLE, LE, OPTIMAL, LinearProgram,
                               LpSolution, solve_to_vertex, verify_vertex)
@@ -462,6 +462,19 @@ def small_lps(draw):
         offset = draw(st.one_of(st.just(F(0)), _rationals(10**6)))
         lp.add_row(coeffs, draw(st.sampled_from([LE, GE, EQ, EQ])), at_point + offset)
     return lp
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(small_lps(), st.data())
+def test_integer_row_matches_the_fraction_reference(lp, data):
+    """Fixed variables, fractional lower bounds and widths, and any pattern
+    of complemented columns: the one integer pass gives the Fraction form."""
+    tab = lp_core._Tableau(lp)
+    for col in tab.col_of_var.values():
+        tab.comp[col] = data.draw(st.booleans())
+    size = tab.ncols + data.draw(st.integers(0, 2))
+    for row in lp.rows:
+        assert tab._integer_row(row, size) == fraction_integer_row(tab, row, size)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

@@ -49,6 +49,28 @@ class TestRequirements:
         sol = solve_master(state)
         assert compute_requirements(sol, inst) == naive_requirements(sol, inst)
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_matches_naive_on_random_solutions(self, data):
+        """Deadlines come from a pool of at most three, so items share them,
+        and x often reaches 2/5 early or exactly, so shortfalls hit 0."""
+        T = data.draw(st.integers(1, 8))
+        N = data.draw(st.integers(1, 5))
+        pool = data.draw(st.lists(st.integers(1, T), min_size=1, max_size=3))
+        r = tuple(data.draw(st.sampled_from(pool)) for _ in range(N))
+        d = tuple(F(data.draw(st.integers(1, 40)), data.draw(st.integers(1, 13)))
+                  for _ in range(N))
+        share = st.one_of(st.sampled_from((F(0), F(1, 5), F(2, 5), F(1))),
+                          st.builds(F, st.integers(0, 13), st.integers(1, 13)))
+        x = {(s, i): v for i in range(1, N + 1) for s in range(1, r[i - 1] + 1)
+             if (v := data.draw(share))}
+        inst = CmilsInstance(T=T, N=N, K=(F(1),) * T, C=(F(1),) * T, d=d, r=r,
+                             h=tuple((F(0),) * ri for ri in r))
+        sol = FractionalSolution(x=x, y=(F(0),) * T)
+        got = compute_requirements(sol, inst)
+        assert list(got.items()) == list(naive_requirements(sol, inst).items())
+        assert all(type(v) is F for v in got.values())
+
     def test_shortfall_keys_are_the_thin_prefixes(self):
         # (a, i) has a shortfall exactly when x[<=a, i] < 2/5, for a < r_i
         for seed in (5, 9):
