@@ -1,23 +1,24 @@
-"""Final demand placement by an earliest-deadline-first sweep.
+"""Final demand placement by an exact min-cost flow on integers.
 
-The fractional x of the master LP is first stretched into a profile x' by
-scaling each item's distribution by 5/2 and truncating once the cumulative
-mass reaches 1, so prefix-wise x'[<=t, i] = min((5/2) x[<=t, i], 1).  Each
-profile entry (s, i) is a supply of x'[(s, i)] * d_i units that may only go
-to a selected order period in [s, r_i].  Every supply's periods form an
-interval, so this is a convex bipartite transportation problem, which an
-earliest-deadline-first sweep solves exactly (Glover, 1967): walk the
-periods in order, release each supply at its period, and pour each
-selected period's capacity into the released supplies with the earliest
-deadline.  A supply still unserved at its deadline proves a coverage
-shortfall.  Supplies are only served at or after their release, so the
-placement x* is prefix-dominated by x' and therefore holds at most 5/2
-times the holding cost of x.
+Placing demand into a fixed order set is a transportation problem: item i
+ships d_i units to selected periods s <= r_i at h_i(s) per unit, and period
+s takes at most C_s units.  solve_assignment solves it by successive
+shortest paths, each found by Bellman-Ford.  Demands and capacities are put
+over the lcm of their denominators, and holding costs over the lcm of
+theirs, so the flow runs on Python ints; a Fraction is built only for the
+returned units and cost.
+
+The holding bound of the paper still holds for this placement.  Stretching
+each item's x by 5/2 and truncating at mass 1 (scaled_profile) gives
+supplies that an earliest-deadline-first sweep places into any order set
+covering every interval requirement, holding at most 5/2 hcost(x).  That
+placement is feasible for the flow, so the min-cost placement is never
+dearer; run_pipeline's certificate checks the bound on every run.
 """
 
 from __future__ import annotations
 
-import heapq
+import math
 from fractions import Fraction
 from typing import Mapping, Optional
 
@@ -46,63 +47,84 @@ def scaled_profile(x: Mapping[tuple[int, int], Fraction],
     return profile
 
 
-def solve_assignment(inst: CmilsInstance, selected,
-                     profile: Mapping[tuple[int, int], Fraction]
-                     ) -> Optional[dict[tuple[int, int], Fraction]]:
-    """Place every unit within the selected periods, or report infeasibility.
+def solve_assignment(inst: CmilsInstance, orders
+                     ) -> Optional[tuple[Fraction, dict[tuple[int, int], Fraction]]]:
+    """Cheapest placement of every demand into the order periods.
 
-    Returns x*[(s', i)] fractions with sum 1 per item, respecting period
-    capacities and the deadline/selection support rule, and prefix-dominated
-    by the profile.  None when some supply cannot be served by its deadline.
+    Returns (holding cost, units per (s, i)), or None when the orders
+    cannot hold the demand by its deadlines.
     """
-    selected = frozenset(selected)
-    released: dict[int, list[int]] = {}
-    for s, i in sorted(profile):
-        if profile[(s, i)]:
-            released.setdefault(s, []).append(i)
-    heap: list[list] = []  # [r_i, s, i, units left]; the key (r_i, s, i) is unique
-    units: dict[tuple[int, int], Fraction] = {}
-    for t in inst.periods():
-        for i in released.get(t, ()):
-            heapq.heappush(heap, [inst.deadline(i), t, i, profile[(t, i)] * inst.demand(i)])
-        room = inst.cap(t) if t in selected else Fraction(0)
-        while heap and room:
-            entry = heap[0]
-            i = entry[2]
-            sent = min(entry[3], room)
-            units[(t, i)] = units.get((t, i), Fraction(0)) + sent
-            room -= sent
-            entry[3] -= sent
-            if not entry[3]:
-                heapq.heappop(heap)
-        if heap and heap[0][0] <= t:
-            return None
-    placement = {(t, i): qty / inst.demand(i) for (t, i), qty in units.items()}
-    _check_placement(inst, selected, profile, placement)
-    return placement
+    orders = sorted(set(orders))
+    pairs = [(s, i) for i in inst.items() for s in orders if s <= inst.deadline(i)]
+    unit = math.lcm(*(d.denominator for d in inst.d),
+                    *(inst.cap(s).denominator for s in orders))
+    price = math.lcm(*(inst.hold(i, s).denominator for s, i in pairs))
 
+    def scaled(value: Fraction, den: int) -> int:
+        return value.numerator * (den // value.denominator)
 
-def _check_placement(inst, selected, profile, placement) -> None:
-    selected = frozenset(selected)
+    # Nodes: 0 is the source, 1..N the items, then the order periods, then
+    # the sink.  Edge e runs to to[e] with room[e] left; its reverse is e ^ 1.
+    node = {s: inst.N + k for k, s in enumerate(orders, start=1)}
+    n = inst.N + len(orders) + 2
+    sink = n - 1
+    to: list[int] = []
+    room: list[int] = []
+    cost: list[int] = []
+    out: list[list[int]] = [[] for _ in range(n)]
+
+    def edge(u: int, v: int, cap: int, c: int) -> int:
+        out[u].append(len(to))
+        out[v].append(len(to) + 1)
+        to.extend((v, u))
+        room.extend((cap, 0))
+        cost.extend((c, -c))
+        return len(to) - 2
+
+    demand = [scaled(d, unit) for d in inst.d]
     for i in inst.items():
-        total = Fraction(0)
-        run_prof = Fraction(0)
-        run_place = Fraction(0)
-        for t in range(1, inst.deadline(i) + 1):
-            run_prof += profile.get((t, i), Fraction(0))
-            run_place += placement.get((t, i), Fraction(0))
-            if run_place > run_prof:
-                raise InvariantError(f"placement prefix exceeds profile at ({t}, {i})")
-        for (t, j), v in placement.items():
-            if j != i:
-                continue
-            total += v
-            if t not in selected or t > inst.deadline(i) or v < 0:
-                raise InvariantError(f"placement support violation at ({t}, {i})")
-        if total != 1:
-            raise InvariantError(f"placement of item {i} sums to {total}")
-    for t in selected:
-        used = sum((placement.get((t, i), Fraction(0)) * inst.demand(i)
-                    for i in inst.items()), Fraction(0))
-        if used > inst.cap(t):
-            raise InvariantError(f"placement overloads period {t}")
+        edge(0, i, demand[i - 1], 0)
+    pair_edge = {(s, i): edge(i, node[s], demand[i - 1], scaled(inst.hold(i, s), price))
+                 for s, i in pairs}
+    for s in orders:
+        edge(node[s], sink, scaled(inst.cap(s), unit), 0)
+
+    need = sum(demand)
+    paid = 0
+    while need:
+        dist: list[Optional[int]] = [None] * n
+        via = [-1] * n
+        dist[0] = 0
+        for _ in range(n - 1):
+            changed = False
+            for u in range(n):
+                du = dist[u]
+                if du is None:
+                    continue
+                for e in out[u]:
+                    if room[e]:
+                        v = to[e]
+                        dv = du + cost[e]
+                        if dist[v] is None or dv < dist[v]:
+                            dist[v] = dv
+                            via[v] = e
+                            changed = True
+            if not changed:
+                break
+        if dist[sink] is None:
+            return None
+        push = need
+        v = sink
+        while v:
+            push = min(push, room[via[v]])
+            v = to[via[v] ^ 1]
+        v = sink
+        while v:
+            room[via[v]] -= push
+            room[via[v] ^ 1] += push
+            v = to[via[v] ^ 1]
+        need -= push
+        paid += push * dist[sink]
+
+    units = {key: Fraction(room[e ^ 1], unit) for key, e in pair_edge.items() if room[e ^ 1]}
+    return Fraction(paid, unit * price), units

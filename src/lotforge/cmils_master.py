@@ -13,8 +13,11 @@ d(I) - C(S1), so their usable capacity is capped at it.
 
 run_pipeline alternates exact LP solves with the rounding/separation step
 until the rounded order set covers every interval requirement, then places
-the demand by an earliest-deadline-first sweep.  Each solve after a cut
+the demand by a min-cost flow into that order set.  Each solve after a cut
 starts from the last optimal tableau (a dual simplex over the cut row).
+Covered requirements make the placement feasible, and its holding cost is
+at most 5/2 hcost(x) (see assignment); the certificate checks both ratio
+bounds on every run.
 """
 
 from __future__ import annotations
@@ -211,12 +214,11 @@ def run_pipeline(inst: CmilsInstance, max_rounds: int = 200,
     orders = interval_kc.solve_interval_kc(
         ikc, payload.y_scaled, payload.locked, payload.residual, trace=trace)
 
-    profile = assign_mod.scaled_profile(sol.x, inst)
-    placement = assign_mod.solve_assignment(inst, orders, profile)
-    if placement is None:
-        raise InvariantError("placement sweep infeasible despite covered requirements")
-    units = {(s, i): frac * inst.demand(i) for (s, i), frac in placement.items() if frac}
-    schedule = make_schedule(inst, orders, units)
+    placed = assign_mod.solve_assignment(inst, orders)
+    if placed is None:
+        raise InvariantError("placement flow found no feasible placement "
+                             "despite covered requirements")
+    schedule = make_schedule(inst, orders, placed[1])
 
     lp_order_part = sum((sol.y[s - 1] * inst.order_cost(s) for s in inst.periods()),
                         Fraction(0))

@@ -1,9 +1,8 @@
 """Exact brute-force baselines, used only to verify guarantees in tests.
 
 Order-set enumeration is capped hard: above the cap the oracle refuses
-rather than silently truncating.  The inner holding-cost subproblem of the
-lot-sizing oracle is a small transportation problem solved by successive
-shortest paths with exact rationals.
+rather than silently truncating.  The lot-sizing oracle prices each order
+set's holding cost by the placement flow, assignment.solve_assignment.
 """
 
 from __future__ import annotations
@@ -12,6 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from . import assignment as assign_mod
 from . import interval_kc as ikc_mod
 from . import lp_core
 from .errors import InvariantError, RoundLimitError, SizeCapError
@@ -31,100 +31,6 @@ class OracleResult:
     explored: int
 
 
-class _MinCostFlow:
-    """Successive shortest paths (Bellman-Ford), exact rationals."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.to: list[int] = []
-        self.cap: list[Fraction] = []
-        self.cost: list[Fraction] = []
-        self.head: list[list[int]] = [[] for _ in range(n)]
-
-    def add_edge(self, u: int, v: int, cap, cost) -> int:
-        idx = len(self.to)
-        self.head[u].append(idx)
-        self.to.append(v)
-        self.cap.append(Fraction(cap))
-        self.cost.append(Fraction(cost))
-        self.head[v].append(idx + 1)
-        self.to.append(u)
-        self.cap.append(Fraction(0))
-        self.cost.append(-Fraction(cost))
-        return idx
-
-    def run(self, source: int, sink: int) -> tuple[Fraction, Fraction]:
-        sent = Fraction(0)
-        paid = Fraction(0)
-        while True:
-            dist: list[Optional[Fraction]] = [None] * self.n
-            prev_edge = [-1] * self.n
-            dist[source] = Fraction(0)
-            for _ in range(self.n - 1):
-                changed = False
-                for u in range(self.n):
-                    du = dist[u]
-                    if du is None:
-                        continue
-                    for e in self.head[u]:
-                        if self.cap[e] > 0:
-                            v = self.to[e]
-                            nd = du + self.cost[e]
-                            if dist[v] is None or nd < dist[v]:
-                                dist[v] = nd
-                                prev_edge[v] = e
-                                changed = True
-                if not changed:
-                    break
-            if dist[sink] is None:
-                return sent, paid
-            bottleneck = None
-            v = sink
-            while v != source:
-                e = prev_edge[v]
-                bottleneck = self.cap[e] if bottleneck is None else min(bottleneck, self.cap[e])
-                v = self.to[e ^ 1]
-            v = sink
-            while v != source:
-                e = prev_edge[v]
-                self.cap[e] -= bottleneck
-                self.cap[e ^ 1] += bottleneck
-                v = self.to[e ^ 1]
-            sent += bottleneck
-            paid += bottleneck * dist[sink]
-
-
-def min_holding_for_orders(inst: CmilsInstance, orders
-                           ) -> Optional[tuple[Fraction, dict]]:
-    """Cheapest placement of all demand into the given order periods.
-
-    Returns (holding cost, units per (s, i)) or None when infeasible.
-    """
-    orders = sorted(set(orders))
-    n = 2 + inst.N + len(orders)
-    flow = _MinCostFlow(n)
-    sink = n - 1
-    period_node = {s: 1 + inst.N + idx for idx, s in enumerate(orders)}
-    edge_of: dict[tuple[int, int], int] = {}
-    for i in inst.items():
-        flow.add_edge(0, i, inst.demand(i), 0)
-        for s in orders:
-            if s <= inst.deadline(i):
-                edge_of[(s, i)] = flow.add_edge(i, period_node[s],
-                                                inst.demand(i), inst.hold(i, s))
-    for s in orders:
-        flow.add_edge(period_node[s], sink, inst.cap(s), 0)
-    sent, paid = flow.run(0, sink)
-    if sent < inst.total_demand():
-        return None
-    units = {}
-    for (s, i), e in edge_of.items():
-        got = inst.demand(i) - flow.cap[e]
-        if got:
-            units[(s, i)] = got
-    return paid, units
-
-
 def brute_force_cmils(inst: CmilsInstance) -> OracleResult:
     """Exact optimum by enumerating every order subset (2^T of them)."""
     if inst.T > CMILS_CAP:
@@ -141,7 +47,7 @@ def brute_force_cmils(inst: CmilsInstance) -> OracleResult:
         ordering = sum((inst.order_cost(s) for s in orders), Fraction(0))
         if best_total is not None and ordering >= best_total:
             continue
-        placed = min_holding_for_orders(inst, orders)
+        placed = assign_mod.solve_assignment(inst, orders)
         if placed is None:
             raise InvariantError("prefix-feasible order set failed the flow")
         holding, units = placed

@@ -306,6 +306,43 @@ def random_interval_kc(seed: int, max_T: int = 10) -> IntervalKcInstance:
     return IntervalKcInstance(T=T, C=C, K=K, R=R)
 
 
+def transportation_lp(inst: CmilsInstance, orders) -> lp_core.LinearProgram:
+    """The placement of all demand into an order set, as an LP over units.
+
+    Every pair s <= r_i gets a column, fixed at 0 unless s is an order
+    period, so an item with no usable period makes the LP infeasible.  The
+    optimum is the least holding cost of a placement; the LP is integral.
+    """
+    chosen = set(orders)
+    cols = [(s, i) for i in inst.items() for s in range(1, inst.deadline(i) + 1)]
+    lp = lp_core.LinearProgram(
+        num_vars=len(cols),
+        objective=[inst.hold(i, s) for s, i in cols],
+        bounds=[(Fraction(0), inst.demand(i) if s in chosen else Fraction(0))
+                for s, i in cols],
+    )
+    for i in inst.items():
+        lp.add_row({j: Fraction(1) for j, (_s, k) in enumerate(cols) if k == i},
+                   lp_core.EQ, inst.demand(i))
+    for s in sorted(chosen):
+        row = {j: Fraction(1) for j, (t, _i) in enumerate(cols) if t == s}
+        if row:
+            lp.add_row(row, lp_core.LE, inst.cap(s))
+    return lp
+
+
+def check_placement(inst: CmilsInstance, orders, units) -> None:
+    """Assert a placement's support, deadlines, capacities and demand totals."""
+    for (t, i), qty in units.items():
+        assert qty > 0 and t in orders and t <= inst.deadline(i), (t, i)
+    for t in orders:
+        load = sum((q for (s, _i), q in units.items() if s == t), Fraction(0))
+        assert load <= inst.cap(t), t
+    for i in inst.items():
+        got = sum((q for (_s, j), q in units.items() if j == i), Fraction(0))
+        assert got == inst.demand(i), i
+
+
 def hcost_bound_check(inst: CmilsInstance, x, placement) -> bool:
     """Exact check that the placement holds at most 5/2 the cost of x."""
     return hcost(inst, placement) <= SCALE * hcost(inst, x)

@@ -10,12 +10,14 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (enumerate_optimum, family_dominates_requirements,
-                     grid_scan_coverable, random_interval_kc, random_laminar_case,
-                     random_lp)
-from lotforge.assignment import scaled_profile, solve_assignment
+from helpers import (check_placement, enumerate_optimum,
+                     family_dominates_requirements, grid_scan_coverable,
+                     random_interval_kc, random_laminar_case, random_lp,
+                     transportation_lp)
+from lotforge.assignment import solve_assignment
 from lotforge.cmils_master import MasterState, run_pipeline, solve_master
-from lotforge.instance import check_feasible, gen_kc_gap, gen_random, hcost
+from lotforge.instance import (check_feasible, gen_kc_gap, gen_random, hcost,
+                               prefix_feasible)
 from lotforge.interval_kc import construct_laminar_family, max_coverable
 from lotforge.intervals import ScaledCover, all_intervals, cap_within, locked_periods
 from lotforge.laminar_kc import solve as laminar_solve
@@ -135,33 +137,31 @@ def test_criterion_4_interval_kc_ratio(interval_sweep):
 def test_criterion_5_placement_bounds(pipeline_sweep):
     runs, _ = pipeline_sweep
     started = time.perf_counter()
-    hall_checked = 0
+    exhaustive = 0
     for seed, inst, result, _optimum in runs:
         x = result.lp_solution.x
-        profile = scaled_profile(x, inst)
-        placement = solve_assignment(inst, result.schedule.orders, profile)
-        assert placement is not None, seed
-        assert hcost(inst, placement) <= F(5, 2) * hcost(inst, x), seed
-        for i in inst.items():
-            run_x = F(0)
-            run_p = F(0)
-            for t in range(1, inst.deadline(i) + 1):
-                run_x += x.get((t, i), F(0))
-                run_p += placement.get((t, i), F(0))
-                assert run_p <= min(F(5, 2) * run_x, F(1)), (seed, i, t)
+        orders = result.schedule.orders
+        placed = solve_assignment(inst, orders)
+        assert placed is not None, seed
+        holding, units = placed
+        check_placement(inst, orders, units)
+        assert holding <= F(5, 2) * hcost(inst, x), seed
+        lp = solve_to_vertex(transportation_lp(inst, orders))
+        assert lp.status == OPTIMAL and lp.objective_value == holding, seed
         if inst.T <= 6:
-            hall_checked += 1
+            exhaustive += 1
             req = result.payload.R
             for mask in range(1 << inst.T):
                 chosen = frozenset(s for s in inst.periods()
                                    if mask >> (s - 1) & 1)
+                feasible = solve_assignment(inst, chosen) is not None
+                assert feasible == prefix_feasible(inst, chosen), (seed, sorted(chosen))
                 covered = all(cap_within(inst.C, a, b, chosen) >= req[(a, b)]
                               for a, b in all_intervals(inst.T))
-                feasible = solve_assignment(inst, chosen, profile) is not None
-                assert feasible == covered, (seed, sorted(chosen))
-    assert hall_checked >= 20
+                assert feasible or not covered, (seed, sorted(chosen))
+    assert exhaustive >= 20
     elapsed = time.perf_counter() - started
-    report("5 placement bounds and Hall equivalence", elapsed)
+    report("5 placement bounds, LP optimality and Hall's condition", elapsed)
 
 
 def test_criterion_6_coverable_score_oracle():

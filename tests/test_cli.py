@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lotforge import cli, cmils_master
+from lotforge import assignment, cli, cmils_master
 from lotforge.cli import decimal_str, main
 from lotforge.instance import (gen_kc_gap, gen_random, load, save,
                                schedule_to_json_dict, to_json_dict)
@@ -108,6 +108,17 @@ class TestSolveVerify:
                                  "--out", str(tmp_path / "s.json"))
         assert code == 2 and out == ""
         assert "ratio certificate failed" in err
+
+    def test_failed_placement_exit_code(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(assignment, "solve_assignment", lambda inst, orders: None)
+        inst_path = tmp_path / "gap.json"
+        save(gen_kc_gap(Fraction(1000)), inst_path)
+        code, out, err = run_cli(capsys, "solve", "--in", str(inst_path),
+                                 "--out", str(tmp_path / "s.json"))
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and err.startswith("invariant failed: ")
+        assert "placement flow" in err
+        assert not (tmp_path / "s.json").exists()
 
     def test_missing_file_exit_code(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "solve", "--in",

@@ -2,13 +2,14 @@ from fractions import Fraction
 
 import pytest
 
+from lotforge.assignment import solve_assignment
 from lotforge.errors import InstanceFormatError
 from lotforge.instance import (CmilsInstance, FractionalSolution, OrderSchedule,
                                check_feasible, cost, from_json_dict, gen_kc_gap,
                                gen_random, hcost, load, make_schedule, parse_rat,
                                prefix_feasible, save, schedule_from_json_dict,
                                to_json_dict, validate)
-from lotforge.oracles import brute_force_cmils, min_holding_for_orders
+from lotforge.oracles import brute_force_cmils
 
 F = Fraction
 
@@ -85,7 +86,7 @@ class TestCost:
 
     def test_seed42_matches_naive_recomputation(self):
         inst = gen_random(42, T=6, N=4)
-        placed = min_holding_for_orders(inst, inst.periods())
+        placed = solve_assignment(inst, inst.periods())
         assert placed is not None
         sched = make_schedule(inst, set(inst.periods()), placed[1])
         ordering = F(0)
@@ -172,7 +173,7 @@ class TestGenerators:
         best = None
         for mask in range(4):
             orders = [s for s in (1, 2) if mask >> (s - 1) & 1]
-            placed = min_holding_for_orders(inst, orders)
+            placed = solve_assignment(inst, orders)
             if placed is None:
                 continue
             total = sum((inst.K[s - 1] for s in orders), F(0)) + placed[0]

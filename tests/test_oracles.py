@@ -9,10 +9,8 @@ from lotforge.instance import (CmilsInstance, check_feasible, gen_kc_gap,
 from lotforge.interval_kc import IntervalKcInstance
 from lotforge.intervals import cap_within
 from lotforge.laminar_kc import LaminarFamily, LaminarKcInstance
-from lotforge.lp_core import LE, LinearProgram, solve_to_vertex
 from lotforge.oracles import (approx_interval_kc_details, brute_force_cmils,
-                              brute_force_interval_kc, brute_force_laminar_kc,
-                              min_holding_for_orders)
+                              brute_force_interval_kc, brute_force_laminar_kc)
 
 F = Fraction
 
@@ -48,39 +46,6 @@ class TestBruteForceCmils:
             assert result.witness.total_cost == result.optimum_cost
             ok, bad = check_feasible(inst, result.witness)
             assert ok, bad
-
-
-class TestInnerFlow:
-    def test_flow_matches_transportation_lp(self):
-        # independent cross-check of the holding subproblem at T <= 4
-        for seed in range(6):
-            inst = gen_random(seed, T=4, N=3)
-            orders = list(inst.periods())
-            placed = min_holding_for_orders(inst, orders)
-            assert placed is not None
-            cols = {}
-            for i in inst.items():
-                for s in range(1, inst.deadline(i) + 1):
-                    cols[(s, i)] = len(cols)
-            lp = LinearProgram(
-                num_vars=len(cols),
-                objective=[F(0)] * len(cols),
-                bounds=[(F(0), inst.total_demand())] * len(cols),
-            )
-            for (s, i), j in cols.items():
-                lp.objective[j] = inst.hold(i, s)
-            for i in inst.items():
-                lp.add_row({cols[(s, i)]: F(1)
-                            for s in range(1, inst.deadline(i) + 1)}, "=",
-                           inst.demand(i))
-            for s in inst.periods():
-                coeffs = {cols[(s, i)]: F(1) for i in inst.items()
-                          if s <= inst.deadline(i)}
-                if coeffs:
-                    lp.add_row(coeffs, LE, inst.cap(s))
-            sol = solve_to_vertex(lp)
-            assert sol.status == "optimal"
-            assert sol.objective_value == placed[0]
 
 
 class TestCoverOracles:
