@@ -55,8 +55,9 @@ class IntervalKcInstance:
                 raise ValueError(f"requirement on ({a}, {b}] outside [0, {self.T}]")
 
 
-def max_coverable(a: int, b: int, view: ScaledCover, locked) -> Fraction:
-    """Largest W >= 0 the free mass of (a, b] can cover (0 if none).
+def max_coverable(a: int, b: int, view: ScaledCover, locked) -> tuple[int, int]:
+    """Largest W >= 0 the free mass of (a, b] can cover (0 if none), as an
+    integer pair (num, den) with den > 0, not necessarily in lowest terms.
 
     The capped-mass condition defines a concave piecewise-linear function of
     W starting at 0, so its feasible set is [0, W1]; the count condition is
@@ -65,7 +66,6 @@ def max_coverable(a: int, b: int, view: ScaledCover, locked) -> Fraction:
 
     The walk runs on the view's integers: with W = w / cden, the capped
     mass minus 2W, times cden * yden, is sum min(c_s, w) u_s - 2 yden w.
-    Only the answer is built as a Fraction.
     """
     weight: dict[int, int] = {}
     c, u = view.c, view.u
@@ -73,7 +73,7 @@ def max_coverable(a: int, b: int, view: ScaledCover, locked) -> Fraction:
         if s not in locked and u[s - 1] > 0:
             weight[c[s - 1]] = weight.get(c[s - 1], 0) + u[s - 1]
     if not weight:
-        return Fraction(0)
+        return 0, 1
 
     # W1 = (w_prev + f / drop) / cden: walk the breakpoints; on the segment
     # below breakpoint w the slope of the scaled slack is (total weight of
@@ -97,20 +97,22 @@ def max_coverable(a: int, b: int, view: ScaledCover, locked) -> Fraction:
             w2 = w
             break
     if w2 * drop > w1:
-        return Fraction(w2, view.cden)
-    return Fraction(w1, drop * view.cden)
+        return w2, view.cden
+    return w1, drop * view.cden
 
 
 def construct_laminar_family(y, locked, C, T: int) -> LaminarFamily:
     """Binary split of (0, T] down to unit leaves.
 
     Each non-unit interval splits at the cut maximizing the smaller child
-    score; ties go to the smallest cut point.  Scores are memoized per call.
+    score; ties go to the smallest cut point.  Scores are memoized per call
+    as max_coverable's integer pairs and compared by cross-multiplication;
+    only the members' scores become Fractions.
     """
     view = ScaledCover(C, y)
-    scores: dict[Interval, Fraction] = {}
+    scores: dict[Interval, tuple[int, int]] = {}
 
-    def score(a: int, b: int) -> Fraction:
+    def score(a: int, b: int) -> tuple[int, int]:
         if (a, b) not in scores:
             scores[(a, b)] = max_coverable(a, b, view, locked)
         return scores[(a, b)]
@@ -122,18 +124,18 @@ def construct_laminar_family(y, locked, C, T: int) -> LaminarFamily:
         score(a, b)
         if b - a <= 1:
             return
-        best_c = a + 1
-        best = min(score(a, a + 1), score(a + 1, b))
-        for c in range(a + 2, b):
-            cand = min(score(a, c), score(c, b))
-            if cand > best:
-                best, best_c = cand, c
+        best_c, best_n, best_d = a, -1, 1  # below every score
+        for c in range(a + 1, b):
+            (ln, ld), (rn, rd) = score(a, c), score(c, b)
+            n, d = (ln, ld) if ln * rd <= rn * ld else (rn, rd)
+            if n * best_d > best_n * d:
+                best_n, best_d, best_c = n, d, c
         build(a, best_c)
         build(best_c, b)
 
     build(0, T)
     return LaminarFamily.from_intervals(
-        T, members, coverable={iv: scores[iv] for iv in members})
+        T, members, coverable={iv: Fraction(*scores[iv]) for iv in members})
 
 
 def solve_interval_kc(ikc: IntervalKcInstance, y_scaled, locked,

@@ -1,19 +1,28 @@
 """Exact-rational linear programming to optimal vertex solutions.
 
-Minimization LPs with sparse rows and finite box bounds are solved by a
-two-phase primal simplex in exact arithmetic.  The entering column is the
-one with the most negative reduced cost (Dantzig's rule); after a run of
+Minimization LPs with sparse rows and finite box bounds are solved by the
+simplex method in exact arithmetic, with no phase 1.  Variables fixed by
+their bounds are substituted out; the remaining bounds are handled natively
+by the classic bounded-variable simplex: each column is measured by its
+offset from one of its bounds.  When the offset reaches the column's width
+-- a bound flip, or a basic column leaving at its far bound -- the column is
+complemented, that is measured from its other bound instead, so every
+nonbasic offset is 0.
+
+A cold solve starts from the slack basis: each LE/GE row is basic in its
+slack and each EQ row in an artificial of width 0, which never enters.  A
+column starts at its upper bound when raising it only loosens the rows it
+is in (no EQ row, positive in every GE row, negative in every LE row), and
+at its lower bound otherwise: a crash start after Bixby.  If every row holds
+there (every basic offset is in range), the primal simplex starts from it.
+Otherwise each column with a nonzero cost moves to its cheaper bound.  Every
+structural column is boxed and only structurals carry cost, so that basis
+is dual feasible, and Lemke's dual simplex (below) runs from it to a
+feasible basis or proves that none exists.  From a feasible basis the
+artificials, all at 0 then, are pivoted out, and the primal simplex prices by
+the most negative reduced cost (Dantzig's rule); after a run of
 DEGENERATE_RUN zero-length steps, Bland's least-index rule takes over until
-a step moves, so the solver cannot cycle.  Variables fixed by their bounds
-are substituted out; the remaining bounds are handled natively by the
-classic bounded-variable simplex: each column is measured by its offset from
-one of its bounds.  A column starts at its upper bound when raising it only
-loosens the rows it is in (no EQ row, positive in every GE row, negative in
-every LE row), and at its lower bound otherwise: a crash start after Bixby
-that leaves phase 1 fewer violated rows.  When the offset reaches the
-column's width -- a bound flip, or a basic column leaving at its far
-bound -- the column is complemented, that is measured from its other bound
-instead, so every nonbasic offset is 0.
+a step moves, so it cannot cycle.
 
 The tableau is fraction-free (after Bareiss elimination and the
 integer-preserving simplex of Azulay and Pique): each row is a list of
@@ -44,13 +53,13 @@ LP afterwards -- the cutting-plane master's cuts -- are re-solved warm
 rather than from scratch.  Each appended LE/GE row gets a new slack column
 that is basic in it, and the row is reduced by the current basis; the
 basis stays dual feasible, and a violated row leaves its slack's offset
-negative.  Lemke's dual simplex then restores primal feasibility under a
-dual least-index rule (after Bland): the leaving row is the one whose
-basic column has the lowest index among all offsets below 0 or above their
-width, and the entering column has the least ratio of reduced cost to the
-row's entry, ties to the lowest index.  The primal phase 2 that follows
-recomputes every reduced cost, so a warm optimum passes the same test as a
-cold one.
+negative.  The dual simplex, cold or warm, restores primal feasibility
+under a dual least-index rule (after Bland): the leaving row is the one
+whose basic column has the lowest index among all offsets below 0 or above
+their width, and the entering column has the least ratio of reduced cost
+to the row's entry, ties to the lowest index.  The primal simplex that
+follows recomputes every reduced cost, so an optimum reached by the dual
+simplex passes the same test as one reached by the primal.
 """
 
 from __future__ import annotations
@@ -69,7 +78,6 @@ EQ = "="
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -94,13 +102,16 @@ class LinearProgram:
     bounds: list[tuple[Fraction, Fraction]] = field(default_factory=list)
 
     def add_row(self, coeffs: Mapping[int, Fraction], relation: str, rhs) -> None:
-        clean = {j: Fraction(v) for j, v in coeffs.items() if v}
+        clean = {j: v if isinstance(v, Fraction) else Fraction(v)
+                 for j, v in coeffs.items() if v}
         for j in clean:
             if not (0 <= j < self.num_vars):
                 raise ValueError(f"row references unknown variable {j}")
         if relation not in (LE, GE, EQ):
             raise ValueError(f"unknown relation {relation!r}")
-        self.rows.append(Row(coeffs=clean, relation=relation, rhs=Fraction(rhs)))
+        if not isinstance(rhs, Fraction):
+            rhs = Fraction(rhs)
+        self.rows.append(Row(coeffs=clean, relation=relation, rhs=rhs))
 
     def check_well_formed(self) -> None:
         if len(self.objective) != self.num_vars:
@@ -120,10 +131,10 @@ class LinearProgram:
 class LpSolution:
     """A solve's outcome.
 
-    pivots counts the basis changes the solve made, in phase 1, phase 2, the
-    dual simplex and the lexicographic stage alike.  tableau is the final tableau of an OPTIMAL
-    solve, an opaque handle for `solve_to_vertex`'s start, and None
-    otherwise or once it has been used.
+    pivots counts the basis changes the solve made, in the dual and primal
+    simplex and the lexicographic stage alike.  tableau is the final tableau
+    of an OPTIMAL solve, an opaque handle for `solve_to_vertex`'s start, and
+    None otherwise or once it has been used.
     """
     status: str
     values: Optional[list[Fraction]]
@@ -136,11 +147,12 @@ class _Tableau:
     """Bounded-variable simplex working state over integer rows.
 
     Columns: free structural variables first, then one slack per non-equality
-    row, then phase-1 artificials.  Column k's value is lo[k] + z_k, or
-    lo[k] + width[k] - z_k once it is complemented (comp[k]); every nonbasic
-    z is 0, so a nonbasic column sits at its lower bound, or at its upper
-    bound when complemented.  width[k] is the integer pair (numerator,
-    denominator) of hi - lo, or None for a column without an upper bound.
+    row, then one artificial of width 0 per equality row.  Column k's value
+    is lo[k] + z_k, or lo[k] + width[k] - z_k once it is complemented
+    (comp[k]); every nonbasic z is 0, so a nonbasic column sits at its lower
+    bound, or at its upper bound when complemented.  width[k] is the integer
+    pair (numerator, denominator) of hi - lo, or None for a slack, which has
+    no upper bound.
 
     Row i is the integer list tab[i] over the positive integer den[i]; its
     last entry is the row's constant, so the row reads
@@ -185,9 +197,9 @@ class _Tableau:
         # bound, complemented, when raising it only loosens its rows -- it is
         # in no EQ row, positive in every GE row and negative in every LE row
         # -- and every other column at its lower bound.  A start at the bound
-        # that loosens every row leaves fewer violated rows for phase 1; the
-        # optimum returned is unique (see `lex_min`), so only the pivot path
-        # changes, never the vertex.
+        # that loosens every row leaves fewer rows violated; the optimum
+        # returned is unique (see `lex_min`), so only the pivot path changes,
+        # never the vertex.
         tightens: set[int] = set()
         for row in lp.rows:
             rel = row.relation
@@ -197,50 +209,38 @@ class _Tableau:
         for j, col in self.col_of_var.items():
             self.comp[col] = j not in tightens
 
-        # Rows: every column starts at the bound chosen above (slacks at 0),
-        # and each row is signed so that its initial basic column -- its
-        # slack when the slack's value comes out >= 0, otherwise a new
-        # artificial -- has coefficient +den.
+        # Rows: every column starts at the bound chosen above (slacks at 0).
+        # Each LE/GE row is basic in its own slack, each EQ row in an
+        # artificial of width 0, and the row is signed so that its basic
+        # column has coefficient +den.  A row the start violates has its
+        # basic offset out of range: a slack below 0, an artificial off 0.
+        # The artificials are banned from entering.
+        n_art = len(lp.rows) - n_slack
+        self.art_cols = list(range(self.ncols, self.ncols + n_art))
+        self.ncols += n_art
+        self.lo += [_ZERO] * n_art
+        self.width += [(0, 1)] * n_art
+        self.comp += [False] * n_art
         self.tab: list[list[int]] = []
         self.den: list[int] = []
         self.basis: list[int] = []
-        self.art_cols: list[int] = []
-        art_rows: list[int] = []
-        scol = n_struct
-        for i, row in enumerate(lp.rows):
+        scol, acol = n_struct, n_struct + n_slack
+        for row in lp.rows:
             ints, den = self._integer_row(row, self.ncols)
-            resid = ints[-1]  # the constant's numerator: den > 0
-            rel = row.relation
-            if rel != EQ:
-                ints[scol] = den if rel == LE else -den
-            if (rel == LE and resid >= 0) or (rel == GE and resid <= 0):
-                sign, basic = (1 if rel == LE else -1), scol
+            if row.relation == EQ:
+                basic, acol = acol, acol + 1
             else:
-                sign, basic = (-1 if resid < 0 else 1), -1
-                art_rows.append(i)
-            if rel != EQ:
-                scol += 1
-            if sign < 0:
-                ints = [-v for v in ints]
+                basic, scol = scol, scol + 1
+                if row.relation == GE:  # row - slack = rhs, negated
+                    ints = [-v for v in ints]
+            ints[basic] = den
             self.tab.append(ints)
             self.den.append(den)
             self.basis.append(basic)
-        n_art = len(art_rows)
-        for row in self.tab:
-            row[-1:-1] = [0] * n_art
-        for i in art_rows:
-            acol = self.ncols
-            self.tab[i][acol] = self.den[i]
-            self.basis[i] = acol
-            self.art_cols.append(acol)
-            self.ncols += 1
-        self.lo += [_ZERO] * n_art
-        self.width += [None] * n_art
-        self.comp += [False] * n_art
         self.in_basis: list[bool] = [False] * self.ncols
         for b in self.basis:
             self.in_basis[b] = True
-        self.banned: set[int] = set()
+        self.banned: set[int] = set(self.art_cols)
         self.pivots = 0
         # What a warm start checks the LP against (see `_resume`).
         self.rows_seen: list[Row] = list(lp.rows)
@@ -384,11 +384,13 @@ class _Tableau:
             self.tab[i], self.den[i] = _complement(self.tab[i], self.den[i], j, wn, wd)
         self.comp[j] = not self.comp[j]
 
-    def run(self, cbar: list[int], cden: int) -> Optional[list[int]]:
+    def run(self, cbar: list[int], cden: int) -> list[int]:
         """Minimize from the reduced-cost row cbar / cden of the current basis.
 
-        Returns the final reduced-cost row, over a positive denominator, at
-        an optimum, or None if the objective is unbounded.
+        The basis must be primal feasible.  Returns the final reduced-cost
+        row, over a positive denominator, at an optimum.  Every structural
+        column is boxed and a slack is a function of them, so no step can be
+        unbounded; one that is raises InvariantError.
         """
         tab, den, basis, width = self.tab, self.den, self.basis, self.width
         banned = self.banned
@@ -443,7 +445,7 @@ class _Tableau:
                         continue
                 best_n, best_d, best_row = num, dn, i
             if not best_d:
-                return None
+                raise InvariantError("unbounded simplex step although every column is boxed")
 
             # a bound flip moves by the column's width, which is positive
             degenerate = degenerate + 1 if best_row >= 0 and not best_n else 0
@@ -504,6 +506,39 @@ class _Tableau:
             done = ban_positive(self.run(row, rden))
         self.banned = set(self.art_cols)
 
+    def out_of_range(self) -> tuple[int, bool]:
+        """The first row whose basic offset is out of range, and whether above.
+
+        Of the rows whose basic offset is below 0 or above its width, the
+        one whose basic column has the lowest index; (-1, False) if there is
+        none.
+        """
+        tab, den, basis, width = self.tab, self.den, self.basis, self.width
+        r, above = -1, False
+        for i, row in enumerate(tab):
+            b = basis[i]
+            if r >= 0 and b > basis[r]:
+                continue
+            if row[-1] < 0:
+                r, above = i, False
+            elif (w := width[b]) is not None and row[-1] * w[1] > w[0] * den[i]:
+                r, above = i, True
+        return r, above
+
+    def in_range(self) -> bool:
+        """True iff the basis is primal feasible."""
+        return self.out_of_range()[0] < 0
+
+    def cheaper_bounds(self, cost: list[Fraction]) -> None:
+        """Move each nonbasic column with a nonzero cost to its cheaper bound.
+
+        In the start basis every basic column costs 0, so each reduced cost
+        is then >= 0: the basis is dual feasible for cost.
+        """
+        for k, c in enumerate(cost):
+            if c and (c > 0) == self.comp[k]:
+                self.complement(k, [i for i, row in enumerate(self.tab) if row[k]])
+
     def dual(self, cost: list[Fraction]) -> bool:
         """Dual simplex to a feasible basis; False if the LP has none.
 
@@ -513,19 +548,10 @@ class _Tableau:
         at the bound it violates.
         """
         cbar, cden = self.reduced_costs(cost)
-        tab, den, basis, width = self.tab, self.den, self.basis, self.width
-        banned = self.banned
+        tab, den, basis, banned = self.tab, self.den, self.basis, self.banned
         guard = 2000 + 200 * (len(tab) + self.ncols)
         for _ in range(guard):
-            r, above = -1, False
-            for i, row in enumerate(tab):
-                b = basis[i]
-                if r >= 0 and b > basis[r]:
-                    continue
-                if row[-1] < 0:
-                    r, above = i, False
-                elif (w := width[b]) is not None and row[-1] * w[1] > w[0] * den[i]:
-                    r, above = i, True
+            r, above = self.out_of_range()
             if r < 0:
                 return True
             if above:
@@ -551,7 +577,7 @@ class _Tableau:
         raise InvariantError("dual simplex failed to terminate (cycling guard tripped)")
 
     def drop_artificials(self) -> None:
-        """Pivot zero-valued artificials out of the basis; delete dead rows."""
+        """Pivot the basic artificials, all at 0, out; delete dead rows."""
         arts = set(self.art_cols)
         for i in range(len(self.tab) - 1, -1, -1):
             b = self.basis[i]
@@ -570,12 +596,6 @@ class _Tableau:
                 del self.tab[i]
                 del self.den[i]
                 del self.basis[i]
-        self.banned |= arts
-
-    def artificials_at_zero(self) -> bool:
-        """True iff every artificial is 0 (nonbasic ones always are)."""
-        arts = set(self.art_cols)
-        return not any(row[-1] for row, b in zip(self.tab, self.basis) if b in arts)
 
     def solution_values(self) -> list[Fraction]:
         """Every variable's value, read off the integer rows as Fractions."""
@@ -663,32 +683,20 @@ def solve_to_vertex(lp: LinearProgram, start: Optional[LpSolution] = None) -> Lp
     ValueError.
     """
     lp.check_well_formed()
-    if start is None:
-        tab = _Tableau(lp)
-        if tab.art_cols:
-            phase1 = [_ZERO] * tab.ncols
-            for a in tab.art_cols:
-                phase1[a] = _ONE
-            if tab.run(*tab.reduced_costs(phase1)) is None:
-                raise InvariantError("phase-1 objective cannot be unbounded")
-            if not tab.artificials_at_zero():
-                return LpSolution(status=INFEASIBLE, values=None, objective_value=None,
-                                  pivots=tab.pivots)
-            tab.drop_artificials()
-    else:
-        tab = _resume(lp, start)
-
+    tab = _Tableau(lp) if start is None else _resume(lp, start)
     cost = [_ZERO] * tab.ncols
     for j, col in tab.col_of_var.items():
         cost[col] = Fraction(lp.objective[j])
-    if start is not None and not tab.dual(cost):
-        return LpSolution(status=INFEASIBLE, values=None, objective_value=None,
-                          pivots=tab.pivots)
-    cbar = tab.run(*tab.reduced_costs(cost))
-    if cbar is None:
-        return LpSolution(status=UNBOUNDED, values=None, objective_value=None,
-                          pivots=tab.pivots)
-    tab.lex_min(cbar)
+    if start is not None or not tab.in_range():
+        # A warm basis is dual feasible already; a cold one that violates a
+        # row becomes so once every column sits at its cheaper bound.
+        if start is None:
+            tab.cheaper_bounds(cost)
+        if not tab.dual(cost):
+            return LpSolution(status=INFEASIBLE, values=None, objective_value=None,
+                              pivots=tab.pivots)
+    tab.drop_artificials()
+    tab.lex_min(tab.run(*tab.reduced_costs(cost)))
 
     values = tab.solution_values()
     obj = sum((lp.objective[j] * values[j] for j in range(lp.num_vars)), _ZERO)

@@ -209,6 +209,11 @@ def capped_mass_and_count(C, a: int, b: int, need: Fraction, y,
     return mass, count
 
 
+def coverable(a: int, b: int, view: ScaledCover, locked) -> Fraction:
+    """interval_kc.max_coverable's integer pair as a Fraction."""
+    return Fraction(*max_coverable(a, b, view, locked))
+
+
 def grid_scan_coverable(a, b, y, locked, C) -> Fraction:
     """Independent supremum check for max_coverable over a provably complete
     candidate grid: every capacity, plus the roots of the capped-mass slack
@@ -281,7 +286,7 @@ def random_laminar_case(seed: int):
     family = LaminarFamily.from_intervals(T, intervals)
     req: dict = {}
     for iv in family.members:
-        room = max_coverable(iv[0], iv[1], ScaledCover(C, y), locked)
+        room = coverable(iv[0], iv[1], ScaledCover(C, y), locked)
         if room > 0 and rng.random() < 0.9:
             want = room * Fraction(rng.randint(1, 4), 4)
             req[iv] = want + cap_within(C, iv[0], iv[1], locked)

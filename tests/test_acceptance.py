@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (check_placement, enumerate_optimum,
+from helpers import (check_placement, coverable, enumerate_optimum,
                      family_dominates_requirements, grid_scan_coverable,
                      random_interval_kc, random_laminar_case, random_lp,
                      transportation_lp)
@@ -18,7 +18,7 @@ from lotforge.assignment import solve_assignment
 from lotforge.cmils_master import MasterState, run_pipeline, solve_master
 from lotforge.instance import (check_feasible, gen_kc_gap, gen_random, hcost,
                                prefix_feasible)
-from lotforge.interval_kc import construct_laminar_family, max_coverable
+from lotforge.interval_kc import construct_laminar_family
 from lotforge.intervals import ScaledCover, all_intervals, cap_within, locked_periods
 from lotforge.laminar_kc import solve as laminar_solve
 from lotforge.lp_core import INFEASIBLE, OPTIMAL, LpSolution, solve_to_vertex, verify_vertex
@@ -175,7 +175,7 @@ def test_criterion_6_coverable_score_oracle():
         locked = frozenset(s for s in range(1, T + 1) if y[s - 1] == 1)
         a = rng.randint(0, T - 1)
         b = rng.randint(a + 1, T)
-        assert max_coverable(a, b, ScaledCover(caps, y), locked) == \
+        assert coverable(a, b, ScaledCover(caps, y), locked) == \
             grid_scan_coverable(a, b, y, locked, caps), (case, a, b, caps, y)
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0

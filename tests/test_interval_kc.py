@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (family_dominates_requirements, grid_scan_coverable,
+from helpers import (coverable, family_dominates_requirements, grid_scan_coverable,
                      is_binary_with_unit_leaves, render_tree)
 from lotforge import laminar_kc
 from lotforge.errors import InvariantError
 from lotforge.instance import gen_kc_gap
 from lotforge.interval_kc import (IntervalKcInstance, construct_laminar_family,
-                                  max_coverable, solve_interval_kc)
+                                  solve_interval_kc)
 from lotforge.intervals import ScaledCover, all_intervals, cap_within
 from lotforge.cmils_master import run_pipeline
 
@@ -20,26 +20,26 @@ F = Fraction
 
 class TestMaxCoverable:
     def test_all_zero_openings(self):
-        assert max_coverable(0, 3, ScaledCover((F(5),) * 3, (F(0),) * 3), frozenset()) == 0
+        assert coverable(0, 3, ScaledCover((F(5),) * 3, (F(0),) * 3), frozenset()) == 0
 
     def test_two_half_open_knapsacks(self):
-        got = max_coverable(0, 2, ScaledCover((F(5), F(5)), (F(1, 2), F(1, 2))), frozenset())
+        got = coverable(0, 2, ScaledCover((F(5), F(5)), (F(1, 2), F(1, 2))), frozenset())
         assert got == 5  # the count condition reaches 1 exactly at W = 5
 
     def test_single_half_open_knapsack(self):
-        assert max_coverable(0, 1, ScaledCover((F(10),), (F(1, 2),)), frozenset()) == 0
+        assert coverable(0, 1, ScaledCover((F(10),), (F(1, 2),)), frozenset()) == 0
 
     def test_locked_periods_are_excluded(self):
         y = (F(1), F(1, 2))
-        assert max_coverable(0, 2, ScaledCover((F(9), F(5)), y), frozenset({1})) == \
-            max_coverable(1, 2, ScaledCover((F(9), F(5)), y), frozenset())
+        assert coverable(0, 2, ScaledCover((F(9), F(5)), y), frozenset({1})) == \
+            coverable(1, 2, ScaledCover((F(9), F(5)), y), frozenset())
 
     def test_mass_root_value(self):
         # five knapsacks of capacity 3 at 9/10: slack stays positive past the
         # breakpoint and decays at rate 2: root 3 + (4.5*3 - 6)/2 = 27/4
         y = (F(9, 10),) * 5
         caps = (F(3),) * 5
-        assert max_coverable(0, 5, ScaledCover(caps, y), frozenset()) == F(27, 4)
+        assert coverable(0, 5, ScaledCover(caps, y), frozenset()) == F(27, 4)
 
     def test_matches_grid_scan(self):
         rng = random.Random(0)
@@ -50,7 +50,7 @@ class TestMaxCoverable:
             locked = frozenset(s for s in range(1, T + 1) if y[s - 1] == 1)
             a = rng.randint(0, T - 1)
             b = rng.randint(a + 1, T)
-            assert max_coverable(a, b, ScaledCover(caps, y), locked) == \
+            assert coverable(a, b, ScaledCover(caps, y), locked) == \
                 grid_scan_coverable(a, b, y, locked, caps)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
@@ -64,7 +64,7 @@ class TestMaxCoverable:
         locked = frozenset(s for s in range(1, T + 1) if y[s - 1] == 1)
         view = ScaledCover(caps, y)
         for a, b in all_intervals(T):
-            assert max_coverable(a, b, view, locked) == \
+            assert coverable(a, b, view, locked) == \
                 grid_scan_coverable(a, b, y, locked, caps), (a, b)
 
     def test_monotone_under_enlargement(self):
@@ -76,8 +76,8 @@ class TestMaxCoverable:
             locked = frozenset()
             a = rng.randint(0, T - 2)
             b = rng.randint(a + 1, T - 1)
-            inner = max_coverable(a, b, ScaledCover(caps, y), locked)
-            outer = max_coverable(max(0, a - 1), min(T, b + 1), ScaledCover(caps, y), locked)
+            inner = coverable(a, b, ScaledCover(caps, y), locked)
+            outer = coverable(max(0, a - 1), min(T, b + 1), ScaledCover(caps, y), locked)
             assert outer >= inner
 
 

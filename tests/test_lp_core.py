@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (dump_lp, enumerate_lex_optimum, enumerate_optimum,
-                     fraction_integer_row, random_lp, tight_sets)
-from lotforge import cmils_master, instance, lp_core
+                     fraction_integer_row, random_laminar_case, random_lp, tight_sets)
+from lotforge import cmils_master, instance, laminar_kc, lp_core
 from lotforge.lp_core import (EQ, GE, INFEASIBLE, LE, OPTIMAL, LinearProgram,
                               LpSolution, solve_to_vertex, verify_vertex)
 
@@ -147,6 +147,17 @@ def test_well_formed_rejects_bad_rows():
         solve_to_vertex(lp)
 
 
+def test_add_row_keeps_fractions_and_converts_other_numbers():
+    lp = box_lp(3, [1, 1, 1])
+    half, rhs = F(1, 2), F(3, 2)
+    lp.add_row({0: half, 1: 2, 2: 0}, GE, rhs)
+    row = lp.rows[-1]
+    assert row.coeffs[0] is half and row.rhs is rhs
+    assert type(row.coeffs[1]) is Fraction and row.coeffs == {0: half, 1: F(2)}
+    lp.add_row({0: F(1)}, LE, 1)
+    assert type(lp.rows[-1].rhs) is Fraction
+
+
 def test_dump_lp_mentions_rows():
     lp = box_lp(1, [1])
     lp.add_row({0: F(1)}, GE, 1)
@@ -157,15 +168,18 @@ def test_dump_lp_mentions_rows():
 # -- tableau invariant -----------------------------------------------------------
 
 @contextlib.contextmanager
-def recording_tableaus():
+def recording_tableaus(dual_start=False):
     """Collect every _Tableau that solve_to_vertex builds, with its events.
 
     An event is ("flip", wd) when a nonbasic column is complemented (a bound
-    flip), ("leave", wd) when a basic one is (it leaves at its upper bound)
-    and ("above", wd) when the dual simplex complements a basic column that
+    flip or, before a cold dual simplex, a move to the cheaper bound),
+    ("leave", wd) when a basic one is (it leaves at its upper bound) and
+    ("above", wd) when the dual simplex complements a basic column that
     stands above its width; wd is the denominator of the column's width.
     after_dual and before_lex are (pivots, events) as the dual simplex ends
-    and as the lexicographic stage starts.
+    (None if it never runs) and as the lexicographic stage starts.  With
+    dual_start, a cold solve takes the dual start even where the crash start
+    is feasible.
     """
     made = []
 
@@ -174,7 +188,11 @@ def recording_tableaus():
             super().__init__(lp)
             self.events = []
             self.in_dual = False
+            self.after_dual = None
             made.append(self)
+
+        def in_range(self):
+            return not dual_start and super().in_range()
 
         def complement(self, j, rows):
             kind = "above" if self.in_dual else "leave" if self.in_basis[j] else "flip"
@@ -266,11 +284,16 @@ def check_still_optimal(tab, lp, values):
     assert tab.solution_values() == values
 
 
-def solve_and_check_rows(lp):
-    with recording_tableaus() as made:
+def solve_and_check_rows(lp, dual_start=False):
+    with recording_tableaus(dual_start) as made:
         sol = solve_to_vertex(lp)
     tab = made[-1]
-    check_rows(tab, column_values(tab, lp, sol.values) if sol.status == OPTIMAL else None)
+    if sol.status == OPTIMAL:
+        check_rows(tab, column_values(tab, lp, sol.values))
+    else:
+        # a cold solve proves infeasibility by the dual simplex, which stops
+        # with a row out of range
+        check_rows(tab, in_range=False)
     return sol, tab
 
 
@@ -280,21 +303,23 @@ def test_tableau_rows_keep_their_invariant():
 
 
 def test_fractional_widths_flip_and_leave_at_upper_bound():
-    # The LE row never binds, but its positive coefficients tighten it, so
-    # both columns start at their lower bounds.  Phase 1 flips x0 to 5/3
-    # (width 2/3), then x1 enters.  Phase 2 lowers x0 again, which raises the
-    # basic x1 to its upper bound 3/2 (width 3/2), so x1 leaves there: both
-    # complements scale rows by a width denominator.
-    lp = LinearProgram(num_vars=2, objective=[F(1), F(-1)],
+    # The row's positive coefficients tighten it, so both columns start at
+    # their lower bounds, where the row holds: the primal simplex starts
+    # there.  x0 enters first and meets its upper bound 5/3 (width 2/3) before
+    # the slack reaches 0, a bound flip; x1 then enters and the slack leaves.
+    # Lowering x0 again raises the basic x1 twice as fast, to its upper bound
+    # 3/2 (width 3/2), so x1 leaves there: both complements scale rows by a
+    # width denominator.
+    lp = LinearProgram(num_vars=2, objective=[F(-3), F(-2)],
                        bounds=[(F(1), F(5, 3)), (F(0), F(3, 2))])
-    lp.add_row({0: F(2), 1: F(1)}, GE, 4)
-    lp.add_row({0: F(1), 1: F(1)}, LE, 4)
+    lp.add_row({0: F(2), 1: F(1)}, LE, 4)
     sol, tab = solve_and_check_rows(lp)
     assert sol.status == OPTIMAL
     assert sol.values == [F(5, 4), F(3, 2)]
-    assert sol.objective_value == enumerate_optimum(lp) == F(-1, 4)
+    assert sol.objective_value == enumerate_optimum(lp) == F(-27, 4)
     assert verify_vertex(lp, sol)
     assert tab.events == [("flip", 3), ("leave", 2)]
+    assert tab.after_dual is None
 
 
 def test_bound_flip_wins_a_ratio_tie():
@@ -336,21 +361,41 @@ def base_masters():
 
 def test_crash_start_on_base_masters():
     # Each y_s is positive in GE rows only, so it starts at 1; each x is in
-    # its item's coverage EQ row, so it starts at 0.  Only the N coverage
-    # rows then need an artificial: every GE row's slack is >= 0 at the start.
+    # its item's coverage EQ row, so it starts at 0.  Every GE row's slack is
+    # then >= 0, and only the N coverage rows, basic in their artificials at
+    # 1, are out of range.
     for inst, lp in base_masters():
         layout = cmils_master.MasterLayout(inst)
         tab = lp_core._Tableau(lp)
         assert len(tab.art_cols) == inst.N
         assert all(tab.comp[tab.col_of_var[col]] for col in layout.y_col.values())
         assert not any(tab.comp[tab.col_of_var[col]] for col in layout.x_col.values())
+        out = [i for i, (row, den) in enumerate(zip(tab.tab, tab.den))
+               if row[-1] < 0 or (tab.basis[i] in tab.art_cols and row[-1])]
+        assert out == list(range(inst.N))
+        assert all(tab.tab[i][-1] == tab.den[i] for i in out)
+
+
+def test_base_masters_take_the_dual_start_and_rounding_lps_the_primal_one():
+    for _, lp in base_masters():
+        with recording_tableaus() as made:
+            assert solve_to_vertex(lp).status == OPTIMAL
+        assert made[0].after_dual[0] > 0
+    # A rounding LP's rows are GE rows with positive coefficients, so its
+    # crash start puts every free y at 1, where the rows hold.
+    with recording_tableaus() as made:
+        for seed in range(40):
+            laminar_kc.solve(*random_laminar_case(seed))
+    assert len(made) >= 30
+    assert all(tab.after_dual is None for tab in made)
 
 
 def test_crash_start_pivot_ceiling_on_base_masters():
-    # The pivot path is deterministic: these ten masters take 392 pivots in
-    # all from the crash start (40, 39, 35, 39, 44, 39, 30, 47, 32, 47) and
-    # took 701 when every column started at its lower bound.
-    assert sum(solve_to_vertex(lp).pivots for _, lp in base_masters()) <= 420
+    # The pivot path is deterministic: these ten masters take 230 pivots in
+    # all by the dual simplex from the crash start at the cheaper bounds
+    # (26, 17, 16, 26, 28, 19, 17, 20, 27, 34).  Phase 1 from the crash
+    # start took 392, and 701 when every column started at its lower bound.
+    assert sum(solve_to_vertex(lp).pivots for _, lp in base_masters()) <= 250
 
 
 # -- golden vertices ---------------------------------------------------------
@@ -434,7 +479,7 @@ def small_lps(draw):
 
     Each rhs is the row's value at a point of the box plus an offset that is
     zero half the time, so both feasible and infeasible LPs come up; an exact
-    or scaled copy of an earlier row makes phase 1 delete a redundant row.
+    or scaled copy of an earlier EQ row leaves a redundant row to delete.
     """
     n = draw(st.integers(1, 4))
     bounds, point = [], []
@@ -491,6 +536,41 @@ def test_random_mixed_lps_match_enumeration(lp):
         assert sol.values == enumerate_lex_optimum(lp)
         assert verify_vertex(lp, sol)
         check_still_optimal(tab, lp, sol.values)
+
+
+def test_dual_start_matches_the_primal_start():
+    """Forced onto the dual start, every cold solve ends where it would
+    have: same status and vertex, and the optimum the enumeration finds."""
+    reached = set()
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(small_lps())
+    def check(lp):
+        crash = lp_core._Tableau(lp)
+        if crash.in_range():
+            reached.add("crash start feasible")
+        if crash.fixed:
+            reached.add("fixed")
+        usual = solve_to_vertex(lp)
+        sol, tab = solve_and_check_rows(lp, dual_start=True)
+        assert tab.after_dual is not None
+        assert sol.status == usual.status and sol.values == usual.values
+        best = enumerate_optimum(lp)
+        if best is None:
+            assert sol.status == INFEASIBLE
+            reached.add("infeasible")
+            return
+        assert sol.objective_value == best
+        assert verify_vertex(lp, sol)
+        check_still_optimal(tab, lp, sol.values)
+        if crash.art_cols:
+            reached.add("EQ")
+        if len(tab.tab) < len(lp.rows):
+            reached.add("redundant row deleted")
+
+    check()
+    assert reached == {"crash start feasible", "fixed", "infeasible", "EQ",
+                       "redundant row deleted"}
 
 
 # -- warm re-solves --------------------------------------------------------------
