@@ -197,9 +197,10 @@ class _Tableau:
         # bound, complemented, when raising it only loosens its rows -- it is
         # in no EQ row, positive in every GE row and negative in every LE row
         # -- and every other column at its lower bound.  A start at the bound
-        # that loosens every row leaves fewer rows violated; the optimum
-        # returned is unique (see `lex_min`), so only the pivot path changes,
-        # never the vertex.
+        # that loosens every row leaves fewer rows violated, and none in the
+        # rounding LPs, which the primal simplex then solves from here; the
+        # optimum returned is unique (see `lex_min`), so only the pivot path
+        # changes, never the vertex.
         tightens: set[int] = set()
         for row in lp.rows:
             rel = row.relation
@@ -689,7 +690,10 @@ def solve_to_vertex(lp: LinearProgram, start: Optional[LpSolution] = None) -> Lp
         cost[col] = Fraction(lp.objective[j])
     if start is not None or not tab.in_range():
         # A warm basis is dual feasible already; a cold one that violates a
-        # row becomes so once every column sits at its cheaper bound.
+        # row becomes so once every column sits at its cheaper bound.  A
+        # feasible crash start goes to the primal simplex instead: on the
+        # rounding LPs that takes under half the pivots of the dual simplex
+        # from the cheaper bounds.
         if start is None:
             tab.cheaper_bounds(cost)
         if not tab.dual(cost):
