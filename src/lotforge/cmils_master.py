@@ -1,9 +1,16 @@
 """Strengthened LP master problem and the cutting-plane driver.
 
-The base relaxation covers every demand fractionally and already carries two
-families of capped-capacity rows (per order/item pair, and per order against
-the full demand).  On top of it sits a pool of covering cuts: for disjoint
-period sets S1, S2 and an item set I with C(S1) < d(I),
+The base relaxation covers every demand fractionally and carries two families
+of capped-capacity rows.  The per-period rows min(C_s, d(all)) y_s >=
+sum_i d_i x[s, i] are seeded.  The per-pair rows min(C_s, d_i) y_s >=
+d_i x[s, i] are generated: only a few are ever violated, so each master
+solve appends the ones its optimum violates and re-solves warm until none
+is (row generation, after Dantzig, Fulkerson and Johnson).  The solver
+returns the lexicographically least optimal point, and once that point of
+the relaxed LP satisfies every per-pair row it is also the full LP's, so
+generating the rows changes no vertex.  On top of it sits a pool of
+covering cuts: for disjoint period sets S1, S2 and an item set I with
+C(S1) < d(I),
 
     C(S1) + sum_{s in S2} min(C_s, d(I) - C(S1)) y_s
           + sum_{i in I} d_i x[outside S1+S2, i]  >=  d(I)
@@ -14,7 +21,8 @@ d(I) - C(S1), so their usable capacity is capped at it.
 run_pipeline alternates exact LP solves with the rounding/separation step
 until the rounded order set covers every interval requirement, then places
 the demand by a min-cost flow into that order set.  Each solve after a cut
-starts from the last optimal tableau (a dual simplex over the cut row).
+or a per-pair row starts from the last optimal tableau (a dual simplex over
+the appended rows).
 Covered requirements make the placement feasible, and its holding cost is
 at most 5/2 hcost(x) (see assignment); the certificate checks both ratio
 bounds on every run.
@@ -55,7 +63,7 @@ class MasterLayout:
 
 
 def build_base_lp(inst: CmilsInstance, layout: MasterLayout | None = None) -> lp_core.LinearProgram:
-    """Base relaxation: coverage equalities plus the two seeded row families."""
+    """Base relaxation: coverage equalities plus the seeded per-period rows."""
     layout = layout or MasterLayout(inst)
     obj = [Fraction(0)] * layout.num_vars
     for (s, i), col in layout.x_col.items():
@@ -71,9 +79,6 @@ def build_base_lp(inst: CmilsInstance, layout: MasterLayout | None = None) -> lp
     for i in inst.items():
         lp.add_row({layout.x_col[(s, i)]: Fraction(1)
                     for s in range(1, inst.deadline(i) + 1)}, lp_core.EQ, 1)
-    for (s, i), col in sorted(layout.x_col.items(), key=lambda kv: kv[1]):
-        cap = min(inst.cap(s), inst.demand(i))
-        lp.add_row({layout.y_col[s]: cap, col: -inst.demand(i)}, lp_core.GE, 0)
     for s in inst.periods():
         coeffs = {layout.y_col[s]: min(inst.cap(s), total_d)}
         for i in inst.items():
@@ -81,6 +86,14 @@ def build_base_lp(inst: CmilsInstance, layout: MasterLayout | None = None) -> lp
                 coeffs[layout.x_col[(s, i)]] = -inst.demand(i)
         lp.add_row(coeffs, lp_core.GE, 0)
     return lp
+
+
+def pair_row(inst: CmilsInstance, layout: MasterLayout,
+             pair: tuple[int, int]) -> dict[int, Fraction]:
+    """The per-pair row min(C_s, d_i) y_s - d_i x[s, i] >= 0, as coefficients."""
+    s, i = pair
+    return {layout.y_col[s]: min(inst.cap(s), inst.demand(i)),
+            layout.x_col[pair]: -inst.demand(i)}
 
 
 def cut_row(cut: CoveringCut, inst: CmilsInstance, layout: MasterLayout):
@@ -111,6 +124,7 @@ class MasterState:
     lp_value: Optional[Fraction] = None
     solution: Optional[lp_core.LpSolution] = None
     round: int = 0
+    pivots: int = 0  # over every LP solve of the last solve_master call
 
     @classmethod
     def new(cls, inst: CmilsInstance) -> "MasterState":
@@ -118,15 +132,38 @@ class MasterState:
         return cls(instance=inst, layout=layout, lp=build_base_lp(inst, layout))
 
 
-def solve_master(state: MasterState) -> FractionalSolution:
-    """Solve the master, warm from the last optimum once there is one."""
-    sol = lp_core.solve_to_vertex(state.lp, start=state.solution)
-    if sol.status == lp_core.INFEASIBLE:
-        raise ValueError("master LP infeasible: the demands cannot be met")
-    if sol.status != lp_core.OPTIMAL:
-        raise InvariantError(f"master LP came back {sol.status}")
-    state.solution = sol
-    state.current = state.layout.extract(sol.values, state.instance)
+def solve_master(state: MasterState, trace: Trace = None) -> FractionalSolution:
+    """Solve the master, warm from the last optimum once there is one.
+
+    Every per-pair row the optimum violates is appended, in x_col order, and
+    the master re-solved warm until none is.  Each round adds a row the LP
+    lacked, so the loop ends.
+
+    The row of (s, i) is violated exactly when x[s, i] > y_s, so only the
+    nonzero x need a look.  With
+    C_s >= d_i it reads d_i y_s >= d_i x[s, i].  With C_s < d_i the seeded
+    per-period row already implies it (C_s y_s >= sum_k d_k x[s, k] >=
+    d_i x[s, i]), and then x[s, i] <= C_s / d_i * y_s <= y_s.
+    """
+    inst, layout = state.instance, state.layout
+    state.pivots = 0
+    while True:
+        sol = lp_core.solve_to_vertex(state.lp, start=state.solution)
+        state.pivots += sol.pivots
+        if sol.status == lp_core.INFEASIBLE:
+            raise ValueError("master LP infeasible: the demands cannot be met")
+        if sol.status != lp_core.OPTIMAL:
+            raise InvariantError(f"master LP came back {sol.status}")
+        state.solution = sol
+        state.current = layout.extract(sol.values, inst)
+        y = state.current.y
+        violated = [pair for pair, v in state.current.x.items() if v > y[pair[0] - 1]]
+        if not violated:
+            break
+        for pair in violated:
+            state.lp.add_row(pair_row(inst, layout, pair), lp_core.GE, 0)
+        if trace:
+            trace(f"round={state.round} pair_rows={len(violated)}")
     state.lp_value = sol.objective_value
     for cut in state.cut_pool:
         if cut_lhs(cut, state.current, state.instance) < cut_demand(cut, state.instance):
@@ -187,7 +224,7 @@ def run_pipeline(inst: CmilsInstance, max_rounds: int = 200,
     if bad:
         raise ValueError("invalid instance: " + "; ".join(bad))
     state = MasterState.new(inst)
-    sol = solve_master(state)
+    sol = solve_master(state, trace)
     prev_value = state.lp_value
     payload = None
     while True:
@@ -202,13 +239,13 @@ def run_pipeline(inst: CmilsInstance, max_rounds: int = 200,
         if trace:
             trace(f"round={state.round} cut S1={sorted(outcome.S1)} "
                   f"S2={sorted(outcome.S2)} I={sorted(outcome.I)}")
-        sol = solve_master(state)
+        sol = solve_master(state, trace)
         if state.lp_value < prev_value:
             raise InvariantError("LP value decreased after adding rows")
         prev_value = state.lp_value
         if trace:
             trace(f"round={state.round} lp_value={state.lp_value} "
-                  f"pivots={state.solution.pivots}")
+                  f"pivots={state.pivots}")
 
     ikc = interval_kc.IntervalKcInstance(T=inst.T, C=inst.C, K=inst.K, R=payload.R)
     orders = interval_kc.solve_interval_kc(

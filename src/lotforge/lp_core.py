@@ -45,21 +45,22 @@ optimal, each structural variable in index order is minimized over the
 optimal face left by the ones before it.  That point is unique, so the
 vertex returned does not depend on the pivot path: not on the pricing rule,
 and not on whether the solve started warm or cold.  It is a basic solution:
-the constraints tight at it span the full variable space, which
-`verify_vertex` re-checks from scratch by exact Gaussian elimination.
+the constraints tight at it span the full variable space.
 
 An optimal solution keeps its final tableau, so that rows appended to its
-LP afterwards -- the cutting-plane master's cuts -- are re-solved warm
-rather than from scratch.  Each appended LE/GE row gets a new slack column
-that is basic in it, and the row is reduced by the current basis; the
-basis stays dual feasible, and a violated row leaves its slack's offset
-negative.  The dual simplex, cold or warm, restores primal feasibility
-under a dual least-index rule (after Bland): the leaving row is the one
-whose basic column has the lowest index among all offsets below 0 or above
-their width, and the entering column has the least ratio of reduced cost
-to the row's entry, ties to the lowest index.  The primal simplex that
-follows recomputes every reduced cost, so an optimum reached by the dual
-simplex passes the same test as one reached by the primal.
+LP afterwards -- the cutting-plane master's per-pair rows and cuts -- are
+re-solved warm rather than from scratch.  Only the new rows are checked for
+form; the older ones, the bounds and the objective are matched by identity.
+Each appended LE/GE row gets a new slack column that is basic in it, and
+the row is reduced by the current basis; the basis stays dual feasible, and
+a violated row leaves its slack's offset negative.  The dual simplex, cold
+or warm, restores primal feasibility under a dual least-index rule (after
+Bland): the leaving row is the one whose basic column has the lowest index
+among all offsets below 0 or above their width, and the entering column has
+the least ratio of reduced cost to the row's entry, ties to the lowest
+index.  The primal simplex that follows recomputes every reduced cost, so
+an optimum reached by the dual simplex passes the same test as one reached
+by the primal.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from operator import is_
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from .errors import InvariantError
 
@@ -80,7 +81,6 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 # Zero-length primal steps in a row after which pricing falls back from
 # Dantzig's rule to Bland's until a step moves.
@@ -113,15 +113,21 @@ class LinearProgram:
             rhs = Fraction(rhs)
         self.rows.append(Row(coeffs=clean, relation=relation, rhs=rhs))
 
-    def check_well_formed(self) -> None:
+    def check_well_formed(self, since: int = 0) -> None:
+        """Raise ValueError if the LP is malformed.
+
+        With since > 0 the bounds and rows[:since] are taken as checked: a
+        warm start has matched them, by identity, to ones it checked before.
+        """
         if len(self.objective) != self.num_vars:
             raise ValueError("objective length mismatch")
         if len(self.bounds) != self.num_vars:
             raise ValueError("bounds length mismatch")
-        for j, (lo, hi) in enumerate(self.bounds):
-            if lo > hi:
-                raise ValueError(f"variable {j}: lo {lo} > hi {hi}")
-        for row in self.rows:
+        if not since:
+            for j, (lo, hi) in enumerate(self.bounds):
+                if lo > hi:
+                    raise ValueError(f"variable {j}: lo {lo} > hi {hi}")
+        for row in self.rows[since:]:
             for j in row.coeffs:
                 if not (0 <= j < self.num_vars):
                     raise ValueError(f"row references unknown variable {j}")
@@ -608,10 +614,16 @@ class _Tableau:
                 out.append(self.fixed[j])
                 continue
             col = self.col_of_var[j]
-            z = offset.get(col, _ZERO)
+            z = offset.get(col)
             if self.comp[col]:
-                z = Fraction(*self.width[col]) - z
-            out.append(self.lo[col] + z)
+                w = Fraction(*self.width[col])
+                z = w - z if z else w
+            lo = self.lo[col]
+            if not z:
+                z = lo
+            elif lo:
+                z = lo + z
+            out.append(z)
         return out
 
 
@@ -662,10 +674,6 @@ def _complement(row: list[int], den: int, j: int, wn: int,
     return _lowest_terms(row, den * wd)
 
 
-def _eval_row(row: Row, values: Sequence[Fraction]) -> Fraction:
-    return sum((v * values[j] for j, v in row.coeffs.items()), _ZERO)
-
-
 def solve_to_vertex(lp: LinearProgram, start: Optional[LpSolution] = None) -> LpSolution:
     """Solve to the lexicographically least optimal point, exactly.
 
@@ -683,11 +691,16 @@ def solve_to_vertex(lp: LinearProgram, start: Optional[LpSolution] = None) -> Lp
     earlier rows (or bounds, or objective) and an appended EQ row raise
     ValueError.
     """
-    lp.check_well_formed()
-    tab = _Tableau(lp) if start is None else _resume(lp, start)
+    if start is None:
+        lp.check_well_formed()
+        tab = _Tableau(lp)
+    else:
+        tab = _resume(lp, start)
     cost = [_ZERO] * tab.ncols
+    objective = lp.objective
     for j, col in tab.col_of_var.items():
-        cost[col] = Fraction(lp.objective[j])
+        c = objective[j]
+        cost[col] = c if isinstance(c, Fraction) else Fraction(c)
     if start is not None or not tab.in_range():
         # A warm basis is dual feasible already; a cold one that violates a
         # row becomes so once every column sits at its cheaper bound.  A
@@ -703,7 +716,7 @@ def solve_to_vertex(lp: LinearProgram, start: Optional[LpSolution] = None) -> Lp
     tab.lex_min(tab.run(*tab.reduced_costs(cost)))
 
     values = tab.solution_values()
-    obj = sum((lp.objective[j] * values[j] for j in range(lp.num_vars)), _ZERO)
+    obj = sum((c * v for c, v in zip(objective, values) if c and v), _ZERO)
     return LpSolution(status=OPTIMAL, values=values, objective_value=obj,
                       pivots=tab.pivots, tableau=tab)
 
@@ -723,6 +736,7 @@ def _resume(lp: LinearProgram, start: LpSolution) -> _Tableau:
     if not (_same(tab.rows_seen, lp.rows[:seen]) and _same(tab.bounds_seen, lp.bounds)
             and _same(tab.objective_seen, lp.objective)):
         raise ValueError("start is stale: the LP's rows, bounds or objective were replaced")
+    lp.check_well_formed(seen)
     new = lp.rows[seen:]
     if any(row.relation == EQ for row in new):
         raise ValueError("a warm start takes appended LE and GE rows only")
@@ -731,68 +745,3 @@ def _resume(lp: LinearProgram, start: LpSolution) -> _Tableau:
     for row in new:
         tab.append_row(row)
     return tab
-
-
-def _rank(matrix: list[list[Fraction]], width: int) -> int:
-    rank = 0
-    rows = [row[:] for row in matrix]
-    for col in range(width):
-        pivot_row = None
-        for i in range(rank, len(rows)):
-            if rows[i][col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        prow = rows[rank]
-        inv = 1 / prow[col]
-        rows[rank] = prow = [v * inv for v in prow]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
-        rank += 1
-        if rank == width:
-            break
-    return rank
-
-
-def is_feasible(lp: LinearProgram, values: Sequence[Fraction]) -> bool:
-    """Exact feasibility check of a point against rows and bounds."""
-    for j in range(lp.num_vars):
-        lo, hi = lp.bounds[j]
-        if not (lo <= values[j] <= hi):
-            return False
-    for row in lp.rows:
-        lhs = _eval_row(row, values)
-        if row.relation == LE and lhs > row.rhs:
-            return False
-        if row.relation == GE and lhs < row.rhs:
-            return False
-        if row.relation == EQ and lhs != row.rhs:
-            return False
-    return True
-
-
-def verify_vertex(lp: LinearProgram, sol: LpSolution) -> bool:
-    """True iff sol is feasible and its tight constraints span the space."""
-    if sol.status != OPTIMAL or sol.values is None:
-        return False
-    values = sol.values
-    if len(values) != lp.num_vars or not is_feasible(lp, values):
-        return False
-    tight: list[list[Fraction]] = []
-    for row in lp.rows:
-        if _eval_row(row, values) == row.rhs:
-            dense = [_ZERO] * lp.num_vars
-            for j, v in row.coeffs.items():
-                dense[j] = v
-            tight.append(dense)
-    for j in range(lp.num_vars):
-        lo, hi = lp.bounds[j]
-        if values[j] == lo or values[j] == hi:
-            unit = [_ZERO] * lp.num_vars
-            unit[j] = _ONE
-            tight.append(unit)
-    return _rank(tight, lp.num_vars) == lp.num_vars

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
 import random
 from fractions import Fraction
 from itertools import combinations, product
 
-from lotforge import lp_core
+import pytest
+
+from lotforge import cmils_master, lp_core
 from lotforge.assignment import SCALE
 from lotforge.instance import CmilsInstance, FractionalSolution, OrderSchedule, hcost
 from lotforge.interval_kc import IntervalKcInstance, max_coverable
@@ -33,14 +36,126 @@ def invert_square(rows: list[list[Fraction]]):
     return [row[k:] for row in aug]
 
 
+def eval_row(row: lp_core.Row, values) -> Fraction:
+    """A row's left-hand side at a point."""
+    return sum((v * values[j] for j, v in row.coeffs.items()), Fraction(0))
+
+
 def tight_sets(lp: lp_core.LinearProgram, values) -> tuple[frozenset, frozenset]:
     """Indices of the rows met with equality and of the variables at a bound."""
-    tight_rows = frozenset(
-        idx for idx, row in enumerate(lp.rows)
-        if sum((v * values[j] for j, v in row.coeffs.items()), Fraction(0)) == row.rhs)
+    tight_rows = frozenset(idx for idx, row in enumerate(lp.rows)
+                           if eval_row(row, values) == row.rhs)
     at_bound = frozenset(j for j, (lo, hi) in enumerate(lp.bounds)
                          if values[j] == lo or values[j] == hi)
     return tight_rows, at_bound
+
+
+def matrix_rank(matrix: list[list[Fraction]], width: int) -> int:
+    """Rank of a rational matrix, by exact Gauss-Jordan elimination."""
+    rank = 0
+    rows = [row[:] for row in matrix]
+    for col in range(width):
+        pivot_row = None
+        for i in range(rank, len(rows)):
+            if rows[i][col]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+        prow = rows[rank]
+        inv = 1 / prow[col]
+        rows[rank] = prow = [v * inv for v in prow]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
+        rank += 1
+        if rank == width:
+            break
+    return rank
+
+
+def is_feasible(lp: lp_core.LinearProgram, values) -> bool:
+    """Exact feasibility check of a point against rows and bounds."""
+    for j in range(lp.num_vars):
+        lo, hi = lp.bounds[j]
+        if not (lo <= values[j] <= hi):
+            return False
+    for row in lp.rows:
+        lhs = eval_row(row, values)
+        if row.relation == lp_core.LE and lhs > row.rhs:
+            return False
+        if row.relation == lp_core.GE and lhs < row.rhs:
+            return False
+        if row.relation == lp_core.EQ and lhs != row.rhs:
+            return False
+    return True
+
+
+def verify_vertex(lp: lp_core.LinearProgram, sol: lp_core.LpSolution) -> bool:
+    """True iff sol is feasible and its tight constraints span the space."""
+    if sol.status != lp_core.OPTIMAL or sol.values is None:
+        return False
+    values = sol.values
+    if len(values) != lp.num_vars or not is_feasible(lp, values):
+        return False
+    tight_rows, at_bound = tight_sets(lp, values)
+    tight: list[list[Fraction]] = []
+    for idx in sorted(tight_rows):
+        dense = [Fraction(0)] * lp.num_vars
+        for j, v in lp.rows[idx].coeffs.items():
+            dense[j] = v
+        tight.append(dense)
+    for j in sorted(at_bound):
+        unit = [Fraction(0)] * lp.num_vars
+        unit[j] = Fraction(1)
+        tight.append(unit)
+    return matrix_rank(tight, lp.num_vars) == lp.num_vars
+
+
+def full_master_lp(inst: CmilsInstance) -> lp_core.LinearProgram:
+    """The master LP with every per-pair row seeded.
+
+    Rows in the order the master once seeded them: coverage, per-pair in
+    x_col order, per-period.  Its lexicographically least optimum is the
+    one the row-generated master reaches.
+    """
+    layout = cmils_master.MasterLayout(inst)
+    seeded = cmils_master.build_base_lp(inst, layout)
+    lp = lp_core.LinearProgram(num_vars=seeded.num_vars, objective=seeded.objective,
+                               rows=seeded.rows[:inst.N], bounds=seeded.bounds)
+    for pair in layout.x_col:
+        lp.add_row(cmils_master.pair_row(inst, layout, pair), lp_core.GE, 0)
+    lp.rows += seeded.rows[inst.N:]
+    return lp
+
+
+@contextlib.contextmanager
+def warm_solves_checked_cold():
+    """Patch lp_core.solve_to_vertex so every warm solve is checked against
+    a cold solve of a copy of its LP; yields the list of each call's start.
+    """
+    real = lp_core.solve_to_vertex
+    starts = []
+
+    def checked(lp, start=None):
+        sol = real(lp, start=start)
+        starts.append(start)
+        if start is not None:
+            fresh = lp_core.LinearProgram(num_vars=lp.num_vars,
+                                          objective=list(lp.objective),
+                                          rows=list(lp.rows), bounds=list(lp.bounds))
+            cold = real(fresh)
+            assert sol.status == cold.status == lp_core.OPTIMAL
+            assert sol.objective_value == cold.objective_value
+            assert sol.values == cold.values
+            assert verify_vertex(lp, sol)
+        return sol
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp_core, "solve_to_vertex", checked)
+        yield starts
 
 
 def dump_lp(lp: lp_core.LinearProgram) -> str:
@@ -91,7 +206,7 @@ def feasible_basic_points(lp: lp_core.LinearProgram):
                         rhs.append(adj)
                     for j, inv_row in zip(free, inverse):
                         values[j] = sum((a * b for a, b in zip(inv_row, rhs)), Fraction(0))
-                    if lp_core.is_feasible(lp, values):
+                    if is_feasible(lp, values):
                         yield values
 
 

@@ -13,7 +13,7 @@ import pytest
 from helpers import (check_placement, coverable, enumerate_optimum,
                      family_dominates_requirements, grid_scan_coverable,
                      random_interval_kc, random_laminar_case, random_lp,
-                     transportation_lp)
+                     transportation_lp, verify_vertex)
 from lotforge.assignment import solve_assignment
 from lotforge.cmils_master import MasterState, run_pipeline, solve_master
 from lotforge.instance import (check_feasible, gen_kc_gap, gen_random, hcost,
@@ -21,7 +21,7 @@ from lotforge.instance import (check_feasible, gen_kc_gap, gen_random, hcost,
 from lotforge.interval_kc import construct_laminar_family
 from lotforge.intervals import ScaledCover, all_intervals, cap_within, locked_periods
 from lotforge.laminar_kc import solve as laminar_solve
-from lotforge.lp_core import INFEASIBLE, OPTIMAL, LpSolution, solve_to_vertex, verify_vertex
+from lotforge.lp_core import INFEASIBLE, OPTIMAL, LpSolution, solve_to_vertex
 from lotforge.oracles import (approx_interval_kc_details, brute_force_cmils,
                               brute_force_interval_kc, brute_force_laminar_kc)
 

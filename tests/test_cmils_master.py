@@ -5,8 +5,11 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import schedule_to_fractional
+from helpers import (full_master_lp, schedule_to_fractional, verify_vertex,
+                     warm_solves_checked_cold)
 from lotforge.cmils_master import (MasterState, add_cut, build_base_lp,
                                    run_pipeline, solve_master)
 from lotforge.cuts import CoveringCut, cut_demand, cut_lhs
@@ -57,10 +60,42 @@ class TestBaseLp:
         assert state.lp_value <= brute_force_cmils(inst).optimum_cost
 
     def test_base_lp_row_count(self):
+        # the master seeds the coverage and per-period rows only; the
+        # helper seeds the per-pair rows between them as well
         inst = gen_random(2, T=4, N=3)
-        lp = build_base_lp(inst)
         pairs = sum(inst.deadline(i) for i in inst.items())
-        assert len(lp.rows) == inst.N + pairs + inst.T
+        assert len(build_base_lp(inst).rows) == inst.N + inst.T
+        assert len(full_master_lp(inst).rows) == inst.N + pairs + inst.T
+
+
+class TestPairRows:
+    """The per-pair rows are generated; the full master is the reference."""
+
+    def test_trace_counts_the_generated_rows(self):
+        inst = gen_random(5, T=6, N=4)
+        state = MasterState.new(inst)
+        lines = []
+        solve_master(state, trace=lines.append)
+        added = [re.fullmatch(r"round=0 pair_rows=(\d+)", line) for line in lines]
+        assert added and all(added)
+        assert sum(int(m.group(1)) for m in added) == len(state.lp.rows) - inst.N - inst.T
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 10**6), T=st.integers(2, 14), N=st.integers(1, 7),
+           slack=st.sampled_from([F(1), F(3, 2)]))
+    def test_generated_master_matches_the_full_master(self, seed, T, N, slack):
+        inst = gen_random(seed, T=T, N=N, slack_factor=slack)
+        state = MasterState.new(inst)
+        solve_master(state)
+        full = full_master_lp(inst)
+        cold = lp_core.solve_to_vertex(full)
+        assert state.solution.values == cold.values
+        assert state.lp_value == cold.objective_value
+        assert verify_vertex(full, state.solution)
+        # every warm re-solve of the pipeline, pair-row and cut rounds alike,
+        # equals a cold solve of the same LP
+        with warm_solves_checked_cold():
+            run_pipeline(inst)
 
 
 class TestCutEvaluation:
@@ -283,28 +318,14 @@ class TestWarmResolve:
                                    (179, 8, 5))])
 
     @pytest.mark.parametrize("inst, rounds", CASES)
-    def test_warm_resolves_match_cold_solves(self, monkeypatch, inst, rounds):
-        real = lp_core.solve_to_vertex
-        starts = []
-
-        def checked(lp, start=None):
-            sol = real(lp, start=start)
-            starts.append(start)
-            if start is not None:
-                fresh = lp_core.LinearProgram(num_vars=lp.num_vars,
-                                              objective=list(lp.objective),
-                                              rows=list(lp.rows), bounds=list(lp.bounds))
-                cold = real(fresh)
-                assert sol.status == cold.status == lp_core.OPTIMAL
-                assert sol.objective_value == cold.objective_value
-                assert sol.values == cold.values
-                assert lp_core.verify_vertex(lp, sol)
-            return sol
-
-        monkeypatch.setattr(lp_core, "solve_to_vertex", checked)
-        assert run_pipeline(inst).certificate.rounds == rounds
-        # one cold solve, then one warm re-solve per cut round
-        assert [start is None for start in starts] == [True] + [False] * rounds
+    def test_warm_resolves_match_cold_solves(self, inst, rounds):
+        lines = []
+        with warm_solves_checked_cold() as starts:
+            assert run_pipeline(inst, trace=lines.append).certificate.rounds == rounds
+        pair_rounds = sum(1 for line in lines if "pair_rows=" in line)
+        # one cold solve, then one warm re-solve per pair-row round and per
+        # cut round
+        assert [start is None for start in starts] == [True] + [False] * (pair_rounds + rounds)
 
 
 # gap-stack input 84 of the seed-902 benchmark pool: a cold and a warm re-solve
@@ -339,9 +360,9 @@ def test_cold_resolves_give_the_same_report(monkeypatch, tmp_path, inst):
     warm = solve("warm.json")
     real = cmils_master.solve_master
 
-    def cold(state):
+    def cold(state, trace=None):
         state.solution = None
-        return real(state)
+        return real(state, trace)
 
     monkeypatch.setattr(cmils_master, "solve_master", cold)
     assert solve("cold.json") == warm

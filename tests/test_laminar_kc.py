@@ -4,14 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_laminar_case
+from helpers import is_feasible, random_laminar_case
 from lotforge import laminar_kc
 from lotforge.errors import InvariantError
 from lotforge.intervals import cap_within, locked_periods
 from lotforge.laminar_kc import (LaminarFamily, LaminarKcInstance, RoundingState,
                                  _assert_state_feasible, build_iter_lp, dedup,
                                  init_state, solve)
-from lotforge.lp_core import is_feasible
 from lotforge.oracles import brute_force_laminar_kc
 
 F = Fraction

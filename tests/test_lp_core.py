@@ -10,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (dump_lp, enumerate_lex_optimum, enumerate_optimum,
-                     fraction_integer_row, random_laminar_case, random_lp, tight_sets)
+                     fraction_integer_row, full_master_lp, random_laminar_case,
+                     random_lp, tight_sets, verify_vertex)
 from lotforge import cmils_master, instance, laminar_kc, lp_core
 from lotforge.lp_core import (EQ, GE, INFEASIBLE, LE, OPTIMAL, LinearProgram,
-                              LpSolution, solve_to_vertex, verify_vertex)
+                              LpSolution, solve_to_vertex)
 
 F = Fraction
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_vertices.json")
@@ -145,6 +146,12 @@ def test_well_formed_rejects_bad_rows():
     lp.bounds[0] = (F(2), F(1))
     with pytest.raises(ValueError):
         solve_to_vertex(lp)
+    # a warm start checks the rows appended since its solve
+    lp = warm_start_lp()
+    sol = solve_to_vertex(lp)
+    lp.rows.append(lp_core.Row(coeffs={5: F(1)}, relation=GE, rhs=F(0)))
+    with pytest.raises(ValueError, match="unknown variable 5"):
+        solve_to_vertex(lp, start=sol)
 
 
 def test_add_row_keeps_fractions_and_converts_other_numbers():
@@ -356,7 +363,7 @@ def test_crash_start_puts_only_loosening_columns_at_their_upper_bound():
 def base_masters():
     for seed in range(1, 11):
         inst = instance.gen_random(seed, T=10, N=6)
-        yield inst, cmils_master.build_base_lp(inst)
+        yield inst, full_master_lp(inst)
 
 
 def test_crash_start_on_base_masters():
@@ -422,17 +429,18 @@ def golden_cases():
     for seed in range(10):
         slack = F(1) if seed % 2 else F(3, 2)
         inst = instance.gen_random(seed, T=10, N=6, slack_factor=slack)
-        yield f"gen_random-{seed}-T10-N6-slack{slack}", cmils_master.build_base_lp(inst)
+        yield f"gen_random-{seed}-T10-N6-slack{slack}", full_master_lp(inst)
     for R in ("10", "1000", "1000000", "7/2", "123457/3"):
         inst = instance.gen_kc_gap(instance.parse_rat(R))
-        yield f"kc-gap-{R}", cmils_master.build_base_lp(inst)
+        yield f"kc-gap-{R}", full_master_lp(inst)
         cuts = cmils_master.run_pipeline(inst).cuts
         if cuts:
-            state = cmils_master.MasterState.new(inst)
+            lp = full_master_lp(inst)
+            layout = cmils_master.MasterLayout(inst)
             for cut in cuts:
-                coeffs, rhs = cmils_master.cut_row(cut, inst, state.layout)
-                state.lp.add_row(coeffs, GE, rhs)
-            yield f"kc-gap-{R}-with-cuts", state.lp
+                coeffs, rhs = cmils_master.cut_row(cut, inst, layout)
+                lp.add_row(coeffs, GE, rhs)
+            yield f"kc-gap-{R}-with-cuts", lp
 
 
 def golden_record(name, lp):
