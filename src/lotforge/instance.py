@@ -366,10 +366,15 @@ def from_json_dict(doc: dict) -> CmilsInstance:
     return CmilsInstance(T=T, N=N, K=K, C=C, d=tuple(d), r=tuple(r), h=tuple(h))
 
 
-def save(inst: CmilsInstance, path) -> None:
+def _write_json(doc, path) -> None:
+    """Write doc as indented, key-sorted JSON and a newline, in one write."""
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(to_json_dict(inst), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
+
+
+def save(inst: CmilsInstance, path) -> None:
+    _write_json(to_json_dict(inst), path)
 
 
 def _read_json(path):
@@ -422,9 +427,7 @@ def schedule_from_json_dict(doc: dict) -> OrderSchedule:
 
 
 def save_schedule(sched: OrderSchedule, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(schedule_to_json_dict(sched), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(schedule_to_json_dict(sched), path)
 
 
 def load_schedule(path) -> OrderSchedule:

@@ -34,10 +34,17 @@ carries the constants along, so basic values need no update of their own.
 The ratio test compares integer (numerator, denominator) step pairs by
 cross-multiplication.  `Fraction` appears only at the API boundary: a row
 enters the tableau in one integer pass that reads its coefficients'
-numerators and denominators (as does the crash start's sign test), the
-cost vectors are Fractions until reduced_costs scales them to integers,
-and the solution is built as Fractions on the way out.  Every pivot choice
-is the same exact comparison a rational tableau would make.
+numerators and denominators (as does the crash start's sign test), a
+cold solve's cost vector is a Fraction list until reduced_costs scales it
+to integers, and the solution is built as Fractions on the way out.  Every
+pivot choice is the same exact comparison a rational tableau would make.
+
+The objective is a row of the tableau too (after Bixby and Koberstein): its
+reduced costs are an integer row over a positive denominator, with one
+entry per column and no constant.  A cold solve prices it once, and every
+pivot and complement after that updates it as it does the other rows, so a
+warm re-solve prices nothing.  No pricing reads a constant, and the
+objective value is summed from the solution at the end.
 
 The optimum returned is the lexicographically least optimal point (after
 the lexicographic rule of Dantzig, Orden and Wolfe): once the objective is
@@ -58,9 +65,9 @@ or warm, restores primal feasibility under a dual least-index rule (after
 Bland): the leaving row is the one whose basic column has the lowest index
 among all offsets below 0 or above their width, and the entering column has
 the least ratio of reduced cost to the row's entry, ties to the lowest
-index.  The primal simplex that follows recomputes every reduced cost, so
-an optimum reached by the dual simplex passes the same test as one reached
-by the primal.
+index.  The primal simplex that follows prices from the reduced-cost row
+the dual simplex left, so an optimum reached by the dual simplex passes the
+same test as one reached by the primal.
 """
 
 from __future__ import annotations
@@ -174,6 +181,9 @@ class _Tableau:
     entry a in the entering column is positive lets the entering offset grow
     to tab[i][-1] / a, one with a < 0 to (w * den[i] - tab[i][-1]) / -a,
     where w is its basic column's width, so each bound is an integer pair.
+
+    cbar over cden > 0 is the objective's reduced-cost row: one integer per
+    column, 0 at every basic column, and no constant.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -248,6 +258,10 @@ class _Tableau:
         for b in self.basis:
             self.in_basis[b] = True
         self.banned: set[int] = set(self.art_cols)
+        # All 0 until a cold solve prices it (`reduced_costs`), then carried
+        # through every pivot, complement and appended row.
+        self.cbar: list[int] = [0] * self.ncols
+        self.cden = 1
         self.pivots = 0
         # What a warm start checks the LP against (see `_resume`).
         self.rows_seen: list[Row] = list(lp.rows)
@@ -317,6 +331,7 @@ class _Tableau:
         self.width.append(None)
         self.comp.append(False)
         self.in_basis.append(True)
+        self.cbar.append(0)  # a basic slack costs nothing
         ints, den = self._integer_row(row, self.ncols)
         ints[scol] = den if row.relation == LE else -den
         for i, b in enumerate(self.basis):
@@ -336,16 +351,18 @@ class _Tableau:
         """Integer row and positive denominator of cost - c_B B^-1 A over z.
 
         A complemented column's cost is negated, because its z runs against
-        its value.  The row ends in a constant slot that follows the same
-        updates as a tableau row's constant.
+        its value.  The row has one entry per column and no constant.  This
+        is the only pricing from scratch: a cold solve stores its result in
+        cbar / cden once, and every later basis change updates that row.
         """
         cost = [-c if f else c for c, f in zip(cost, self.comp)]
         cden = lcm(*(c.denominator for c in cost))
-        cbar = [c.numerator * (cden // c.denominator) for c in cost] + [0]
+        cbar = [c.numerator * (cden // c.denominator) for c in cost]
         for i, b in enumerate(self.basis):
             cb = cost[b]
             if cb:
-                # cbar/cden - cb * tab[i]/den[i], over the lcm of the denominators
+                # cbar/cden - cb * tab[i]/den[i], over the lcm of the
+                # denominators; zip stops before the row's constant
                 q = cb.denominator * self.den[i]
                 g = gcd(cden, q)
                 sx, sy = q // g, cb.numerator * (cden // g)
@@ -353,14 +370,15 @@ class _Tableau:
                 cden *= sx
         return _lowest_terms(cbar, cden)
 
-    def _pivot(self, r: int, j: int) -> list[tuple[int, int]]:
-        """Make column j basic in row r; returns the pivot row's nonzeros.
+    def _pivot(self, r: int, j: int) -> None:
+        """Make column j basic in row r.
 
         The pivot row takes its pivot entry as denominator, so its entry in
         column j reads exactly 1.  Only the rows with a nonzero in column j
         are updated, each at the pivot row's nonzero columns (see
         `_eliminate`); the constants ride along, which moves every basic
-        value by the step.
+        value by the step.  The cost row cbar is updated the same way,
+        without the constant, unless its entry in column j is 0.
         """
         prow = self.tab[r]
         piv = prow[j]
@@ -374,30 +392,35 @@ class _Tableau:
         for i, row in enumerate(self.tab):
             if i != r and row[j]:
                 self.tab[i], self.den[i] = _eliminate(row, self.den[i], piv, j, nz)
+        if self.cbar[j]:
+            # the constant, if nonzero, is the last of nz
+            cols = nz[:-1] if prow[-1] else nz
+            self.cbar, self.cden = _eliminate(self.cbar, self.cden, piv, j, cols)
         self.in_basis[self.basis[r]] = False
         self.basis[r] = j
         self.in_basis[j] = True
         self.pivots += 1
-        return nz
 
     def complement(self, j: int, rows: list[int]) -> None:
-        """Measure column j from its other bound in the given rows.
+        """Measure column j from its other bound in the given rows and cbar.
 
         The rows must be all that have a nonzero in column j: every row with
         one for a nonbasic column, the row it is basic in for a basic one.
+        The cost row has no constant, so only its entry j changes sign.
         """
         wn, wd = self.width[j]
         for i in rows:
             self.tab[i], self.den[i] = _complement(self.tab[i], self.den[i], j, wn, wd)
+        self.cbar[j] = -self.cbar[j]
         self.comp[j] = not self.comp[j]
 
-    def run(self, cbar: list[int], cden: int) -> list[int]:
+    def run(self) -> None:
         """Minimize from the reduced-cost row cbar / cden of the current basis.
 
-        The basis must be primal feasible.  Returns the final reduced-cost
-        row, over a positive denominator, at an optimum.  Every structural
-        column is boxed and a slack is a function of them, so no step can be
-        unbounded; one that is raises InvariantError.
+        The basis must be primal feasible.  Every pivot and bound flip
+        updates cbar, so it ends as the optimum's reduced-cost row.  Every
+        structural column is boxed and a slack is a function of them, so no
+        step can be unbounded; one that is raises InvariantError.
         """
         tab, den, basis, width = self.tab, self.den, self.basis, self.width
         banned = self.banned
@@ -411,6 +434,7 @@ class _Tableau:
             # steps in a row, Bland's lowest-index rule takes over until a
             # step moves, so the loop cannot cycle.  A basic column's reduced
             # cost is exactly 0.
+            cbar = self.cbar
             enter, most = -1, 0
             if degenerate < DEGENERATE_RUN:
                 for k in range(ncols):
@@ -423,7 +447,7 @@ class _Tableau:
                         enter = k
                         break
             if enter < 0:
-                return cbar
+                return
 
             # Ratio test: how far can z_enter grow?  Each bound is a pair
             # (num, dn) with dn > 0, compared by cross-multiplication; dn == 0
@@ -458,43 +482,44 @@ class _Tableau:
             degenerate = degenerate + 1 if best_row >= 0 and not best_n else 0
             if best_row < 0:
                 self.complement(enter, [i for i, row in enumerate(tab) if row[enter]])
-                cbar, cden = _complement(cbar, cden, enter, *w)
             else:
                 if tab[best_row][enter] < 0:
                     # the leaving column stops at its far bound; being basic,
                     # it has a nonzero in its own row only
                     self.complement(basis[best_row], [best_row])
-                nz = self._pivot(best_row, enter)
-                cbar, cden = _eliminate(cbar, cden, den[best_row], enter, nz)
+                self._pivot(best_row, enter)
         raise InvariantError("simplex failed to terminate (cycling guard tripped)")
 
-    def lex_min(self, cbar: list[int]) -> None:
+    def lex_min(self) -> None:
         """Move an optimal basis to the lexicographically least optimal point.
 
-        cbar is the objective's final reduced-cost row.  The optimal face is
-        where every column with a positive reduced cost stays at its bound,
-        so those columns are banned.  Each structural variable in index
-        order is then minimized over the face, and the columns with a
-        positive reduced cost for that stage are banned in turn, until every
-        nonbasic column is.  A stage's entering columns have reduced cost 0
-        for every earlier objective, so no earlier reduced-cost row changes
-        and the basis stays optimal (dual feasible) for the true one.
+        The optimal face is where every column with a positive reduced cost
+        in cbar stays at its bound, so those columns are banned.  Each
+        structural variable in index order is then minimized over the face,
+        and the columns with a positive reduced cost for that stage are
+        banned in turn, until every nonbasic column is.  A stage's entering
+        columns have reduced cost 0 for every earlier objective, so no
+        earlier reduced-cost row changes and the basis stays optimal (dual
+        feasible) for the true one.  A stage therefore runs with its own row
+        in place of cbar, and cbar is put back unchanged at the end.
 
         A unit objective's reduced costs are read off the tableau: for a
-        basic column, its row over den with the column's own entry 0,
-        negated unless the column is complemented (then its z runs against
-        its value); a nonbasic column at its lower bound is already least.
-        The bans are lifted again at the end, back to the artificials.
+        basic column, its row over den with the column's own entry 0 and the
+        constant left out, negated unless the column is complemented (then
+        its z runs against its value); a nonbasic column at its lower bound
+        is already least.  The bans are lifted again at the end, back to the
+        artificials.
         """
         tab, den, basis, comp, banned = self.tab, self.den, self.basis, self.comp, self.banned
         ncols = self.ncols
+        true_row = self.cbar, self.cden
 
         def ban_positive(row: list[int]) -> bool:
             """Ban every column with a positive entry; True once all nonbasic are."""
             banned.update(k for k in range(ncols) if row[k] > 0)
             return len(banned) + len(tab) == ncols
 
-        done = ban_positive(cbar)
+        done = ban_positive(self.cbar)
         for col in range(len(self.col_of_var)):
             if done:
                 break
@@ -502,15 +527,19 @@ class _Tableau:
                 i = basis.index(col)
                 sign = 1 if comp[col] else -1
                 row, rden = [sign * v for v in tab[i]], den[i]
+                del row[-1]
                 row[col] = 0
             elif comp[col]:
-                row, rden = [0] * (ncols + 1), 1
+                row, rden = [0] * ncols, 1
                 row[col] = -1
             else:
                 banned.add(col)
                 done = len(banned) + len(tab) == ncols
                 continue
-            done = ban_positive(self.run(row, rden))
+            self.cbar, self.cden = row, rden
+            self.run()
+            done = ban_positive(self.cbar)
+        self.cbar, self.cden = true_row
         self.banned = set(self.art_cols)
 
     def out_of_range(self) -> tuple[int, bool]:
@@ -546,16 +575,16 @@ class _Tableau:
             if c and (c > 0) == self.comp[k]:
                 self.complement(k, [i for i, row in enumerate(self.tab) if row[k]])
 
-    def dual(self, cost: list[Fraction]) -> bool:
+    def dual(self) -> bool:
         """Dual simplex to a feasible basis; False if the LP has none.
 
-        The basis must be dual feasible for cost: no unbanned column has a
-        negative reduced cost.  Each step takes the out-of-range offset
-        whose basic column has the lowest index and pivots that column out
-        at the bound it violates.
+        The basis must be dual feasible: no unbanned column has a negative
+        entry in cbar.  Each step takes the out-of-range offset whose basic
+        column has the lowest index and pivots that column out at the bound
+        it violates; the pivot updates cbar, which the primal simplex then
+        goes on from.
         """
-        cbar, cden = self.reduced_costs(cost)
-        tab, den, basis, banned = self.tab, self.den, self.basis, self.banned
+        tab, basis, banned = self.tab, self.basis, self.banned
         guard = 2000 + 200 * (len(tab) + self.ncols)
         for _ in range(guard):
             r, above = self.out_of_range()
@@ -571,7 +600,7 @@ class _Tableau:
 
             # Entering: the least cbar[k] / -row[k] over row[k] < 0, ties to
             # the lowest k; with none, the row cannot reach its range.
-            row = tab[r]
+            row, cbar = tab[r], self.cbar
             enter, best_n, best_d = -1, 0, 1
             for k in range(self.ncols):
                 a = row[k]
@@ -579,8 +608,7 @@ class _Tableau:
                     enter, best_n, best_d = k, cbar[k], -a
             if enter < 0:
                 return False
-            nz = self._pivot(r, enter)
-            cbar, cden = _eliminate(cbar, cden, den[r], enter, nz)
+            self._pivot(r, enter)
         raise InvariantError("dual simplex failed to terminate (cycling guard tripped)")
 
     def drop_artificials(self) -> None:
@@ -691,29 +719,33 @@ def solve_to_vertex(lp: LinearProgram, start: Optional[LpSolution] = None) -> Lp
     earlier rows (or bounds, or objective) and an appended EQ row raise
     ValueError.
     """
+    objective = lp.objective
     if start is None:
         lp.check_well_formed()
         tab = _Tableau(lp)
-    else:
-        tab = _resume(lp, start)
-    cost = [_ZERO] * tab.ncols
-    objective = lp.objective
-    for j, col in tab.col_of_var.items():
-        c = objective[j]
-        cost[col] = c if isinstance(c, Fraction) else Fraction(c)
-    if start is not None or not tab.in_range():
-        # A warm basis is dual feasible already; a cold one that violates a
-        # row becomes so once every column sits at its cheaper bound.  A
-        # feasible crash start goes to the primal simplex instead: on the
-        # rounding LPs that takes under half the pivots of the dual simplex
-        # from the cheaper bounds.
-        if start is None:
+        cost = [_ZERO] * tab.ncols
+        for j, col in tab.col_of_var.items():
+            c = objective[j]
+            cost[col] = c if isinstance(c, Fraction) else Fraction(c)
+        # A cold basis that violates a row becomes dual feasible once every
+        # column sits at its cheaper bound.  A feasible crash start goes to
+        # the primal simplex instead: on the rounding LPs that takes under
+        # half the pivots of the dual simplex from the cheaper bounds.
+        # Either way the basis is priced once, here.
+        needs_dual = not tab.in_range()
+        if needs_dual:
             tab.cheaper_bounds(cost)
-        if not tab.dual(cost):
-            return LpSolution(status=INFEASIBLE, values=None, objective_value=None,
-                              pivots=tab.pivots)
+        tab.cbar, tab.cden = tab.reduced_costs(cost)
+    else:
+        # a warm basis is dual feasible already and carries its cbar
+        tab = _resume(lp, start)
+        needs_dual = True
+    if needs_dual and not tab.dual():
+        return LpSolution(status=INFEASIBLE, values=None, objective_value=None,
+                          pivots=tab.pivots)
     tab.drop_artificials()
-    tab.lex_min(tab.run(*tab.reduced_costs(cost)))
+    tab.run()
+    tab.lex_min()
 
     values = tab.solution_values()
     obj = sum((c * v for c, v in zip(objective, values) if c and v), _ZERO)

@@ -50,15 +50,24 @@ def shortfalls(sol: FractionalSolution, inst: CmilsInstance) -> dict:
     """Positive shortfalls 1 - (5/2) * x[<=a, i], keyed (a, i), for a < r_i.
 
     Item i still needs capacity after period a exactly when (a, i) is a key.
+    The prefix x[<=a, i] is an integer run over the lcm den of item i's x
+    denominators, so the shortfall is (2 den - 5 run) / (2 den).  x is never
+    negative, so the run never falls, and the first a without a shortfall
+    ends the item's keys.
     """
+    x = sol.x
     short: dict[tuple[int, int], Fraction] = {}
     for i in inst.items():
-        run = Fraction(0)
-        for a in range(inst.deadline(i)):
-            run += sol.x_val(a, i)  # x[<=a, i]; there is no period 0
-            value = 1 - Fraction(5, 2) * run
-            if value > 0:
-                short[(a, i)] = value
+        r = inst.deadline(i)
+        xs = [x.get((s, i)) for s in range(1, r)]  # x[s, i] for s = 1 .. r - 1
+        den = math.lcm(*(v.denominator for v in xs if v))
+        run = 0
+        for a in range(r):
+            if a and (v := xs[a - 1]):  # run is x[<=a, i]; there is no period 0
+                run += v.numerator * (den // v.denominator)
+            if 2 * den <= 5 * run:
+                break
+            short[(a, i)] = Fraction(2 * den - 5 * run, 2 * den)
     return short
 
 

@@ -1,13 +1,16 @@
+import json
 from fractions import Fraction
 
 import pytest
 
 from lotforge.assignment import solve_assignment
+from lotforge.cmils_master import run_pipeline
 from lotforge.errors import InstanceFormatError
 from lotforge.instance import (CmilsInstance, FractionalSolution, OrderSchedule,
                                check_feasible, cost, from_json_dict, gen_kc_gap,
                                gen_random, hcost, load, make_schedule, parse_rat,
-                               prefix_feasible, save, schedule_from_json_dict,
+                               prefix_feasible, save, save_schedule,
+                               schedule_from_json_dict, schedule_to_json_dict,
                                to_json_dict, validate)
 from lotforge.oracles import brute_force_cmils
 
@@ -192,6 +195,18 @@ class TestSerialization:
         path = tmp_path / "inst.json"
         save(inst, path)
         assert load(path) == inst
+
+    def test_saved_bytes_are_what_json_dump_writes(self, tmp_path):
+        inst = gen_kc_gap(F(7, 2))
+        sched = run_pipeline(inst).schedule
+        for write, to_doc, obj in ((save, to_json_dict, inst),
+                                   (save_schedule, schedule_to_json_dict, sched)):
+            path, ref = tmp_path / "new.json", tmp_path / "ref.json"
+            write(obj, path)
+            with open(ref, "w", encoding="utf-8") as fh:
+                json.dump(to_doc(obj), fh, indent=2, sort_keys=True)
+                fh.write("\n")
+            assert path.read_bytes() == ref.read_bytes()
 
     def test_round_trip_many_seeds(self):
         for seed in range(10):

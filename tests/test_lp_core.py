@@ -187,6 +187,11 @@ def recording_tableaus(dual_start=False):
     (None if it never runs) and as the lexicographic stage starts.  With
     dual_start, a cold solve takes the dual start even where the crash start
     is feasible.
+
+    The carried reduced-cost row is checked against a fresh pricing as the
+    dual simplex ends, as the primal one ends and after the lexicographic
+    stage.  Those checks call reduced_costs themselves, so a test that counts
+    the solver's own pricings does not record.
     """
     made = []
 
@@ -195,6 +200,7 @@ def recording_tableaus(dual_start=False):
             super().__init__(lp)
             self.events = []
             self.in_dual = False
+            self.in_lex = False
             self.after_dual = None
             made.append(self)
 
@@ -206,17 +212,28 @@ def recording_tableaus(dual_start=False):
             self.events.append((kind, self.width[j][1]))
             super().complement(j, rows)
 
-        def dual(self, cost):
+        def dual(self):
             self.in_dual = True
             try:
-                return super().dual(cost)
+                return super().dual()
             finally:
                 self.in_dual = False
                 self.after_dual = (self.pivots, len(self.events))
+                check_carried_costs(self)
 
-        def lex_min(self, cbar):
+        def run(self):
+            super().run()
+            if not self.in_lex:
+                check_carried_costs(self)
+
+        def lex_min(self):
             self.before_lex = (self.pivots, len(self.events))
-            super().lex_min(cbar)
+            self.in_lex = True
+            try:
+                super().lex_min()
+            finally:
+                self.in_lex = False
+            check_carried_costs(self)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lp_core, "_Tableau", Recording)
@@ -277,16 +294,28 @@ def column_costs(tab, lp):
     return cost
 
 
+def check_carried_costs(tab):
+    """The tableau's carried reduced-cost row is a fresh pricing's row.
+
+    Both are in lowest terms over a positive denominator, so they agree up
+    to a positive factor exactly when they are equal; the row has one entry
+    per column and no constant.
+    """
+    assert (tab.cbar, tab.cden) == tab.reduced_costs(column_costs(tab, tab.lp))
+
+
 def check_still_optimal(tab, lp, values):
     """The lexicographic stage left a basis that is optimal for the objective.
 
-    Its bans are lifted back to the artificials, and a primal run from the
-    final basis neither pivots nor flips a bound: every reduced cost of an
-    unbanned column is still >= 0, which the next warm start relies on.
+    Its bans are lifted back to the artificials, the carried reduced-cost
+    row is a fresh pricing's, and a primal run from the final basis neither
+    pivots nor flips a bound: every reduced cost of an unbanned column is
+    still >= 0, which the next warm start relies on.
     """
     assert tab.banned == set(tab.art_cols)
+    check_carried_costs(tab)
     before = (tab.pivots, len(tab.events))
-    assert tab.run(*tab.reduced_costs(column_costs(tab, lp))) is not None
+    tab.run()
     assert (tab.pivots, len(tab.events)) == before
     assert tab.solution_values() == values
 
@@ -295,6 +324,7 @@ def solve_and_check_rows(lp, dual_start=False):
     with recording_tableaus(dual_start) as made:
         sol = solve_to_vertex(lp)
     tab = made[-1]
+    check_carried_costs(tab)
     if sol.status == OPTIMAL:
         check_rows(tab, column_values(tab, lp, sol.values))
     else:
@@ -695,6 +725,33 @@ def test_warm_resolve_moves_to_the_least_optimal_point():
     assert tab.after_dual == tab.before_lex == (1, 0) and warm.pivots == 2
     assert warm.values == [F(0), F(1, 2)] == solve_to_vertex(copy_lp(lp)).values
     check_still_optimal(tab, lp, warm.values)
+
+
+@pytest.mark.parametrize("inst", [
+    pytest.param(instance.gen_kc_gap(F(1000)), id="kc-gap-1000"),
+    pytest.param(instance.gen_random(19, T=6, N=4), id="random-19-T6-N4")])
+def test_only_a_cold_solve_prices_from_scratch(inst):
+    """reduced_costs runs once per cold solve and never in a warm one: a
+    warm re-solve goes on from the reduced-cost row its start carries."""
+    real_solve, real_price = lp_core.solve_to_vertex, lp_core._Tableau.reduced_costs
+    solves = []  # [warm, pricings] per solve_to_vertex call
+
+    def pricing(tab, cost):
+        solves[-1][1] += 1
+        return real_price(tab, cost)
+
+    def solve(lp, start=None):
+        solves.append([start is not None, 0])
+        return real_solve(lp, start=start)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp_core._Tableau, "reduced_costs", pricing)
+        mp.setattr(lp_core, "solve_to_vertex", solve)
+        result = cmils_master.run_pipeline(inst)
+    assert result.certificate.rounds == 1
+    assert solves[0] == [False, 1]
+    assert any(warm for warm, _ in solves)  # the cut round re-solves warm
+    assert all(pricings == (0 if warm else 1) for warm, pricings in solves)
 
 
 def test_warm_start_from_another_lp_rejected():

@@ -82,6 +82,24 @@ class TestRequirements:
                     prefix = sum((sol.x_val(s, i) for s in range(1, a + 1)), F(0))
                     assert ((a, i) in short) == (prefix < F(2, 5))
 
+    def test_shortfalls_over_mixed_denominators(self):
+        # x's denominators differ from period to period, so the prefix runs
+        # over their lcm.  Item 1's prefix passes 2/5 at period 2 (32/77) and
+        # item 2's reaches it exactly at period 3 (1/6 + 1/10 + 2/15), which
+        # ends each item's keys although a later period still holds x.
+        inst = CmilsInstance(T=4, N=2, K=(F(1),) * 4, C=(F(1),) * 4,
+                             d=(F(3), F(5, 2)), r=(4, 4), h=((F(0),) * 4,) * 2)
+        x = {(1, 1): F(1, 7), (2, 1): F(3, 11), (4, 1): F(1, 3),
+             (1, 2): F(1, 6), (2, 2): F(1, 10), (3, 2): F(2, 15), (4, 2): F(1, 9)}
+        sol = FractionalSolution(x=x, y=(F(0),) * 4)
+        short = shortfalls(sol, inst)
+        assert list(short.items()) == [((0, 1), 1), ((1, 1), F(9, 14)),
+                                       ((0, 2), 1), ((1, 2), F(7, 12)), ((2, 2), F(1, 3))]
+        assert all(type(v) is F for v in short.values())
+        for (a, i), value in short.items():
+            prefix = sum((sol.x_val(s, i) for s in range(1, a + 1)), F(0))
+            assert value == 1 - F(5, 2) * prefix
+
     def test_requirement_count(self):
         inst = gen_random(2, T=7, N=3)
         state = MasterState.new(inst)
