@@ -16,6 +16,15 @@ interval requirement, not just the members'.  The given locked set and
 residuals are checked against intervals.locked_periods and the residual
 formula of intervals.residuals.
 
+The family exists to cover the residuals.  When none is positive, the
+locked set covers every requirement already, at cost sum_{s locked} K_s
+<= K . y_scaled since a locked period has y_scaled = 1, so the selection is
+the locked set: no family is built and no laminar solve runs.  On a 0/1
+y_scaled that is exactly what the laminar route returns, as every member
+then scores 0; on fractional openings the laminar route could add periods
+that no requirement needs.  The closing cover and budget checks run on
+either selection.
+
 The scores and the covering checks run on one integer view of (C, y),
 intervals.ScaledCover, and the locked or selected capacity inside an
 interval is a difference of integer prefix sums, intervals.prefix_caps.
@@ -149,6 +158,10 @@ def solve_interval_kc(ikc: IntervalKcInstance, y_scaled, locked,
     positive residual satisfies the tenfold-mass-or-count-of-six
     disjunction.  The returned selection costs at most K . y_scaled and is
     verified to cover every requirement.
+
+    When no residual is positive the selection is the locked set itself,
+    with no family and no laminar solve, and trace (if given) gets one
+    line "event=locked_only selected=<number of locked periods>".
     """
     ikc.check()
     if len(y_scaled) != ikc.T:
@@ -165,31 +178,39 @@ def solve_interval_kc(ikc: IntervalKcInstance, y_scaled, locked,
         raise InvariantError("locked set must be exactly the all-ones periods")
     view = ScaledCover(ikc.C, y_scaled)
     cden = view.cden
+    positive = False
     for (a, b), need, gap in sorted(uncovered(ikc.R, view.c, cden, locked)):
         # the residual is max(gap, 0) / (need.denominator * cden)
         given = residual.get((a, b), 0)
         if (given.numerator * need.denominator * cden
                 != max(gap, 0) * given.denominator):
             raise InvariantError(f"residual for ({a}, {b}] inconsistent")
-        if gap > 0 and not view.holds(a, b, given, locked, mass=10, count=6):
-            raise InvariantError(f"scaled coverage disjunction fails on ({a}, {b}]")
+        if gap > 0:
+            positive = True
+            if not view.holds(a, b, given, locked, mass=10, count=6):
+                raise InvariantError(f"scaled coverage disjunction fails on ({a}, {b}]")
 
-    family = construct_laminar_family(y_scaled, locked, ikc.C, ikc.T)
-    held = prefix_caps(view.c, locked)
-    member_req: dict[Interval, Fraction] = {}
-    for iv in family.members:
-        coverable = family.coverable[iv]
-        if coverable > 0 and not view.holds(iv[0], iv[1], coverable, locked,
-                                            mass=2, count=1):
-            raise InvariantError(f"member score of {iv} is not attained")
-        # the score plus the locked capacity inside the member
-        q = coverable.denominator
-        full = coverable.numerator * cden + q * (held[iv[1]] - held[iv[0]])
-        if full > 0:
-            member_req[iv] = Fraction(full, q * cden)
-    lkc = laminar_kc.LaminarKcInstance(T=ikc.T, C=ikc.C, K=ikc.K,
-                                       family=family, R=member_req)
-    selected = laminar_kc.solve(lkc, y_scaled, trace=trace)
+    if not positive:  # the locked set covers every requirement already
+        selected = locked
+        if trace:
+            trace(f"event=locked_only selected={len(locked)}")
+    else:
+        family = construct_laminar_family(y_scaled, locked, ikc.C, ikc.T)
+        held = prefix_caps(view.c, locked)
+        member_req: dict[Interval, Fraction] = {}
+        for iv in family.members:
+            coverable = family.coverable[iv]
+            if coverable > 0 and not view.holds(iv[0], iv[1], coverable, locked,
+                                                mass=2, count=1):
+                raise InvariantError(f"member score of {iv} is not attained")
+            # the score plus the locked capacity inside the member
+            q = coverable.denominator
+            full = coverable.numerator * cden + q * (held[iv[1]] - held[iv[0]])
+            if full > 0:
+                member_req[iv] = Fraction(full, q * cden)
+        lkc = laminar_kc.LaminarKcInstance(T=ikc.T, C=ikc.C, K=ikc.K,
+                                           family=family, R=member_req)
+        selected = laminar_kc.solve(lkc, y_scaled, trace=trace)
 
     for (a, b), _, gap in uncovered(ikc.R, view.c, cden, selected):
         if gap > 0:

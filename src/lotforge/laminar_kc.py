@@ -192,17 +192,19 @@ def build_iter_lp(state: RoundingState) -> lp_core.LinearProgram:
 def _assert_state_feasible(state: RoundingState, where: str) -> None:
     """Check state.y against the bounds and rows build_iter_lp would write.
 
-    Discarded periods must sit at 0, selected ones at 1, and all in [0, 1].
-    A mass row on (a, b] is the capped-mass side of ScaledCover.holds with
+    Discarded periods must sit at 0, selected ones at 1, and all in [0, 1],
+    read on state.view's integers y_s = u_s / yden with yden > 0.  A mass
+    row on (a, b] is the capped-mass side of ScaledCover.holds with
     threshold 2 and the selected periods skipped, a count row its count
     side with threshold 1; both are evaluated on state.view, on integers,
     without building the LP.
     """
-    y, view = state.y, state.view
+    view = state.view
+    u, yden = view.u, view.yden
     feasible = all(
-        y[s - 1] == 0 if s in state.discarded else
-        y[s - 1] == 1 if s in state.selected else
-        0 <= y[s - 1] <= 1
+        u[s - 1] == 0 if s in state.discarded else
+        u[s - 1] == yden if s in state.selected else
+        0 <= u[s - 1] <= yden
         for s in range(1, state.instance.T + 1)
     ) and all(
         view.holds(a, b, state.remaining[(a, b)], state.selected, mass=2)

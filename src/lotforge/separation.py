@@ -104,7 +104,7 @@ def try_round(sol: FractionalSolution, inst: CmilsInstance
     y_scaled = scale_y(sol.y)
     locked = locked_periods(y_scaled)
     residual = residuals(req, inst.C, locked)
-    view = ScaledCover(inst.C, sol.y)
+    view = None  # built for the first positive residual that gets this far
 
     for (a, b), need in residual.items():
         if not need:  # residuals are never negative
@@ -118,6 +118,8 @@ def try_round(sol: FractionalSolution, inst: CmilsInstance
             return cut
         # the checked inequality held: the capped-mass-or-count property
         # must transfer to the residual requirement
+        if view is None:
+            view = ScaledCover(inst.C, sol.y)
         if not view.holds(a, b, need, locked, mass=1, count=Fraction(3, 5)):
             raise InvariantError(f"transfer property failed on interval ({a}, {b}]")
 

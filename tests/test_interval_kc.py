@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import (coverable, family_dominates_requirements, grid_scan_coverable,
                      is_binary_with_unit_leaves, render_tree)
-from lotforge import laminar_kc
+from lotforge import interval_kc, laminar_kc
 from lotforge.errors import InvariantError
 from lotforge.instance import gen_kc_gap
 from lotforge.interval_kc import (IntervalKcInstance, construct_laminar_family,
@@ -148,7 +148,10 @@ class TestSolveIntervalKc:
         ikc = IntervalKcInstance(T=T, C=caps, K=costs, R=R)
         y = (F(3, 5),) * T
         residual = {(a, b): R[(a, b)] for a, b in all_intervals(T)}
-        selected = solve_interval_kc(ikc, y, frozenset(), residual)
+        lines: list[str] = []
+        selected = solve_interval_kc(ikc, y, frozenset(), residual, trace=lines.append)
+        assert any("event=lp" in line for line in lines)
+        assert not any("event=locked_only" in line for line in lines)
         assert selected  # strictly beyond the (empty) locked set
         assert cap_within(caps, 0, T, selected) >= 4
         budget = sum((costs[s - 1] * y[s - 1] for s in range(1, T + 1)), F(0))
@@ -198,14 +201,52 @@ class TestSolveIntervalKc:
             solve_interval_kc(ikc, y, locked, {(1, 2): F(1, 2)})
 
     def test_selection_short_by_the_least_unit_rejected(self, monkeypatch):
-        # (0, 2] needs 4; locked period 1 covers it, period 2 alone is 1 short
-        ikc = IntervalKcInstance(T=2, C=(F(4), F(3)), K=(F(1), F(1)),
-                                 R={(0, 2): F(4)})
-        y, locked, residual = (F(1), F(0)), frozenset({1}), {(0, 2): F(0)}
-        assert solve_interval_kc(ikc, y, locked, residual) == locked
-        monkeypatch.setattr(laminar_kc, "solve", lambda *args, **kwargs: frozenset({2}))
-        with pytest.raises(InvariantError, match=r"\(0, 2\] requirement uncovered"):
-            solve_interval_kc(ikc, y, locked, residual)
+        # (0, 10] needs 5 and nothing is locked, so the laminar route runs;
+        # a laminar selection of nothing, or of period 1 alone (4, one unit
+        # short), must fail the closing cover check
+        T = 10
+        caps = (F(4),) + (F(5),) * (T - 1)
+        R = {(a, b): F(0) for a, b in all_intervals(T)}
+        R[(0, T)] = F(5)
+        ikc = IntervalKcInstance(T=T, C=caps, K=(F(1),) * T, R=R)
+        y, residual = (F(4, 5),) * T, dict(R)
+        assert cap_within(caps, 0, T, solve_interval_kc(ikc, y, frozenset(), residual)) >= 5
+        for short in (frozenset(), frozenset({1})):
+            monkeypatch.setattr(laminar_kc, "solve", lambda *args, **kwargs: short)
+            with pytest.raises(InvariantError, match=r"\(0, 10\] requirement uncovered"):
+                solve_interval_kc(ikc, y, frozenset(), residual)
+
+    @pytest.mark.parametrize("y", [
+        (F(1), F(0), F(1)),
+        # fractional openings: (1, 3] scores 4 here, so a family would
+        # carry a positive member requirement although no residual is
+        (F(1), F(1, 2), F(1, 2)),
+    ])
+    def test_zero_residuals_return_locked_without_a_family(self, monkeypatch, y):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the laminar route ran on zero residuals")
+
+        monkeypatch.setattr(interval_kc, "construct_laminar_family", forbidden)
+        monkeypatch.setattr(laminar_kc, "solve", forbidden)
+        T = 3
+        caps = (F(4),) * T
+        R = {(a, b): F(0) for a, b in all_intervals(T)}
+        R[(0, 1)], R[(0, 3)] = F(4), F(3)
+        locked = frozenset(s for s in range(1, T + 1) if y[s - 1] == 1)
+        residual = {iv: max(need - cap_within(caps, *iv, locked), F(0))
+                    for iv, need in R.items()}
+        assert not any(residual.values())
+        ikc = IntervalKcInstance(T=T, C=caps, K=(F(1),) * T, R=R)
+        lines: list[str] = []
+        assert solve_interval_kc(ikc, y, locked, residual, trace=lines.append) == locked
+        assert lines == [f"event=locked_only selected={len(locked)}"]
+
+    def test_locked_only_traced_on_pipeline_path(self):
+        from lotforge.instance import gen_random
+        lines: list[str] = []
+        result = run_pipeline(gen_random(5, T=6, N=4), trace=lines.append)
+        assert not any(result.payload.residual.values())
+        assert f"event=locked_only selected={len(result.payload.locked)}" in lines
 
     @pytest.mark.parametrize("C, K, y", [
         ((F(3),) * 3, (F(1),) * 3, (F(1), F(0))),
