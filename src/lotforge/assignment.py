@@ -5,8 +5,8 @@ ships d_i units to selected periods s <= r_i at h_i(s) per unit, and period
 s takes at most C_s units.  solve_assignment solves it by successive
 shortest paths, each found by Bellman-Ford.  Demands and capacities are put
 over the lcm of their denominators, and holding costs over the lcm of
-theirs, so the flow runs on Python ints; a Fraction is built only for the
-returned units and cost.
+theirs, so the flow runs on Python ints; the returned units and cost are
+read off them, each an int when it is whole.
 
 The holding bound of the paper still holds for this placement.  Stretching
 each item's x by 5/2 and truncating at mass 1 (scaled_profile) gives
@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Mapping, Optional
 
 from .errors import InvariantError
-from .instance import CmilsInstance
+from .instance import CmilsInstance, Rat, rat
 
 SCALE = Fraction(5, 2)
 
@@ -48,7 +48,7 @@ def scaled_profile(x: Mapping[tuple[int, int], Fraction],
 
 
 def solve_assignment(inst: CmilsInstance, orders
-                     ) -> Optional[tuple[Fraction, dict[tuple[int, int], Fraction]]]:
+                     ) -> Optional[tuple[Rat, dict[tuple[int, int], Rat]]]:
     """Cheapest placement of every demand into the order periods.
 
     Returns (holding cost, units per (s, i)), or None when the orders
@@ -60,7 +60,7 @@ def solve_assignment(inst: CmilsInstance, orders
                     *(inst.cap(s).denominator for s in orders))
     price = math.lcm(*(inst.hold(i, s).denominator for s, i in pairs))
 
-    def scaled(value: Fraction, den: int) -> int:
+    def scaled(value: Rat, den: int) -> int:
         return value.numerator * (den // value.denominator)
 
     # Nodes: 0 is the source, 1..N the items, then the order periods, then
@@ -126,5 +126,5 @@ def solve_assignment(inst: CmilsInstance, orders
         need -= push
         paid += push * dist[sink]
 
-    units = {key: Fraction(room[e ^ 1], unit) for key, e in pair_edge.items() if room[e ^ 1]}
-    return Fraction(paid, unit * price), units
+    units = {key: rat(room[e ^ 1], unit) for key, e in pair_edge.items() if room[e ^ 1]}
+    return rat(paid, unit * price), units

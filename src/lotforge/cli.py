@@ -25,13 +25,13 @@ from .errors import (InstanceFormatError, InvariantError, LotforgeError,
 DIGITS = 12
 
 
-def decimal_str(value: Fraction) -> str:
+def decimal_str(value: instance.Rat) -> str:
     with localcontext() as ctx:
         ctx.prec = DIGITS
         return str(Decimal(value.numerator) / Decimal(value.denominator))
 
 
-def _pair(value: Optional[Fraction]) -> Optional[dict]:
+def _pair(value: Optional[instance.Rat]) -> Optional[dict]:
     if value is None:
         return None
     return {"exact": instance.format_rat(value), "decimal": decimal_str(value)}
@@ -40,11 +40,11 @@ def _pair(value: Optional[Fraction]) -> Optional[dict]:
 @dataclass
 class RunReport:
     instance_id: str
-    lp_value: Fraction
-    ordering: Fraction
-    holding: Fraction
-    total: Fraction
-    oracle_cost: Optional[Fraction]
+    lp_value: instance.Rat
+    ordering: instance.Rat
+    holding: instance.Rat
+    total: instance.Rat
+    oracle_cost: Optional[instance.Rat]
     ratio_vs_lp: Optional[Fraction]
     ratio_vs_opt: Optional[Fraction]
     rounds: int
@@ -74,7 +74,7 @@ class RunReport:
         }
 
     def to_csv_row(self) -> str:
-        def both(v: Optional[Fraction]) -> list[str]:
+        def both(v: Optional[instance.Rat]) -> list[str]:
             if v is None:
                 return ["", ""]
             return [instance.format_rat(v), decimal_str(v)]
@@ -88,7 +88,7 @@ class RunReport:
 
 
 def build_report(instance_id: str, result: cmils_master.PipelineResult,
-                 oracle_cost: Optional[Fraction]) -> RunReport:
+                 oracle_cost: Optional[instance.Rat]) -> RunReport:
     sched = result.schedule
     lp_value = result.certificate.lp_value
     return RunReport(
@@ -98,8 +98,9 @@ def build_report(instance_id: str, result: cmils_master.PipelineResult,
         holding=sched.holding_cost,
         total=sched.total_cost,
         oracle_cost=oracle_cost,
-        ratio_vs_lp=(sched.total_cost / lp_value) if lp_value > 0 else None,
-        ratio_vs_opt=(sched.total_cost / oracle_cost)
+        # Fraction, so that a ratio of two ints is never a float
+        ratio_vs_lp=Fraction(sched.total_cost, lp_value) if lp_value > 0 else None,
+        ratio_vs_opt=Fraction(sched.total_cost, oracle_cost)
         if oracle_cost is not None and oracle_cost > 0 else None,
         rounds=result.certificate.rounds,
         cuts=result.certificate.num_cuts,

@@ -32,14 +32,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Optional
 
 from . import assignment as assign_mod
 from . import interval_kc, lp_core, separation
 from .cuts import CoveringCut, check_cut, cut_demand, cut_lhs
 from .errors import InvariantError, RoundLimitError
-from .instance import (CmilsInstance, FractionalSolution, OrderSchedule,
+from .instance import (CmilsInstance, FractionalSolution, OrderSchedule, Rat,
                        format_rat, hcost, make_schedule, validate)
 
 Trace = Optional[Callable[[str], None]]
@@ -65,7 +64,7 @@ class MasterLayout:
 def build_base_lp(inst: CmilsInstance, layout: MasterLayout | None = None) -> lp_core.LinearProgram:
     """Base relaxation: coverage equalities plus the seeded per-period rows."""
     layout = layout or MasterLayout(inst)
-    obj = [Fraction(0)] * layout.num_vars
+    obj: list[Rat] = [0] * layout.num_vars
     for (s, i), col in layout.x_col.items():
         obj[col] = inst.demand(i) * inst.hold(i, s)
     for s in inst.periods():
@@ -73,11 +72,11 @@ def build_base_lp(inst: CmilsInstance, layout: MasterLayout | None = None) -> lp
     lp = lp_core.LinearProgram(
         num_vars=layout.num_vars,
         objective=obj,
-        bounds=[(Fraction(0), Fraction(1))] * layout.num_vars,
+        bounds=[(0, 1)] * layout.num_vars,
     )
     total_d = inst.total_demand()
     for i in inst.items():
-        lp.add_row({layout.x_col[(s, i)]: Fraction(1)
+        lp.add_row({layout.x_col[(s, i)]: 1
                     for s in range(1, inst.deadline(i) + 1)}, lp_core.EQ, 1)
     for s in inst.periods():
         coeffs = {layout.y_col[s]: min(inst.cap(s), total_d)}
@@ -89,7 +88,7 @@ def build_base_lp(inst: CmilsInstance, layout: MasterLayout | None = None) -> lp
 
 
 def pair_row(inst: CmilsInstance, layout: MasterLayout,
-             pair: tuple[int, int]) -> dict[int, Fraction]:
+             pair: tuple[int, int]) -> dict[int, Rat]:
     """The per-pair row min(C_s, d_i) y_s - d_i x[s, i] >= 0, as coefficients."""
     s, i = pair
     return {layout.y_col[s]: min(inst.cap(s), inst.demand(i)),
@@ -98,18 +97,17 @@ def pair_row(inst: CmilsInstance, layout: MasterLayout,
 
 def cut_row(cut: CoveringCut, inst: CmilsInstance, layout: MasterLayout):
     """Covering cut as an LP row (the constant C(S1) moves to the rhs)."""
-    cap1 = sum((inst.cap(s) for s in cut.S1), Fraction(0))
+    cap1 = sum(inst.cap(s) for s in cut.S1)
     residual = cut_demand(cut, inst) - cap1
-    coeffs: dict[int, Fraction] = {}
+    coeffs: dict[int, Rat] = {}
     for s in cut.S2:
-        coeffs[layout.y_col[s]] = coeffs.get(layout.y_col[s], Fraction(0)) \
-            + min(inst.cap(s), residual)
+        coeffs[layout.y_col[s]] = coeffs.get(layout.y_col[s], 0) + min(inst.cap(s), residual)
     excluded = cut.S1 | cut.S2
     for i in cut.I:
         for s in range(1, inst.deadline(i) + 1):
             if s not in excluded:
                 col = layout.x_col[(s, i)]
-                coeffs[col] = coeffs.get(col, Fraction(0)) + inst.demand(i)
+                coeffs[col] = coeffs.get(col, 0) + inst.demand(i)
     return coeffs, residual
 
 
@@ -121,7 +119,7 @@ class MasterState:
     cut_pool: list[CoveringCut] = field(default_factory=list)
     cut_keys: set = field(default_factory=set)
     current: Optional[FractionalSolution] = None
-    lp_value: Optional[Fraction] = None
+    lp_value: Optional[Rat] = None
     solution: Optional[lp_core.LpSolution] = None
     round: int = 0
     pivots: int = 0  # over every LP solve of the last solve_master call
@@ -190,7 +188,7 @@ def add_cut(state: MasterState, cut: CoveringCut) -> None:
 
 @dataclass
 class Certificate:
-    lp_value: Fraction
+    lp_value: Rat
     rounds: int
     num_cuts: int
     ordering_bound_ok: bool
@@ -257,14 +255,13 @@ def run_pipeline(inst: CmilsInstance, max_rounds: int = 200,
                              "despite covered requirements")
     schedule = make_schedule(inst, orders, placed[1])
 
-    lp_order_part = sum((sol.y[s - 1] * inst.order_cost(s) for s in inst.periods()),
-                        Fraction(0))
+    lp_order_part = sum(sol.y[s - 1] * inst.order_cost(s) for s in inst.periods())
     cert = Certificate(
         lp_value=state.lp_value,
         rounds=state.round,
         num_cuts=len(state.cut_pool),
         ordering_bound_ok=schedule.ordering_cost <= 10 * lp_order_part,
-        holding_bound_ok=schedule.holding_cost <= Fraction(5, 2) * hcost(inst, sol.x),
+        holding_bound_ok=2 * schedule.holding_cost <= 5 * hcost(inst, sol.x),
     )
     if not (cert.ordering_bound_ok and cert.holding_bound_ok):
         raise InvariantError(f"ratio certificate failed: "

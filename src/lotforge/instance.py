@@ -6,7 +6,9 @@ units delivered by its deadline r_i, and a unit of item i ordered at period
 s <= r_i pays a holding cost h_i(s).  Holding costs are stored as explicit
 per-item tables, non-increasing in s with h_i(r_i) = 0.
 
-All quantities are exact rationals.  Rationals serialize as "p/q" strings.
+All quantities are exact rationals of type Rat: an int when the value is
+whole, else a Fraction.  Both are exact, so whole data (the usual case)
+pays no Fraction arithmetic.  Rationals serialize as "p/q" strings.
 """
 
 from __future__ import annotations
@@ -18,6 +20,9 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import InstanceFormatError
+
+# An exact rational: an int when whole, else a Fraction.
+Rat = int | Fraction
 
 
 def _is_int(value) -> bool:
@@ -39,24 +44,40 @@ def _show(value) -> str:
     return text if len(text) <= SHOWN else f"{text[:SHOWN]}... ({len(text)} characters)"
 
 
-def parse_rat(text) -> Fraction:
-    """Parse "p/q" (or a bare integer / int value) into an exact Fraction."""
+def rat(num: int, den: int) -> Rat:
+    """num / den for den > 0: an int when den divides num, else a Fraction."""
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q
+
+
+def parse_rat(text) -> Rat:
+    """Parse "p/q" (or any string Fraction reads, or an int) into a Rat.
+
+    The canonical "p/q" that format_rat writes -- ASCII digits, an optional
+    leading "-" and q > 0 -- is read with int(); any other string goes to
+    Fraction, so it means what it means to Fraction or is rejected.
+    """
     if isinstance(text, Fraction):
         return text
     if _is_int(text):
-        return Fraction(text)
+        return text
     if not isinstance(text, str):
         raise InstanceFormatError(f"expected rational string, got {_show(text)}")
     try:
-        return Fraction(text)
+        p, _, q = text.partition("/")
+        digits = p[1:] if p[:1] == "-" else p
+        if digits.isascii() and digits.isdigit() and q.isascii() and q.isdigit() \
+                and (den := int(q)) > 0:
+            return rat(int(p), den)
+        value = Fraction(text)
+        return value.numerator if value.denominator == 1 else value
     except ValueError:
         raise InstanceFormatError(f"bad rational {_show(text)}") from None
     except ZeroDivisionError:
         raise InstanceFormatError(f"bad rational {_show(text)}: zero denominator") from None
 
 
-def format_rat(value: Fraction) -> str:
-    value = Fraction(value)
+def format_rat(value: Rat) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
@@ -64,25 +85,25 @@ def format_rat(value: Fraction) -> str:
 class CmilsInstance:
     T: int
     N: int
-    K: tuple[Fraction, ...]  # ordering cost per period
-    C: tuple[Fraction, ...]  # capacity per period
-    d: tuple[Fraction, ...]  # demand per item
-    r: tuple[int, ...]       # deadline per item
-    h: tuple[tuple[Fraction, ...], ...]  # h[i-1][s-1], s in 1..r_i
+    K: tuple[Rat, ...]  # ordering cost per period
+    C: tuple[Rat, ...]  # capacity per period
+    d: tuple[Rat, ...]  # demand per item
+    r: tuple[int, ...]  # deadline per item
+    h: tuple[tuple[Rat, ...], ...]  # h[i-1][s-1], s in 1..r_i
 
-    def order_cost(self, s: int) -> Fraction:
+    def order_cost(self, s: int) -> Rat:
         return self.K[s - 1]
 
-    def cap(self, s: int) -> Fraction:
+    def cap(self, s: int) -> Rat:
         return self.C[s - 1]
 
-    def demand(self, i: int) -> Fraction:
+    def demand(self, i: int) -> Rat:
         return self.d[i - 1]
 
     def deadline(self, i: int) -> int:
         return self.r[i - 1]
 
-    def hold(self, i: int, s: int) -> Fraction:
+    def hold(self, i: int, s: int) -> Rat:
         return self.h[i - 1][s - 1]
 
     def periods(self) -> range:
@@ -91,28 +112,28 @@ class CmilsInstance:
     def items(self) -> range:
         return range(1, self.N + 1)
 
-    def total_demand(self) -> Fraction:
-        return sum(self.d, Fraction(0))
+    def total_demand(self) -> Rat:
+        return sum(self.d)
 
 
 @dataclass(frozen=True)
 class FractionalSolution:
     """An (x, y) pair: x[(s, i)] is the fraction of item i ordered at s."""
 
-    x: Mapping[tuple[int, int], Fraction]
-    y: tuple[Fraction, ...]
+    x: Mapping[tuple[int, int], Rat]
+    y: tuple[Rat, ...]
 
-    def x_val(self, s: int, i: int) -> Fraction:
-        return self.x.get((s, i), Fraction(0))
+    def x_val(self, s: int, i: int) -> Rat:
+        return self.x.get((s, i), 0)
 
 
 @dataclass(frozen=True)
 class OrderSchedule:
     orders: frozenset[int]
-    assignment: Mapping[tuple[int, int], Fraction]  # (s, i) -> units
-    ordering_cost: Fraction
-    holding_cost: Fraction
-    total_cost: Fraction
+    assignment: Mapping[tuple[int, int], Rat]  # (s, i) -> units
+    ordering_cost: Rat
+    holding_cost: Rat
+    total_cost: Rat
 
 
 def validate(inst: CmilsInstance) -> list[str]:
@@ -176,29 +197,26 @@ def check_feasible(inst: CmilsInstance, sched: OrderSchedule) -> tuple[bool, lis
             if s > inst.deadline(i):
                 bad.append(f"assignment[{s},{i}] > 0 past deadline r_{i}={inst.deadline(i)}")
     for i in inst.items():
-        got = sum((q for (s, j), q in sched.assignment.items() if j == i), Fraction(0))
+        got = sum(q for (s, j), q in sched.assignment.items() if j == i)
         if got != inst.demand(i):
             bad.append(f"item {i}: assigned {got}, demand {inst.demand(i)}")
     for s in sorted(sched.orders):
         if not (1 <= s <= inst.T):
             bad.append(f"order at unknown period {s}")
             continue
-        used = sum((q for (t, _i), q in sched.assignment.items() if t == s), Fraction(0))
+        used = sum(q for (t, _i), q in sched.assignment.items() if t == s)
         if used > inst.cap(s):
             bad.append(f"period {s}: load {used} exceeds capacity {inst.cap(s)}")
     return (not bad, bad)
 
 
-def cost(inst: CmilsInstance, sched: OrderSchedule) -> tuple[Fraction, Fraction, Fraction]:
+def cost(inst: CmilsInstance, sched: OrderSchedule) -> tuple[Rat, Rat, Rat]:
     """Ordering, holding and total cost of a feasible schedule."""
     ok, bad = check_feasible(inst, sched)
     if not ok:
         raise ValueError("infeasible schedule: " + "; ".join(bad))
-    ordering = sum((inst.order_cost(s) for s in sched.orders), Fraction(0))
-    holding = Fraction(0)
-    for (s, i), qty in sched.assignment.items():
-        if qty:
-            holding += qty * inst.hold(i, s)
+    ordering = sum(inst.order_cost(s) for s in sched.orders)
+    holding = sum(qty * inst.hold(i, s) for (s, i), qty in sched.assignment.items() if qty)
     return ordering, holding, ordering + holding
 
 
@@ -206,22 +224,17 @@ def make_schedule(inst: CmilsInstance, orders, assignment) -> OrderSchedule:
     """Package an order set plus unit assignment, computing its costs."""
     sched = OrderSchedule(orders=frozenset(orders),
                           assignment=dict(assignment),
-                          ordering_cost=Fraction(0),
-                          holding_cost=Fraction(0),
-                          total_cost=Fraction(0))
+                          ordering_cost=0, holding_cost=0, total_cost=0)
     ordering, holding, total = cost(inst, sched)
     return OrderSchedule(orders=sched.orders, assignment=sched.assignment,
                          ordering_cost=ordering, holding_cost=holding,
                          total_cost=total)
 
 
-def hcost(inst: CmilsInstance, x: Mapping[tuple[int, int], Fraction]) -> Fraction:
+def hcost(inst: CmilsInstance, x: Mapping[tuple[int, int], Rat]) -> Rat:
     """Holding cost of a fractional assignment: sum_i d_i sum_s x[s,i] h_i(s)."""
-    total = Fraction(0)
-    for (s, i), frac in x.items():
-        if frac and s <= inst.deadline(i):
-            total += inst.demand(i) * frac * inst.hold(i, s)
-    return total
+    return sum(inst.demand(i) * frac * inst.hold(i, s)
+               for (s, i), frac in x.items() if frac and s <= inst.deadline(i))
 
 
 def prefix_feasible(inst: CmilsInstance, orders=None) -> bool:
@@ -231,15 +244,15 @@ def prefix_feasible(inst: CmilsInstance, orders=None) -> bool:
     prefix and this condition is exact for the given order set.
     """
     chosen = set(inst.periods()) if orders is None else set(orders)
-    prefix_cap = Fraction(0)
-    due: dict[int, Fraction] = {}
+    prefix_cap = 0
+    due: dict[int, Rat] = {}
     for i in inst.items():
-        due[inst.deadline(i)] = due.get(inst.deadline(i), Fraction(0)) + inst.demand(i)
-    cum_demand = Fraction(0)
+        due[inst.deadline(i)] = due.get(inst.deadline(i), 0) + inst.demand(i)
+    cum_demand = 0
     for t in inst.periods():
         if t in chosen:
             prefix_cap += inst.cap(t)
-        cum_demand += due.get(t, Fraction(0))
+        cum_demand += due.get(t, 0)
         if cum_demand > prefix_cap:
             return False
     return True
@@ -268,15 +281,15 @@ def gen_random(seed: int, *, T: int, N: int,
         if lo > hi or hi < 1:
             raise ValueError(f"{name} is empty or non-positive")
     rng = random.Random(seed)
-    K = tuple(Fraction(rng.randint(*cost_range)) for _ in range(T))
-    C = [Fraction(max(1, rng.randint(*capacity_range))) for _ in range(T)]
-    d = tuple(Fraction(max(1, rng.randint(*demand_range))) for _ in range(N))
+    K = tuple(rng.randint(*cost_range) for _ in range(T))
+    C = [max(1, rng.randint(*capacity_range)) for _ in range(T)]
+    d = tuple(max(1, rng.randint(*demand_range)) for _ in range(N))
     r = tuple(rng.randint(1, T) for _ in range(N))
     h = []
     for i in range(N):
-        rates = [Fraction(rng.randint(0, 3)) for _ in range(r[i] - 1)]
+        rates = [rng.randint(0, 3) for _ in range(r[i] - 1)]
         table = []
-        tail = Fraction(0)
+        tail = 0
         for s in range(r[i] - 1, -1, -1):
             table.append(tail)
             if s > 0:
@@ -284,15 +297,15 @@ def gen_random(seed: int, *, T: int, N: int,
         h.append(tuple(reversed(table)))
     # enforce the prefix-capacity slack so the instance is always feasible
     slack = Fraction(slack_factor)
-    cum_demand = Fraction(0)
-    prefix_cap = Fraction(0)
+    cum_demand = 0
+    prefix_cap = 0
     for t in range(1, T + 1):
-        cum_demand += sum((d[i] for i in range(N) if r[i] == t), Fraction(0))
+        cum_demand += sum(d[i] for i in range(N) if r[i] == t)
         prefix_cap += C[t - 1]
         need = slack * cum_demand
         if prefix_cap < need:
             deficit = need - prefix_cap
-            bump = Fraction(-(-deficit.numerator // deficit.denominator))  # ceil
+            bump = -(-deficit.numerator // deficit.denominator)  # ceil
             C[t - 1] += bump
             prefix_cap += bump
     return CmilsInstance(T=T, N=N, K=K, C=tuple(C), d=d, r=r, h=tuple(h))
@@ -301,13 +314,10 @@ def gen_random(seed: int, *, T: int, N: int,
 def gen_kc_gap(R) -> CmilsInstance:
     """Two-period knapsack-cover gap embed: C=(R-1, R), K=(0, 1), one demand R."""
     R = Fraction(R)
+    R = rat(R.numerator, R.denominator)
     if R < 2:
         raise ValueError("R must be >= 2")
-    return CmilsInstance(T=2, N=1,
-                         K=(Fraction(0), Fraction(1)),
-                         C=(R - 1, R),
-                         d=(R,), r=(2,),
-                         h=((Fraction(0), Fraction(0)),))
+    return CmilsInstance(T=2, N=1, K=(0, 1), C=(R - 1, R), d=(R,), r=(2,), h=((0, 0),))
 
 
 # ---------------------------------------------------------------------------

@@ -22,28 +22,31 @@ locked set covers every requirement already, at cost sum_{s locked} K_s
 the locked set: no family is built and no laminar solve runs.  On a 0/1
 y_scaled that is exactly what the laminar route returns, as every member
 then scores 0; on fractional openings the laminar route could add periods
-that no requirement needs.  The closing cover and budget checks run on
-either selection.
+that no requirement needs.  The entry check has then already found every
+gap of the locked set <= 0, which is its cover check; a laminar selection
+gets a closing cover walk of its own.  The budget check runs on either.
 
 The scores and the covering checks run on one integer view of (C, y),
 intervals.ScaledCover, and the locked or selected capacity inside an
 interval is a difference of integer prefix sums, intervals.prefix_caps.
 The entry check compares the given residuals with intervals.uncovered's
-integers by cross-multiplication, and the final cover check reads those
-integers too; neither builds a Fraction.  A Fraction is built for a
-member's score and for its requirement, and for the cost and budget sums
-over the T periods.
+integers by cross-multiplication, and the closing cover check reads those
+integers too.  The cost and the budget K . y_scaled are integer sums over
+K's and y's common denominators.  A Fraction is built only for a member's
+score and for its requirement.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Optional
 
 from . import laminar_kc
 from .errors import InvariantError
-from .intervals import ScaledCover, locked_periods, prefix_caps, uncovered
+from .instance import Rat
+from .intervals import ScaledCover, locked_periods, prefix_caps, scale_caps, uncovered
 from .laminar_kc import Interval, LaminarFamily
 
 Trace = Optional[Callable[[str], None]]
@@ -52,9 +55,9 @@ Trace = Optional[Callable[[str], None]]
 @dataclass(frozen=True)
 class IntervalKcInstance:
     T: int
-    C: tuple[Fraction, ...]
-    K: tuple[Fraction, ...]
-    R: dict[Interval, Fraction]
+    C: tuple[Rat, ...]
+    K: tuple[Rat, ...]
+    R: dict[Interval, Rat]
 
     def check(self) -> None:
         if len(self.C) != self.T or len(self.K) != self.T:
@@ -156,8 +159,8 @@ def solve_interval_kc(ikc: IntervalKcInstance, y_scaled, locked,
     locked_periods(y_scaled); residual agrees with intervals.residuals,
     a key missing from either dict standing for 0; every interval with
     positive residual satisfies the tenfold-mass-or-count-of-six
-    disjunction.  The returned selection costs at most K . y_scaled and is
-    verified to cover every requirement.
+    disjunction.  The returned selection is verified to cost at most
+    K . y_scaled and to cover every requirement.
 
     When no residual is positive the selection is the locked set itself,
     with no family and no laminar solve, and trace (if given) gets one
@@ -211,13 +214,12 @@ def solve_interval_kc(ikc: IntervalKcInstance, y_scaled, locked,
         lkc = laminar_kc.LaminarKcInstance(T=ikc.T, C=ikc.C, K=ikc.K,
                                            family=family, R=member_req)
         selected = laminar_kc.solve(lkc, y_scaled, trace=trace)
+        for (a, b), _, gap in uncovered(ikc.R, view.c, cden, selected):
+            if gap > 0:
+                raise InvariantError(f"interval ({a}, {b}] requirement uncovered")
 
-    for (a, b), _, gap in uncovered(ikc.R, view.c, cden, selected):
-        if gap > 0:
-            raise InvariantError(f"interval ({a}, {b}] requirement uncovered")
-    cost = sum((ikc.K[s - 1] for s in selected), Fraction(0))
-    budget = sum((y_scaled[s - 1] * ikc.K[s - 1] for s in range(1, ikc.T + 1)),
-                 Fraction(0))
-    if cost > budget:
+    # cost <= K . y_scaled, both times kden * yden: K_s = k_s / kden, y_s = u_s / yden
+    k, _ = scale_caps(ikc.K)
+    if view.yden * sum(k[s - 1] for s in selected) > sum(map(mul, k, view.u)):
         raise InvariantError("selection exceeds the scaled fractional budget")
     return selected

@@ -29,6 +29,8 @@ import math
 from fractions import Fraction
 from typing import Iterable, Iterator
 
+from .instance import Rat
+
 _ZERO = Fraction(0)
 
 
@@ -39,13 +41,9 @@ def all_intervals(T: int) -> Iterator[tuple[int, int]]:
             yield (a, b)
 
 
-def cap_within(C, a: int, b: int, chosen: Iterable[int]) -> Fraction:
+def cap_within(C, a: int, b: int, chosen: Iterable[int]) -> Rat:
     """Total capacity of the chosen periods that fall inside (a, b]."""
-    total = Fraction(0)
-    for s in chosen:
-        if a < s <= b:
-            total += C[s - 1]
-    return total
+    return sum(C[s - 1] for s in chosen if a < s <= b)
 
 
 def scale_caps(C) -> tuple[list[int], int]:
@@ -65,9 +63,9 @@ def prefix_caps(c: list[int], chosen) -> list[int]:
     return P
 
 
-def scale_y(y) -> tuple[Fraction, ...]:
+def scale_y(y) -> tuple[Rat, ...]:
     """Scale tenfold and cap at 1."""
-    return tuple(min(10 * v, Fraction(1)) for v in y)
+    return tuple(min(10 * v, 1) for v in y)
 
 
 def locked_periods(y) -> frozenset[int]:
@@ -76,7 +74,7 @@ def locked_periods(y) -> frozenset[int]:
 
 
 def uncovered(R: dict, c: list[int], cden: int,
-              chosen) -> Iterator[tuple[tuple[int, int], Fraction, int]]:
+              chosen) -> Iterator[tuple[tuple[int, int], Rat, int]]:
     """(interval, need, gap) for each requirement in R, in R's order.
 
     With c and cden from scale_caps, need less the capacity of the chosen
@@ -111,7 +109,7 @@ class ScaledCover:
         self.yden = math.lcm(*(v.denominator for v in y))
         self.u = [v.numerator * (self.yden // v.denominator) for v in y]
 
-    def holds(self, a: int, b: int, need: Fraction, skip,
+    def holds(self, a: int, b: int, need: Rat, skip,
               mass=None, count=None) -> bool:
         """Whether "capped mass >= mass * need or count >= count" on (a, b].
 

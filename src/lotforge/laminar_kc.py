@@ -17,19 +17,18 @@ migration between the pools and the per-step state check evaluate those
 rows with intervals.ScaledCover, on integers; the state keeps one view per
 y, built when y is replaced.  The stale-remaining check and the final
 cover check read each requirement less the selected capacity as an integer
-from intervals.uncovered.  A Fraction is built for a remaining
-requirement, for the LP, which is built only to be solved, and for the
-cost sums over the T periods.
+from intervals.uncovered.  The rounding LP, built only to be solved, takes
+the instance's values as they are.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
 from . import lp_core
 from .errors import InvariantError
+from .instance import Rat
 from .intervals import ScaledCover, locked_periods, residuals, uncovered
 
 Interval = tuple[int, int]
@@ -44,7 +43,7 @@ class LaminarFamily:
     members: tuple[Interval, ...]
     parent: dict[Interval, Optional[Interval]]
     children: dict[Interval, tuple[Interval, ...]]
-    coverable: dict[Interval, Fraction] = field(default_factory=dict)
+    coverable: dict[Interval, Rat] = field(default_factory=dict)
 
     @classmethod
     def from_intervals(cls, T: int, intervals: Iterable[Interval],
@@ -79,10 +78,10 @@ class LaminarFamily:
 @dataclass(frozen=True)
 class LaminarKcInstance:
     T: int
-    C: tuple[Fraction, ...]
-    K: tuple[Fraction, ...]
+    C: tuple[Rat, ...]
+    K: tuple[Rat, ...]
     family: LaminarFamily
-    R: dict[Interval, Fraction]  # positive requirements, keyed by member
+    R: dict[Interval, Rat]  # positive requirements, keyed by member
 
     def check(self) -> None:
         for iv, value in self.R.items():
@@ -97,10 +96,10 @@ class RoundingState:
     instance: LaminarKcInstance
     discarded: set[int]
     selected: set[int]
-    remaining: dict[Interval, Fraction]
+    remaining: dict[Interval, Rat]
     mass_active: set[Interval]
     count_active: set[Interval]
-    y: list[Fraction]
+    y: list[Rat]
     # the integer view of (C, y), built once per y: set_y replaces both
     view: ScaledCover = field(init=False, repr=False)
 
@@ -118,7 +117,7 @@ class RoundingState:
 def init_state(inst: LaminarKcInstance, y) -> RoundingState:
     """Set up the rounding state; rejects inputs that break the contract."""
     inst.check()
-    y = [Fraction(v) for v in y]
+    y = list(y)
     if len(y) != inst.T:
         raise ValueError("y must have one entry per period")
     locked = locked_periods(y)
@@ -167,11 +166,11 @@ def build_iter_lp(state: RoundingState) -> lp_core.LinearProgram:
     inst = state.instance
     lp = lp_core.LinearProgram(
         num_vars=inst.T,
-        objective=[Fraction(k) for k in inst.K],
+        objective=list(inst.K),
         bounds=[
-            (Fraction(0), Fraction(0)) if s in state.discarded else
-            (Fraction(1), Fraction(1)) if s in state.selected else
-            (Fraction(0), Fraction(1))
+            (0, 0) if s in state.discarded else
+            (1, 1) if s in state.selected else
+            (0, 1)
             for s in range(1, inst.T + 1)
         ],
     )
@@ -182,7 +181,7 @@ def build_iter_lp(state: RoundingState) -> lp_core.LinearProgram:
         lp.add_row(coeffs, lp_core.GE, 2 * need)
     for a, b in sorted(state.count_active):
         need = state.remaining[(a, b)]
-        coeffs = {s - 1: Fraction(1)
+        coeffs = {s - 1: 1
                   for s in range(a + 1, b + 1)
                   if s not in state.selected and inst.C[s - 1] >= need}
         lp.add_row(coeffs, lp_core.GE, 1)
@@ -228,8 +227,7 @@ def solve(inst: LaminarKcInstance, y, trace: Trace = None) -> frozenset[int]:
     """
     state = init_state(inst, y)
     cden = state.view.cden
-    input_budget = sum((state.y[s - 1] * inst.K[s - 1] for s in range(1, inst.T + 1)),
-                      Fraction(0))
+    input_budget = sum(state.y[s - 1] * inst.K[s - 1] for s in range(1, inst.T + 1))
     prev_cost = input_budget
     rounds = 0
     while state.mass_active or state.count_active:
@@ -300,7 +298,7 @@ def solve(inst: LaminarKcInstance, y, trace: Trace = None) -> frozenset[int]:
     for iv, _, gap in uncovered(inst.R, state.view.c, cden, selected):
         if gap > 0:
             raise InvariantError(f"requirement on {iv} left uncovered")
-    cost = sum((inst.K[s - 1] for s in selected), Fraction(0))
+    cost = sum(inst.K[s - 1] for s in selected)
     if cost > input_budget:
         raise InvariantError("selection costs more than the fractional budget")
     return selected

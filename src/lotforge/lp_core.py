@@ -32,12 +32,13 @@ denominator is the row's basic offset.  A pivot touches only the rows with
 a nonzero in the entering column, at the pivot row's nonzero columns, and
 carries the constants along, so basic values need no update of their own.
 The ratio test compares integer (numerator, denominator) step pairs by
-cross-multiplication.  `Fraction` appears only at the API boundary: a row
-enters the tableau in one integer pass that reads its coefficients'
-numerators and denominators (as does the crash start's sign test), a
-cold solve's cost vector is a Fraction list until reduced_costs scales it
-to integers, and the solution is built as Fractions on the way out.  Every
-pivot choice is the same exact comparison a rational tableau would make.
+cross-multiplication.  Rationals (an int, or a Fraction when not whole)
+appear only at the API boundary: a row enters the tableau in one integer
+pass that reads its coefficients' numerators and denominators (as does the
+crash start's sign test), a cold solve's cost vector holds the objective's
+values until reduced_costs scales it to integers, and the solution is read
+off as an int where a value is whole and a Fraction elsewhere.  Every pivot
+choice is the same exact comparison a rational tableau would make.
 
 The objective is a row of the tableau too (after Bixby and Koberstein): its
 reduced costs are an integer row over a positive denominator, with one
@@ -79,6 +80,7 @@ from operator import is_
 from typing import Mapping, Optional
 
 from .errors import InvariantError
+from .instance import Rat, rat
 
 LE = "<="
 GE = ">="
@@ -87,8 +89,6 @@ EQ = "="
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 
-_ZERO = Fraction(0)
-
 # Zero-length primal steps in a row after which pricing falls back from
 # Dantzig's rule to Bland's until a step moves.
 DEGENERATE_RUN = 50
@@ -96,27 +96,29 @@ DEGENERATE_RUN = 50
 
 @dataclass(frozen=True)
 class Row:
-    coeffs: Mapping[int, Fraction]
+    coeffs: Mapping[int, Rat]
     relation: str
-    rhs: Fraction
+    rhs: Rat
 
 
 @dataclass
 class LinearProgram:
     num_vars: int
-    objective: list[Fraction]
+    objective: list[Rat]
     rows: list[Row] = field(default_factory=list)
-    bounds: list[tuple[Fraction, Fraction]] = field(default_factory=list)
+    bounds: list[tuple[Rat, Rat]] = field(default_factory=list)
 
-    def add_row(self, coeffs: Mapping[int, Fraction], relation: str, rhs) -> None:
-        clean = {j: v if isinstance(v, Fraction) else Fraction(v)
+    def add_row(self, coeffs: Mapping[int, Rat], relation: str, rhs) -> None:
+        """Append a row; int and Fraction values are kept as given, any other
+        number is converted to a Fraction."""
+        clean = {j: v if isinstance(v, (int, Fraction)) else Fraction(v)
                  for j, v in coeffs.items() if v}
         for j in clean:
             if not (0 <= j < self.num_vars):
                 raise ValueError(f"row references unknown variable {j}")
         if relation not in (LE, GE, EQ):
             raise ValueError(f"unknown relation {relation!r}")
-        if not isinstance(rhs, Fraction):
+        if not isinstance(rhs, (int, Fraction)):
             rhs = Fraction(rhs)
         self.rows.append(Row(coeffs=clean, relation=relation, rhs=rhs))
 
@@ -150,8 +152,8 @@ class LpSolution:
     None otherwise or once it has been used.
     """
     status: str
-    values: Optional[list[Fraction]]
-    objective_value: Optional[Fraction]
+    values: Optional[list[Rat]]
+    objective_value: Optional[Rat]
     pivots: int = field(default=0, compare=False)
     tableau: Optional["_Tableau"] = field(default=None, compare=False, repr=False)
 
@@ -189,9 +191,9 @@ class _Tableau:
     def __init__(self, lp: LinearProgram):
         self.lp = lp
         n = lp.num_vars
-        self.fixed: dict[int, Fraction] = {}
+        self.fixed: dict[int, Rat] = {}
         self.col_of_var: dict[int, int] = {}
-        self.lo: list[Fraction] = []
+        self.lo: list[Rat] = []
         self.width: list[Optional[tuple[int, int]]] = []
         for j in range(n):
             lo, hi = lp.bounds[j]
@@ -205,7 +207,7 @@ class _Tableau:
         n_struct = len(self.lo)
         n_slack = sum(1 for row in lp.rows if row.relation != EQ)
         self.ncols = n_struct + n_slack
-        self.lo += [_ZERO] * n_slack
+        self.lo += [0] * n_slack
         self.width += [None] * n_slack
         self.comp: list[bool] = [False] * self.ncols
 
@@ -235,7 +237,7 @@ class _Tableau:
         n_art = len(lp.rows) - n_slack
         self.art_cols = list(range(self.ncols, self.ncols + n_art))
         self.ncols += n_art
-        self.lo += [_ZERO] * n_art
+        self.lo += [0] * n_art
         self.width += [(0, 1)] * n_art
         self.comp += [False] * n_art
         self.tab: list[list[int]] = []
@@ -327,7 +329,7 @@ class _Tableau:
             r.insert(-1, 0)
         scol = self.ncols
         self.ncols += 1
-        self.lo.append(_ZERO)
+        self.lo.append(0)
         self.width.append(None)
         self.comp.append(False)
         self.in_basis.append(True)
@@ -347,7 +349,7 @@ class _Tableau:
 
     # -- simplex machinery ------------------------------------------------
 
-    def reduced_costs(self, cost: list[Fraction]) -> tuple[list[int], int]:
+    def reduced_costs(self, cost: list[Rat]) -> tuple[list[int], int]:
         """Integer row and positive denominator of cost - c_B B^-1 A over z.
 
         A complemented column's cost is negated, because its z runs against
@@ -565,7 +567,7 @@ class _Tableau:
         """True iff the basis is primal feasible."""
         return self.out_of_range()[0] < 0
 
-    def cheaper_bounds(self, cost: list[Fraction]) -> None:
+    def cheaper_bounds(self, cost: list[Rat]) -> None:
         """Move each nonbasic column with a nonzero cost to its cheaper bound.
 
         In the start basis every basic column costs 0, so each reduced cost
@@ -632,26 +634,24 @@ class _Tableau:
                 del self.den[i]
                 del self.basis[i]
 
-    def solution_values(self) -> list[Fraction]:
-        """Every variable's value, read off the integer rows as Fractions."""
-        offset = {b: Fraction(row[-1], d)
+    def solution_values(self) -> list[Rat]:
+        """Every variable's value, read off the integer rows: an int where
+        it is whole, a Fraction elsewhere."""
+        offset = {b: (row[-1], d)
                   for row, d, b in zip(self.tab, self.den, self.basis) if row[-1]}
         out = []
         for j in range(self.lp.num_vars):
             if j in self.fixed:
-                out.append(self.fixed[j])
+                v = self.fixed[j]
+                out.append(rat(v.numerator, v.denominator))
                 continue
             col = self.col_of_var[j]
-            z = offset.get(col)
+            zn, zd = offset.get(col, (0, 1))  # the offset z = zn / zd
             if self.comp[col]:
-                w = Fraction(*self.width[col])
-                z = w - z if z else w
+                wn, wd = self.width[col]
+                zn, zd = wn * zd - zn * wd, wd * zd
             lo = self.lo[col]
-            if not z:
-                z = lo
-            elif lo:
-                z = lo + z
-            out.append(z)
+            out.append(rat(lo.numerator * zd + zn * lo.denominator, lo.denominator * zd))
         return out
 
 
@@ -723,10 +723,10 @@ def solve_to_vertex(lp: LinearProgram, start: Optional[LpSolution] = None) -> Lp
     if start is None:
         lp.check_well_formed()
         tab = _Tableau(lp)
-        cost = [_ZERO] * tab.ncols
+        cost = [0] * tab.ncols
         for j, col in tab.col_of_var.items():
             c = objective[j]
-            cost[col] = c if isinstance(c, Fraction) else Fraction(c)
+            cost[col] = c if isinstance(c, (int, Fraction)) else Fraction(c)
         # A cold basis that violates a row becomes dual feasible once every
         # column sits at its cheaper bound.  A feasible crash start goes to
         # the primal simplex instead: on the rounding LPs that takes under
@@ -748,7 +748,8 @@ def solve_to_vertex(lp: LinearProgram, start: Optional[LpSolution] = None) -> Lp
     tab.lex_min()
 
     values = tab.solution_values()
-    obj = sum((c * v for c, v in zip(objective, values) if c and v), _ZERO)
+    obj = sum(c * v for c, v in zip(objective, values) if c and v)
+    obj = rat(obj.numerator, obj.denominator)
     return LpSolution(status=OPTIMAL, values=values, objective_value=obj,
                       pivots=tab.pivots, tableau=tab)
 

@@ -8,14 +8,13 @@ set's holding cost by the placement flow, assignment.solve_assignment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from . import assignment as assign_mod
 from . import interval_kc as ikc_mod
 from . import lp_core
 from .errors import InvariantError, RoundLimitError, SizeCapError
-from .instance import CmilsInstance, make_schedule, prefix_feasible
+from .instance import CmilsInstance, Rat, make_schedule, prefix_feasible
 from .intervals import (ScaledCover, cap_within, locked_periods, residuals,
                         scale_y)
 from .laminar_kc import LaminarKcInstance
@@ -26,7 +25,7 @@ KC_CAP = 16
 
 @dataclass(frozen=True)
 class OracleResult:
-    optimum_cost: Fraction
+    optimum_cost: Rat
     witness: object  # OrderSchedule or frozenset of periods
     explored: int
 
@@ -35,7 +34,7 @@ def brute_force_cmils(inst: CmilsInstance) -> OracleResult:
     """Exact optimum by enumerating every order subset (2^T of them)."""
     if inst.T > CMILS_CAP:
         raise SizeCapError(f"T={inst.T} exceeds the oracle cap {CMILS_CAP}")
-    best_total: Optional[Fraction] = None
+    best_total: Optional[Rat] = None
     best_orders: frozenset[int] = frozenset()
     best_units: dict = {}
     explored = 0
@@ -44,7 +43,7 @@ def brute_force_cmils(inst: CmilsInstance) -> OracleResult:
         orders = [s for s in inst.periods() if mask >> (s - 1) & 1]
         if not prefix_feasible(inst, orders):
             continue
-        ordering = sum((inst.order_cost(s) for s in orders), Fraction(0))
+        ordering = sum(inst.order_cost(s) for s in orders)
         if best_total is not None and ordering >= best_total:
             continue
         placed = assign_mod.solve_assignment(inst, orders)
@@ -70,13 +69,13 @@ def _covers(C, selected, requirements: dict) -> bool:
 def _brute_force_cover(T: int, C, K, requirements: dict) -> OracleResult:
     if T > KC_CAP:
         raise SizeCapError(f"T={T} exceeds the oracle cap {KC_CAP}")
-    best_cost: Optional[Fraction] = None
+    best_cost: Optional[Rat] = None
     best_set: frozenset[int] = frozenset()
     explored = 0
     for mask in range(1 << T):
         explored += 1
         selected = [s for s in range(1, T + 1) if mask >> (s - 1) & 1]
-        cost = sum((K[s - 1] for s in selected), Fraction(0))
+        cost = sum(K[s - 1] for s in selected)
         if best_cost is not None and cost >= best_cost:
             continue
         if _covers(C, selected, requirements):
@@ -98,9 +97,9 @@ def brute_force_interval_kc(inst: ikc_mod.IntervalKcInstance) -> OracleResult:
 @dataclass
 class IntervalKcRun:
     selected: frozenset[int]
-    lp_value: Fraction
+    lp_value: Rat
     rounds: int
-    y_scaled: tuple[Fraction, ...]
+    y_scaled: tuple[Rat, ...]
     locked: frozenset[int]
     residual: dict
 
@@ -117,8 +116,8 @@ def approx_interval_kc_details(ikc: ikc_mod.IntervalKcInstance,
     T = ikc.T
     lp = lp_core.LinearProgram(
         num_vars=T,
-        objective=[Fraction(k) for k in ikc.K],
-        bounds=[(Fraction(0), Fraction(1))] * T,
+        objective=list(ikc.K),
+        bounds=[(0, 1)] * T,
     )
     for (a, b), need in sorted(ikc.R.items()):
         if need > 0:

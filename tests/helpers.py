@@ -27,7 +27,7 @@ def invert_square(rows: list[list[Fraction]]):
         if pivot is None:
             return None
         aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
+        inv = Fraction(1, aug[col][col])
         aug[col] = [v * inv for v in aug[col]]
         for i in range(k):
             if i != col and aug[i][col]:
@@ -64,7 +64,7 @@ def matrix_rank(matrix: list[list[Fraction]], width: int) -> int:
             continue
         rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
         prow = rows[rank]
-        inv = 1 / prow[col]
+        inv = Fraction(1, prow[col])
         rows[rank] = prow = [v * inv for v in prow]
         for i in range(len(rows)):
             if i != rank and rows[i][col]:
@@ -252,7 +252,7 @@ def random_lp(seed: int) -> lp_core.LinearProgram:
 
 def schedule_to_fractional(inst: CmilsInstance, sched: OrderSchedule) -> FractionalSolution:
     """Integral (x, y) encoding of a feasible schedule."""
-    x = {(s, i): qty / inst.demand(i) for (s, i), qty in sched.assignment.items() if qty}
+    x = {(s, i): Fraction(qty, inst.demand(i)) for (s, i), qty in sched.assignment.items() if qty}
     y = tuple(Fraction(1) if s in sched.orders else Fraction(0) for s in inst.periods())
     return FractionalSolution(x=x, y=y)
 

@@ -56,7 +56,7 @@ class TestScaledProfile:
 
 def shares(inst, units):
     """Units per (s, i) as fractions of each item's demand."""
-    return {(s, i): qty / inst.demand(i) for (s, i), qty in units.items()}
+    return {(s, i): F(qty, inst.demand(i)) for (s, i), qty in units.items()}
 
 
 class TestSolveAssignment:

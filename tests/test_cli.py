@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import os
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from lotforge import assignment, cli, cmils_master
 from lotforge.cli import decimal_str, main
-from lotforge.instance import (gen_kc_gap, gen_random, load, save,
+from lotforge.instance import (gen_kc_gap, gen_random, load, load_schedule, save,
                                schedule_to_json_dict, to_json_dict)
 
 
@@ -216,6 +217,45 @@ class TestSolveVerify:
         assert code == 0
         assert "round=" in err
         assert re.search(r"^round=1 lp_value=\S+ pivots=\d+$", err, re.MULTILINE)
+
+
+def _floats(obj, path="result"):
+    """Paths to every float in obj, walking dataclasses and containers; the
+    wall-clock fields, floats by design, are left out."""
+    if isinstance(obj, float):
+        yield path
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        for f in dataclasses.fields(obj):
+            if f.name not in ("elapsed_ms", "wall_time_ms"):
+                yield from _floats(getattr(obj, f.name), f"{path}.{f.name}")
+    elif isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _floats(key, f"{path} key {key!r}")
+            yield from _floats(value, f"{path}[{key!r}]")
+    elif isinstance(obj, (list, tuple, set, frozenset)):
+        for k, value in enumerate(obj):
+            yield from _floats(value, f"{path}[{k}]")
+
+
+@pytest.mark.parametrize("argv", [
+    ("--seed", "3", "--T", "6", "--N", "4"),  # int data
+    ("--family", "kc-gap", "--R", "7/3"),     # Fraction data
+])
+def test_solve_builds_no_float(tmp_path, capsys, argv):
+    inst_path, sched_path = tmp_path / "inst.json", tmp_path / "sched.json"
+    assert run_cli(capsys, "generate", *argv, "--out", str(inst_path))[0] == 0
+    inst = load(inst_path)
+    result = cmils_master.run_pipeline(inst)
+    report = cli.build_report("inst", result, None)
+    assert report.ratio_vs_lp is not None
+    assert not list(_floats(result))
+    assert not list(_floats(report))
+    doc = report.to_json_dict()
+    doc.pop("wall_time_ms")
+    assert not list(_floats(doc))
+    code, _, _ = run_cli(capsys, "solve", "--in", str(inst_path), "--out", str(sched_path))
+    assert code == 0
+    assert not list(_floats(load_schedule(sched_path)))
 
 
 class TestBench:

@@ -284,17 +284,42 @@ class TestPipeline:
         for seed in (2, 5, 9):
             base = gen_random(seed, T=6, N=4)
             inst = CmilsInstance(T=base.T, N=base.N,
-                                 K=tuple(k / 3 for k in base.K),
+                                 K=tuple(F(k, 3) for k in base.K),
                                  C=tuple(c * F(5, 7) for c in base.C),
                                  d=tuple(d * F(5, 7) for d in base.d),
                                  r=base.r,
-                                 h=tuple(tuple(v / 3 for v in row)
+                                 h=tuple(tuple(F(v, 3) for v in row)
                                          for row in base.h))
             result = run_pipeline(inst)
             ok, bad = check_feasible(inst, result.schedule)
             assert ok, bad
             opt = brute_force_cmils(inst).optimum_cost
             assert result.schedule.total_cost <= 10 * opt
+
+    @pytest.mark.parametrize("T,N", [(6, 4), (10, 6)])
+    def test_scaled_data_scales_every_result(self, T, N):
+        """C and d times 7/3, h times 5/4 and K times 35/12 leave the orders,
+        x and y as they are, multiply every placed unit by 7/3 and the LP
+        value and every cost by 35/12: the Fraction data give exactly what
+        the generator's int data give, scaled."""
+        units, money = F(7, 3), F(35, 12)
+        for seed in range(1, 21):
+            base = gen_random(seed, T=T, N=N)
+            assert all(type(v) is int for v in base.K + base.C + base.d)
+            scaled = CmilsInstance(T=T, N=N, K=tuple(k * money for k in base.K),
+                                   C=tuple(c * units for c in base.C),
+                                   d=tuple(v * units for v in base.d), r=base.r,
+                                   h=tuple(tuple(v * F(5, 4) for v in row)
+                                           for row in base.h))
+            a, b = run_pipeline(base), run_pipeline(scaled)
+            assert b.schedule.orders == a.schedule.orders, seed
+            assert b.lp_solution.y == a.lp_solution.y, seed
+            assert b.lp_solution.x == a.lp_solution.x, seed
+            assert b.schedule.assignment == {key: q * units for key, q
+                                             in a.schedule.assignment.items()}, seed
+            assert b.certificate.lp_value == a.certificate.lp_value * money, seed
+            for name in ("ordering_cost", "holding_cost", "total_cost"):
+                assert getattr(b.schedule, name) == getattr(a.schedule, name) * money
 
     def test_all_free_orders(self):
         base = gen_random(4, T=5, N=3)

@@ -250,6 +250,40 @@ class TestSerialization:
         with pytest.raises(InstanceFormatError):
             parse_rat(True)
 
+    @pytest.mark.parametrize("text", [
+        "7/3", "6/1", "0/1", "-7/3", "-6/2", "-0/1", "2/4", "10/5", "007/003",
+        "5", "-5", " 7/3", "7/3 ", "+7/3", "1_000/3", "1.5", "1e3", "3 / 4",
+        "1/0", "-1/0", "--1/2", "-+1/2", "3/-4", "/3", "3/", "1/2/3", "", "x/y",
+        "\u0663/\u0664", "\uff11/2", "\u00b2/3", "1/\u00b2",
+    ])
+    def test_parse_rat_reads_strings_as_fraction_does(self, text):
+        """The same value as Fraction(text), or the same rejection, and an
+        int exactly when the value is whole; the canonical "p/q" is read
+        without Fraction."""
+        try:
+            want = F(text)
+        except ValueError:
+            with pytest.raises(InstanceFormatError) as err:
+                parse_rat(text)
+            assert str(err.value) == f"bad rational {text!r}"
+            return
+        except ZeroDivisionError:
+            with pytest.raises(InstanceFormatError) as err:
+                parse_rat(text)
+            assert str(err.value) == f"bad rational {text!r}: zero denominator"
+            return
+        got = parse_rat(text)
+        assert got == want
+        assert type(got) is (int if want.denominator == 1 else F)
+
+    def test_json_ints_stay_ints(self):
+        assert type(parse_rat(12)) is int and parse_rat(12) == 12
+        doc = to_json_dict(gen_random(1, T=3, N=2))
+        doc["K"] = [4, "9/3", "5/2"]
+        inst = from_json_dict(doc)
+        assert inst.K == (4, 3, F(5, 2))
+        assert [type(v) for v in inst.K] == [int, int, F]
+
     @pytest.mark.parametrize("patch,match", [
         ({"orders": 3}, "schedule.orders must be a list"),
         ({"orders": [1, "2"]}, "orders must hold integers"),

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import json
 import os
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 
@@ -156,13 +157,17 @@ def test_well_formed_rejects_bad_rows():
 
 def test_add_row_keeps_fractions_and_converts_other_numbers():
     lp = box_lp(3, [1, 1, 1])
-    half, rhs = F(1, 2), F(3, 2)
-    lp.add_row({0: half, 1: 2, 2: 0}, GE, rhs)
+    half, rhs, big = F(1, 2), F(3, 2), 10 ** 30
+    lp.add_row({0: half, 1: big, 2: 0}, GE, rhs)
     row = lp.rows[-1]
-    assert row.coeffs[0] is half and row.rhs is rhs
-    assert type(row.coeffs[1]) is Fraction and row.coeffs == {0: half, 1: F(2)}
-    lp.add_row({0: F(1)}, LE, 1)
-    assert type(lp.rows[-1].rhs) is Fraction
+    assert row.coeffs[0] is half and row.coeffs[1] is big and row.rhs is rhs
+    assert row.coeffs == {0: half, 1: big}
+    lp.add_row({0: F(1)}, LE, big)
+    assert lp.rows[-1].rhs is big
+    lp.add_row({0: 0.5, 1: Decimal("1.25")}, LE, 2.5)
+    row = lp.rows[-1]
+    assert all(type(v) is Fraction for v in row.coeffs.values()) and type(row.rhs) is Fraction
+    assert row.coeffs == {0: F(1, 2), 1: F(5, 4)} and row.rhs == F(5, 2)
 
 
 def test_dump_lp_mentions_rows():
@@ -576,7 +581,9 @@ def test_random_mixed_lps_match_enumeration(lp):
         assert sol.status == INFEASIBLE
     else:
         assert sol.status == OPTIMAL
-        assert all(isinstance(v, Fraction) for v in sol.values)
+        # exact, never a float, and an int exactly where the value is whole
+        assert all(type(v) in (int, Fraction) and (type(v) is int) == (v.denominator == 1)
+                   for v in sol.values)
         assert sol.objective_value == best
         assert sol.values == enumerate_lex_optimum(lp)
         assert verify_vertex(lp, sol)
