@@ -17,6 +17,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Mapping
 
 from .errors import InstanceFormatError
@@ -136,8 +137,32 @@ class OrderSchedule:
     total_cost: Rat
 
 
+# The exact types of a Rat; a bool, an int subclass, is not one of them.
+_RAT_TYPES = frozenset((int, Fraction))
+
+
+def _mistyped(inst: CmilsInstance) -> list[str]:
+    """One message per K, C, d or h entry whose type is not a Rat's and per
+    r entry that is not an int."""
+    bad = []
+    for name, seq in (("K", inst.K), ("C", inst.C), ("d", inst.d)):
+        bad += [f"{name}[{k}] = {_show(v)} is not an int or a Fraction"
+                for k, v in enumerate(seq, start=1) if type(v) not in _RAT_TYPES]
+    bad += [f"r[{i}] = {_show(v)} is not an int"
+            for i, v in enumerate(inst.r, start=1) if type(v) is not int]
+    for i, row in enumerate(inst.h, start=1):
+        bad += [f"h[{i}][{s}] = {_show(v)} is not an int or a Fraction"
+                for s, v in enumerate(row, start=1) if type(v) not in _RAT_TYPES]
+    return bad
+
+
 def validate(inst: CmilsInstance) -> list[str]:
-    """Return every violated structural invariant; empty means valid."""
+    """Return every violated structural invariant; empty means valid.
+
+    Every K, C, d and h entry must be of type int or Fraction, and every r
+    of type int; a bool is neither.  If one is not, only the type and
+    length messages are returned, as the value checks would compare it.
+    """
     bad: list[str] = []
     if inst.T < 1:
         bad.append("T must be a positive integer")
@@ -148,6 +173,9 @@ def validate(inst: CmilsInstance) -> list[str]:
                             ("h", inst.h, inst.N)):
         if len(seq) != want:
             bad.append(f"{name} has length {len(seq)}, expected {want}")
+    if not (_RAT_TYPES.issuperset(map(type, chain(inst.K, inst.C, inst.d, *inst.h)))
+            and all(type(v) is int for v in inst.r)):
+        return bad + _mistyped(inst)
     if len(inst.K) == inst.T:
         for s in inst.periods():
             if inst.order_cost(s) < 0:

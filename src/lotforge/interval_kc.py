@@ -27,13 +27,20 @@ gap of the locked set <= 0, which is its cover check; a laminar selection
 gets a closing cover walk of its own.  The budget check runs on either.
 
 The scores and the covering checks run on one integer view of (C, y),
-intervals.ScaledCover, and the locked or selected capacity inside an
-interval is a difference of integer prefix sums, intervals.prefix_caps.
-The entry check compares the given residuals with intervals.uncovered's
-integers by cross-multiplication, and the closing cover check reads those
-integers too.  The cost and the budget K . y_scaled are integer sums over
-K's and y's common denominators.  A Fraction is built only for a member's
-score and for its requirement.
+intervals.ScaledCover, built once per call and handed to the family build
+and to the laminar solve, so its rank tables are built once; the locked or
+selected capacity inside an interval is a difference of integer prefix
+sums, intervals.prefix_caps.  The entry check is one pass over R: each
+requirement less the locked capacity, compared with the given residual by
+cross-multiplication, and for a positive residual one table-backed
+covering test, so it costs O(T^2 log T) where walking each interval cost
+O(T^3).  A failure names the lowest failing interval, whatever R's order.
+Each score is two binary searches over the view's ranks (max_coverable),
+so the family split costs O(T^2 log T) where building and sorting a
+weight dict per interval cost O(T^3 log T).  The closing cover check reads
+intervals.uncovered's integers.  The cost and the budget K . y_scaled are
+integer sums over K's and y's common denominators.  A Fraction is built
+only for a member's score and for its requirement.
 """
 
 from __future__ import annotations
@@ -46,7 +53,7 @@ from typing import Callable, Optional
 from . import laminar_kc
 from .errors import InvariantError
 from .instance import Rat
-from .intervals import ScaledCover, locked_periods, prefix_caps, scale_caps, uncovered
+from .intervals import ScaledCover, prefix_caps, scale_caps, uncovered
 from .laminar_kc import Interval, LaminarFamily
 
 Trace = Optional[Callable[[str], None]]
@@ -71,57 +78,71 @@ def max_coverable(a: int, b: int, view: ScaledCover, locked) -> tuple[int, int]:
     """Largest W >= 0 the free mass of (a, b] can cover (0 if none), as an
     integer pair (num, den) with den > 0, not necessarily in lowest terms.
 
-    The capped-mass condition defines a concave piecewise-linear function of
-    W starting at 0, so its feasible set is [0, W1]; the count condition is
-    a right-closed step set [0, W2] whose supremum is a capacity value.
-    Both suprema are attained; the answer is their maximum, exact.
+    The free periods are the view's ranked ones, so inside (a, b] locked
+    must be the periods at y = 1 (else ValueError).  The capped-mass
+    condition defines a concave piecewise-linear function of W starting at
+    0, so its feasible set is [0, W1]; the count condition is a
+    right-closed step set [0, W2] whose supremum is a capacity value.  Both
+    suprema are attained; the answer is their maximum, exact.
 
-    The walk runs on the view's integers: with W = w / cden, the capped
-    mass minus 2W, times cden * yden, is sum min(c_s, w) u_s - 2 yden w.
+    Both are binary searches over the view's ranks, each probe reading the
+    tables over (a, b].  W2 is the capacity of the last rank whose
+    above[r] reaches yden.  With W = w / cden, the capped mass minus 2W,
+    times cden * yden, is
+
+        g(w) = w * (above[r] - 2 yden) + below[r]   at w = caps[r],
+
+    and g(caps[r]) >= 0 holds for a prefix of the ranks.  If it fails at
+    W2's rank, W1 < W2; else the last rank where it holds is searched from
+    there, and past it g falls to 0 at W1 at the rate drop = 2 yden less
+    the mass of the higher ranks.
     """
-    weight: dict[int, int] = {}
-    c, u = view.c, view.u
-    for s in range(a + 1, b + 1):
-        if s not in locked and u[s - 1] > 0:
-            weight[c[s - 1]] = weight.get(c[s - 1], 0) + u[s - 1]
-    if not weight:
+    caps, above, below = view.tables()
+    if view.differing(locked, a, b):
+        raise ValueError(f"locked differs from the periods at y = 1 inside ({a}, {b}]")
+    if above[0][b] == above[0][a]:
         return 0, 1
-
-    # W1 = (w_prev + f / drop) / cden: walk the breakpoints; on the segment
-    # below breakpoint w the slope of the scaled slack is (total weight of
-    # capacities >= w) - 2 yden.  Beyond the last breakpoint it is -2 yden.
     two = 2 * view.yden
-    f, w_prev, suffix, drop = 0, 0, sum(weight.values()), two
-    for w in sorted(weight):
-        f_next = f + (suffix - two) * (w - w_prev)
-        if f_next < 0:
-            drop = two - suffix
-            break
-        f, w_prev = f_next, w
-        suffix -= weight[w]
-    w1 = w_prev * drop + f  # W1 = w1 / (drop * cden)
 
-    # W2 = w2 / cden: the largest capacity whose suffix of openings reaches 1.
-    w2, acc = 0, 0
-    for w in sorted(weight, reverse=True):
-        acc += weight[w]
-        if acc >= view.yden:
-            w2 = w
-            break
-    if w2 * drop > w1:
-        return w2, view.cden
-    return w1, drop * view.cden
+    lo, hi = -1, len(caps) - 1  # W2's rank, -1 for W2 = 0
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if above[mid][b] - above[mid][a] >= view.yden:
+            lo = mid
+        else:
+            hi = mid - 1
+    w = f = 0  # w = caps[lo] and f = g(w) for the last rank lo with g >= 0
+    if lo >= 0:
+        up, down = above[lo], below[lo]
+        w = caps[lo]
+        f = w * (up[b] - up[a] - two) + down[b] - down[a]
+        if f < 0:
+            return w, view.cden
+    hi = len(caps) - 1
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        up, down = above[mid], below[mid]
+        g = caps[mid] * (up[b] - up[a] - two) + down[b] - down[a]
+        if g >= 0:
+            lo, w, f = mid, caps[mid], g
+        else:
+            hi = mid - 1
+    drop = two - (above[lo + 1][b] - above[lo + 1][a])
+    return w * drop + f, drop * view.cden  # W1 >= W2
 
 
-def construct_laminar_family(y, locked, C, T: int) -> LaminarFamily:
+def construct_laminar_family(y, locked, C, T: int,
+                             view: Optional[ScaledCover] = None) -> LaminarFamily:
     """Binary split of (0, T] down to unit leaves.
 
     Each non-unit interval splits at the cut maximizing the smaller child
     score; ties go to the smallest cut point.  Scores are memoized per call
     as max_coverable's integer pairs and compared by cross-multiplication;
-    only the members' scores become Fractions.
+    only the members' scores become Fractions.  view, if given, is
+    ScaledCover(C, y), whose tables the scores then share.
     """
-    view = ScaledCover(C, y)
+    if view is None:
+        view = ScaledCover(C, y)
     scores: dict[Interval, tuple[int, int]] = {}
 
     def score(a: int, b: int) -> tuple[int, int]:
@@ -176,30 +197,34 @@ def solve_interval_kc(ikc: IntervalKcInstance, y_scaled, locked,
             raise ValueError(f"residual on ({a}, {b}] outside [0, {ikc.T}]")
         if given.numerator:  # no requirement there, so no residual either
             raise InvariantError(f"residual for ({a}, {b}] inconsistent")
-    locked = frozenset(locked)
-    if locked != locked_periods(y_scaled):
-        raise InvariantError("locked set must be exactly the all-ones periods")
     view = ScaledCover(ikc.C, y_scaled)
-    cden = view.cden
+    if frozenset(locked) != view.ones:
+        raise InvariantError("locked set must be exactly the all-ones periods")
+    locked, cden = view.ones, view.cden
+    held = prefix_caps(view.c, locked)
     positive = False
-    for (a, b), need, gap in sorted(uncovered(ikc.R, view.c, cden, locked)):
-        # the residual is max(gap, 0) / (need.denominator * cden)
-        given = residual.get((a, b), 0)
-        if (given.numerator * need.denominator * cden
-                != max(gap, 0) * given.denominator):
-            raise InvariantError(f"residual for ({a}, {b}] inconsistent")
-        if gap > 0:
+    failed: list[tuple[Interval, str]] = []  # the lowest failing interval is named
+    for iv, need in ikc.R.items():
+        a, b = iv
+        p, q = need.as_integer_ratio()
+        gap = p * cden - q * (held[b] - held[a])  # the residual is max(gap, 0) / (q cden)
+        given = residual.get(iv, 0)
+        gp, gq = given.as_integer_ratio()
+        if gp * q * cden != (gap if gap > 0 else 0) * gq:
+            failed.append((iv, f"residual for ({a}, {b}] inconsistent"))
+        elif gap > 0:
             positive = True
             if not view.holds(a, b, given, locked, mass=10, count=6):
-                raise InvariantError(f"scaled coverage disjunction fails on ({a}, {b}]")
+                failed.append((iv, f"scaled coverage disjunction fails on ({a}, {b}]"))
+    if failed:
+        raise InvariantError(min(failed)[1])
 
     if not positive:  # the locked set covers every requirement already
         selected = locked
         if trace:
             trace(f"event=locked_only selected={len(locked)}")
     else:
-        family = construct_laminar_family(y_scaled, locked, ikc.C, ikc.T)
-        held = prefix_caps(view.c, locked)
+        family = construct_laminar_family(y_scaled, locked, ikc.C, ikc.T, view=view)
         member_req: dict[Interval, Fraction] = {}
         for iv in family.members:
             coverable = family.coverable[iv]
@@ -213,7 +238,7 @@ def solve_interval_kc(ikc: IntervalKcInstance, y_scaled, locked,
                 member_req[iv] = Fraction(full, q * cden)
         lkc = laminar_kc.LaminarKcInstance(T=ikc.T, C=ikc.C, K=ikc.K,
                                            family=family, R=member_req)
-        selected = laminar_kc.solve(lkc, y_scaled, trace=trace)
+        selected = laminar_kc.solve(lkc, y_scaled, trace=trace, view=view)
         for (a, b), _, gap in uncovered(ikc.R, view.c, cden, selected):
             if gap > 0:
                 raise InvariantError(f"interval ({a}, {b}] requirement uncovered")

@@ -19,15 +19,30 @@ ScaledCover   an integer view of capacities C and openings y: every C_s is
               integers and builds no Fraction.
 
 residuals walks every requirement through uncovered and builds a Fraction
-only for a positive residual; the entry check of interval rounding and the
-cover checks of both rounding layers read uncovered's integers directly.
+only for a positive residual; the cover checks of both rounding layers read
+uncovered's integers directly.
+
+ScaledCover's covering test reads rank tables, built on the view's first
+coverage query in O(n T) for n ranked periods, those with y neither 0 nor
+1, ranked by capacity.  For each rank r they hold the prefix sums over the
+periods of u_s for the ranks >= r and of c_s u_s for the ranks < r.  One
+query on (a, b] is then a bisect for the first rank whose capacity reaches
+the requirement and four lookups, where walking the interval took O(b - a).
+A skip set other than the periods at 1 (laminar rounding's selection
+between two picks, separation's locked set on the unscaled y, any set in
+the tests) is answered exactly by correcting for the periods of (a, b]
+where it differs; the last skip set's corrections are kept, so each set
+costs one pass over the periods at 1.  Interval rounding's scores are
+binary searches over the same ranks.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from typing import Iterable, Iterator
+from itertools import accumulate
+from typing import Iterable, Iterator, Sequence
 
 from .instance import Rat
 
@@ -47,9 +62,11 @@ def cap_within(C, a: int, b: int, chosen: Iterable[int]) -> Rat:
 
 
 def scale_caps(C) -> tuple[list[int], int]:
-    """(c, cden): every capacity as c[s-1] / cden, cden the lcm of C's denominators."""
-    cden = math.lcm(*(v.denominator for v in C))
-    return [v.numerator * (cden // v.denominator) for v in C], cden
+    """(c, cden): every value of C as c[s-1] / cden, cden the lcm of C's
+    denominators.  ScaledCover puts the openings y on a scale this way too."""
+    ratios = [v.as_integer_ratio() for v in C]
+    cden = math.lcm(*(q for _, q in ratios))
+    return [p * (cden // q) for p, q in ratios], cden
 
 
 def prefix_caps(c: list[int], chosen) -> list[int]:
@@ -83,7 +100,8 @@ def uncovered(R: dict, c: list[int], cden: int,
     """
     P = prefix_caps(c, chosen)
     for (a, b), need in R.items():
-        yield (a, b), need, need.numerator * cden - need.denominator * (P[b] - P[a])
+        p, q = need.as_integer_ratio()
+        yield (a, b), need, p * cden - q * (P[b] - P[a])
 
 
 def residuals(R: dict, C, locked) -> dict:
@@ -101,13 +119,68 @@ class ScaledCover:
     """Capacities C and openings y on common integer scales.
 
     c[s-1] = C_s * cden and u[s-1] = y_s * yden, where cden and yden are the
-    least common denominators of C and of y.  Build one view per y.
+    least common denominators of C and of y.  Build one view per y.  ones
+    is the set of periods at y = 1.
+
+    The rank tables cover the ranked periods, those with y neither 0 nor 1,
+    sorted by (capacity, period); caps[r] is the capacity of rank r.  For
+    every rank r in 0 .. n and every position b in 0 .. T,
+
+        above[r][b] = sum of u_s over ranked s <= b of rank >= r,
+        below[r][b] = sum of c_s u_s over ranked s <= b of rank < r,
+
+    so a difference of two entries sums (a, b].  They take O(n T) to build
+    and are built on the view's first coverage query.
     """
 
     def __init__(self, C, y):
         self.c, self.cden = scale_caps(C)
-        self.yden = math.lcm(*(v.denominator for v in y))
-        self.u = [v.numerator * (self.yden // v.denominator) for v in y]
+        self.u, self.yden = scale_caps(y)
+        self.ones = frozenset(s for s, v in enumerate(self.u, start=1)
+                              if v == self.yden)
+        self._tables = None
+        # the last skip set seen, and where it differs from ones
+        self._skip, self._differ, self._differ_at = self.ones, [], []
+
+    def tables(self) -> tuple[list[int], list[list[int]], list[list[int]]]:
+        """(caps, above, below), built on the first call."""
+        if self._tables is None:
+            c, u, yden = self.c, self.u, self.yden
+            ranked = sorted((c[s - 1], s) for s in range(1, len(c) + 1)
+                            if u[s - 1] and u[s - 1] != yden)
+            self._ranked = frozenset(s for _, s in ranked)
+            # each row is the prefix sum of the ranks' terms at their periods
+            term = [0] * len(c)
+            above = [list(accumulate(term, initial=0))]
+            below = [above[0]]
+            for _, s in reversed(ranked):
+                term[s - 1] = u[s - 1]
+                above.append(list(accumulate(term, initial=0)))
+            above.reverse()
+            term = [0] * len(c)
+            for cap, s in ranked:
+                term[s - 1] = cap * u[s - 1]
+                below.append(list(accumulate(term, initial=0)))
+            self._tables = [cap for cap, _ in ranked], above, below
+        return self._tables
+
+    def differing(self, skip, a: int, b: int) -> Sequence[tuple[int, int]]:
+        """(s, du) for each period s of (a, b] where skip differs from ones,
+        ascending: du = yden for a period at 1 that skip leaves in, -u_s for
+        a ranked period that skip takes out.  Call after tables().
+
+        The last skip set seen is kept, as a frozenset, with its
+        corrections, so a run of queries on one set finds them once.
+        """
+        if skip is not self._skip and skip != self._skip:
+            self._skip = frozenset(skip)
+            self._differ = sorted([(s, self.yden) for s in self.ones - self._skip]
+                                  + [(s, -self.u[s - 1]) for s in self._ranked & self._skip])
+            self._differ_at = [s for s, _ in self._differ]
+        if not self._differ:
+            return ()
+        at = self._differ_at
+        return self._differ[bisect_right(at, a):bisect_right(at, b)]
 
     def holds(self, a: int, b: int, need: Rat, skip,
               mass=None, count=None) -> bool:
@@ -124,24 +197,31 @@ class ScaledCover:
             sum min(c_s q, p cden) u_s  >= mass  * p cden yden, or
             sum over c_s q >= p cden of u_s >= count * yden.
 
+        C_s >= need holds from the first rank r whose capacity reaches
+        ceil(p cden / q), found by one bisect, so the tables give both sums
+        in four lookups when skip is ones.  Otherwise the periods of (a, b]
+        where skip differs are corrected one by one: a period at 1 that is
+        not skipped is added, a ranked period that is skipped is taken out.
+
         The callers' thresholds (mass, count): separation (1, 3/5) on the
         master y, interval rounding (10, 6) at its entry and (2, 1) on the
         family members, laminar rounding (2, 1) for its pools and LP rows.
         """
-        q = need.denominator
-        top = need.numerator * self.cden  # C_s >= need  <=>  c_s q >= top
-        mass_sum = count_sum = 0
-        c, u = self.c, self.u
-        for s in range(a + 1, b + 1):
-            if s in skip or not u[s - 1]:
-                continue
-            scaled = c[s - 1] * q
-            if scaled >= top:
-                mass_sum += top * u[s - 1]
-                count_sum += u[s - 1]
-            else:
-                mass_sum += scaled * u[s - 1]
-        if mass is not None and (mass_sum * mass.denominator
+        caps, above, below = self._tables or self.tables()
+        p, q = need.as_integer_ratio()
+        top = p * self.cden  # C_s >= need  <=>  c_s q >= top
+        r = bisect_left(caps, -(-top // q))
+        up, down = above[r], below[r]
+        count_sum = up[b] - up[a]
+        low = down[b] - down[a]  # c_s u_s over the ranks below r
+        if skip is not self._skip or self._differ:  # else skip agrees with ones
+            c = self.c
+            for s, du in self.differing(skip, a, b):
+                if c[s - 1] * q >= top:
+                    count_sum += du
+                else:
+                    low += c[s - 1] * du
+        if mass is not None and ((top * count_sum + q * low) * mass.denominator
                                  >= mass.numerator * top * self.yden):
             return True
         return count is not None and (count_sum * count.denominator

@@ -3,7 +3,7 @@
 Input: knapsacks 1..T with capacities C and costs K, a laminar family of
 intervals each demanding some capacity inside it, and a fractional opening
 vector y.  The solver locks the periods at y = 1 into the selection
-(intervals.locked_periods), takes each member's residual requirement from
+(ScaledCover.ones), takes each member's residual requirement from
 intervals.residuals, repeatedly re-optimizes a shrinking LP to a vertex,
 permanently discards periods that hit 0 and selects periods that hit 1, and
 returns a selected set covering every requirement at cost at most the
@@ -15,21 +15,29 @@ to reach twice the remaining requirement; "count" rows ask the fractional
 openings of large-enough periods to reach one.  Pool membership,
 migration between the pools and the per-step state check evaluate those
 rows with intervals.ScaledCover, on integers; the state keeps one view per
-y, built when y is replaced.  The stale-remaining check and the final
-cover check read each requirement less the selected capacity as an integer
-from intervals.uncovered.  The rounding LP, built only to be solved, takes
-the instance's values as they are.
+y, built when y is replaced, or handed in for the input y by interval
+rounding, whose rank tables it then shares.  Between two picks the
+selection trails the view's periods at 1, and the covering test corrects
+for the difference.  The stale-remaining check and the final cover check
+read each requirement less the selected capacity as an integer from
+intervals.uncovered.  The budget K . y of the input y and the selection's
+cost are integer sums over K's and y's common denominators; the budget
+becomes a Fraction once, as the bound on the first rounding LP's cost.
+The rounding LP, built only to be solved, takes the instance's values as
+they are.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
+from operator import mul
 from typing import Callable, Iterable, Optional
 
 from . import lp_core
 from .errors import InvariantError
 from .instance import Rat
-from .intervals import ScaledCover, locked_periods, residuals, uncovered
+from .intervals import ScaledCover, residuals, scale_caps, uncovered
 
 Interval = tuple[int, int]
 Trace = Optional[Callable[[str], None]]
@@ -101,10 +109,11 @@ class RoundingState:
     count_active: set[Interval]
     y: list[Rat]
     # the integer view of (C, y), built once per y: set_y replaces both
-    view: ScaledCover = field(init=False, repr=False)
+    view: Optional[ScaledCover] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        self.set_y(self.y)
+        if self.view is None:
+            self.set_y(self.y)
 
     def active(self) -> list[Interval]:
         return sorted(self.mass_active | self.count_active)
@@ -114,15 +123,22 @@ class RoundingState:
         self.view = ScaledCover(self.instance.C, self.y)
 
 
-def init_state(inst: LaminarKcInstance, y) -> RoundingState:
-    """Set up the rounding state; rejects inputs that break the contract."""
+def init_state(inst: LaminarKcInstance, y,
+               view: Optional[ScaledCover] = None) -> RoundingState:
+    """Set up the rounding state; rejects inputs that break the contract.
+
+    view, if given, is ScaledCover(inst.C, y) and becomes the state's view.
+    """
     inst.check()
     y = list(y)
     if len(y) != inst.T:
         raise ValueError("y must have one entry per period")
-    locked = locked_periods(y)
+    if view is None:
+        view = ScaledCover(inst.C, y)
+    locked = view.ones
     state = RoundingState(instance=inst, discarded=set(), selected=set(locked),
-                          remaining={}, mass_active=set(), count_active=set(), y=y)
+                          remaining={}, mass_active=set(), count_active=set(), y=y,
+                          view=view)
     for iv, need in sorted(residuals(inst.R, inst.C, locked).items()):
         if need <= 0:
             continue
@@ -216,19 +232,23 @@ def _assert_state_feasible(state: RoundingState, where: str) -> None:
         raise InvariantError(f"current y infeasible for the rounding LP ({where})")
 
 
-def solve(inst: LaminarKcInstance, y, trace: Trace = None) -> frozenset[int]:
+def solve(inst: LaminarKcInstance, y, trace: Trace = None,
+          view: Optional[ScaledCover] = None) -> frozenset[int]:
     """Round y to a selected set covering every member requirement.
 
     The selection contains every locked period: it starts as the locked
     set and only grows.  Checked before returning: it covers each
     requirement and costs no more than K.y for the input y.  The outer loop
     fixes at least one new period per round and therefore runs at most T
-    times.
+    times.  view, if given, is ScaledCover(inst.C, y), whose tables the
+    checks on the input y then share.
     """
-    state = init_state(inst, y)
-    cden = state.view.cden
-    input_budget = sum(state.y[s - 1] * inst.K[s - 1] for s in range(1, inst.T + 1))
-    prev_cost = input_budget
+    state = init_state(inst, y, view)
+    cden, yden = state.view.cden, state.view.yden
+    # K . y for the input y is budget / (kden * yden): K_s = k_s / kden, y_s = u_s / yden
+    k, kden = scale_caps(inst.K)
+    budget = sum(map(mul, k, state.view.u))
+    prev_cost = Fraction(budget, kden * yden)
     rounds = 0
     while state.mass_active or state.count_active:
         rounds += 1
@@ -298,7 +318,6 @@ def solve(inst: LaminarKcInstance, y, trace: Trace = None) -> frozenset[int]:
     for iv, _, gap in uncovered(inst.R, state.view.c, cden, selected):
         if gap > 0:
             raise InvariantError(f"requirement on {iv} left uncovered")
-    cost = sum(inst.K[s - 1] for s in selected)
-    if cost > input_budget:
+    if yden * sum(k[s - 1] for s in selected) > budget:
         raise InvariantError("selection costs more than the fractional budget")
     return selected

@@ -9,6 +9,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
+from hypothesis import strategies as st
 
 from lotforge import cmils_master, lp_core
 from lotforge.assignment import SCALE
@@ -322,6 +323,29 @@ def capped_mass_and_count(C, a: int, b: int, need: Fraction, y,
         if C[s - 1] >= need:
             count += y[s - 1]
     return mass, count
+
+
+@st.composite
+def rank_table_cases(draw, max_T: int = 24):
+    """(C, y, skip, intervals) for ScaledCover's rank tables.
+
+    T is up to max_T; C repeats a few distinct capacities, ints and
+    Fractions; y takes 0, 1 (both as ints) and fractions in (0, 1); skip is
+    any set of periods, so fractional periods may be skipped and periods at
+    1 left in; intervals are up to 30 of the (a, b] over [T].
+    """
+    T = draw(st.integers(1, max_T))
+    capacity = st.one_of(st.integers(1, 30),
+                         st.builds(Fraction, st.integers(1, 60), st.integers(2, 7)))
+    pool = draw(st.lists(capacity, min_size=1, max_size=5))
+    C = tuple(draw(st.lists(st.sampled_from(pool), min_size=T, max_size=T)))
+    opening = st.one_of(st.sampled_from((0, 1)), st.integers(2, 13).flatmap(
+        lambda d: st.builds(Fraction, st.integers(1, d - 1), st.just(d))))
+    y = tuple(draw(st.lists(opening, min_size=T, max_size=T)))
+    skip = frozenset(draw(st.sets(st.integers(1, T))))
+    intervals = draw(st.lists(st.sampled_from(list(all_intervals(T))),
+                              min_size=1, max_size=30))
+    return C, y, skip, intervals
 
 
 def coverable(a: int, b: int, view: ScaledCover, locked) -> Fraction:

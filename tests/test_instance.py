@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -42,6 +43,24 @@ class TestValidate:
     def test_zero_capacity_flagged(self):
         bad = validate(tiny(C=(0,)))
         assert any("C[1]" in msg for msg in bad)
+
+    def test_float_cost_rejected(self):
+        inst = dataclasses.replace(tiny(), K=(7.0,))
+        assert validate(inst) == ["K[1] = 7.0 is not an int or a Fraction"]
+        with pytest.raises(ValueError, match=r"^invalid instance: K\[1\] = 7.0 is not"):
+            run_pipeline(inst)
+
+    def test_float_deadline_rejected(self):
+        inst = dataclasses.replace(tiny(), r=(1.0,))
+        assert validate(inst) == ["r[1] = 1.0 is not an int"]
+        with pytest.raises(ValueError, match=r"^invalid instance: r\[1\] = 1.0 is not an int$"):
+            run_pipeline(inst)
+
+    def test_bool_entries_rejected(self):
+        inst = dataclasses.replace(tiny(), C=(True,), r=(True,), h=((False,),))
+        assert validate(inst) == ["C[1] = True is not an int or a Fraction",
+                                  "r[1] = True is not an int",
+                                  "h[1][1] = False is not an int or a Fraction"]
 
 
 class TestFeasibility:

@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (coverable, family_dominates_requirements, grid_scan_coverable,
-                     is_binary_with_unit_leaves, render_tree)
+                     is_binary_with_unit_leaves, rank_table_cases, render_tree)
 from lotforge import interval_kc, laminar_kc
 from lotforge.errors import InvariantError
 from lotforge.instance import gen_kc_gap
 from lotforge.interval_kc import (IntervalKcInstance, construct_laminar_family,
                                   solve_interval_kc)
-from lotforge.intervals import ScaledCover, all_intervals, cap_within
+from lotforge.intervals import ScaledCover, all_intervals, cap_within, locked_periods
 from lotforge.cmils_master import run_pipeline
 
 F = Fraction
@@ -66,6 +66,35 @@ class TestMaxCoverable:
         for a, b in all_intervals(T):
             assert coverable(a, b, view, locked) == \
                 grid_scan_coverable(a, b, y, locked, caps), (a, b)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(rank_table_cases())
+    def test_rank_search_matches_grid_scan(self, case):
+        C, y, _, intervals = case
+        view, locked = ScaledCover(C, y), locked_periods(y)
+        for a, b in intervals:
+            assert coverable(a, b, view, locked) == \
+                grid_scan_coverable(a, b, y, locked, C), (a, b)
+
+    def test_rank_search_edge_cases(self):
+        C = (3, F(7, 2), 3, 5)
+        for y in ((0, 1, 1, 0), (0, 0, 0, 0)):  # no fractional period
+            view = ScaledCover(C, y)
+            assert all(coverable(a, b, view, locked_periods(y)) == 0
+                       for a, b in all_intervals(4))
+        # every score equal to one, and one above every capacity
+        for C, y, want in (((1, 1), (F(1, 2), F(1, 2)), 1),
+                           ((3,) * 5, (F(9, 10),) * 5, F(27, 4))):
+            view, T = ScaledCover(C, y), len(C)
+            assert coverable(0, T, view, frozenset()) == want
+            assert want == grid_scan_coverable(0, T, y, frozenset(), C)
+
+    def test_locked_must_be_the_periods_at_one_inside_the_interval(self):
+        view = ScaledCover((F(9), F(5), F(4)), (F(1), F(1, 2), F(1, 2)))
+        assert coverable(1, 3, view, frozenset()) == coverable(1, 3, view, frozenset({1}))
+        for locked in (frozenset(), frozenset({1, 2})):
+            with pytest.raises(ValueError, match=r"inside \(0, 2\]"):
+                interval_kc.max_coverable(0, 2, view, locked)
 
     def test_monotone_under_enlargement(self):
         rng = random.Random(1)
@@ -257,6 +286,20 @@ class TestSolveIntervalKc:
         ikc = IntervalKcInstance(T=3, C=C, K=K, R={(0, 3): F(3)})
         with pytest.raises(ValueError, match="one entry per period"):
             solve_interval_kc(ikc, y, frozenset({1}), {})
+
+    # R lists (1, 3] before (0, 2], and both fail: the lower one is named
+    @pytest.mark.parametrize("residual, message", [
+        ({(1, 3): F(5), (0, 2): F(5)}, r"residual for \(0, 2\] inconsistent"),
+        ({(1, 3): F(2), (0, 2): F(2)}, r"scaled coverage disjunction fails on \(0, 2\]"),
+        ({(1, 3): F(5), (0, 2): F(2)}, r"scaled coverage disjunction fails on \(0, 2\]"),
+        ({(1, 3): F(2), (0, 2): F(5)}, r"residual for \(0, 2\] inconsistent"),
+    ], ids=["two-residuals", "two-disjunctions", "residual-above-disjunction",
+            "disjunction-above-residual"])
+    def test_entry_check_names_the_lowest_failing_interval(self, residual, message):
+        ikc = IntervalKcInstance(T=3, C=(F(4),) * 3, K=(F(1),) * 3,
+                                 R={(1, 3): F(2), (0, 2): F(2)})
+        with pytest.raises(InvariantError, match=f"^{message}$"):
+            solve_interval_kc(ikc, (F(1, 2),) * 3, frozenset(), residual)
 
     def test_failed_disjunction_rejected(self):
         T = 2

@@ -4,7 +4,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import capped_mass_and_count, fraction_residuals
+from helpers import capped_mass_and_count, fraction_residuals, rank_table_cases
 from lotforge.intervals import (ScaledCover, all_intervals, cap_within,
                                 locked_periods, prefix_caps, residuals,
                                 scale_caps, scale_y)
@@ -47,6 +47,50 @@ def test_holds_matches_the_fraction_sums(case):
                         or (c is not None and count >= c))
                 assert view.holds(a, b, need, skip, mass=k, count=c) == want, \
                     (a, b, need, k, c)
+
+
+def _check_holds(view, C, y, a, b, need, skip):
+    mass, count = capped_mass_and_count(C, a, b, need, y, skip)
+    for k, c in ((2, 1), (10, 6), (1, F(3, 5))):
+        want = mass >= k * need or count >= c
+        assert view.holds(a, b, need, skip, mass=k, count=c) == want, (a, b, need, k, c)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(rank_table_cases(), st.data())
+def test_holds_on_the_rank_tables_matches_the_fraction_sums(case, data):
+    """The table-backed test on the view's own periods at 1, on an
+    arbitrary skip set, and on a mutable set changed between queries."""
+    C, y, skip, intervals = case
+    view = ScaledCover(C, y)
+    ones = frozenset(s for s in range(1, len(C) + 1) if y[s - 1] == 1)
+    above_all = max(C) + F(1, 3)
+    live = set(ones)
+    for a, b in intervals:
+        needs = [data.draw(st.sampled_from(C)), 1, above_all,
+                 data.draw(st.builds(F, st.integers(1, 90), st.integers(1, 11)))]
+        for need in needs:
+            _check_holds(view, C, y, a, b, need, ones)
+            _check_holds(view, C, y, a, b, need, skip)
+            _check_holds(view, C, y, a, b, need, live)
+        live ^= {b}  # the same set object, with other contents
+
+
+def test_holds_on_the_rank_tables_edge_cases():
+    C = (3, F(7, 2), 3, 5)
+    for y in ((0, 1, 1, 0), (1, 1, 1, 1), (0, 0, 0, 0)):  # no fractional period
+        view = ScaledCover(C, y)
+        assert view.tables()[0] == []
+        for a, b in all_intervals(4):
+            for need in (1, 3, 6):
+                for skip in (frozenset(), frozenset({2}), frozenset({1, 3})):
+                    _check_holds(view, C, y, a, b, need, skip)
+    y = (F(1, 2), 1, F(3, 4), F(1, 5))
+    view = ScaledCover(C, y)
+    for a, b in all_intervals(4):
+        for need in (F(1), 1, F(11, 2), 100):  # equal to one, above every capacity
+            for skip in (frozenset(), frozenset({2}), frozenset({1, 4})):
+                _check_holds(view, C, y, a, b, need, skip)
 
 
 def test_holds_is_inclusive_at_both_boundaries():

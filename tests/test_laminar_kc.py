@@ -268,7 +268,7 @@ class TestSolve:
         # must find (0, 2] one short: it needs 4 and locked period 2 has 3
         inst = small_instance(T=2, C=(4, 3), members={(0, 2)}, R={(0, 2): 4})
 
-        def idle(inst, y):
+        def idle(inst, y, view=None):
             return RoundingState(instance=inst, discarded=set(), selected={2},
                                  remaining={}, mass_active=set(),
                                  count_active=set(), y=list(y))
