@@ -32,12 +32,12 @@ and to the laminar solve, so its rank tables are built once; the locked or
 selected capacity inside an interval is a difference of integer prefix
 sums, intervals.prefix_caps.  The entry check is one pass over R: each
 requirement less the locked capacity, compared with the given residual by
-cross-multiplication, and for a positive residual one table-backed
-covering test, so it costs O(T^2 log T) where walking each interval cost
-O(T^3).  A failure names the lowest failing interval, whatever R's order.
-Each score is two binary searches over the view's ranks (max_coverable),
-so the family split costs O(T^2 log T) where building and sorting a
-weight dict per interval cost O(T^3 log T).  The closing cover check reads
+cross-multiplication, and for a positive residual the tenfold-mass-or-
+count-of-six covering test, the only place the pipeline asks it.  A failure
+names the lowest failing interval, whatever R's order.  Each score is two
+binary searches over the view's ranks (max_coverable).  A member's score
+is its residual requirement, so the laminar solve's entry check is the
+check that the score is attained.  The closing cover check reads
 intervals.uncovered's integers.  The cost and the budget K . y_scaled are
 integer sums over K's and y's common denominators.  A Fraction is built
 only for a member's score and for its requirement.
@@ -74,12 +74,12 @@ class IntervalKcInstance:
                 raise ValueError(f"requirement on ({a}, {b}] outside [0, {self.T}]")
 
 
-def max_coverable(a: int, b: int, view: ScaledCover, locked) -> tuple[int, int]:
+def max_coverable(a: int, b: int, view: ScaledCover) -> tuple[int, int]:
     """Largest W >= 0 the free mass of (a, b] can cover (0 if none), as an
     integer pair (num, den) with den > 0, not necessarily in lowest terms.
 
-    The free periods are the view's ranked ones, so inside (a, b] locked
-    must be the periods at y = 1 (else ValueError).  The capped-mass
+    The free periods are the view's ranked ones: the periods at y = 1 are
+    locked and those at 0 carry no mass.  The capped-mass
     condition defines a concave piecewise-linear function of W starting at
     0, so its feasible set is [0, W1]; the count condition is a
     right-closed step set [0, W2] whose supremum is a capacity value.  Both
@@ -98,8 +98,6 @@ def max_coverable(a: int, b: int, view: ScaledCover, locked) -> tuple[int, int]:
     the mass of the higher ranks.
     """
     caps, above, below = view.tables()
-    if view.differing(locked, a, b):
-        raise ValueError(f"locked differs from the periods at y = 1 inside ({a}, {b}]")
     if above[0][b] == above[0][a]:
         return 0, 1
     two = 2 * view.yden
@@ -131,7 +129,7 @@ def max_coverable(a: int, b: int, view: ScaledCover, locked) -> tuple[int, int]:
     return w * drop + f, drop * view.cden  # W1 >= W2
 
 
-def construct_laminar_family(y, locked, C, T: int,
+def construct_laminar_family(y, C, T: int,
                              view: Optional[ScaledCover] = None) -> LaminarFamily:
     """Binary split of (0, T] down to unit leaves.
 
@@ -147,7 +145,7 @@ def construct_laminar_family(y, locked, C, T: int,
 
     def score(a: int, b: int) -> tuple[int, int]:
         if (a, b) not in scores:
-            scores[(a, b)] = max_coverable(a, b, view, locked)
+            scores[(a, b)] = max_coverable(a, b, view)
         return scores[(a, b)]
 
     members: list[Interval] = []
@@ -214,7 +212,7 @@ def solve_interval_kc(ikc: IntervalKcInstance, y_scaled, locked,
             failed.append((iv, f"residual for ({a}, {b}] inconsistent"))
         elif gap > 0:
             positive = True
-            if not view.holds(a, b, given, locked, mass=10, count=6):
+            if not view.holds(a, b, given, mass=10, count=6):
                 failed.append((iv, f"scaled coverage disjunction fails on ({a}, {b}]"))
     if failed:
         raise InvariantError(min(failed)[1])
@@ -224,14 +222,12 @@ def solve_interval_kc(ikc: IntervalKcInstance, y_scaled, locked,
         if trace:
             trace(f"event=locked_only selected={len(locked)}")
     else:
-        family = construct_laminar_family(y_scaled, locked, ikc.C, ikc.T, view=view)
+        family = construct_laminar_family(y_scaled, ikc.C, ikc.T, view=view)
         member_req: dict[Interval, Fraction] = {}
         for iv in family.members:
             coverable = family.coverable[iv]
-            if coverable > 0 and not view.holds(iv[0], iv[1], coverable, locked,
-                                                mass=2, count=1):
-                raise InvariantError(f"member score of {iv} is not attained")
-            # the score plus the locked capacity inside the member
+            # the score plus the locked capacity inside the member; the
+            # laminar solve checks that the score meets its row
             q = coverable.denominator
             full = coverable.numerator * cden + q * (held[iv[1]] - held[iv[0]])
             if full > 0:

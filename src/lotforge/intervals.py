@@ -19,8 +19,8 @@ ScaledCover   an integer view of capacities C and openings y: every C_s is
               integers and builds no Fraction.
 
 residuals walks every requirement through uncovered and builds a Fraction
-only for a positive residual; the cover checks of both rounding layers read
-uncovered's integers directly.
+only for a positive residual that is not whole; the cover checks of both
+rounding layers read uncovered's integers directly.
 
 ScaledCover's covering test reads rank tables, built on the view's first
 coverage query in O(n T) for n ranked periods, those with y neither 0 nor
@@ -28,37 +28,19 @@ coverage query in O(n T) for n ranked periods, those with y neither 0 nor
 periods of u_s for the ranks >= r and of c_s u_s for the ranks < r.  One
 query on (a, b] is then a bisect for the first rank whose capacity reaches
 the requirement and four lookups, where walking the interval took O(b - a).
-A skip set other than the periods at 1 (laminar rounding's selection
-between two picks, separation's locked set on the unscaled y, any set in
-the tests) is answered exactly by correcting for the periods of (a, b]
-where it differs; the last skip set's corrections are kept, so each set
-costs one pass over the periods at 1.  Interval rounding's scores are
-binary searches over the same ranks.
+Every query leaves out exactly the view's periods at 1: the rounding
+layers keep their selection equal to them whenever they ask.  Interval
+rounding's scores are binary searches over the same ranks.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
-from fractions import Fraction
+from bisect import bisect_left
 from itertools import accumulate
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator
 
-from .instance import Rat
-
-_ZERO = Fraction(0)
-
-
-def all_intervals(T: int) -> Iterator[tuple[int, int]]:
-    """Yield every (a, b] over [T], ascending by a then b."""
-    for a in range(T):
-        for b in range(a + 1, T + 1):
-            yield (a, b)
-
-
-def cap_within(C, a: int, b: int, chosen: Iterable[int]) -> Rat:
-    """Total capacity of the chosen periods that fall inside (a, b]."""
-    return sum(C[s - 1] for s in chosen if a < s <= b)
+from .instance import Rat, rat
 
 
 def scale_caps(C) -> tuple[list[int], int]:
@@ -105,13 +87,10 @@ def uncovered(R: dict, c: list[int], cden: int,
 
 
 def residuals(R: dict, C, locked) -> dict:
-    """Each requirement less the locked capacity inside it, floored at 0.
-
-    Only a positive residual is built as a Fraction; the others share one
-    zero.
-    """
+    """Each requirement less the locked capacity inside it, floored at 0:
+    an int when whole, else a Fraction."""
     c, cden = scale_caps(C)
-    return {iv: Fraction(gap, need.denominator * cden) if gap > 0 else _ZERO
+    return {iv: rat(gap, need.denominator * cden) if gap > 0 else 0
             for iv, need, gap in uncovered(R, c, cden, locked)}
 
 
@@ -120,7 +99,7 @@ class ScaledCover:
 
     c[s-1] = C_s * cden and u[s-1] = y_s * yden, where cden and yden are the
     least common denominators of C and of y.  Build one view per y.  ones
-    is the set of periods at y = 1.
+    is the set of periods at y = 1, which every covering test leaves out.
 
     The rank tables cover the ranked periods, those with y neither 0 nor 1,
     sorted by (capacity, period); caps[r] is the capacity of rank r.  For
@@ -139,8 +118,6 @@ class ScaledCover:
         self.ones = frozenset(s for s, v in enumerate(self.u, start=1)
                               if v == self.yden)
         self._tables = None
-        # the last skip set seen, and where it differs from ones
-        self._skip, self._differ, self._differ_at = self.ones, [], []
 
     def tables(self) -> tuple[list[int], list[list[int]], list[list[int]]]:
         """(caps, above, below), built on the first call."""
@@ -148,7 +125,6 @@ class ScaledCover:
             c, u, yden = self.c, self.u, self.yden
             ranked = sorted((c[s - 1], s) for s in range(1, len(c) + 1)
                             if u[s - 1] and u[s - 1] != yden)
-            self._ranked = frozenset(s for _, s in ranked)
             # each row is the prefix sum of the ranks' terms at their periods
             term = [0] * len(c)
             above = [list(accumulate(term, initial=0))]
@@ -164,29 +140,10 @@ class ScaledCover:
             self._tables = [cap for cap, _ in ranked], above, below
         return self._tables
 
-    def differing(self, skip, a: int, b: int) -> Sequence[tuple[int, int]]:
-        """(s, du) for each period s of (a, b] where skip differs from ones,
-        ascending: du = yden for a period at 1 that skip leaves in, -u_s for
-        a ranked period that skip takes out.  Call after tables().
-
-        The last skip set seen is kept, as a frozenset, with its
-        corrections, so a run of queries on one set finds them once.
-        """
-        if skip is not self._skip and skip != self._skip:
-            self._skip = frozenset(skip)
-            self._differ = sorted([(s, self.yden) for s in self.ones - self._skip]
-                                  + [(s, -self.u[s - 1]) for s in self._ranked & self._skip])
-            self._differ_at = [s for s, _ in self._differ]
-        if not self._differ:
-            return ()
-        at = self._differ_at
-        return self._differ[bisect_right(at, a):bisect_right(at, b)]
-
-    def holds(self, a: int, b: int, need: Rat, skip,
-              mass=None, count=None) -> bool:
+    def holds(self, a: int, b: int, need: Rat, mass=None, count=None) -> bool:
         """Whether "capped mass >= mass * need or count >= count" on (a, b].
 
-        With the periods in skip left out,
+        With the periods at 1 left out,
 
             capped mass = sum of min(C_s, need) * y_s,
             count       = sum of y_s over the periods with C_s >= need.
@@ -199,13 +156,11 @@ class ScaledCover:
 
         C_s >= need holds from the first rank r whose capacity reaches
         ceil(p cden / q), found by one bisect, so the tables give both sums
-        in four lookups when skip is ones.  Otherwise the periods of (a, b]
-        where skip differs are corrected one by one: a period at 1 that is
-        not skipped is added, a ranked period that is skipped is taken out.
+        in four lookups.
 
-        The callers' thresholds (mass, count): separation (1, 3/5) on the
-        master y, interval rounding (10, 6) at its entry and (2, 1) on the
-        family members, laminar rounding (2, 1) for its pools and LP rows.
+        The callers' thresholds (mass, count): interval rounding (10, 6) at
+        its entry on y_scaled, laminar rounding (2, 1) for its pools and LP
+        rows.
         """
         caps, above, below = self._tables or self.tables()
         p, q = need.as_integer_ratio()
@@ -214,13 +169,6 @@ class ScaledCover:
         up, down = above[r], below[r]
         count_sum = up[b] - up[a]
         low = down[b] - down[a]  # c_s u_s over the ranks below r
-        if skip is not self._skip or self._differ:  # else skip agrees with ones
-            c = self.c
-            for s, du in self.differing(skip, a, b):
-                if c[s - 1] * q >= top:
-                    count_sum += du
-                else:
-                    low += c[s - 1] * du
         if mass is not None and ((top * count_sum + q * low) * mass.denominator
                                  >= mass.numerator * top * self.yden):
             return True

@@ -12,19 +12,19 @@ fractional cost of the input y.
 Active intervals live in one of two pools, mirroring the two row shapes of
 the LP: "mass" rows ask the capped fractional capacity inside the interval
 to reach twice the remaining requirement; "count" rows ask the fractional
-openings of large-enough periods to reach one.  Pool membership,
-migration between the pools and the per-step state check evaluate those
-rows with intervals.ScaledCover, on integers; the state keeps one view per
-y, built when y is replaced, or handed in for the input y by interval
-rounding, whose rank tables it then shares.  Between two picks the
-selection trails the view's periods at 1, and the covering test corrects
-for the difference.  The stale-remaining check and the final cover check
-read each requirement less the selected capacity as an integer from
-intervals.uncovered.  The budget K . y of the input y and the selection's
-cost are integer sums over K's and y's common denominators; the budget
-becomes a Fraction once, as the bound on the first rounding LP's cost.
-The rounding LP, built only to be solved, takes the instance's values as
-they are.
+openings of large-enough periods to reach one.  Each round selects all of
+its vertex's new ones together, as in Jain's iterative rounding, so the
+selection is always the periods at y = 1 when the rows are evaluated.
+Pool membership, migration between the pools and the state check evaluate
+those rows with intervals.ScaledCover, on integers; the state keeps one
+view per y, built when y is replaced, or handed in for the input y by
+interval rounding, whose rank tables it then shares.  The stale-remaining
+check and the final cover check read each requirement less the selected
+capacity as an integer from intervals.uncovered.  The budget K . y of the
+input y and the selection's cost are integer sums over K's and y's common
+denominators; the budget becomes a Fraction once, as the bound on the
+first rounding LP's cost.  The rounding LP, built only to be solved, takes
+the instance's values as they are.
 """
 
 from __future__ import annotations
@@ -142,8 +142,8 @@ def init_state(inst: LaminarKcInstance, y,
     for iv, need in sorted(residuals(inst.R, inst.C, locked).items()):
         if need <= 0:
             continue
-        count_ok = state.view.holds(iv[0], iv[1], need, locked, count=1)
-        if not count_ok and not state.view.holds(iv[0], iv[1], need, locked, mass=2):
+        count_ok = view.holds(iv[0], iv[1], need, count=1)
+        if not count_ok and not view.holds(iv[0], iv[1], need, mass=2):
             raise InvariantError(f"input y fails both cover conditions on {iv}")
         state.remaining[iv] = need
         (state.count_active if count_ok else state.mass_active).add(iv)
@@ -205,27 +205,28 @@ def build_iter_lp(state: RoundingState) -> lp_core.LinearProgram:
 
 
 def _assert_state_feasible(state: RoundingState, where: str) -> None:
-    """Check state.y against the bounds and rows build_iter_lp would write.
+    """Check state.y against the bounds and rows build_iter_lp would write,
+    and that every period at y = 1 is selected.
 
-    Discarded periods must sit at 0, selected ones at 1, and all in [0, 1],
-    read on state.view's integers y_s = u_s / yden with yden > 0.  A mass
-    row on (a, b] is the capped-mass side of ScaledCover.holds with
-    threshold 2 and the selected periods skipped, a count row its count
-    side with threshold 1; both are evaluated on state.view, on integers,
-    without building the LP.
+    Discarded periods must sit at 0, selected ones at 1 and the others in
+    [0, 1), read on state.view's integers y_s = u_s / yden with yden > 0.
+    The selection is then exactly the view's periods at 1, which
+    ScaledCover.holds leaves out: a mass row on (a, b] is its capped-mass
+    side with threshold 2, a count row its count side with threshold 1,
+    both evaluated on integers without building the LP.
     """
     view = state.view
     u, yden = view.u, view.yden
     feasible = all(
-        u[s - 1] == 0 if s in state.discarded else
         u[s - 1] == yden if s in state.selected else
-        0 <= u[s - 1] <= yden
+        u[s - 1] == 0 if s in state.discarded else
+        0 <= u[s - 1] < yden
         for s in range(1, state.instance.T + 1)
     ) and all(
-        view.holds(a, b, state.remaining[(a, b)], state.selected, mass=2)
+        view.holds(a, b, state.remaining[(a, b)], mass=2)
         for a, b in state.mass_active
     ) and all(
-        view.holds(a, b, state.remaining[(a, b)], state.selected, count=1)
+        view.holds(a, b, state.remaining[(a, b)], count=1)
         for a, b in state.count_active
     )
     if not feasible:
@@ -237,11 +238,14 @@ def solve(inst: LaminarKcInstance, y, trace: Trace = None,
     """Round y to a selected set covering every member requirement.
 
     The selection contains every locked period: it starts as the locked
-    set and only grows.  Checked before returning: it covers each
-    requirement and costs no more than K.y for the input y.  The outer loop
-    fixes at least one new period per round and therefore runs at most T
-    times.  view, if given, is ScaledCover(inst.C, y), whose tables the
-    checks on the input y then share.
+    set and only grows.  Each round discards its vertex's zeros and selects
+    its new ones together; every active interval then loses the capacity
+    of the picks inside it once, and retires or migrates on what is left.
+    Checked before returning: the selection covers each requirement and
+    costs no more than K.y for the input y.  The outer loop fixes at least
+    one new period per round and therefore runs at most T times.  view, if
+    given, is ScaledCover(inst.C, y), whose tables the checks on the input
+    y then share.
     """
     state = init_state(inst, y, view)
     cden, yden = state.view.cden, state.view.yden
@@ -283,19 +287,18 @@ def solve(inst: LaminarKcInstance, y, trace: Trace = None,
                 state.discarded.add(s)
                 if trace:
                     trace(f"iter={rounds} event=discard s={s}")
-        while True:
-            pick = next((s for s in range(1, inst.T + 1)
-                         if s not in state.selected and state.y[s - 1] == 1), None)
-            if pick is None:
-                break
-            state.selected.add(pick)
+        picks = sorted(state.view.ones - state.selected)
+        if picks:
+            state.selected.update(picks)
             if trace:
-                trace(f"iter={rounds} event=select s={pick}")
+                for s in picks:
+                    trace(f"iter={rounds} event=select s={s}")
             for iv in state.active():
                 a, b = iv
-                if not (a < pick <= b):
+                taken = [inst.C[s - 1] for s in picks if a < s <= b]
+                if not taken:
                     continue
-                state.remaining[iv] -= inst.C[pick - 1]
+                state.remaining[iv] -= sum(taken)
                 if trace:
                     trace(f"iter={rounds} event=update iv={iv} left={state.remaining[iv]}")
                 if state.remaining[iv] <= 0:
@@ -305,7 +308,7 @@ def solve(inst: LaminarKcInstance, y, trace: Trace = None,
                     if trace:
                         trace(f"iter={rounds} event=retire iv={iv}")
                 elif iv in state.mass_active and state.view.holds(
-                        a, b, state.remaining[iv], state.selected, count=1):
+                        a, b, state.remaining[iv], count=1):
                     state.mass_active.discard(iv)
                     state.count_active.add(iv)
                     if trace:

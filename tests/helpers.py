@@ -5,18 +5,37 @@ from __future__ import annotations
 import contextlib
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from typing import Iterable, Iterator, Optional
 
 import pytest
 from hypothesis import strategies as st
 
 from lotforge import cmils_master, lp_core
 from lotforge.assignment import SCALE
-from lotforge.instance import CmilsInstance, FractionalSolution, OrderSchedule, hcost
-from lotforge.interval_kc import IntervalKcInstance, max_coverable
-from lotforge.intervals import ScaledCover, all_intervals, cap_within
+from lotforge.errors import InvariantError, RoundLimitError, SizeCapError
+from lotforge.instance import (CmilsInstance, FractionalSolution, OrderSchedule, Rat,
+                               hcost)
+from lotforge.interval_kc import IntervalKcInstance, max_coverable, solve_interval_kc
+from lotforge.intervals import ScaledCover, locked_periods, residuals, scale_y
 from lotforge.laminar_kc import LaminarFamily, LaminarKcInstance
+from lotforge.oracles import OracleResult
+
+KC_CAP = 16
+
+
+def all_intervals(T: int) -> Iterator[tuple[int, int]]:
+    """Yield every (a, b] over [T], ascending by a then b."""
+    for a in range(T):
+        for b in range(a + 1, T + 1):
+            yield (a, b)
+
+
+def cap_within(C, a: int, b: int, chosen: Iterable[int]) -> Rat:
+    """Total capacity of the chosen periods that fall inside (a, b]."""
+    return sum(C[s - 1] for s in chosen if a < s <= b)
 
 
 def invert_square(rows: list[list[Fraction]]):
@@ -309,7 +328,8 @@ def fraction_integer_row(tab, row: lp_core.Row, size: int) -> tuple[list[int], i
 
 def capped_mass_and_count(C, a: int, b: int, need: Fraction, y,
                           skip) -> tuple[Fraction, Fraction]:
-    """Fraction reference for ScaledCover.holds on (a, b], skip left out.
+    """Fraction reference for ScaledCover.holds on (a, b], skip left out
+    (holds itself leaves out the periods at y = 1).
 
     mass  = sum of min(C_s, need) * y_s: capacity capped at the requirement;
     count = sum of y_s over the periods with C_s >= need.
@@ -327,12 +347,11 @@ def capped_mass_and_count(C, a: int, b: int, need: Fraction, y,
 
 @st.composite
 def rank_table_cases(draw, max_T: int = 24):
-    """(C, y, skip, intervals) for ScaledCover's rank tables.
+    """(C, y, intervals) for ScaledCover's rank tables.
 
     T is up to max_T; C repeats a few distinct capacities, ints and
-    Fractions; y takes 0, 1 (both as ints) and fractions in (0, 1); skip is
-    any set of periods, so fractional periods may be skipped and periods at
-    1 left in; intervals are up to 30 of the (a, b] over [T].
+    Fractions; y takes 0, 1 (both as ints) and fractions in (0, 1);
+    intervals are up to 30 of the (a, b] over [T].
     """
     T = draw(st.integers(1, max_T))
     capacity = st.one_of(st.integers(1, 30),
@@ -342,15 +361,14 @@ def rank_table_cases(draw, max_T: int = 24):
     opening = st.one_of(st.sampled_from((0, 1)), st.integers(2, 13).flatmap(
         lambda d: st.builds(Fraction, st.integers(1, d - 1), st.just(d))))
     y = tuple(draw(st.lists(opening, min_size=T, max_size=T)))
-    skip = frozenset(draw(st.sets(st.integers(1, T))))
     intervals = draw(st.lists(st.sampled_from(list(all_intervals(T))),
                               min_size=1, max_size=30))
-    return C, y, skip, intervals
+    return C, y, intervals
 
 
-def coverable(a: int, b: int, view: ScaledCover, locked) -> Fraction:
+def coverable(a: int, b: int, view: ScaledCover) -> Fraction:
     """interval_kc.max_coverable's integer pair as a Fraction."""
-    return Fraction(*max_coverable(a, b, view, locked))
+    return Fraction(*max_coverable(a, b, view))
 
 
 def grid_scan_coverable(a, b, y, locked, C) -> Fraction:
@@ -425,7 +443,7 @@ def random_laminar_case(seed: int):
     family = LaminarFamily.from_intervals(T, intervals)
     req: dict = {}
     for iv in family.members:
-        room = coverable(iv[0], iv[1], ScaledCover(C, y), locked)
+        room = coverable(iv[0], iv[1], ScaledCover(C, y))
         if room > 0 and rng.random() < 0.9:
             want = room * Fraction(rng.randint(1, 4), 4)
             req[iv] = want + cap_within(C, iv[0], iv[1], locked)
@@ -544,3 +562,105 @@ def family_dominates_requirements(family: LaminarFamily, residual: dict) -> bool
         if not hit:
             return False
     return True
+
+
+def _covers(C, selected, requirements: dict) -> bool:
+    return all(cap_within(C, a, b, selected) >= need
+               for (a, b), need in requirements.items() if need > 0)
+
+
+def _brute_force_cover(T: int, C, K, requirements: dict) -> OracleResult:
+    if T > KC_CAP:
+        raise SizeCapError(f"T={T} exceeds the oracle cap {KC_CAP}")
+    best_cost: Optional[Rat] = None
+    best_set: frozenset[int] = frozenset()
+    explored = 0
+    for mask in range(1 << T):
+        explored += 1
+        selected = [s for s in range(1, T + 1) if mask >> (s - 1) & 1]
+        cost = sum(K[s - 1] for s in selected)
+        if best_cost is not None and cost >= best_cost:
+            continue
+        if _covers(C, selected, requirements):
+            best_cost = cost
+            best_set = frozenset(selected)
+    if best_cost is None:
+        raise ValueError("covering instance is infeasible")
+    return OracleResult(optimum_cost=best_cost, witness=best_set, explored=explored)
+
+
+def brute_force_laminar_kc(inst: LaminarKcInstance) -> OracleResult:
+    """Cheapest selection covering every member requirement, by enumeration."""
+    return _brute_force_cover(inst.T, inst.C, inst.K, inst.R)
+
+
+def brute_force_interval_kc(inst: IntervalKcInstance) -> OracleResult:
+    """Cheapest selection covering every interval requirement, by enumeration."""
+    return _brute_force_cover(inst.T, inst.C, inst.K, inst.R)
+
+
+@dataclass
+class IntervalKcRun:
+    selected: frozenset[int]
+    lp_value: Rat
+    rounds: int
+    y_scaled: tuple[Rat, ...]
+    locked: frozenset[int]
+    residual: dict
+
+
+def approx_interval_kc_details(ikc: IntervalKcInstance,
+                               max_rounds: int = 200) -> IntervalKcRun:
+    """Cutting-plane loop over the naive covering LP, then interval rounding.
+
+    Rows capping each period's usable capacity at the residual requirement
+    are added while the current fractional solution violates one; once none
+    is violated, the tenfold-scaled solution certifiably feeds the interval
+    solver and the result costs at most 10 times the final LP value.  A
+    row's test is tenfold capped mass on y_scaled, whose unlocked periods
+    are exactly tenfold y.
+    """
+    T = ikc.T
+    lp = lp_core.LinearProgram(
+        num_vars=T,
+        objective=list(ikc.K),
+        bounds=[(0, 1)] * T,
+    )
+    for (a, b), need in sorted(ikc.R.items()):
+        if need > 0:
+            lp.add_row({s - 1: ikc.C[s - 1] for s in range(a + 1, b + 1)},
+                       lp_core.GE, need)
+    seen_cuts: set = set()
+    rounds = 0
+    while True:
+        sol = lp_core.solve_to_vertex(lp)
+        if sol.status != lp_core.OPTIMAL:
+            raise ValueError(f"covering LP is {sol.status}; instance infeasible?")
+        y = sol.values
+        y_scaled = scale_y(y)
+        locked = locked_periods(y_scaled)
+        residual = residuals(ikc.R, ikc.C, locked)
+        view = ScaledCover(ikc.C, y_scaled)
+        violated = None
+        for (a, b), need in sorted(residual.items()):
+            if need > 0 and not view.holds(a, b, need, mass=10):
+                violated = (a, b, frozenset(locked & set(range(a + 1, b + 1))))
+                break
+        if violated is None:
+            selected = solve_interval_kc(ikc, y_scaled, locked, residual)
+            return IntervalKcRun(selected=selected, lp_value=sol.objective_value,
+                                 rounds=rounds, y_scaled=y_scaled, locked=locked,
+                                 residual=residual)
+        rounds += 1
+        if rounds > max_rounds:
+            raise RoundLimitError(f"no rounding after {max_rounds} cut rounds",
+                                  state={"lp_value": sol.objective_value,
+                                         "rounds": rounds, "y": y})
+        if violated in seen_cuts:
+            raise InvariantError("separation returned an already-pooled cut")
+        seen_cuts.add(violated)
+        a, b, inside = violated
+        need = residual[(a, b)]
+        lp.add_row({s - 1: min(ikc.C[s - 1], need)
+                    for s in range(a + 1, b + 1) if s not in inside},
+                   lp_core.GE, need)

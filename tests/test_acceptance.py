@@ -10,7 +10,9 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (check_placement, coverable, enumerate_optimum,
+from helpers import (all_intervals, approx_interval_kc_details,
+                     brute_force_interval_kc, brute_force_laminar_kc, cap_within,
+                     check_placement, coverable, enumerate_optimum,
                      family_dominates_requirements, grid_scan_coverable,
                      random_interval_kc, random_laminar_case, random_lp,
                      transportation_lp, verify_vertex)
@@ -19,11 +21,10 @@ from lotforge.cmils_master import MasterState, run_pipeline, solve_master
 from lotforge.instance import (check_feasible, gen_kc_gap, gen_random, hcost,
                                prefix_feasible)
 from lotforge.interval_kc import construct_laminar_family
-from lotforge.intervals import ScaledCover, all_intervals, cap_within, locked_periods
+from lotforge.intervals import ScaledCover, locked_periods
 from lotforge.laminar_kc import solve as laminar_solve
 from lotforge.lp_core import INFEASIBLE, OPTIMAL, LpSolution, solve_to_vertex
-from lotforge.oracles import (approx_interval_kc_details, brute_force_cmils,
-                              brute_force_interval_kc, brute_force_laminar_kc)
+from lotforge.oracles import brute_force_cmils
 
 F = Fraction
 
@@ -175,7 +176,7 @@ def test_criterion_6_coverable_score_oracle():
         locked = frozenset(s for s in range(1, T + 1) if y[s - 1] == 1)
         a = rng.randint(0, T - 1)
         b = rng.randint(a + 1, T)
-        assert coverable(a, b, ScaledCover(caps, y), locked) == \
+        assert coverable(a, b, ScaledCover(caps, y)) == \
             grid_scan_coverable(a, b, y, locked, caps), (case, a, b, caps, y)
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0
@@ -187,12 +188,11 @@ def test_criterion_7_family_domination_probe(pipeline_sweep, interval_sweep):
     probed = 0
     for _seed, inst, result, _opt in pipeline_sweep[0]:
         payload = result.payload
-        family = construct_laminar_family(payload.y_scaled, payload.locked,
-                                          inst.C, inst.T)
+        family = construct_laminar_family(payload.y_scaled, inst.C, inst.T)
         assert family_dominates_requirements(family, payload.residual)
         probed += 1
     for _seed, ikc, run, _opt in interval_sweep[0]:
-        family = construct_laminar_family(run.y_scaled, run.locked, ikc.C, ikc.T)
+        family = construct_laminar_family(run.y_scaled, ikc.C, ikc.T)
         assert family_dominates_requirements(family, run.residual)
         probed += 1
     assert probed == 250

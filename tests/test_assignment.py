@@ -1,12 +1,12 @@
 import random
 from fractions import Fraction
 
-from helpers import check_placement, hcost_bound_check, transportation_lp
+from helpers import (all_intervals, cap_within, check_placement, hcost_bound_check,
+                     transportation_lp)
 from lotforge.assignment import scaled_profile, solve_assignment
 from lotforge.cmils_master import run_pipeline
 from lotforge.instance import (CmilsInstance, gen_kc_gap, gen_random, hcost,
                                prefix_feasible)
-from lotforge.intervals import all_intervals, cap_within
 from lotforge.lp_core import INFEASIBLE, OPTIMAL, solve_to_vertex
 from lotforge.separation import compute_requirements
 

@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (coverable, family_dominates_requirements, grid_scan_coverable,
-                     is_binary_with_unit_leaves, rank_table_cases, render_tree)
+from helpers import (all_intervals, cap_within, coverable, family_dominates_requirements,
+                     grid_scan_coverable, is_binary_with_unit_leaves, rank_table_cases,
+                     render_tree)
 from lotforge import interval_kc, laminar_kc
 from lotforge.errors import InvariantError
 from lotforge.instance import gen_kc_gap
 from lotforge.interval_kc import (IntervalKcInstance, construct_laminar_family,
                                   solve_interval_kc)
-from lotforge.intervals import ScaledCover, all_intervals, cap_within, locked_periods
+from lotforge.intervals import ScaledCover, locked_periods
 from lotforge.cmils_master import run_pipeline
 
 F = Fraction
@@ -20,26 +21,26 @@ F = Fraction
 
 class TestMaxCoverable:
     def test_all_zero_openings(self):
-        assert coverable(0, 3, ScaledCover((F(5),) * 3, (F(0),) * 3), frozenset()) == 0
+        assert coverable(0, 3, ScaledCover((F(5),) * 3, (F(0),) * 3)) == 0
 
     def test_two_half_open_knapsacks(self):
-        got = coverable(0, 2, ScaledCover((F(5), F(5)), (F(1, 2), F(1, 2))), frozenset())
+        got = coverable(0, 2, ScaledCover((F(5), F(5)), (F(1, 2), F(1, 2))))
         assert got == 5  # the count condition reaches 1 exactly at W = 5
 
     def test_single_half_open_knapsack(self):
-        assert coverable(0, 1, ScaledCover((F(10),), (F(1, 2),)), frozenset()) == 0
+        assert coverable(0, 1, ScaledCover((F(10),), (F(1, 2),))) == 0
 
     def test_locked_periods_are_excluded(self):
         y = (F(1), F(1, 2))
-        assert coverable(0, 2, ScaledCover((F(9), F(5)), y), frozenset({1})) == \
-            coverable(1, 2, ScaledCover((F(9), F(5)), y), frozenset())
+        assert coverable(0, 2, ScaledCover((F(9), F(5)), y)) == \
+            coverable(1, 2, ScaledCover((F(9), F(5)), y))
 
     def test_mass_root_value(self):
         # five knapsacks of capacity 3 at 9/10: slack stays positive past the
         # breakpoint and decays at rate 2: root 3 + (4.5*3 - 6)/2 = 27/4
         y = (F(9, 10),) * 5
         caps = (F(3),) * 5
-        assert coverable(0, 5, ScaledCover(caps, y), frozenset()) == F(27, 4)
+        assert coverable(0, 5, ScaledCover(caps, y)) == F(27, 4)
 
     def test_matches_grid_scan(self):
         rng = random.Random(0)
@@ -50,7 +51,7 @@ class TestMaxCoverable:
             locked = frozenset(s for s in range(1, T + 1) if y[s - 1] == 1)
             a = rng.randint(0, T - 1)
             b = rng.randint(a + 1, T)
-            assert coverable(a, b, ScaledCover(caps, y), locked) == \
+            assert coverable(a, b, ScaledCover(caps, y)) == \
                 grid_scan_coverable(a, b, y, locked, caps)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
@@ -64,37 +65,30 @@ class TestMaxCoverable:
         locked = frozenset(s for s in range(1, T + 1) if y[s - 1] == 1)
         view = ScaledCover(caps, y)
         for a, b in all_intervals(T):
-            assert coverable(a, b, view, locked) == \
+            assert coverable(a, b, view) == \
                 grid_scan_coverable(a, b, y, locked, caps), (a, b)
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(rank_table_cases())
     def test_rank_search_matches_grid_scan(self, case):
-        C, y, _, intervals = case
+        C, y, intervals = case
         view, locked = ScaledCover(C, y), locked_periods(y)
         for a, b in intervals:
-            assert coverable(a, b, view, locked) == \
+            assert coverable(a, b, view) == \
                 grid_scan_coverable(a, b, y, locked, C), (a, b)
 
     def test_rank_search_edge_cases(self):
         C = (3, F(7, 2), 3, 5)
         for y in ((0, 1, 1, 0), (0, 0, 0, 0)):  # no fractional period
             view = ScaledCover(C, y)
-            assert all(coverable(a, b, view, locked_periods(y)) == 0
+            assert all(coverable(a, b, view) == 0
                        for a, b in all_intervals(4))
         # every score equal to one, and one above every capacity
         for C, y, want in (((1, 1), (F(1, 2), F(1, 2)), 1),
                            ((3,) * 5, (F(9, 10),) * 5, F(27, 4))):
             view, T = ScaledCover(C, y), len(C)
-            assert coverable(0, T, view, frozenset()) == want
+            assert coverable(0, T, view) == want
             assert want == grid_scan_coverable(0, T, y, frozenset(), C)
-
-    def test_locked_must_be_the_periods_at_one_inside_the_interval(self):
-        view = ScaledCover((F(9), F(5), F(4)), (F(1), F(1, 2), F(1, 2)))
-        assert coverable(1, 3, view, frozenset()) == coverable(1, 3, view, frozenset({1}))
-        for locked in (frozenset(), frozenset({1, 2})):
-            with pytest.raises(ValueError, match=r"inside \(0, 2\]"):
-                interval_kc.max_coverable(0, 2, view, locked)
 
     def test_monotone_under_enlargement(self):
         rng = random.Random(1)
@@ -102,22 +96,20 @@ class TestMaxCoverable:
             T = rng.randint(2, 8)
             caps = tuple(F(rng.randint(1, 9)) for _ in range(T))
             y = tuple(F(rng.randint(0, 9), 10) for _ in range(T))
-            locked = frozenset()
             a = rng.randint(0, T - 2)
             b = rng.randint(a + 1, T - 1)
-            inner = coverable(a, b, ScaledCover(caps, y), locked)
-            outer = coverable(max(0, a - 1), min(T, b + 1), ScaledCover(caps, y), locked)
+            inner = coverable(a, b, ScaledCover(caps, y))
+            outer = coverable(max(0, a - 1), min(T, b + 1), ScaledCover(caps, y))
             assert outer >= inner
 
 
 class TestConstructFamily:
     def test_single_period(self):
-        fam = construct_laminar_family((F(1, 2),), frozenset(), (F(3),), 1)
+        fam = construct_laminar_family((F(1, 2),), (F(3),), 1)
         assert fam.members == ((0, 1),)
 
     def test_two_periods_split_at_one(self):
-        fam = construct_laminar_family((F(1, 2), F(1, 2)), frozenset(),
-                                       (F(3), F(3)), 2)
+        fam = construct_laminar_family((F(1, 2), F(1, 2)), (F(3), F(3)), 2)
         assert set(fam.members) == {(0, 2), (0, 1), (1, 2)}
         assert fam.children[(0, 2)] == ((0, 1), (1, 2))
 
@@ -127,8 +119,7 @@ class TestConstructFamily:
             T = rng.randint(1, 8)
             caps = tuple(F(rng.randint(1, 9)) for _ in range(T))
             y = tuple(F(rng.randint(0, 10), 10) for _ in range(T))
-            locked = frozenset(s for s in range(1, T + 1) if y[s - 1] == 1)
-            fam = construct_laminar_family(y, locked, caps, T)
+            fam = construct_laminar_family(y, caps, T)
             assert len(fam.members) == 2 * T - 1
             assert (0, T) in fam.members
             assert is_binary_with_unit_leaves(fam)
@@ -204,7 +195,7 @@ class TestSolveIntervalKc:
         assert 5 in selected and len(selected) > 1
         for a, b in all_intervals(T):
             assert cap_within(caps, a, b, selected) >= R[(a, b)]
-        fam = construct_laminar_family(y, locked, caps, T)
+        fam = construct_laminar_family(y, caps, T)
         assert family_dominates_requirements(fam, residual)
 
     @pytest.mark.parametrize("key", [(0, 5), (2, 1), (-1, 2)])
@@ -313,7 +304,7 @@ class TestSolveIntervalKc:
 
 class TestDominationProbe:
     def test_vacuous_when_nothing_residual(self):
-        fam = construct_laminar_family((F(1, 2),), frozenset(), (F(3),), 1)
+        fam = construct_laminar_family((F(1, 2),), (F(3),), 1)
         assert family_dominates_requirements(fam, {(0, 1): F(0)})
 
     def test_holds_on_pipeline_payloads(self):
@@ -322,12 +313,10 @@ class TestDominationProbe:
             inst = gen_random(seed, T=6, N=4)
             result = run_pipeline(inst)
             payload = result.payload
-            fam = construct_laminar_family(payload.y_scaled, payload.locked,
-                                           inst.C, inst.T)
+            fam = construct_laminar_family(payload.y_scaled, inst.C, inst.T)
             assert family_dominates_requirements(fam, payload.residual)
 
     def test_render_tree_lists_members(self):
-        fam = construct_laminar_family((F(1, 2), F(1, 2)), frozenset(),
-                                       (F(3), F(3)), 2)
+        fam = construct_laminar_family((F(1, 2), F(1, 2)), (F(3), F(3)), 2)
         text = render_tree(fam)
         assert "(0, 2]" in text and "coverable=" in text

@@ -4,76 +4,77 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import capped_mass_and_count, fraction_residuals, rank_table_cases
-from lotforge.intervals import (ScaledCover, all_intervals, cap_within,
-                                locked_periods, prefix_caps, residuals,
+from helpers import (all_intervals, cap_within, capped_mass_and_count,
+                     fraction_residuals, rank_table_cases)
+from lotforge.intervals import (ScaledCover, locked_periods, prefix_caps, residuals,
                                 scale_caps, scale_y)
 
 F = Fraction
 
-# (mass, count) as each caller passes them: separation, interval rounding's
-# entry, its family members, and laminar rounding's count and mass tests.
-THRESHOLDS = ((1, F(3, 5)), (10, 6), (2, 1), (None, 1), (2, None))
+# (mass, count): interval rounding's entry, laminar rounding's pool test,
+# its count and mass rows, and a fractional pair.
+THRESHOLDS = ((10, 6), (2, 1), (None, 1), (2, None), (1, F(3, 5)))
 
 
 def fractions(max_num: int, max_den: int, low: int = 0):
     return st.builds(F, st.integers(low, max_num), st.integers(1, max_den))
 
 
+def ones(y) -> frozenset:
+    """The periods at y = 1, which ScaledCover.holds leaves out."""
+    return frozenset(s for s in range(1, len(y) + 1) if y[s - 1] == 1)
+
+
 @st.composite
 def cover_cases(draw):
     """C with denominators up to 7, y in [0, 1] with denominators up to 13,
-    a skip set, and needs that include capacities themselves."""
+    and needs that include capacities themselves."""
     T = draw(st.integers(1, 9))
     C = tuple(draw(st.lists(fractions(40, 7, low=1), min_size=T, max_size=T)))
     y = tuple(min(v, F(1)) for v in draw(st.lists(fractions(13, 13), min_size=T,
                                                  max_size=T)))
-    skip = frozenset(draw(st.sets(st.integers(1, T))))
     needs = draw(st.lists(st.one_of(st.sampled_from(C), fractions(60, 11, low=1)),
                           min_size=1, max_size=4))
-    return C, y, skip, needs
+    return C, y, needs
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(cover_cases())
 def test_holds_matches_the_fraction_sums(case):
-    C, y, skip, needs = case
+    C, y, needs = case
     view = ScaledCover(C, y)
+    skip = ones(y)
+    assert view.ones == skip
     for a, b in all_intervals(len(C)):
         for need in needs:
             mass, count = capped_mass_and_count(C, a, b, need, y, skip)
             for k, c in THRESHOLDS:
                 want = ((k is not None and mass >= k * need)
                         or (c is not None and count >= c))
-                assert view.holds(a, b, need, skip, mass=k, count=c) == want, \
+                assert view.holds(a, b, need, mass=k, count=c) == want, \
                     (a, b, need, k, c)
 
 
-def _check_holds(view, C, y, a, b, need, skip):
-    mass, count = capped_mass_and_count(C, a, b, need, y, skip)
+def _check_holds(view, C, y, a, b, need):
+    mass, count = capped_mass_and_count(C, a, b, need, y, ones(y))
     for k, c in ((2, 1), (10, 6), (1, F(3, 5))):
         want = mass >= k * need or count >= c
-        assert view.holds(a, b, need, skip, mass=k, count=c) == want, (a, b, need, k, c)
+        assert view.holds(a, b, need, mass=k, count=c) == want, (a, b, need, k, c)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(rank_table_cases(), st.data())
 def test_holds_on_the_rank_tables_matches_the_fraction_sums(case, data):
-    """The table-backed test on the view's own periods at 1, on an
-    arbitrary skip set, and on a mutable set changed between queries."""
-    C, y, skip, intervals = case
+    """The table-backed test, which leaves out the view's periods at 1,
+    on needs at a capacity, at one, above every capacity and drawn."""
+    C, y, intervals = case
     view = ScaledCover(C, y)
-    ones = frozenset(s for s in range(1, len(C) + 1) if y[s - 1] == 1)
     above_all = max(C) + F(1, 3)
-    live = set(ones)
     for a, b in intervals:
         needs = [data.draw(st.sampled_from(C)), 1, above_all,
                  data.draw(st.builds(F, st.integers(1, 90), st.integers(1, 11)))]
         for need in needs:
-            _check_holds(view, C, y, a, b, need, ones)
-            _check_holds(view, C, y, a, b, need, skip)
-            _check_holds(view, C, y, a, b, need, live)
-        live ^= {b}  # the same set object, with other contents
+            _check_holds(view, C, y, a, b, need)
 
 
 def test_holds_on_the_rank_tables_edge_cases():
@@ -83,30 +84,29 @@ def test_holds_on_the_rank_tables_edge_cases():
         assert view.tables()[0] == []
         for a, b in all_intervals(4):
             for need in (1, 3, 6):
-                for skip in (frozenset(), frozenset({2}), frozenset({1, 3})):
-                    _check_holds(view, C, y, a, b, need, skip)
-    y = (F(1, 2), 1, F(3, 4), F(1, 5))
-    view = ScaledCover(C, y)
-    for a, b in all_intervals(4):
-        for need in (F(1), 1, F(11, 2), 100):  # equal to one, above every capacity
-            for skip in (frozenset(), frozenset({2}), frozenset({1, 4})):
-                _check_holds(view, C, y, a, b, need, skip)
+                _check_holds(view, C, y, a, b, need)
+    for y in ((F(1, 2), 1, F(3, 4), F(1, 5)), (1, F(1, 2), F(3, 4), 1)):
+        view = ScaledCover(C, y)
+        for a, b in all_intervals(4):
+            for need in (F(1), 1, F(11, 2), 100):  # equal to one, above every capacity
+                _check_holds(view, C, y, a, b, need)
 
 
 def test_holds_is_inclusive_at_both_boundaries():
     # C = (3, 3/2), y = (1/2, 1/2): at need 3 the count is exactly 1/2
     # (period 1 only) and the capped mass exactly 3/2 + 3/4 = 9/4.
     view = ScaledCover((F(3), F(3, 2)), (F(1, 2), F(1, 2)))
-    assert view.holds(0, 2, F(3), frozenset(), count=F(1, 2))
-    assert not view.holds(0, 2, F(3), frozenset(), count=F(1, 2) + F(1, 100))
-    assert view.holds(0, 2, F(3), frozenset(), mass=F(3, 4))
-    assert not view.holds(0, 2, F(3), frozenset(), mass=F(3, 4) + F(1, 100))
-    assert not view.holds(0, 2, F(3), frozenset({1}), count=F(1, 2))
+    assert view.holds(0, 2, F(3), count=F(1, 2))
+    assert not view.holds(0, 2, F(3), count=F(1, 2) + F(1, 100))
+    assert view.holds(0, 2, F(3), mass=F(3, 4))
+    assert not view.holds(0, 2, F(3), mass=F(3, 4) + F(1, 100))
+    # with period 1 at y = 1 it is left out, and period 2 is below the need
+    assert not ScaledCover((F(3), F(3, 2)), (1, F(1, 2))).holds(0, 2, F(3), count=F(1, 2))
 
 
 def test_holds_without_thresholds_is_false():
-    view = ScaledCover((F(1),), (F(1),))
-    assert not view.holds(0, 1, F(1), frozenset())
+    view = ScaledCover((F(1),), (F(1, 2),))
+    assert not view.holds(0, 1, F(1))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -144,6 +144,6 @@ def test_hand_off_matches_the_reference(periods, data):
     got = residuals(R, C, locked)
     want = fraction_residuals(R, C, locked)
     assert list(got.items()) == list(want.items())
-    assert all(type(v) is F for v in got.values())
+    assert all(type(v) is (int if v.denominator == 1 else F) for v in got.values())
     for (a, b), need in R.items():
         assert got[(a, b)] == max(need - cap_within(C, a, b, locked), 0)

@@ -4,14 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import is_feasible, random_laminar_case
+from helpers import brute_force_laminar_kc, cap_within, is_feasible, random_laminar_case
 from lotforge import laminar_kc
 from lotforge.errors import InvariantError
-from lotforge.intervals import cap_within, locked_periods
+from lotforge.intervals import locked_periods
 from lotforge.laminar_kc import (LaminarFamily, LaminarKcInstance, RoundingState,
                                  _assert_state_feasible, build_iter_lp, dedup,
                                  init_state, solve)
-from lotforge.oracles import brute_force_laminar_kc
 
 F = Fraction
 
@@ -162,8 +161,14 @@ def state_check_accepts(state) -> bool:
     return True
 
 
+def ones_selected(state) -> bool:
+    return all(s in state.selected
+               for s in range(1, state.instance.T + 1) if state.y[s - 1] == 1)
+
+
 class TestStateCheck:
-    """_assert_state_feasible against the LP that build_iter_lp writes."""
+    """_assert_state_feasible against the LP that build_iter_lp writes,
+    plus its own contract: every period at y = 1 is selected."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.integers(0, 10 ** 6), st.data())
@@ -171,9 +176,12 @@ class TestStateCheck:
         inst, y = random_laminar_case(seed)
         state = init_state(inst, y)
         for _ in range(data.draw(st.integers(0, 3))):
-            kind = data.draw(st.sampled_from(("discard", "select", "scale")))
+            kind = data.draw(st.sampled_from(("discard", "select", "scale", "release")))
             s = data.draw(st.integers(1, inst.T))
-            if kind == "discard":  # a discarded period, maybe still above 0
+            if kind == "release":  # an undecided period, maybe at 1
+                state.selected.discard(s)
+                state.discarded.discard(s)
+            elif kind == "discard":  # a discarded period, maybe still above 0
                 state.selected.discard(s)
                 state.discarded.add(s)
                 if data.draw(st.booleans()):
@@ -186,14 +194,26 @@ class TestStateCheck:
             else:  # push y down (possibly below a row) or up (possibly past 1)
                 state.y[s - 1] *= F(data.draw(st.integers(0, 6)), 4)
         state.set_y(state.y)  # the solver changes y only through set_y
-        assert state_check_accepts(state) == is_feasible(build_iter_lp(state), state.y)
+        assert state_check_accepts(state) == (
+            is_feasible(build_iter_lp(state), state.y) and ones_selected(state))
+
+    def test_unselected_period_at_one_rejected(self):
+        # (0, 3] keeps a count row met by periods 2 and 3; releasing locked
+        # period 1 leaves the LP feasible at y, but the covering tests
+        # would no longer leave out exactly the selection
+        inst = small_instance(T=3, C=(4, 4, 4), K=(1, 1, 1), R={(0, 3): 8})
+        state = init_state(inst, (F(1), F(1, 2), F(1, 2)))
+        assert state.count_active == {(0, 3)} and state_check_accepts(state)
+        state.selected.discard(1)
+        assert is_feasible(build_iter_lp(state), state.y)
+        assert not state_check_accepts(state)
 
     def test_agrees_on_every_state_the_loop_reaches(self, monkeypatch):
         checked = []
 
         def compare(state, where):
             checked.append(where)
-            assert is_feasible(build_iter_lp(state), state.y)
+            assert is_feasible(build_iter_lp(state), state.y) and ones_selected(state)
             _assert_state_feasible(state, where)
 
         monkeypatch.setattr(laminar_kc, "_assert_state_feasible", compare)
@@ -276,6 +296,22 @@ class TestSolve:
         monkeypatch.setattr(laminar_kc, "init_state", idle)
         with pytest.raises(InvariantError, match=r"\(0, 2\) left uncovered"):
             solve(inst, (F(0), F(1)))
+
+    def test_a_round_selects_its_ones_together(self):
+        # the round's vertex opens periods 2 and 3 inside the mass interval
+        # (0, 4]: period 2 alone would leave 2, with period 3 at y = 1 enough
+        # for the count row, but both picks are taken at once, so (0, 4]
+        # gets one update and retires without migrating
+        inst = small_instance(T=4, C=(4, 3, 4, 5), K=(4, 1, 2, 4), R={(0, 4): 5})
+        y = (F(3, 4), F(1, 2), F(1, 2), F(3, 4))
+        assert init_state(inst, y).mass_active == {(0, 4)}
+        events = []
+        assert solve(inst, y, trace=events.append) == frozenset({2, 3})
+        assert events == [
+            "iter=1 event=head active=1", "iter=1 event=lp cost=27/5",
+            "iter=1 event=discard s=1", "iter=1 event=select s=2",
+            "iter=1 event=select s=3", "iter=1 event=update iv=(0, 4) left=-2",
+            "iter=1 event=retire iv=(0, 4)"]
 
     def test_trace_replay_names_events(self):
         inst = small_instance(T=2, C=(4, 4), K=(1, 5), members={(0, 2)},

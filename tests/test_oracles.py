@@ -2,15 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_interval_kc
+from helpers import (approx_interval_kc_details, brute_force_interval_kc,
+                     brute_force_laminar_kc, cap_within, random_interval_kc)
 from lotforge.errors import SizeCapError
 from lotforge.instance import (CmilsInstance, check_feasible, gen_kc_gap,
                                gen_random)
 from lotforge.interval_kc import IntervalKcInstance
-from lotforge.intervals import cap_within
 from lotforge.laminar_kc import LaminarFamily, LaminarKcInstance
-from lotforge.oracles import (approx_interval_kc_details, brute_force_cmils,
-                              brute_force_interval_kc, brute_force_laminar_kc)
+from lotforge.oracles import brute_force_cmils
 
 F = Fraction
 

@@ -4,15 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (capped_mass_and_count, naive_requirements, requirements_csv,
-                     schedule_to_fractional)
+from helpers import (all_intervals, capped_mass_and_count, naive_requirements,
+                     requirements_csv, schedule_to_fractional)
 from lotforge.cmils_master import MasterState, solve_master
 from lotforge.cuts import CoveringCut, cut_demand, cut_lhs
 from lotforge.errors import InvariantError
 from lotforge.instance import (CmilsInstance, FractionalSolution, gen_kc_gap,
                                gen_random)
-from lotforge.intervals import (ScaledCover, all_intervals, locked_periods,
-                                residuals, scale_y)
+from lotforge.interval_kc import IntervalKcInstance, solve_interval_kc
+from lotforge.intervals import ScaledCover, locked_periods, residuals, scale_y
 from lotforge.oracles import brute_force_cmils
 from lotforge.separation import (IntervalRequirements, compute_requirements,
                                  shortfalls, try_round)
@@ -69,7 +69,7 @@ class TestRequirements:
         sol = FractionalSolution(x=x, y=(F(0),) * T)
         got = compute_requirements(sol, inst)
         assert list(got.items()) == list(naive_requirements(sol, inst).items())
-        assert all(type(v) is F for v in got.values())
+        assert all(type(v) is (int if v.denominator == 1 else F) for v in got.values())
 
     def test_shortfall_keys_are_the_thin_prefixes(self):
         # (a, i) has a shortfall exactly when x[<=a, i] < 2/5, for a < r_i
@@ -95,7 +95,7 @@ class TestRequirements:
         short = shortfalls(sol, inst)
         assert list(short.items()) == [((0, 1), 1), ((1, 1), F(9, 14)),
                                        ((0, 2), 1), ((1, 2), F(7, 12)), ((2, 2), F(1, 3))]
-        assert all(type(v) is F for v in short.values())
+        assert [type(v) for v in short.values()] == [int, F, int, F, F]
         for (a, i), value in short.items():
             prefix = sum((sol.x_val(s, i) for s in range(1, a + 1)), F(0))
             assert value == 1 - F(5, 2) * prefix
@@ -153,24 +153,36 @@ class TestTryRound:
         assert payload.y_scaled == scaled and payload.locked == locked
         assert payload.residual == residuals(payload.R, inst.C, locked)
 
-    def test_transfer_check_runs_through_the_shared_sum(self, monkeypatch):
-        # twelve unlocked periods at y = 1/11 satisfy the (0, 12] cut, so
-        # the transfer check runs there; (2, 12] is the first violated cut
+    def test_positive_residual_payload_meets_the_entry_check(self, monkeypatch):
+        # x spread evenly and twelve unlocked periods at y = 1/11: every cut
+        # on (a, 12] holds, so try_round hands over positive residuals on
+        # (a, 12] for a <= 4 without asking any covering test; interval
+        # rounding's entry check is the one that asks it
         inst = CmilsInstance(T=12, N=1, K=(F(1),) * 12, C=(F(5),) * 12,
                              d=(F(4),), r=(12,), h=((F(0),) * 12,))
-        sol = FractionalSolution(x={(12, 1): F(1)}, y=(F(1, 11),) * 12)
-        cut = try_round(sol, inst)
-        assert isinstance(cut, CoveringCut) and cut.S2 == frozenset(range(3, 13))
+        sol = FractionalSolution(x={(s, 1): F(1, 12) for s in range(1, 13)},
+                                 y=(F(1, 11),) * 12)
+        ikc = IntervalKcInstance(T=12, C=inst.C, K=inst.K, R=try_round(sol, inst).R)
         calls = []
 
-        def refuse(view, a, b, need, skip, mass=None, count=None):
+        def refuse(view, a, b, need, mass=None, count=None):
             calls.append((a, b, need, mass, count))
             return False
 
         monkeypatch.setattr(ScaledCover, "holds", refuse)
-        with pytest.raises(InvariantError, match="transfer property failed on interval \\(0, 12\\]"):
-            try_round(sol, inst)
-        assert calls == [(0, 12, F(4), 1, F(3, 5))]
+        payload = try_round(sol, inst)
+        assert isinstance(payload, IntervalRequirements) and not calls
+        positive = [iv for iv, v in payload.residual.items() if v]
+        assert positive == [(a, 12) for a in range(5)]
+        with pytest.raises(InvariantError,
+                           match=r"^scaled coverage disjunction fails on \(0, 12\]$"):
+            solve_interval_kc(ikc, payload.y_scaled, payload.locked, payload.residual)
+        assert calls == [(a, b, payload.residual[(a, b)], 10, 6) for a, b in positive]
+        monkeypatch.undo()
+        selected = solve_interval_kc(ikc, payload.y_scaled, payload.locked,
+                                     payload.residual)
+        assert sum(inst.C[s - 1] for s in selected) >= 4
+
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.lists(st.tuples(st.integers(1, 20), st.integers(0, 40),
@@ -179,7 +191,8 @@ class TestTryRound:
 def test_transfer_check_equals_scaled_entry_check(periods, need_num, need_den):
     """(1, 3/5) on y holds iff (10, 6) holds on scale_y(y): the unlocked
     periods are exactly those with y_s < 1/10, which scale exactly tenfold.
-    This is why the interval solver's entry check needs no second copy."""
+    This is why separation leaves the test to the interval solver's entry
+    check."""
     C = tuple(F(c) for c, _, _ in periods)
     y = tuple(F(num, 40 * den) for _, num, den in periods)  # in [0, 1]
     y_scaled = scale_y(y)
