@@ -23,24 +23,20 @@ the locked set: no family is built and no laminar solve runs.  On a 0/1
 y_scaled that is exactly what the laminar route returns, as every member
 then scores 0; on fractional openings the laminar route could add periods
 that no requirement needs.  The entry check has then already found every
-gap of the locked set <= 0, which is its cover check; a laminar selection
-gets a closing cover walk of its own.  The budget check runs on either.
+gap of the locked set <= 0, which is its cover check, and the locked set's
+cost is checked against K . y_scaled.  A laminar selection gets a closing
+cover walk of its own; its budget check is the laminar solve's.
 
 The scores and the covering checks run on one integer view of (C, y),
 intervals.ScaledCover, built once per call and handed to the family build
-and to the laminar solve, so its rank tables are built once; the locked or
-selected capacity inside an interval is a difference of integer prefix
-sums, intervals.prefix_caps.  The entry check is one pass over R: each
-requirement less the locked capacity, compared with the given residual by
-cross-multiplication, and for a positive residual the tenfold-mass-or-
-count-of-six covering test, the only place the pipeline asks it.  A failure
-names the lowest failing interval, whatever R's order.  Each score is two
-binary searches over the view's ranks (max_coverable).  A member's score
-is its residual requirement, so the laminar solve's entry check is the
-check that the score is attained.  The closing cover check reads
-intervals.uncovered's integers.  The cost and the budget K . y_scaled are
-integer sums over K's and y's common denominators.  A Fraction is built
-only for a member's score and for its requirement.
+and to the laminar solve, so its rank tables are built once.  The entry
+check is one pass over intervals.uncovered's gaps of the locked set: each
+is compared with the given residual, and a positive residual gets the
+tenfold-mass-or-count-of-six covering test, the only place the pipeline
+asks it.  A failure names the lowest failing interval, whatever R's order.
+Each score is two binary searches over the view's ranks (max_coverable).
+A member's score is its residual requirement, so the laminar solve's entry
+check is the check that the score is attained.
 """
 
 from __future__ import annotations
@@ -135,9 +131,9 @@ def construct_laminar_family(y, C, T: int,
 
     Each non-unit interval splits at the cut maximizing the smaller child
     score; ties go to the smallest cut point.  Scores are memoized per call
-    as max_coverable's integer pairs and compared by cross-multiplication;
-    only the members' scores become Fractions.  view, if given, is
-    ScaledCover(C, y), whose tables the scores then share.
+    as max_coverable's integer pairs and compared by cross-multiplication.
+    view, if given, is ScaledCover(C, y), whose tables the scores then
+    share.
     """
     if view is None:
         view = ScaledCover(C, y)
@@ -199,13 +195,10 @@ def solve_interval_kc(ikc: IntervalKcInstance, y_scaled, locked,
     if frozenset(locked) != view.ones:
         raise InvariantError("locked set must be exactly the all-ones periods")
     locked, cden = view.ones, view.cden
-    held = prefix_caps(view.c, locked)
     positive = False
     failed: list[tuple[Interval, str]] = []  # the lowest failing interval is named
-    for iv, need in ikc.R.items():
-        a, b = iv
-        p, q = need.as_integer_ratio()
-        gap = p * cden - q * (held[b] - held[a])  # the residual is max(gap, 0) / (q cden)
+    for iv, q, gap in uncovered(ikc.R, view.c, cden, locked):
+        a, b = iv  # the residual is max(gap, 0) / (q cden)
         given = residual.get(iv, 0)
         gp, gq = given.as_integer_ratio()
         if gp * q * cden != (gap if gap > 0 else 0) * gq:
@@ -218,29 +211,30 @@ def solve_interval_kc(ikc: IntervalKcInstance, y_scaled, locked,
         raise InvariantError(min(failed)[1])
 
     if not positive:  # the locked set covers every requirement already
-        selected = locked
+        # cost <= K . y_scaled, both times kden * yden: K_s = k_s / kden, y_s = u_s / yden
+        k, _ = scale_caps(ikc.K)
+        if view.yden * sum(k[s - 1] for s in locked) > sum(map(mul, k, view.u)):
+            raise InvariantError("selection exceeds the scaled fractional budget")
         if trace:
             trace(f"event=locked_only selected={len(locked)}")
-    else:
-        family = construct_laminar_family(y_scaled, ikc.C, ikc.T, view=view)
-        member_req: dict[Interval, Fraction] = {}
-        for iv in family.members:
-            coverable = family.coverable[iv]
-            # the score plus the locked capacity inside the member; the
-            # laminar solve checks that the score meets its row
-            q = coverable.denominator
-            full = coverable.numerator * cden + q * (held[iv[1]] - held[iv[0]])
-            if full > 0:
-                member_req[iv] = Fraction(full, q * cden)
-        lkc = laminar_kc.LaminarKcInstance(T=ikc.T, C=ikc.C, K=ikc.K,
-                                           family=family, R=member_req)
-        selected = laminar_kc.solve(lkc, y_scaled, trace=trace, view=view)
-        for (a, b), _, gap in uncovered(ikc.R, view.c, cden, selected):
-            if gap > 0:
-                raise InvariantError(f"interval ({a}, {b}] requirement uncovered")
+        return locked
 
-    # cost <= K . y_scaled, both times kden * yden: K_s = k_s / kden, y_s = u_s / yden
-    k, _ = scale_caps(ikc.K)
-    if view.yden * sum(k[s - 1] for s in selected) > sum(map(mul, k, view.u)):
-        raise InvariantError("selection exceeds the scaled fractional budget")
+    family = construct_laminar_family(y_scaled, ikc.C, ikc.T, view=view)
+    held = prefix_caps(view.c, locked)
+    member_req: dict[Interval, Fraction] = {}
+    for iv in family.members:
+        coverable = family.coverable[iv]
+        # the score plus the locked capacity inside the member; the
+        # laminar solve checks that the score meets its row
+        q = coverable.denominator
+        full = coverable.numerator * cden + q * (held[iv[1]] - held[iv[0]])
+        if full > 0:
+            member_req[iv] = Fraction(full, q * cden)
+    lkc = laminar_kc.LaminarKcInstance(T=ikc.T, C=ikc.C, K=ikc.K,
+                                       family=family, R=member_req)
+    # the laminar solve checks the selection's cost against K . y_scaled
+    selected = laminar_kc.solve(lkc, y_scaled, trace=trace, view=view)
+    for (a, b), _, gap in uncovered(ikc.R, view.c, cden, selected):
+        if gap > 0:
+            raise InvariantError(f"interval ({a}, {b}] requirement uncovered")
     return selected

@@ -73,25 +73,26 @@ def locked_periods(y) -> frozenset[int]:
 
 
 def uncovered(R: dict, c: list[int], cden: int,
-              chosen) -> Iterator[tuple[tuple[int, int], Rat, int]]:
-    """(interval, need, gap) for each requirement in R, in R's order.
+              chosen) -> Iterator[tuple[tuple[int, int], int, int]]:
+    """(interval, q, gap) for each requirement in R, in R's order.
 
-    With c and cden from scale_caps, need less the capacity of the chosen
-    periods inside the interval is gap / (need.denominator * cden), so
-    gap > 0 exactly when the chosen periods leave part of need uncovered.
+    With c and cden from scale_caps and q the requirement's denominator,
+    the requirement less the capacity of the chosen periods inside the
+    interval is gap / (q * cden), so gap > 0 exactly when the chosen
+    periods leave part of it uncovered.
     """
     P = prefix_caps(c, chosen)
     for (a, b), need in R.items():
         p, q = need.as_integer_ratio()
-        yield (a, b), need, p * cden - q * (P[b] - P[a])
+        yield (a, b), q, p * cden - q * (P[b] - P[a])
 
 
 def residuals(R: dict, C, locked) -> dict:
     """Each requirement less the locked capacity inside it, floored at 0:
     an int when whole, else a Fraction."""
     c, cden = scale_caps(C)
-    return {iv: rat(gap, need.denominator * cden) if gap > 0 else 0
-            for iv, need, gap in uncovered(R, c, cden, locked)}
+    return {iv: rat(gap, q * cden) if gap > 0 else 0
+            for iv, q, gap in uncovered(R, c, cden, locked)}
 
 
 class ScaledCover:

@@ -3,28 +3,27 @@
 Input: knapsacks 1..T with capacities C and costs K, a laminar family of
 intervals each demanding some capacity inside it, and a fractional opening
 vector y.  The solver locks the periods at y = 1 into the selection
-(ScaledCover.ones), takes each member's residual requirement from
-intervals.residuals, repeatedly re-optimizes a shrinking LP to a vertex,
+(ScaledCover.ones), repeatedly re-optimizes a shrinking LP to a vertex,
 permanently discards periods that hit 0 and selects periods that hit 1, and
 returns a selected set covering every requirement at cost at most the
 fractional cost of the input y.
 
-Active intervals live in one of two pools, mirroring the two row shapes of
-the LP: "mass" rows ask the capped fractional capacity inside the interval
-to reach twice the remaining requirement; "count" rows ask the fractional
-openings of large-enough periods to reach one.  Each round selects all of
-its vertex's new ones together, as in Jain's iterative rounding, so the
-selection is always the periods at y = 1 when the rows are evaluated.
-Pool membership, migration between the pools and the state check evaluate
-those rows with intervals.ScaledCover, on integers; the state keeps one
-view per y, built when y is replaced, or handed in for the input y by
-interval rounding, whose rank tables it then shares.  The stale-remaining
-check and the final cover check read each requirement less the selected
-capacity as an integer from intervals.uncovered.  The budget K . y of the
-input y and the selection's cost are integer sums over K's and y's common
-denominators; the budget becomes a Fraction once, as the bound on the
-first rounding LP's cost.  The rounding LP, built only to be solved, takes
-the instance's values as they are.
+Each round selects all of its vertex's new ones together, as in Jain's
+iterative rounding, so the selection is always the periods at y = 1 when
+the rows are evaluated.  The state is derived from the selection: an
+interval's remaining requirement is its requirement less the selected
+capacity inside it, read from intervals.uncovered for every member at the
+start and, after each round's picks, for the active intervals that contain
+one; an interval retires when its remainder is not positive.  Each active
+interval has one LP row: a "count" row asks the fractional openings of
+large-enough periods to reach one, a "mass" row asks the capped fractional
+capacity inside the interval to reach twice the remainder.
+
+The rows, the migration from a mass to a count row and the state check
+are evaluated with intervals.ScaledCover on integers, one view per y,
+handed in for the input y by interval rounding, whose rank tables it then
+shares.  Each state is checked once: the input state when it is set up,
+every later one at the end of its round.
 """
 
 from __future__ import annotations
@@ -32,12 +31,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from . import lp_core
 from .errors import InvariantError
-from .instance import Rat
-from .intervals import ScaledCover, residuals, scale_caps, uncovered
+from .instance import Rat, rat
+from .intervals import ScaledCover, scale_caps, uncovered
 
 Interval = tuple[int, int]
 Trace = Optional[Callable[[str], None]]
@@ -92,6 +91,10 @@ class LaminarKcInstance:
     R: dict[Interval, Rat]  # positive requirements, keyed by member
 
     def check(self) -> None:
+        if len(self.C) != self.T or len(self.K) != self.T:
+            raise ValueError("C and K must have one entry per period")
+        if self.family.T != self.T:
+            raise ValueError(f"family is over [0, {self.family.T}], not [0, {self.T}]")
         for iv, value in self.R.items():
             if iv not in self.family.children:
                 raise ValueError(f"requirement on non-member interval {iv}")
@@ -104,9 +107,9 @@ class RoundingState:
     instance: LaminarKcInstance
     discarded: set[int]
     selected: set[int]
+    # active interval -> its requirement less the selected capacity, > 0
     remaining: dict[Interval, Rat]
-    mass_active: set[Interval]
-    count_active: set[Interval]
+    count_rows: set[Interval]  # the active intervals on a count row
     y: list[Rat]
     # the integer view of (C, y), built once per y: set_y replaces both
     view: Optional[ScaledCover] = field(default=None, repr=False)
@@ -116,18 +119,31 @@ class RoundingState:
             self.set_y(self.y)
 
     def active(self) -> list[Interval]:
-        return sorted(self.mass_active | self.count_active)
+        return sorted(self.remaining)
 
     def set_y(self, y) -> None:
         self.y = list(y)
         self.view = ScaledCover(self.instance.C, self.y)
+
+    def unmet(self, R: dict) -> Iterator[tuple[Interval, Rat]]:
+        """(interval, requirement less the selected capacity inside it)
+        for each requirement in R, in R's order."""
+        cden = self.view.cden
+        for iv, q, gap in uncovered(R, self.view.c, cden, self.selected):
+            yield iv, rat(gap, q * cden)
+
+    def retire(self, iv: Interval) -> None:
+        del self.remaining[iv]
+        self.count_rows.discard(iv)
 
 
 def init_state(inst: LaminarKcInstance, y,
                view: Optional[ScaledCover] = None) -> RoundingState:
     """Set up the rounding state; rejects inputs that break the contract.
 
-    view, if given, is ScaledCover(inst.C, y) and becomes the state's view.
+    Every y_s must lie in [0, 1], and every member that the periods at
+    y = 1 leave short must meet its count row or its mass row.  view, if
+    given, is ScaledCover(inst.C, y) and becomes the state's view.
     """
     inst.check()
     y = list(y)
@@ -135,18 +151,19 @@ def init_state(inst: LaminarKcInstance, y,
         raise ValueError("y must have one entry per period")
     if view is None:
         view = ScaledCover(inst.C, y)
-    locked = view.ones
-    state = RoundingState(instance=inst, discarded=set(), selected=set(locked),
-                          remaining={}, mass_active=set(), count_active=set(), y=y,
-                          view=view)
-    for iv, need in sorted(residuals(inst.R, inst.C, locked).items()):
+    if not all(0 <= u <= view.yden for u in view.u):
+        raise InvariantError("input y outside [0, 1]")
+    state = RoundingState(instance=inst, discarded=set(), selected=set(view.ones),
+                          remaining={}, count_rows=set(), y=y, view=view)
+    for iv, need in sorted(state.unmet(inst.R)):
         if need <= 0:
             continue
         count_ok = view.holds(iv[0], iv[1], need, count=1)
         if not count_ok and not view.holds(iv[0], iv[1], need, mass=2):
             raise InvariantError(f"input y fails both cover conditions on {iv}")
         state.remaining[iv] = need
-        (state.count_active if count_ok else state.mass_active).add(iv)
+        if count_ok:
+            state.count_rows.add(iv)
     return state
 
 
@@ -170,9 +187,7 @@ def dedup(state: RoundingState, trace: Trace = None) -> None:
         keep = max(group, key=lambda iv: (state.remaining[iv], -iv[0], -iv[1]))
         for iv in group:
             if iv != keep:
-                state.mass_active.discard(iv)
-                state.count_active.discard(iv)
-                del state.remaining[iv]
+                state.retire(iv)
                 if trace:
                     trace(f"event=drop iv={iv} kept={keep}")
 
@@ -190,12 +205,12 @@ def build_iter_lp(state: RoundingState) -> lp_core.LinearProgram:
             for s in range(1, inst.T + 1)
         ],
     )
-    for a, b in sorted(state.mass_active):
+    for a, b in sorted(state.remaining.keys() - state.count_rows):
         need = state.remaining[(a, b)]
         coeffs = {s - 1: min(inst.C[s - 1], need)
                   for s in range(a + 1, b + 1) if s not in state.selected}
         lp.add_row(coeffs, lp_core.GE, 2 * need)
-    for a, b in sorted(state.count_active):
+    for a, b in sorted(state.count_rows):
         need = state.remaining[(a, b)]
         coeffs = {s - 1: 1
                   for s in range(a + 1, b + 1)
@@ -223,11 +238,9 @@ def _assert_state_feasible(state: RoundingState, where: str) -> None:
         0 <= u[s - 1] < yden
         for s in range(1, state.instance.T + 1)
     ) and all(
-        view.holds(a, b, state.remaining[(a, b)], mass=2)
-        for a, b in state.mass_active
-    ) and all(
-        view.holds(a, b, state.remaining[(a, b)], count=1)
-        for a, b in state.count_active
+        view.holds(a, b, need, count=1) if (a, b) in state.count_rows else
+        view.holds(a, b, need, mass=2)
+        for (a, b), need in state.remaining.items()
     )
     if not feasible:
         raise InvariantError(f"current y infeasible for the rounding LP ({where})")
@@ -239,13 +252,14 @@ def solve(inst: LaminarKcInstance, y, trace: Trace = None,
 
     The selection contains every locked period: it starts as the locked
     set and only grows.  Each round discards its vertex's zeros and selects
-    its new ones together; every active interval then loses the capacity
-    of the picks inside it once, and retires or migrates on what is left.
-    Checked before returning: the selection covers each requirement and
-    costs no more than K.y for the input y.  The outer loop fixes at least
-    one new period per round and therefore runs at most T times.  view, if
-    given, is ScaledCover(inst.C, y), whose tables the checks on the input
-    y then share.
+    its new ones together; every active interval that contains a pick then
+    has its remainder derived anew, and retires or migrates on it.  The
+    state is checked at the end of every round.  Checked before returning:
+    the selection covers each requirement and costs no more than K.y for
+    the input y.  The outer loop fixes at least one new period per round
+    and therefore runs at most T times.  view, if given, is
+    ScaledCover(inst.C, y), whose tables the checks on the input y then
+    share.
     """
     state = init_state(inst, y, view)
     cden, yden = state.view.cden, state.view.yden
@@ -254,20 +268,12 @@ def solve(inst: LaminarKcInstance, y, trace: Trace = None,
     budget = sum(map(mul, k, state.view.u))
     prev_cost = Fraction(budget, kden * yden)
     rounds = 0
-    while state.mass_active or state.count_active:
+    while state.remaining:
         rounds += 1
         if rounds > inst.T:
             raise InvariantError("rounding exceeded its T-iteration bound")
         if trace:
-            trace(f"iter={rounds} event=head active={len(state.active())}")
-        # remaining must be R less the selected capacity, and positive
-        active = {iv: inst.R[iv] for iv in state.active()}
-        for iv, need, gap in uncovered(active, state.view.c, cden, state.selected):
-            left = state.remaining[iv]
-            if gap <= 0 or (left.numerator * need.denominator * cden
-                            != gap * left.denominator):
-                raise InvariantError(f"stale remaining requirement on {iv}")
-        _assert_state_feasible(state, "loop head")
+            trace(f"iter={rounds} event=head active={len(state.remaining)}")
         dedup(state, trace)
         lp = build_iter_lp(state)
         sol = lp_core.solve_to_vertex(lp)
@@ -288,34 +294,28 @@ def solve(inst: LaminarKcInstance, y, trace: Trace = None,
                 if trace:
                     trace(f"iter={rounds} event=discard s={s}")
         picks = sorted(state.view.ones - state.selected)
-        if picks:
-            state.selected.update(picks)
+        state.selected.update(picks)
+        if trace:
+            for s in picks:
+                trace(f"iter={rounds} event=select s={s}")
+        hit = {(a, b): inst.R[(a, b)] for a, b in state.active()
+               if any(a < s <= b for s in picks)}
+        for iv, left in state.unmet(hit):
             if trace:
-                for s in picks:
-                    trace(f"iter={rounds} event=select s={s}")
-            for iv in state.active():
-                a, b = iv
-                taken = [inst.C[s - 1] for s in picks if a < s <= b]
-                if not taken:
-                    continue
-                state.remaining[iv] -= sum(taken)
+                trace(f"iter={rounds} event=update iv={iv} left={left}")
+            if left <= 0:
+                state.retire(iv)
                 if trace:
-                    trace(f"iter={rounds} event=update iv={iv} left={state.remaining[iv]}")
-                if state.remaining[iv] <= 0:
-                    state.mass_active.discard(iv)
-                    state.count_active.discard(iv)
-                    del state.remaining[iv]
-                    if trace:
-                        trace(f"iter={rounds} event=retire iv={iv}")
-                elif iv in state.mass_active and state.view.holds(
-                        a, b, state.remaining[iv], count=1):
-                    state.mass_active.discard(iv)
-                    state.count_active.add(iv)
-                    if trace:
-                        trace(f"iter={rounds} event=migrate iv={iv}")
-            _assert_state_feasible(state, "after select")
+                    trace(f"iter={rounds} event=retire iv={iv}")
+                continue
+            state.remaining[iv] = left
+            if iv not in state.count_rows and state.view.holds(*iv, left, count=1):
+                state.count_rows.add(iv)
+                if trace:
+                    trace(f"iter={rounds} event=migrate iv={iv}")
         if len(state.discarded) + len(state.selected) == fixed_before:
             raise InvariantError("vertex solution fixed no new period")
+        _assert_state_feasible(state, f"round {rounds}")
 
     selected = frozenset(state.selected)
     for iv, _, gap in uncovered(inst.R, state.view.c, cden, selected):

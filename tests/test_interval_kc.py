@@ -236,6 +236,15 @@ class TestSolveIntervalKc:
             with pytest.raises(InvariantError, match=r"\(0, 10\] requirement uncovered"):
                 solve_interval_kc(ikc, y, frozenset(), residual)
 
+    def test_locked_set_above_the_budget_rejected(self):
+        # no residual is positive, so the locked set is the selection; the
+        # negative cost of the half-open period takes K . y_scaled to
+        # 5 - 5 = 0, below the locked period's cost of 5
+        ikc = IntervalKcInstance(T=2, C=(1, 1), K=(5, -10), R={(0, 1): 1})
+        with pytest.raises(InvariantError,
+                           match="selection exceeds the scaled fractional budget"):
+            solve_interval_kc(ikc, (1, F(1, 2)), frozenset({1}), {})
+
     @pytest.mark.parametrize("y", [
         (F(1), F(0), F(1)),
         # fractional openings: (1, 3] scores 4 here, so a family would

@@ -47,12 +47,26 @@ class TestLaminarFamily:
         assert set(fam.children[(0, 4)]) == {(0, 2), (2, 4)}
 
 
+class TestInstanceCheck:
+    @pytest.mark.parametrize("C, K, T_family, message", [
+        ((3,), (1, 1), 2, "one entry per period"),
+        ((3, 3), (1,), 2, "one entry per period"),
+        ((3, 3), (1, 1), 3, r"family is over \[0, 3\], not \[0, 2\]"),
+    ], ids=["short-C", "short-K", "larger-family"])
+    def test_shapes_must_match_T(self, C, K, T_family, message):
+        root = (0, T_family)
+        inst = LaminarKcInstance(T=2, C=C, K=K, family=family_over(T_family, {root}),
+                                 R={root: 1})
+        with pytest.raises(ValueError, match=message):
+            solve(inst, (F(1, 2), F(1, 2)))
+
+
 class TestInitState:
     def test_no_residual_means_no_active_pools(self):
         inst = small_instance(R={(0, 4): 3})
         y = (F(1), F(0), F(0), F(0))
         state = init_state(inst, y)
-        assert not state.mass_active and not state.count_active
+        assert not state.remaining and not state.count_rows
         assert solve(inst, y) == frozenset({1})
 
     def test_count_pool_membership(self):
@@ -61,8 +75,8 @@ class TestInitState:
                               R={(0, 2): 4})
         y = (F(1, 2), F(1, 2))
         state = init_state(inst, y)
-        assert state.count_active == {(0, 2)}
-        assert not state.mass_active
+        assert state.count_rows == {(0, 2)}
+        assert not state.remaining.keys() - state.count_rows
 
     def test_mass_pool_membership(self):
         # capacities below the requirement: the count row fails outright but
@@ -71,8 +85,16 @@ class TestInitState:
                               members={(0, 6)}, R={(0, 6): 2})
         y = (F(3, 4),) * 6
         state = init_state(inst, y)
-        assert state.mass_active == {(0, 6)}
-        assert not state.count_active
+        assert state.remaining.keys() - state.count_rows == {(0, 6)}
+        assert not state.count_rows
+
+    @pytest.mark.parametrize("y", [(F(-1, 2), F(1)), (F(3, 2), F(1))],
+                             ids=["below-0", "above-1"])
+    def test_y_outside_the_unit_interval_rejected(self, y):
+        # the locked period covers (0, 2], so no row would ever read y_1
+        inst = small_instance(T=2, C=(3, 3), K=(0, 1), R={(0, 2): 1})
+        with pytest.raises(InvariantError, match=r"input y outside \[0, 1\]"):
+            solve(inst, y)
 
     def test_hypothesis_violation_is_an_error(self):
         inst = small_instance(T=2, C=(3, 3), K=(1, 1), members={(0, 2)},
@@ -83,11 +105,11 @@ class TestInitState:
 
 
 class TestDedup:
-    def state_with(self, inst, remaining, mass=(), count=(), discarded=(),
-                   selected=(), y=None):
+    def state_with(self, inst, remaining, count=(), discarded=(), selected=(),
+                   y=None):
         return RoundingState(instance=inst, discarded=set(discarded),
                              selected=set(selected), remaining=dict(remaining),
-                             mass_active=set(mass), count_active=set(count),
+                             count_rows=set(count),
                              y=list(y or [F(1, 2)] * inst.T))
 
     def test_nested_equal_support_keeps_one(self):
@@ -97,22 +119,24 @@ class TestDedup:
         state = self.state_with(inst, {(0, 3): F(2), (0, 2): F(2)},
                                 count=[(0, 3), (0, 2)], discarded=[3])
         dedup(state)
-        assert state.count_active == {(0, 2)}  # tie: the larger interval goes
+        assert state.count_rows == {(0, 2)}  # tie: the larger interval goes
+        assert set(state.remaining) == {(0, 2)}
 
     def test_dominating_requirement_survives(self):
         inst = small_instance(T=3, C=(2, 2, 2), K=(1, 1, 1),
                               members={(0, 3), (0, 2)})
         state = self.state_with(inst, {(0, 3): F(3), (0, 2): F(2)},
-                                mass=[(0, 3)], count=[(0, 2)], discarded=[3])
+                                count=[(0, 2)], discarded=[3])
         dedup(state)
-        assert state.mass_active == {(0, 3)} and not state.count_active
+        assert set(state.remaining) == {(0, 3)} and not state.count_rows
 
     def test_disjoint_untouched(self):
         inst = small_instance(T=4, members={(0, 4), (0, 2), (2, 4)})
         state = self.state_with(inst, {(0, 2): F(1), (2, 4): F(1)},
                                 count=[(0, 2), (2, 4)])
         dedup(state)
-        assert state.count_active == {(0, 2), (2, 4)}
+        assert state.count_rows == {(0, 2), (2, 4)}
+        assert set(state.remaining) == {(0, 2), (2, 4)}
 
     def test_no_duplicate_supports_survive(self):
         for seed in range(15):
@@ -203,7 +227,7 @@ class TestStateCheck:
         # would no longer leave out exactly the selection
         inst = small_instance(T=3, C=(4, 4, 4), K=(1, 1, 1), R={(0, 3): 8})
         state = init_state(inst, (F(1), F(1, 2), F(1, 2)))
-        assert state.count_active == {(0, 3)} and state_check_accepts(state)
+        assert state.count_rows == {(0, 3)} and state_check_accepts(state)
         state.selected.discard(1)
         assert is_feasible(build_iter_lp(state), state.y)
         assert not state_check_accepts(state)
@@ -217,9 +241,15 @@ class TestStateCheck:
             _assert_state_feasible(state, where)
 
         monkeypatch.setattr(laminar_kc, "_assert_state_feasible", compare)
+        total = 0
         for seed in range(25):
-            solve(*random_laminar_case(seed))
-        assert "loop head" in checked and "after select" in checked
+            events = []
+            solve(*random_laminar_case(seed), trace=events.append)
+            rounds = sum("event=head" in line for line in events)
+            assert checked == [f"round {k}" for k in range(1, rounds + 1)]
+            total += rounds
+            checked.clear()
+        assert total > 0
 
     def test_each_mutation_is_rejected(self):
         caught = {"row": 0, "discarded": 0, "selected": 0}
@@ -267,9 +297,6 @@ class TestSolve:
     def test_contract_on_random_instances(self):
         for seed in range(25):
             inst, y = random_laminar_case(seed)
-            state = init_state(inst, y)
-            assert not (state.mass_active & state.count_active)
-            assert set(state.remaining) == state.mass_active | state.count_active
             events = []
             selected = solve(inst, y, trace=events.append)
             assert selected >= locked_periods(y)
@@ -290,11 +317,24 @@ class TestSolve:
 
         def idle(inst, y, view=None):
             return RoundingState(instance=inst, discarded=set(), selected={2},
-                                 remaining={}, mass_active=set(),
-                                 count_active=set(), y=list(y))
+                                 remaining={}, count_rows=set(), y=list(y))
 
         monkeypatch.setattr(laminar_kc, "init_state", idle)
         with pytest.raises(InvariantError, match=r"\(0, 2\) left uncovered"):
+            solve(inst, (F(0), F(1)))
+
+    def test_selection_above_the_budget_rejected(self, monkeypatch):
+        # with no active interval the loop never runs, and the final check
+        # must find the selection {1, 2} costing 2, above K . y = 1
+        inst = small_instance(T=2, C=(4, 3), K=(1, 1), members={(0, 2)}, R={(0, 2): 3})
+
+        def idle(inst, y, view=None):
+            return RoundingState(instance=inst, discarded=set(), selected={1, 2},
+                                 remaining={}, count_rows=set(), y=list(y))
+
+        monkeypatch.setattr(laminar_kc, "init_state", idle)
+        with pytest.raises(InvariantError,
+                           match="selection costs more than the fractional budget"):
             solve(inst, (F(0), F(1)))
 
     def test_a_round_selects_its_ones_together(self):
@@ -304,7 +344,8 @@ class TestSolve:
         # gets one update and retires without migrating
         inst = small_instance(T=4, C=(4, 3, 4, 5), K=(4, 1, 2, 4), R={(0, 4): 5})
         y = (F(3, 4), F(1, 2), F(1, 2), F(3, 4))
-        assert init_state(inst, y).mass_active == {(0, 4)}
+        state = init_state(inst, y)
+        assert set(state.remaining) == {(0, 4)} and not state.count_rows
         events = []
         assert solve(inst, y, trace=events.append) == frozenset({2, 3})
         assert events == [
