@@ -37,6 +37,12 @@ def _pair(value: Optional[instance.Rat]) -> Optional[dict]:
     return {"exact": instance.format_rat(value), "decimal": decimal_str(value)}
 
 
+# The bench CSV's columns, in order; a rational gives an exact and a decimal column.
+RATIONAL_FIELDS = ("lp_value", "ordering", "holding", "total", "oracle_cost",
+                   "ratio_vs_lp", "ratio_vs_opt")
+CSV_FIELDS = ("instance_id", *RATIONAL_FIELDS, "rounds", "cuts", "wall_time_ms")
+
+
 @dataclass
 class RunReport:
     instance_id: str
@@ -51,10 +57,9 @@ class RunReport:
     cuts: int
     wall_time_ms: float
 
-    CSV_HEADER = ("instance_id,lp_value,lp_value_decimal,ordering,ordering_decimal,"
-                  "holding,holding_decimal,total,total_decimal,"
-                  "oracle_cost,oracle_cost_decimal,ratio_vs_lp,ratio_vs_lp_decimal,"
-                  "ratio_vs_opt,ratio_vs_opt_decimal,rounds,cuts,wall_time_ms")
+    CSV_HEADER = ",".join(
+        column for name in CSV_FIELDS
+        for column in ((name, f"{name}_decimal") if name in RATIONAL_FIELDS else (name,)))
 
     def to_json_dict(self) -> dict:
         return {
@@ -74,16 +79,13 @@ class RunReport:
         }
 
     def to_csv_row(self) -> str:
-        def both(v: Optional[instance.Rat]) -> list[str]:
-            if v is None:
-                return ["", ""]
-            return [instance.format_rat(v), decimal_str(v)]
-
-        cells = [self.instance_id]
-        for v in (self.lp_value, self.ordering, self.holding, self.total,
-                  self.oracle_cost, self.ratio_vs_lp, self.ratio_vs_opt):
-            cells.extend(both(v))
-        cells.extend([str(self.rounds), str(self.cuts), f"{self.wall_time_ms:.3f}"])
+        cells: list[str] = []
+        for name in CSV_FIELDS:
+            v = getattr(self, name)
+            if name in RATIONAL_FIELDS:
+                cells += ["", ""] if v is None else [instance.format_rat(v), decimal_str(v)]
+            else:
+                cells.append(f"{v:.3f}" if name == "wall_time_ms" else str(v))
         return ",".join(cells)
 
 

@@ -117,7 +117,7 @@ class MasterState:
     layout: MasterLayout
     lp: lp_core.LinearProgram
     cut_pool: list[CoveringCut] = field(default_factory=list)
-    cut_keys: set = field(default_factory=set)
+    cut_keys: set[CoveringCut] = field(default_factory=set)
     current: Optional[FractionalSolution] = None
     lp_value: Optional[Rat] = None
     solution: Optional[lp_core.LpSolution] = None
@@ -172,8 +172,7 @@ def solve_master(state: MasterState, trace: Trace = None) -> FractionalSolution:
 def add_cut(state: MasterState, cut: CoveringCut) -> None:
     """Append a strictly violated covering cut to the pool."""
     check_cut(cut, state.instance)
-    key = cut.key()
-    if key in state.cut_keys:
+    if cut in state.cut_keys:
         raise ValueError("duplicate cut rejected")
     if state.current is None:
         raise ValueError("solve the master before adding cuts")
@@ -183,7 +182,7 @@ def add_cut(state: MasterState, cut: CoveringCut) -> None:
     coeffs, rhs = cut_row(cut, state.instance, state.layout)
     state.lp.add_row(coeffs, lp_core.GE, rhs)
     state.cut_pool.append(cut)
-    state.cut_keys.add(key)
+    state.cut_keys.add(cut)
 
 
 @dataclass

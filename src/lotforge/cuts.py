@@ -19,9 +19,6 @@ class CoveringCut:
     S2: frozenset[int]
     I: frozenset[int]
 
-    def key(self) -> tuple:
-        return (tuple(sorted(self.S1)), tuple(sorted(self.S2)), tuple(sorted(self.I)))
-
 
 def check_cut(cut: CoveringCut, inst: CmilsInstance) -> None:
     if cut.S1 & cut.S2:

@@ -22,18 +22,17 @@ locked set covers every requirement already, at cost sum_{s locked} K_s
 the locked set: no family is built and no laminar solve runs.  On a 0/1
 y_scaled that is exactly what the laminar route returns, as every member
 then scores 0; on fractional openings the laminar route could add periods
-that no requirement needs.  The entry check has then already found every
-gap of the locked set <= 0, which is its cover check, and the locked set's
-cost is checked against K . y_scaled.  A laminar selection gets a closing
-cover walk of its own; its budget check is the laminar solve's.
+that no requirement needs.  Either selection ends in the closing check
+that both rounding layers share, intervals.check_selection: it covers R
+and costs at most K . y_scaled.
 
 The scores and the covering checks run on one integer view of (C, y),
-intervals.ScaledCover, built once per call and handed to the family build
-and to the laminar solve, so its rank tables are built once.  The entry
-check is one pass over intervals.uncovered's gaps of the locked set: each
-is compared with the given residual, and a positive residual gets the
-tenfold-mass-or-count-of-six covering test, the only place the pipeline
-asks it.  A failure names the lowest failing interval, whatever R's order.
+intervals.ScaledCover, built and checked once per call and handed to the
+family build and to the laminar solve, so its rank tables are built once
+and y is passed on in no other form.  The entry check is one pass over
+intervals.uncovered's gaps of the locked set: each is compared with the
+given residual, and a positive residual gets the tenfold-mass-or-count-
+of-six covering test, the only place the pipeline asks it.  A failure names the lowest failing interval, whatever R's order.
 Each score is two binary searches over the view's ranks (max_coverable).
 A member's score is its residual requirement, so the laminar solve's entry
 check is the check that the score is attained.
@@ -43,13 +42,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 from typing import Callable, Optional
 
 from . import laminar_kc
 from .errors import InvariantError
 from .instance import Rat
-from .intervals import ScaledCover, prefix_caps, scale_caps, uncovered
+from .intervals import ScaledCover, check_selection, prefix_caps, uncovered
 from .laminar_kc import Interval, LaminarFamily
 
 Trace = Optional[Callable[[str], None]]
@@ -125,18 +123,14 @@ def max_coverable(a: int, b: int, view: ScaledCover) -> tuple[int, int]:
     return w * drop + f, drop * view.cden  # W1 >= W2
 
 
-def construct_laminar_family(y, C, T: int,
-                             view: Optional[ScaledCover] = None) -> LaminarFamily:
-    """Binary split of (0, T] down to unit leaves.
+def construct_laminar_family(view: ScaledCover) -> LaminarFamily:
+    """Binary split of (0, T] down to unit leaves, T the view's length.
 
     Each non-unit interval splits at the cut maximizing the smaller child
     score; ties go to the smallest cut point.  Scores are memoized per call
-    as max_coverable's integer pairs and compared by cross-multiplication.
-    view, if given, is ScaledCover(C, y), whose tables the scores then
-    share.
+    as max_coverable's integer pairs, compared by cross-multiplication, and
+    the members' pairs are kept as the family's scores.
     """
-    if view is None:
-        view = ScaledCover(C, y)
     scores: dict[Interval, tuple[int, int]] = {}
 
     def score(a: int, b: int) -> tuple[int, int]:
@@ -160,30 +154,29 @@ def construct_laminar_family(y, C, T: int,
         build(a, best_c)
         build(best_c, b)
 
+    T = len(view.u)
     build(0, T)
     return LaminarFamily.from_intervals(
-        T, members, coverable={iv: Fraction(*scores[iv]) for iv in members})
+        T, members, scores={iv: scores[iv] for iv in members})
 
 
 def solve_interval_kc(ikc: IntervalKcInstance, y_scaled, locked,
                       residual: dict, trace: Trace = None) -> frozenset[int]:
     """Select periods covering every interval requirement.
 
-    Preconditions (checked): C, K and y_scaled have T entries and R and
-    residual are keyed by intervals over [T] (else ValueError); locked is
-    locked_periods(y_scaled); residual agrees with intervals.residuals,
-    a key missing from either dict standing for 0; every interval with
-    positive residual satisfies the tenfold-mass-or-count-of-six
-    disjunction.  The returned selection is verified to cost at most
-    K . y_scaled and to cover every requirement.
+    Preconditions (checked): C and K have T entries and R and residual are
+    keyed by intervals over [T] (else ValueError); y_scaled passes
+    intervals.ScaledCover's checks; locked is locked_periods(y_scaled);
+    residual agrees with intervals.residuals, a key missing from either
+    dict standing for 0; every interval with positive residual satisfies
+    the tenfold-mass-or-count-of-six disjunction.  The returned selection
+    is verified by intervals.check_selection against R and K . y_scaled.
 
     When no residual is positive the selection is the locked set itself,
     with no family and no laminar solve, and trace (if given) gets one
     line "event=locked_only selected=<number of locked periods>".
     """
     ikc.check()
-    if len(y_scaled) != ikc.T:
-        raise ValueError("y_scaled must have one entry per period")
     for (a, b), given in residual.items():
         if (a, b) in ikc.R:
             continue
@@ -210,31 +203,23 @@ def solve_interval_kc(ikc: IntervalKcInstance, y_scaled, locked,
     if failed:
         raise InvariantError(min(failed)[1])
 
-    if not positive:  # the locked set covers every requirement already
-        # cost <= K . y_scaled, both times kden * yden: K_s = k_s / kden, y_s = u_s / yden
-        k, _ = scale_caps(ikc.K)
-        if view.yden * sum(k[s - 1] for s in locked) > sum(map(mul, k, view.u)):
-            raise InvariantError("selection exceeds the scaled fractional budget")
+    if positive:
+        family = construct_laminar_family(view)
+        held = prefix_caps(view.c, locked)
+        member_req: dict[Interval, Fraction] = {}
+        for iv in family.members:
+            # the score n / d plus the locked capacity inside the member;
+            # the laminar solve checks that the score meets its row
+            n, d = family.scores[iv]
+            full = n * cden + d * (held[iv[1]] - held[iv[0]])
+            if full > 0:
+                member_req[iv] = Fraction(full, d * cden)
+        lkc = laminar_kc.LaminarKcInstance(T=ikc.T, C=ikc.C, K=ikc.K,
+                                           family=family, R=member_req)
+        selected = laminar_kc.solve(lkc, view, trace=trace)
+    else:  # the locked set covers every requirement already
+        selected = locked
         if trace:
             trace(f"event=locked_only selected={len(locked)}")
-        return locked
-
-    family = construct_laminar_family(y_scaled, ikc.C, ikc.T, view=view)
-    held = prefix_caps(view.c, locked)
-    member_req: dict[Interval, Fraction] = {}
-    for iv in family.members:
-        coverable = family.coverable[iv]
-        # the score plus the locked capacity inside the member; the
-        # laminar solve checks that the score meets its row
-        q = coverable.denominator
-        full = coverable.numerator * cden + q * (held[iv[1]] - held[iv[0]])
-        if full > 0:
-            member_req[iv] = Fraction(full, q * cden)
-    lkc = laminar_kc.LaminarKcInstance(T=ikc.T, C=ikc.C, K=ikc.K,
-                                       family=family, R=member_req)
-    # the laminar solve checks the selection's cost against K . y_scaled
-    selected = laminar_kc.solve(lkc, y_scaled, trace=trace, view=view)
-    for (a, b), _, gap in uncovered(ikc.R, view.c, cden, selected):
-        if gap > 0:
-            raise InvariantError(f"interval ({a}, {b}] requirement uncovered")
+    check_selection(ikc.R, ikc.K, view, selected)
     return selected

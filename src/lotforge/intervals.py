@@ -18,9 +18,10 @@ ScaledCover   an integer view of capacities C and openings y: every C_s is
               the least common denominators.  Its covering test compares
               integers and builds no Fraction.
 
-residuals walks every requirement through uncovered and builds a Fraction
-only for a positive residual that is not whole; the cover checks of both
-rounding layers read uncovered's integers directly.
+ScaledCover is the one checked form of an opening vector: it rejects a y
+whose length is not C's or that leaves [0, 1], and the rounding layers
+take and pass nothing else.  check_selection is the closing check of both
+layers: the selection covers every requirement and costs at most K . y.
 
 ScaledCover's covering test reads rank tables, built on the view's first
 coverage query in O(n T) for n ranked periods, those with y neither 0 nor
@@ -38,8 +39,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from itertools import accumulate
-from typing import Iterator
+from operator import mul
 
+from .errors import InvariantError
 from .instance import Rat, rat
 
 
@@ -73,7 +75,7 @@ def locked_periods(y) -> frozenset[int]:
 
 
 def uncovered(R: dict, c: list[int], cden: int,
-              chosen) -> Iterator[tuple[tuple[int, int], int, int]]:
+              chosen) -> list[tuple[tuple[int, int], int, int]]:
     """(interval, q, gap) for each requirement in R, in R's order.
 
     With c and cden from scale_caps and q the requirement's denominator,
@@ -82,9 +84,8 @@ def uncovered(R: dict, c: list[int], cden: int,
     periods leave part of it uncovered.
     """
     P = prefix_caps(c, chosen)
-    for (a, b), need in R.items():
-        p, q = need.as_integer_ratio()
-        yield (a, b), q, p * cden - q * (P[b] - P[a])
+    return [(iv, q, p * cden - q * (P[iv[1]] - P[iv[0]]))
+            for iv, need in R.items() for p, q in (need.as_integer_ratio(),)]
 
 
 def residuals(R: dict, C, locked) -> dict:
@@ -96,11 +97,14 @@ def residuals(R: dict, C, locked) -> dict:
 
 
 class ScaledCover:
-    """Capacities C and openings y on common integer scales.
+    """Capacities C and openings y on common integer scales: the one
+    checked form of an opening vector.
 
     c[s-1] = C_s * cden and u[s-1] = y_s * yden, where cden and yden are the
-    least common denominators of C and of y.  Build one view per y.  ones
-    is the set of periods at y = 1, which every covering test leaves out.
+    least common denominators of C and of y.  Build one view per y.  y must
+    have one entry per capacity (else ValueError) and lie in [0, 1] (else
+    InvariantError).  ones is the set of periods at y = 1, which every
+    covering test leaves out.
 
     The rank tables cover the ranked periods, those with y neither 0 nor 1,
     sorted by (capacity, period); caps[r] is the capacity of rank r.  For
@@ -114,8 +118,13 @@ class ScaledCover:
     """
 
     def __init__(self, C, y):
+        if len(y) != len(C):
+            raise ValueError("y must have one entry per period")
+        self.C = C
         self.c, self.cden = scale_caps(C)
         self.u, self.yden = scale_caps(y)
+        if not all(0 <= v <= self.yden for v in self.u):
+            raise InvariantError("input y outside [0, 1]")
         self.ones = frozenset(s for s, v in enumerate(self.u, start=1)
                               if v == self.yden)
         self._tables = None
@@ -175,3 +184,15 @@ class ScaledCover:
             return True
         return count is not None and (count_sum * count.denominator
                                       >= count.numerator * self.yden)
+
+
+def check_selection(R: dict, K, view: ScaledCover, selected) -> None:
+    """Raise InvariantError unless the selection covers every requirement
+    in R and costs at most K . y, y the view's openings."""
+    for (a, b), _, gap in uncovered(R, view.c, view.cden, selected):
+        if gap > 0:
+            raise InvariantError(f"requirement on ({a}, {b}] left uncovered")
+    # both sides times kden * yden: K_s = k_s / kden, y_s = u_s / yden
+    k, _ = scale_caps(K)
+    if view.yden * sum(k[s - 1] for s in selected) > sum(map(mul, k, view.u)):
+        raise InvariantError("selection costs more than the fractional budget")

@@ -2,11 +2,12 @@
 
 Input: knapsacks 1..T with capacities C and costs K, a laminar family of
 intervals each demanding some capacity inside it, and a fractional opening
-vector y.  The solver locks the periods at y = 1 into the selection
-(ScaledCover.ones), repeatedly re-optimizes a shrinking LP to a vertex,
-permanently discards periods that hit 0 and selects periods that hit 1, and
-returns a selected set covering every requirement at cost at most the
-fractional cost of the input y.
+vector y as an intervals.ScaledCover view, which has checked it.  The
+solver locks the periods at y = 1 into the selection (the view's ones),
+repeatedly re-optimizes a shrinking LP to a vertex, permanently discards
+periods that hit 0 and selects periods that hit 1, and returns a selected
+set covering every requirement at cost at most the fractional cost of the
+input y.
 
 Each round selects all of its vertex's new ones together, as in Jain's
 iterative rounding, so the selection is always the periods at y = 1 when
@@ -20,9 +21,9 @@ large-enough periods to reach one, a "mass" row asks the capped fractional
 capacity inside the interval to reach twice the remainder.
 
 The rows, the migration from a mass to a count row and the state check
-are evaluated with intervals.ScaledCover on integers, one view per y,
-handed in for the input y by interval rounding, whose rank tables it then
-shares.  Each state is checked once: the input state when it is set up,
+are evaluated on integers with the state's view: the given one for the
+input y, whose rank tables interval rounding shares, then one per round's
+vertex.  Each state is checked once: the input state when it is set up,
 every later one at the end of its round.
 """
 
@@ -36,7 +37,7 @@ from typing import Callable, Iterable, Iterator, Optional
 from . import lp_core
 from .errors import InvariantError
 from .instance import Rat, rat
-from .intervals import ScaledCover, scale_caps, uncovered
+from .intervals import ScaledCover, check_selection, scale_caps, uncovered
 
 Interval = tuple[int, int]
 Trace = Optional[Callable[[str], None]]
@@ -50,11 +51,12 @@ class LaminarFamily:
     members: tuple[Interval, ...]
     parent: dict[Interval, Optional[Interval]]
     children: dict[Interval, tuple[Interval, ...]]
-    coverable: dict[Interval, Rat] = field(default_factory=dict)
+    # interval rounding's score of each member: max_coverable's (num, den)
+    scores: dict[Interval, tuple[int, int]] = field(default_factory=dict)
 
     @classmethod
     def from_intervals(cls, T: int, intervals: Iterable[Interval],
-                       coverable: dict | None = None) -> "LaminarFamily":
+                       scores: dict | None = None) -> "LaminarFamily":
         members = sorted(set(intervals), key=lambda ab: (ab[0], -ab[1]))
         for a, b in members:
             if not (0 <= a < b <= T):
@@ -79,7 +81,7 @@ class LaminarFamily:
             stack.append(iv)
         return cls(T=T, members=tuple(members), parent=parent,
                    children={m: tuple(c) for m, c in children.items()},
-                   coverable=dict(coverable or {}))
+                   scores=dict(scores or {}))
 
 
 @dataclass(frozen=True)
@@ -110,20 +112,10 @@ class RoundingState:
     # active interval -> its requirement less the selected capacity, > 0
     remaining: dict[Interval, Rat]
     count_rows: set[Interval]  # the active intervals on a count row
-    y: list[Rat]
-    # the integer view of (C, y), built once per y: set_y replaces both
-    view: Optional[ScaledCover] = field(default=None, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.view is None:
-            self.set_y(self.y)
+    view: ScaledCover  # the current opening vector
 
     def active(self) -> list[Interval]:
         return sorted(self.remaining)
-
-    def set_y(self, y) -> None:
-        self.y = list(y)
-        self.view = ScaledCover(self.instance.C, self.y)
 
     def unmet(self, R: dict) -> Iterator[tuple[Interval, Rat]]:
         """(interval, requirement less the selected capacity inside it)
@@ -137,24 +129,18 @@ class RoundingState:
         self.count_rows.discard(iv)
 
 
-def init_state(inst: LaminarKcInstance, y,
-               view: Optional[ScaledCover] = None) -> RoundingState:
-    """Set up the rounding state; rejects inputs that break the contract.
+def init_state(inst: LaminarKcInstance, view: ScaledCover) -> RoundingState:
+    """Set up the rounding state on the input openings; rejects inputs that
+    break the contract.
 
-    Every y_s must lie in [0, 1], and every member that the periods at
-    y = 1 leave short must meet its count row or its mass row.  view, if
-    given, is ScaledCover(inst.C, y) and becomes the state's view.
+    view must be over inst.C, and every member that the periods at y = 1
+    leave short must meet its count row or its mass row.
     """
     inst.check()
-    y = list(y)
-    if len(y) != inst.T:
-        raise ValueError("y must have one entry per period")
-    if view is None:
-        view = ScaledCover(inst.C, y)
-    if not all(0 <= u <= view.yden for u in view.u):
-        raise InvariantError("input y outside [0, 1]")
+    if view.C != inst.C:
+        raise ValueError("the view is not over the instance's capacities")
     state = RoundingState(instance=inst, discarded=set(), selected=set(view.ones),
-                          remaining={}, count_rows=set(), y=y, view=view)
+                          remaining={}, count_rows=set(), view=view)
     for iv, need in sorted(state.unmet(inst.R)):
         if need <= 0:
             continue
@@ -220,23 +206,18 @@ def build_iter_lp(state: RoundingState) -> lp_core.LinearProgram:
 
 
 def _assert_state_feasible(state: RoundingState, where: str) -> None:
-    """Check state.y against the bounds and rows build_iter_lp would write,
-    and that every period at y = 1 is selected.
+    """Check state.view against the bounds and rows build_iter_lp would
+    write, and that the periods at y = 1 are exactly the selected ones.
 
-    Discarded periods must sit at 0, selected ones at 1 and the others in
-    [0, 1), read on state.view's integers y_s = u_s / yden with yden > 0.
-    The selection is then exactly the view's periods at 1, which
+    Discarded periods must sit at 0 and the others be at 1 exactly when
+    selected.  The selection is then the view's periods at 1, which
     ScaledCover.holds leaves out: a mass row on (a, b] is its capped-mass
     side with threshold 2, a count row its count side with threshold 1,
     both evaluated on integers without building the LP.
     """
     view = state.view
-    u, yden = view.u, view.yden
-    feasible = all(
-        u[s - 1] == yden if s in state.selected else
-        u[s - 1] == 0 if s in state.discarded else
-        0 <= u[s - 1] < yden
-        for s in range(1, state.instance.T + 1)
+    feasible = view.ones == state.selected and all(
+        view.u[s - 1] == 0 for s in state.discarded
     ) and all(
         view.holds(a, b, need, count=1) if (a, b) in state.count_rows else
         view.holds(a, b, need, mass=2)
@@ -246,27 +227,24 @@ def _assert_state_feasible(state: RoundingState, where: str) -> None:
         raise InvariantError(f"current y infeasible for the rounding LP ({where})")
 
 
-def solve(inst: LaminarKcInstance, y, trace: Trace = None,
-          view: Optional[ScaledCover] = None) -> frozenset[int]:
-    """Round y to a selected set covering every member requirement.
+def solve(inst: LaminarKcInstance, view: ScaledCover,
+          trace: Trace = None) -> frozenset[int]:
+    """Round the view's openings y to a selected set covering every member
+    requirement.
 
     The selection contains every locked period: it starts as the locked
     set and only grows.  Each round discards its vertex's zeros and selects
     its new ones together; every active interval that contains a pick then
     has its remainder derived anew, and retires or migrates on it.  The
-    state is checked at the end of every round.  Checked before returning:
-    the selection covers each requirement and costs no more than K.y for
-    the input y.  The outer loop fixes at least one new period per round
-    and therefore runs at most T times.  view, if given, is
-    ScaledCover(inst.C, y), whose tables the checks on the input y then
-    share.
+    state is checked at the end of every round, and the selection by
+    intervals.check_selection against R and K . y before it is returned.
+    The outer loop fixes at least one new period per round and therefore
+    runs at most T times.
     """
-    state = init_state(inst, y, view)
-    cden, yden = state.view.cden, state.view.yden
-    # K . y for the input y is budget / (kden * yden): K_s = k_s / kden, y_s = u_s / yden
+    state = init_state(inst, view)
+    # the first LP costs at most K . y: K_s = k_s / kden, y_s = u_s / yden
     k, kden = scale_caps(inst.K)
-    budget = sum(map(mul, k, state.view.u))
-    prev_cost = Fraction(budget, kden * yden)
+    prev_cost = Fraction(sum(map(mul, k, view.u)), kden * view.yden)
     rounds = 0
     while state.remaining:
         rounds += 1
@@ -283,13 +261,13 @@ def solve(inst: LaminarKcInstance, y, trace: Trace = None,
         if cost > prev_cost:
             raise InvariantError("rounding LP cost increased")
         prev_cost = cost
-        state.set_y(sol.values)
+        state.view = ScaledCover(inst.C, sol.values)
         if trace:
             trace(f"iter={rounds} event=lp cost={cost}")
 
         fixed_before = len(state.discarded) + len(state.selected)
         for s in range(1, inst.T + 1):
-            if s not in state.discarded and state.y[s - 1] == 0:
+            if s not in state.discarded and state.view.u[s - 1] == 0:
                 state.discarded.add(s)
                 if trace:
                     trace(f"iter={rounds} event=discard s={s}")
@@ -318,9 +296,5 @@ def solve(inst: LaminarKcInstance, y, trace: Trace = None,
         _assert_state_feasible(state, f"round {rounds}")
 
     selected = frozenset(state.selected)
-    for iv, _, gap in uncovered(inst.R, state.view.c, cden, selected):
-        if gap > 0:
-            raise InvariantError(f"requirement on {iv} left uncovered")
-    if yden * sum(k[s - 1] for s in selected) > budget:
-        raise InvariantError("selection costs more than the fractional budget")
+    check_selection(inst.R, inst.K, view, selected)
     return selected

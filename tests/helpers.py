@@ -539,8 +539,8 @@ def render_tree(family: LaminarFamily) -> str:
     lines: list[str] = []
 
     def walk(iv, depth: int) -> None:
-        mark = family.coverable.get(iv)
-        note = f"  coverable={mark}" if mark is not None else ""
+        mark = family.scores.get(iv)
+        note = f"  coverable={Fraction(*mark)}" if mark is not None else ""
         lines.append("  " * depth + f"({iv[0]}, {iv[1]}]{note}")
         for kid in family.children[iv]:
             walk(kid, depth + 1)
@@ -557,7 +557,7 @@ def family_dominates_requirements(family: LaminarFamily, residual: dict) -> bool
     for (a, b), need in residual.items():
         if need <= 0:
             continue
-        hit = any(a <= ma and mb <= b and family.coverable[(ma, mb)] >= need
+        hit = any(a <= ma and mb <= b and Fraction(*family.scores[(ma, mb)]) >= need
                   for (ma, mb) in family.members)
         if not hit:
             return False

@@ -18,6 +18,7 @@ from helpers import (all_intervals, approx_interval_kc_details,
                      transportation_lp, verify_vertex)
 from lotforge.assignment import solve_assignment
 from lotforge.cmils_master import MasterState, run_pipeline, solve_master
+from lotforge.cuts import CoveringCut
 from lotforge.instance import (check_feasible, gen_kc_gap, gen_random, hcost,
                                prefix_feasible)
 from lotforge.interval_kc import construct_laminar_family
@@ -67,7 +68,7 @@ def test_criterion_1_gap_instance_resolution():
     assert state.lp_value == F(1, 1000)
     result = run_pipeline(inst)
     # the pooled cut on (S1={1}, S2={2}, I={1}) reads 1 * y_2 >= 1
-    assert ((1,), (2,), (1,)) in {cut.key() for cut in result.cuts}
+    assert CoveringCut(frozenset({1}), frozenset({2}), frozenset({1})) in result.cuts
     assert result.schedule.total_cost == 1
     assert brute_force_cmils(inst).optimum_cost == 1
     elapsed = time.perf_counter() - started
@@ -102,7 +103,7 @@ def test_criterion_3_laminar_contract():
     for seed in range(100):
         inst, y = random_laminar_case(seed)
         events = []
-        selected = laminar_solve(inst, y, trace=events.append)
+        selected = laminar_solve(inst, ScaledCover(inst.C, y), trace=events.append)
         assert selected >= locked_periods(y), seed
         for iv, need in inst.R.items():
             assert cap_within(inst.C, iv[0], iv[1], selected) >= need, (seed, iv)
@@ -188,11 +189,11 @@ def test_criterion_7_family_domination_probe(pipeline_sweep, interval_sweep):
     probed = 0
     for _seed, inst, result, _opt in pipeline_sweep[0]:
         payload = result.payload
-        family = construct_laminar_family(payload.y_scaled, inst.C, inst.T)
+        family = construct_laminar_family(ScaledCover(inst.C, payload.y_scaled))
         assert family_dominates_requirements(family, payload.residual)
         probed += 1
     for _seed, ikc, run, _opt in interval_sweep[0]:
-        family = construct_laminar_family(run.y_scaled, ikc.C, ikc.T)
+        family = construct_laminar_family(ScaledCover(ikc.C, run.y_scaled))
         assert family_dominates_requirements(family, run.residual)
         probed += 1
     assert probed == 250

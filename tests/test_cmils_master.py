@@ -193,8 +193,8 @@ class TestPipeline:
         assert result.schedule.total_cost == 1
         assert result.certificate.ordering_bound_ok
         assert result.certificate.holding_bound_ok
-        keys = {cut.key() for cut in result.cuts}
-        assert ((1,), (2,), (1,)) in keys  # the cut forcing y_2 >= 1
+        # the cut forcing y_2 >= 1
+        assert CoveringCut(frozenset({1}), frozenset({2}), frozenset({1})) in result.cuts
 
     def test_single_period_instance(self):
         result = run_pipeline(single_period())

@@ -105,11 +105,11 @@ class TestMaxCoverable:
 
 class TestConstructFamily:
     def test_single_period(self):
-        fam = construct_laminar_family((F(1, 2),), (F(3),), 1)
+        fam = construct_laminar_family(ScaledCover((F(3),), (F(1, 2),)))
         assert fam.members == ((0, 1),)
 
     def test_two_periods_split_at_one(self):
-        fam = construct_laminar_family((F(1, 2), F(1, 2)), (F(3), F(3)), 2)
+        fam = construct_laminar_family(ScaledCover((F(3), F(3)), (F(1, 2), F(1, 2))))
         assert set(fam.members) == {(0, 2), (0, 1), (1, 2)}
         assert fam.children[(0, 2)] == ((0, 1), (1, 2))
 
@@ -119,11 +119,11 @@ class TestConstructFamily:
             T = rng.randint(1, 8)
             caps = tuple(F(rng.randint(1, 9)) for _ in range(T))
             y = tuple(F(rng.randint(0, 10), 10) for _ in range(T))
-            fam = construct_laminar_family(y, caps, T)
+            fam = construct_laminar_family(ScaledCover(caps, y))
             assert len(fam.members) == 2 * T - 1
             assert (0, T) in fam.members
             assert is_binary_with_unit_leaves(fam)
-            assert all(iv in fam.coverable for iv in fam.members)
+            assert all(iv in fam.scores for iv in fam.members)
 
 
 class TestSolveIntervalKc:
@@ -195,7 +195,7 @@ class TestSolveIntervalKc:
         assert 5 in selected and len(selected) > 1
         for a, b in all_intervals(T):
             assert cap_within(caps, a, b, selected) >= R[(a, b)]
-        fam = construct_laminar_family(y, caps, T)
+        fam = construct_laminar_family(ScaledCover(caps, y))
         assert family_dominates_requirements(fam, residual)
 
     @pytest.mark.parametrize("key", [(0, 5), (2, 1), (-1, 2)])
@@ -233,7 +233,7 @@ class TestSolveIntervalKc:
         assert cap_within(caps, 0, T, solve_interval_kc(ikc, y, frozenset(), residual)) >= 5
         for short in (frozenset(), frozenset({1})):
             monkeypatch.setattr(laminar_kc, "solve", lambda *args, **kwargs: short)
-            with pytest.raises(InvariantError, match=r"\(0, 10\] requirement uncovered"):
+            with pytest.raises(InvariantError, match=r"\(0, 10\] left uncovered"):
                 solve_interval_kc(ikc, y, frozenset(), residual)
 
     def test_locked_set_above_the_budget_rejected(self):
@@ -242,7 +242,7 @@ class TestSolveIntervalKc:
         # 5 - 5 = 0, below the locked period's cost of 5
         ikc = IntervalKcInstance(T=2, C=(1, 1), K=(5, -10), R={(0, 1): 1})
         with pytest.raises(InvariantError,
-                           match="selection exceeds the scaled fractional budget"):
+                           match="selection costs more than the fractional budget"):
             solve_interval_kc(ikc, (1, F(1, 2)), frozenset({1}), {})
 
     @pytest.mark.parametrize("y", [
@@ -277,15 +277,14 @@ class TestSolveIntervalKc:
         assert not any(result.payload.residual.values())
         assert f"event=locked_only selected={len(result.payload.locked)}" in lines
 
-    @pytest.mark.parametrize("C, K, y", [
-        ((F(3),) * 3, (F(1),) * 3, (F(1), F(0))),
-        ((F(3),) * 2, (F(1),) * 3, (F(1), F(0), F(0))),
-        ((F(3),) * 3, (F(1),) * 2, (F(1), F(0), F(0))),
-    ])
-    def test_short_vector_rejected(self, C, K, y):
+    @pytest.mark.parametrize("C, K", [
+        ((F(3),) * 2, (F(1),) * 3),
+        ((F(3),) * 3, (F(1),) * 2),
+    ], ids=["short-C", "short-K"])
+    def test_short_vector_rejected(self, C, K):
         ikc = IntervalKcInstance(T=3, C=C, K=K, R={(0, 3): F(3)})
-        with pytest.raises(ValueError, match="one entry per period"):
-            solve_interval_kc(ikc, y, frozenset({1}), {})
+        with pytest.raises(ValueError, match="C and K must have one entry per period"):
+            solve_interval_kc(ikc, (F(1), F(0), F(0)), frozenset({1}), {})
 
     # R lists (1, 3] before (0, 2], and both fail: the lower one is named
     @pytest.mark.parametrize("residual, message", [
@@ -313,7 +312,7 @@ class TestSolveIntervalKc:
 
 class TestDominationProbe:
     def test_vacuous_when_nothing_residual(self):
-        fam = construct_laminar_family((F(1, 2),), (F(3),), 1)
+        fam = construct_laminar_family(ScaledCover((F(3),), (F(1, 2),)))
         assert family_dominates_requirements(fam, {(0, 1): F(0)})
 
     def test_holds_on_pipeline_payloads(self):
@@ -322,10 +321,10 @@ class TestDominationProbe:
             inst = gen_random(seed, T=6, N=4)
             result = run_pipeline(inst)
             payload = result.payload
-            fam = construct_laminar_family(payload.y_scaled, inst.C, inst.T)
+            fam = construct_laminar_family(ScaledCover(inst.C, payload.y_scaled))
             assert family_dominates_requirements(fam, payload.residual)
 
     def test_render_tree_lists_members(self):
-        fam = construct_laminar_family((F(1, 2), F(1, 2)), (F(3), F(3)), 2)
+        fam = construct_laminar_family(ScaledCover((F(3), F(3)), (F(1, 2), F(1, 2))))
         text = render_tree(fam)
         assert "(0, 2]" in text and "coverable=" in text

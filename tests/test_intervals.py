@@ -1,13 +1,18 @@
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (all_intervals, cap_within, capped_mass_and_count,
                      fraction_residuals, rank_table_cases)
+from lotforge import laminar_kc
+from lotforge.errors import InvariantError
+from lotforge.interval_kc import IntervalKcInstance, solve_interval_kc
 from lotforge.intervals import (ScaledCover, locked_periods, prefix_caps, residuals,
                                 scale_caps, scale_y)
+from lotforge.laminar_kc import LaminarFamily, LaminarKcInstance
 
 F = Fraction
 
@@ -102,6 +107,36 @@ def test_holds_is_inclusive_at_both_boundaries():
     assert not view.holds(0, 2, F(3), mass=F(3, 4) + F(1, 100))
     # with period 1 at y = 1 it is left out, and period 2 is below the need
     assert not ScaledCover((F(3), F(3, 2)), (1, F(1, 2))).holds(0, 2, F(3), count=F(1, 2))
+
+
+# Each caller of an opening vector y, on C = (3, 3) with period 2 locked.
+# R = 1 on (0, 2] is covered by the locked period, so no covering test
+# reads y_1 and only the view's own checks can reject it: interval
+# rounding then takes its locked-only path.  R = 4 leaves a residual of 1
+# for its laminar route.
+Y_CALLERS = {
+    "interval-locked-only": lambda y: solve_interval_kc(
+        IntervalKcInstance(T=2, C=(3, 3), K=(0, 1), R={(0, 2): 1}),
+        y, frozenset({2}), {}),
+    "interval-laminar": lambda y: solve_interval_kc(
+        IntervalKcInstance(T=2, C=(3, 3), K=(0, 1), R={(0, 2): 4}),
+        y, frozenset({2}), {(0, 2): 1}),
+    "laminar": lambda y: laminar_kc.solve(
+        LaminarKcInstance(T=2, C=(3, 3), K=(0, 1), R={(0, 2): 1},
+                          family=LaminarFamily.from_intervals(2, {(0, 2)})),
+        ScaledCover((3, 3), y)),
+}
+
+
+@pytest.mark.parametrize("caller", Y_CALLERS)
+@pytest.mark.parametrize("y, error, message", [
+    ((F(-1, 2), 1), InvariantError, r"^input y outside \[0, 1\]$"),
+    ((F(3, 2), 1), InvariantError, r"^input y outside \[0, 1\]$"),
+    ((1,), ValueError, "^y must have one entry per period$"),
+], ids=["below-0", "above-1", "short"])
+def test_every_caller_checks_y_through_the_view(caller, y, error, message):
+    with pytest.raises(error, match=message):
+        Y_CALLERS[caller](y)
 
 
 def test_holds_without_thresholds_is_false():

@@ -7,12 +7,28 @@ from hypothesis import strategies as st
 from helpers import brute_force_laminar_kc, cap_within, is_feasible, random_laminar_case
 from lotforge import laminar_kc
 from lotforge.errors import InvariantError
-from lotforge.intervals import locked_periods
+from lotforge.intervals import ScaledCover, locked_periods
 from lotforge.laminar_kc import (LaminarFamily, LaminarKcInstance, RoundingState,
                                  _assert_state_feasible, build_iter_lp, dedup,
                                  init_state, solve)
 
 F = Fraction
+
+
+def view_of(inst, y):
+    return ScaledCover(inst.C, y)
+
+
+def laminar_case(seed):
+    """random_laminar_case's instance with its y as a view."""
+    inst, y = random_laminar_case(seed)
+    return inst, view_of(inst, y)
+
+
+def y_of(state):
+    """The state's current openings as Fractions."""
+    view = state.view
+    return [F(u, view.yden) for u in view.u]
 
 
 def family_over(T, intervals):
@@ -58,23 +74,28 @@ class TestInstanceCheck:
         inst = LaminarKcInstance(T=2, C=C, K=K, family=family_over(T_family, {root}),
                                  R={root: 1})
         with pytest.raises(ValueError, match=message):
-            solve(inst, (F(1, 2), F(1, 2)))
+            solve(inst, ScaledCover(C, (F(1, 2),) * len(C)))
+
+    def test_view_must_be_over_the_capacities(self):
+        inst = small_instance(T=2, C=(3, 3), K=(1, 1), R={(0, 2): 1})
+        with pytest.raises(ValueError, match="not over the instance's capacities"):
+            solve(inst, ScaledCover((F(3), F(4)), (F(1, 2), F(1))))
 
 
 class TestInitState:
     def test_no_residual_means_no_active_pools(self):
         inst = small_instance(R={(0, 4): 3})
         y = (F(1), F(0), F(0), F(0))
-        state = init_state(inst, y)
+        state = init_state(inst, view_of(inst, y))
         assert not state.remaining and not state.count_rows
-        assert solve(inst, y) == frozenset({1})
+        assert solve(inst, view_of(inst, y)) == frozenset({1})
 
     def test_count_pool_membership(self):
         # two half-open periods with capacity >= the requirement: count row holds
         inst = small_instance(T=2, C=(4, 4), K=(1, 1), members={(0, 2)},
                               R={(0, 2): 4})
         y = (F(1, 2), F(1, 2))
-        state = init_state(inst, y)
+        state = init_state(inst, view_of(inst, y))
         assert state.count_rows == {(0, 2)}
         assert not state.remaining.keys() - state.count_rows
 
@@ -84,33 +105,24 @@ class TestInitState:
         inst = small_instance(T=6, C=(1,) * 6, K=(1,) * 6,
                               members={(0, 6)}, R={(0, 6): 2})
         y = (F(3, 4),) * 6
-        state = init_state(inst, y)
+        state = init_state(inst, view_of(inst, y))
         assert state.remaining.keys() - state.count_rows == {(0, 6)}
         assert not state.count_rows
-
-    @pytest.mark.parametrize("y", [(F(-1, 2), F(1)), (F(3, 2), F(1))],
-                             ids=["below-0", "above-1"])
-    def test_y_outside_the_unit_interval_rejected(self, y):
-        # the locked period covers (0, 2], so no row would ever read y_1
-        inst = small_instance(T=2, C=(3, 3), K=(0, 1), R={(0, 2): 1})
-        with pytest.raises(InvariantError, match=r"input y outside \[0, 1\]"):
-            solve(inst, y)
 
     def test_hypothesis_violation_is_an_error(self):
         inst = small_instance(T=2, C=(3, 3), K=(1, 1), members={(0, 2)},
                               R={(0, 2): 5})
         y = (F(1, 10), F(1, 10))
         with pytest.raises(InvariantError, match="cover conditions"):
-            init_state(inst, y)
+            init_state(inst, view_of(inst, y))
 
 
 class TestDedup:
-    def state_with(self, inst, remaining, count=(), discarded=(), selected=(),
-                   y=None):
+    def state_with(self, inst, remaining, count=(), discarded=(), selected=()):
         return RoundingState(instance=inst, discarded=set(discarded),
                              selected=set(selected), remaining=dict(remaining),
                              count_rows=set(count),
-                             y=list(y or [F(1, 2)] * inst.T))
+                             view=view_of(inst, [F(1, 2)] * inst.T))
 
     def test_nested_equal_support_keeps_one(self):
         inst = small_instance(T=3, C=(2, 2, 2), K=(1, 1, 1),
@@ -140,7 +152,7 @@ class TestDedup:
 
     def test_no_duplicate_supports_survive(self):
         for seed in range(15):
-            state = init_state(*random_laminar_case(seed))
+            state = init_state(*laminar_case(seed))
             dedup(state)
             supports = [frozenset(s for s in range(iv[0] + 1, iv[1] + 1)
                                   if s not in state.discarded
@@ -153,7 +165,7 @@ class TestIterLp:
     def test_empty_pools_only_fixings(self):
         inst = small_instance(R={(0, 4): 3})
         y = (F(1), F(0), F(0), F(0))
-        state = init_state(inst, y)
+        state = init_state(inst, view_of(inst, y))
         lp = build_iter_lp(state)
         assert not lp.rows
         assert lp.bounds[0] == (F(1), F(1))
@@ -162,7 +174,7 @@ class TestIterLp:
         inst = small_instance(T=6, C=(1,) * 6, K=(1,) * 6, members={(0, 6)},
                               R={(0, 6): 2})
         y = (F(3, 4),) * 6
-        state = init_state(inst, y)
+        state = init_state(inst, view_of(inst, y))
         lp = build_iter_lp(state)
         assert len(lp.rows) == 1
         row = lp.rows[0]
@@ -172,7 +184,7 @@ class TestIterLp:
     def test_current_y_feasible_for_built_lp(self):
         for seed in range(10):
             inst, y = random_laminar_case(seed)
-            state = init_state(inst, y)
+            state = init_state(inst, view_of(inst, y))
             assert is_feasible(build_iter_lp(state), list(y))
 
 
@@ -186,8 +198,8 @@ def state_check_accepts(state) -> bool:
 
 
 def ones_selected(state) -> bool:
-    return all(s in state.selected
-               for s in range(1, state.instance.T + 1) if state.y[s - 1] == 1)
+    y = y_of(state)
+    return all(s in state.selected for s in range(1, len(y) + 1) if y[s - 1] == 1)
 
 
 class TestStateCheck:
@@ -198,7 +210,7 @@ class TestStateCheck:
     @given(st.integers(0, 10 ** 6), st.data())
     def test_agrees_with_the_built_lp(self, seed, data):
         inst, y = random_laminar_case(seed)
-        state = init_state(inst, y)
+        state, y = init_state(inst, view_of(inst, y)), list(y)
         for _ in range(data.draw(st.integers(0, 3))):
             kind = data.draw(st.sampled_from(("discard", "select", "scale", "release")))
             s = data.draw(st.integers(1, inst.T))
@@ -209,27 +221,31 @@ class TestStateCheck:
                 state.selected.discard(s)
                 state.discarded.add(s)
                 if data.draw(st.booleans()):
-                    state.y[s - 1] = F(0)
+                    y[s - 1] = F(0)
             elif kind == "select":  # a selected period, maybe still below 1
                 state.discarded.discard(s)
                 state.selected.add(s)
                 if data.draw(st.booleans()):
-                    state.y[s - 1] = F(1)
+                    y[s - 1] = F(1)
             else:  # push y down (possibly below a row) or up (possibly past 1)
-                state.y[s - 1] *= F(data.draw(st.integers(0, 6)), 4)
-        state.set_y(state.y)  # the solver changes y only through set_y
+                y[s - 1] *= F(data.draw(st.integers(0, 6)), 4)
+        if max(y) > 1:  # no view, and so no state, holds a y past 1
+            with pytest.raises(InvariantError, match=r"input y outside \[0, 1\]"):
+                view_of(inst, y)
+            return
+        state.view = view_of(inst, y)  # the solver changes y only with its view
         assert state_check_accepts(state) == (
-            is_feasible(build_iter_lp(state), state.y) and ones_selected(state))
+            is_feasible(build_iter_lp(state), y) and ones_selected(state))
 
     def test_unselected_period_at_one_rejected(self):
         # (0, 3] keeps a count row met by periods 2 and 3; releasing locked
         # period 1 leaves the LP feasible at y, but the covering tests
         # would no longer leave out exactly the selection
         inst = small_instance(T=3, C=(4, 4, 4), K=(1, 1, 1), R={(0, 3): 8})
-        state = init_state(inst, (F(1), F(1, 2), F(1, 2)))
+        state = init_state(inst, view_of(inst, (F(1), F(1, 2), F(1, 2))))
         assert state.count_rows == {(0, 3)} and state_check_accepts(state)
         state.selected.discard(1)
-        assert is_feasible(build_iter_lp(state), state.y)
+        assert is_feasible(build_iter_lp(state), y_of(state))
         assert not state_check_accepts(state)
 
     def test_agrees_on_every_state_the_loop_reaches(self, monkeypatch):
@@ -237,14 +253,14 @@ class TestStateCheck:
 
         def compare(state, where):
             checked.append(where)
-            assert is_feasible(build_iter_lp(state), state.y) and ones_selected(state)
+            assert is_feasible(build_iter_lp(state), y_of(state)) and ones_selected(state)
             _assert_state_feasible(state, where)
 
         monkeypatch.setattr(laminar_kc, "_assert_state_feasible", compare)
         total = 0
         for seed in range(25):
             events = []
-            solve(*random_laminar_case(seed), trace=events.append)
+            solve(*laminar_case(seed), trace=events.append)
             rounds = sum("event=head" in line for line in events)
             assert checked == [f"round {k}" for k in range(1, rounds + 1)]
             total += rounds
@@ -257,23 +273,22 @@ class TestStateCheck:
             inst, y = random_laminar_case(seed)
 
             def fresh():
-                return init_state(inst, y)
+                return init_state(inst, view_of(inst, y))
 
             state = fresh()
             assert state_check_accepts(state)
             undecided = [s for s in range(1, inst.T + 1) if s not in state.selected]
             for a, b in state.active():  # y pushed below the interval's row
                 state = fresh()
-                for s in range(a + 1, b + 1):
-                    if s not in state.selected:
-                        state.y[s - 1] = F(0)
-                state.set_y(state.y)
-                assert not is_feasible(build_iter_lp(state), state.y)
+                pushed = [F(0) if a < s <= b and s not in state.selected else v
+                          for s, v in enumerate(y, start=1)]
+                state.view = view_of(inst, pushed)
+                assert not is_feasible(build_iter_lp(state), pushed)
                 assert not state_check_accepts(state)
                 caught["row"] += 1
             for s in undecided:
                 state = fresh()
-                if state.y[s - 1] > 0:  # discarded but still above 0
+                if y[s - 1] > 0:  # discarded but still above 0
                     state.discarded.add(s)
                     assert not state_check_accepts(state)
                     caught["discarded"] += 1
@@ -289,7 +304,7 @@ class TestSolve:
         inst = small_instance(T=2, C=(4, 4), K=(1, 5), members={(0, 2)},
                               R={(0, 2): 4})
         y = (F(1, 2), F(1, 2))
-        selected = solve(inst, y)
+        selected = solve(inst, view_of(inst, y))
         assert selected == frozenset({1})
         oracle = brute_force_laminar_kc(inst)
         assert oracle.optimum_cost == 1 and oracle.witness == frozenset({1})
@@ -298,7 +313,7 @@ class TestSolve:
         for seed in range(25):
             inst, y = random_laminar_case(seed)
             events = []
-            selected = solve(inst, y, trace=events.append)
+            selected = solve(inst, view_of(inst, y), trace=events.append)
             assert selected >= locked_periods(y)
             for iv, need in inst.R.items():
                 assert cap_within(inst.C, iv[0], iv[1], selected) >= need
@@ -315,27 +330,27 @@ class TestSolve:
         # must find (0, 2] one short: it needs 4 and locked period 2 has 3
         inst = small_instance(T=2, C=(4, 3), members={(0, 2)}, R={(0, 2): 4})
 
-        def idle(inst, y, view=None):
+        def idle(inst, view):
             return RoundingState(instance=inst, discarded=set(), selected={2},
-                                 remaining={}, count_rows=set(), y=list(y))
+                                 remaining={}, count_rows=set(), view=view)
 
         monkeypatch.setattr(laminar_kc, "init_state", idle)
-        with pytest.raises(InvariantError, match=r"\(0, 2\) left uncovered"):
-            solve(inst, (F(0), F(1)))
+        with pytest.raises(InvariantError, match=r"\(0, 2\] left uncovered"):
+            solve(inst, view_of(inst, (F(0), F(1))))
 
     def test_selection_above_the_budget_rejected(self, monkeypatch):
         # with no active interval the loop never runs, and the final check
         # must find the selection {1, 2} costing 2, above K . y = 1
         inst = small_instance(T=2, C=(4, 3), K=(1, 1), members={(0, 2)}, R={(0, 2): 3})
 
-        def idle(inst, y, view=None):
+        def idle(inst, view):
             return RoundingState(instance=inst, discarded=set(), selected={1, 2},
-                                 remaining={}, count_rows=set(), y=list(y))
+                                 remaining={}, count_rows=set(), view=view)
 
         monkeypatch.setattr(laminar_kc, "init_state", idle)
         with pytest.raises(InvariantError,
                            match="selection costs more than the fractional budget"):
-            solve(inst, (F(0), F(1)))
+            solve(inst, view_of(inst, (F(0), F(1))))
 
     def test_a_round_selects_its_ones_together(self):
         # the round's vertex opens periods 2 and 3 inside the mass interval
@@ -344,10 +359,10 @@ class TestSolve:
         # gets one update and retires without migrating
         inst = small_instance(T=4, C=(4, 3, 4, 5), K=(4, 1, 2, 4), R={(0, 4): 5})
         y = (F(3, 4), F(1, 2), F(1, 2), F(3, 4))
-        state = init_state(inst, y)
+        state = init_state(inst, view_of(inst, y))
         assert set(state.remaining) == {(0, 4)} and not state.count_rows
         events = []
-        assert solve(inst, y, trace=events.append) == frozenset({2, 3})
+        assert solve(inst, view_of(inst, y), trace=events.append) == frozenset({2, 3})
         assert events == [
             "iter=1 event=head active=1", "iter=1 event=lp cost=27/5",
             "iter=1 event=discard s=1", "iter=1 event=select s=2",
@@ -358,6 +373,6 @@ class TestSolve:
         inst = small_instance(T=2, C=(4, 4), K=(1, 5), members={(0, 2)},
                               R={(0, 2): 4})
         events = []
-        solve(inst, (F(1, 2), F(1, 2)), trace=events.append)
+        solve(inst, view_of(inst, (F(1, 2), F(1, 2))), trace=events.append)
         kinds = {line.split("event=")[1].split()[0] for line in events}
         assert "head" in kinds and "lp" in kinds and "select" in kinds

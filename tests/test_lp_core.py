@@ -14,6 +14,7 @@ from helpers import (dump_lp, enumerate_lex_optimum, enumerate_optimum,
                      fraction_integer_row, full_master_lp, random_laminar_case,
                      random_lp, tight_sets, verify_vertex)
 from lotforge import cmils_master, instance, laminar_kc, lp_core
+from lotforge.intervals import ScaledCover
 from lotforge.lp_core import (EQ, GE, INFEASIBLE, LE, OPTIMAL, LinearProgram,
                               LpSolution, solve_to_vertex)
 
@@ -432,7 +433,8 @@ def test_base_masters_take_the_dual_start_and_rounding_lps_the_primal_one():
     for dual_start in (False, True):
         with recording_tableaus(dual_start) as made:
             for seed in range(40):
-                laminar_kc.solve(*random_laminar_case(seed))
+                inst, y = random_laminar_case(seed)
+                laminar_kc.solve(inst, ScaledCover(inst.C, y))
         assert len(made) >= 30
         assert all((tab.after_dual is None) != dual_start for tab in made)
         pivots[dual_start] = sum(tab.pivots for tab in made)
