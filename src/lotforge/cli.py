@@ -115,10 +115,6 @@ def _parse_range(text: str) -> tuple[int, int]:
     return int(lo), int(hi)
 
 
-def _trace_enabled(args) -> bool:
-    return bool(getattr(args, "trace", False)) or os.environ.get("LOTFORGE_TRACE") == "1"
-
-
 def cmd_generate(args) -> int:
     if args.family == "kc-gap":
         if args.R is None:
@@ -140,7 +136,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    trace = (lambda line: print(line, file=sys.stderr)) if _trace_enabled(args) else None
+    trace = (lambda line: print(line, file=sys.stderr)) if args.trace else None
     try:
         inst = instance.load(args.infile)
     except InstanceFormatError as exc:

@@ -9,20 +9,21 @@ offset from one of its bounds.  When the offset reaches the column's width
 complemented, that is measured from its other bound instead, so every
 nonbasic offset is 0.
 
-A cold solve starts from the slack basis: each LE/GE row is basic in its
-slack and each EQ row in an artificial of width 0, which never enters.  A
-column starts at its upper bound when raising it only loosens the rows it
-is in (no EQ row, positive in every GE row, negative in every LE row), and
-at its lower bound otherwise: a crash start after Bixby.  If every row holds
-there (every basic offset is in range), the primal simplex starts from it.
-Otherwise each column with a nonzero cost moves to its cheaper bound.  Every
-structural column is boxed and only structurals carry cost, so that basis
-is dual feasible, and Lemke's dual simplex (below) runs from it to a
-feasible basis or proves that none exists.  From a feasible basis the
-artificials, all at 0 then, are pivoted out, and the primal simplex prices by
-the most negative reduced cost (Dantzig's rule); after a run of
-DEGENERATE_RUN zero-length steps, Bland's least-index rule takes over until
-a step moves, so it cannot cycle.
+A cold solve starts from the slack basis (after Bixby).  The structural
+columns are set up first, each at a start bound: its upper bound when
+raising it only loosens the rows it is in (no EQ row, positive in every GE
+row, negative in every LE row), its lower bound otherwise, a crash start.
+Every row then enters as a warm start's rows do (below), basic in a new
+column: an LE/GE row in its slack, an EQ row in an artificial of width 0,
+which never enters.  If every row holds at the start (every basic offset is
+in range), the primal simplex starts from it.  Otherwise each column with a
+negative reduced cost moves to its other, cheaper bound.  Every structural
+column is boxed, so that basis is dual feasible, and Lemke's dual simplex
+(below) runs from it to a feasible basis or proves that none exists.  From a
+feasible basis the artificials, all at 0 then, are pivoted out, and the
+primal simplex prices by the most negative reduced cost (Dantzig's rule);
+after a run of DEGENERATE_RUN zero-length steps, Bland's least-index rule
+takes over until a step moves, so it cannot cycle.
 
 The tableau is fraction-free (after Bareiss elimination and the
 integer-preserving simplex of Azulay and Pique): each row is a list of
@@ -35,17 +36,18 @@ The ratio test compares integer (numerator, denominator) step pairs by
 cross-multiplication.  Rationals (an int, or a Fraction when not whole)
 appear only at the API boundary: a row enters the tableau in one integer
 pass that reads its coefficients' numerators and denominators (as does the
-crash start's sign test), a cold solve's cost vector holds the objective's
-values until reduced_costs scales it to integers, and the solution is read
-off as an int where a value is whole and a Fraction elsewhere.  Every pivot
-choice is the same exact comparison a rational tableau would make.
+crash start's sign test), the objective is scaled to integers once, and the
+solution is read off as an int where a value is whole and a Fraction
+elsewhere.  Every pivot choice is the same exact comparison a rational
+tableau would make.
 
-The objective is a row of the tableau too (after Bixby and Koberstein): its
-reduced costs are an integer row over a positive denominator, with one
-entry per column and no constant.  A cold solve prices it once, and every
-pivot and complement after that updates it as it does the other rows, so a
-warm re-solve prices nothing.  No pricing reads a constant, and the
-objective value is summed from the solution at the end.
+The objective is a row of the tableau too (after Bixby and Koberstein):
+its reduced costs are an integer row over a positive denominator, with one
+entry per column and no constant.  A cold solve prices it once: the slack
+basis costs 0, so it is the objective, negated at complemented columns.
+Every pivot, complement and appended row then updates it as it does the
+other rows, so a warm re-solve prices nothing.  No pricing reads a
+constant, and the objective value is summed from the solution at the end.
 
 The optimum returned is the lexicographically least optimal point (after
 the lexicographic rule of Dantzig, Orden and Wolfe): once the objective is
@@ -59,16 +61,16 @@ An optimal solution keeps its final tableau, so that rows appended to its
 LP afterwards -- the cutting-plane master's per-pair rows and cuts -- are
 re-solved warm rather than from scratch.  Only the new rows are checked for
 form; the older ones, the bounds and the objective are matched by identity.
-Each appended LE/GE row gets a new slack column that is basic in it, and
-the row is reduced by the current basis; the basis stays dual feasible, and
-a violated row leaves its slack's offset negative.  The dual simplex, cold
-or warm, restores primal feasibility under a dual least-index rule (after
-Bland): the leaving row is the one whose basic column has the lowest index
-among all offsets below 0 or above their width, and the entering column has
-the least ratio of reduced cost to the row's entry, ties to the lowest
-index.  The primal simplex that follows prices from the reduced-cost row
-the dual simplex left, so an optimum reached by the dual simplex passes the
-same test as one reached by the primal.
+Each appended LE/GE row gets a new slack column basic in it and is reduced
+by the current basis; the basis stays dual feasible, and a violated row
+leaves its slack's offset negative.  The dual simplex, cold or warm,
+restores primal feasibility under a dual least-index rule (after Bland):
+the leaving row is the one whose basic column has the lowest index among
+all offsets below 0 or above their width, and the entering column has the
+least ratio of reduced cost to the row's entry, ties to the lowest index.
+The primal simplex that follows prices from the reduced-cost row the dual
+simplex left, so an optimum reached by the dual simplex passes the same
+test as one reached by the primal.
 """
 
 from __future__ import annotations
@@ -161,13 +163,13 @@ class LpSolution:
 class _Tableau:
     """Bounded-variable simplex working state over integer rows.
 
-    Columns: free structural variables first, then one slack per non-equality
-    row, then one artificial of width 0 per equality row.  Column k's value
-    is lo[k] + z_k, or lo[k] + width[k] - z_k once it is complemented
-    (comp[k]); every nonbasic z is 0, so a nonbasic column sits at its lower
-    bound, or at its upper bound when complemented.  width[k] is the integer
-    pair (numerator, denominator) of hi - lo, or None for a slack, which has
-    no upper bound.
+    Columns: free structural variables first, then one per row, basic in it
+    as the row enters (`append_rows`): a slack for an LE/GE row, an
+    artificial of width 0 for an EQ row.  Column k's value is lo[k] + z_k,
+    or lo[k] + width[k] - z_k once it is complemented (comp[k]); every
+    nonbasic z is 0, so a nonbasic column sits at its lower bound, or at its
+    upper bound when complemented.  width[k] is the integer pair (numerator,
+    denominator) of hi - lo, or None for a slack, which has no upper bound.
 
     Row i is the integer list tab[i] over the positive integer den[i]; its
     last entry is the row's constant, so the row reads
@@ -190,13 +192,11 @@ class _Tableau:
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
-        n = lp.num_vars
         self.fixed: dict[int, Rat] = {}
         self.col_of_var: dict[int, int] = {}
         self.lo: list[Rat] = []
         self.width: list[Optional[tuple[int, int]]] = []
-        for j in range(n):
-            lo, hi = lp.bounds[j]
+        for j, (lo, hi) in enumerate(lp.bounds):
             if lo == hi:
                 self.fixed[j] = lo
             else:
@@ -204,12 +204,7 @@ class _Tableau:
                 self.col_of_var[j] = len(self.lo)
                 self.lo.append(lo)
                 self.width.append((w.numerator, w.denominator))
-        n_struct = len(self.lo)
-        n_slack = sum(1 for row in lp.rows if row.relation != EQ)
-        self.ncols = n_struct + n_slack
-        self.lo += [0] * n_slack
-        self.width += [None] * n_slack
-        self.comp: list[bool] = [False] * self.ncols
+        self.ncols = len(self.lo)
 
         # Crash start (after Bixby): a structural column starts at its upper
         # bound, complemented, when raising it only loosens its rows -- it is
@@ -225,50 +220,33 @@ class _Tableau:
             tightens.update(j for j, v in row.coeffs.items()
                             if rel == EQ or (v.numerator < 0 if rel == GE
                                              else v.numerator > 0))
-        for j, col in self.col_of_var.items():
-            self.comp[col] = j not in tightens
+        self.comp: list[bool] = [j not in tightens for j in self.col_of_var]
 
-        # Rows: every column starts at the bound chosen above (slacks at 0).
-        # Each LE/GE row is basic in its own slack, each EQ row in an
-        # artificial of width 0, and the row is signed so that its basic
-        # column has coefficient +den.  A row the start violates has its
-        # basic offset out of range: a slack below 0, an artificial off 0.
-        # The artificials are banned from entering.
-        n_art = len(lp.rows) - n_slack
-        self.art_cols = list(range(self.ncols, self.ncols + n_art))
-        self.ncols += n_art
-        self.lo += [0] * n_art
-        self.width += [(0, 1)] * n_art
-        self.comp += [False] * n_art
+        # Each row will be basic in a column of its own, which costs nothing,
+        # so the start basis's reduced costs are the objective, negated where
+        # a column is complemented (its z runs against its value); the lcm of
+        # the denominators leaves the row in lowest terms.
+        cost = []
+        for j, col in self.col_of_var.items():
+            c = lp.objective[j]
+            if not isinstance(c, (int, Fraction)):
+                c = Fraction(c)
+            cost.append(-c if self.comp[col] else c)
+        self.cden = lcm(*(c.denominator for c in cost))
+        self.cbar: list[int] = [c.numerator * (self.cden // c.denominator) for c in cost]
+
         self.tab: list[list[int]] = []
         self.den: list[int] = []
         self.basis: list[int] = []
-        scol, acol = n_struct, n_struct + n_slack
-        for row in lp.rows:
-            ints, den = self._integer_row(row, self.ncols)
-            if row.relation == EQ:
-                basic, acol = acol, acol + 1
-            else:
-                basic, scol = scol, scol + 1
-                if row.relation == GE:  # row - slack = rhs, negated
-                    ints = [-v for v in ints]
-            ints[basic] = den
-            self.tab.append(ints)
-            self.den.append(den)
-            self.basis.append(basic)
         self.in_basis: list[bool] = [False] * self.ncols
-        for b in self.basis:
-            self.in_basis[b] = True
-        self.banned: set[int] = set(self.art_cols)
-        # All 0 until a cold solve prices it (`reduced_costs`), then carried
-        # through every pivot, complement and appended row.
-        self.cbar: list[int] = [0] * self.ncols
-        self.cden = 1
+        self.art_cols: list[int] = []
+        self.banned: set[int] = set()
         self.pivots = 0
         # What a warm start checks the LP against (see `_resume`).
-        self.rows_seen: list[Row] = list(lp.rows)
+        self.rows_seen: list[Row] = []
         self.bounds_seen = list(lp.bounds)
         self.objective_seen = list(lp.objective)
+        self.append_rows(lp.rows)
 
     def _integer_row(self, row: Row, size: int) -> tuple[list[int], int]:
         """An LP row over the current columns: (integer entries, den).
@@ -316,61 +294,50 @@ class _Tableau:
         ints[-1] = num * (den // cd)
         return ints, den
 
-    def append_row(self, row: Row) -> None:
-        """Add an LE/GE row of the LP, with a new slack column basic in it.
+    def append_rows(self, rows: list[Row]) -> None:
+        """Add LP rows, cold or warm, each with a new column basic in it.
 
-        The slack column goes before the constant in every row.  Each basic
-        column is eliminated from the new row by its own row, which is
-        already in pivot-row form (its basic entry equals its denominator).
-        The row is then signed so that its slack is basic at +den; a row
-        that the current vertex violates leaves that offset negative.
+        An LE/GE row gets a slack, an EQ row a banned artificial of width 0.
+        LE/GE rows go first, so a cold tableau's columns are the
+        structurals, the slacks in row order, then the artificials in row
+        order: pricing and the ratio test break ties by column index, so
+        that order keeps the pivot path.  Each basic column is eliminated
+        from a new row by its own row, which is in pivot-row form, and the
+        row is signed so that its column is basic at +den; a row the basis
+        violates leaves that offset out of range.
         """
+        slack = [row for row in rows if row.relation != EQ]
+        eq = [row for row in rows if row.relation == EQ]
+        k = len(rows)
+        first = self.ncols
+        self.ncols += k
+        self.lo += [0] * k
+        self.width += [None] * len(slack) + [(0, 1)] * len(eq)
+        self.comp += [False] * k
+        self.in_basis += [True] * k
+        self.cbar += [0] * k  # a basic column costs nothing
+        arts = range(first + len(slack), self.ncols)
+        self.art_cols += arts
+        self.banned.update(arts)
+        zeros = [0] * k
         for r in self.tab:
-            r.insert(-1, 0)
-        scol = self.ncols
-        self.ncols += 1
-        self.lo.append(0)
-        self.width.append(None)
-        self.comp.append(False)
-        self.in_basis.append(True)
-        self.cbar.append(0)  # a basic slack costs nothing
-        ints, den = self._integer_row(row, self.ncols)
-        ints[scol] = den if row.relation == LE else -den
-        for i, b in enumerate(self.basis):
-            if ints[b]:
-                nz = [(k, v) for k, v in enumerate(self.tab[i]) if v]
-                ints, den = _eliminate(ints, den, self.den[i], b, nz)
-        if ints[scol] < 0:
-            ints = [-v for v in ints]
-        self.tab.append(ints)
-        self.den.append(den)
-        self.basis.append(scol)
-        self.rows_seen.append(row)
+            r[-1:-1] = zeros
+        old = list(enumerate(self.basis))
+        for col, row in enumerate(slack + eq, start=first):
+            ints, den = self._integer_row(row, self.ncols)
+            ints[col] = -den if row.relation == GE else den
+            for i, b in old:
+                if ints[b]:
+                    nz = [(j, v) for j, v in enumerate(self.tab[i]) if v]
+                    ints, den = _eliminate(ints, den, self.den[i], b, nz)
+            if ints[col] < 0:
+                ints = [-v for v in ints]
+            self.tab.append(ints)
+            self.den.append(den)
+            self.basis.append(col)
+        self.rows_seen += rows
 
     # -- simplex machinery ------------------------------------------------
-
-    def reduced_costs(self, cost: list[Rat]) -> tuple[list[int], int]:
-        """Integer row and positive denominator of cost - c_B B^-1 A over z.
-
-        A complemented column's cost is negated, because its z runs against
-        its value.  The row has one entry per column and no constant.  This
-        is the only pricing from scratch: a cold solve stores its result in
-        cbar / cden once, and every later basis change updates that row.
-        """
-        cost = [-c if f else c for c, f in zip(cost, self.comp)]
-        cden = lcm(*(c.denominator for c in cost))
-        cbar = [c.numerator * (cden // c.denominator) for c in cost]
-        for i, b in enumerate(self.basis):
-            cb = cost[b]
-            if cb:
-                # cbar/cden - cb * tab[i]/den[i], over the lcm of the
-                # denominators; zip stops before the row's constant
-                q = cb.denominator * self.den[i]
-                g = gcd(cden, q)
-                sx, sy = q // g, cb.numerator * (cden // g)
-                cbar = [x * sx - y * sy for x, y in zip(cbar, self.tab[i])]
-                cden *= sx
-        return _lowest_terms(cbar, cden)
 
     def _pivot(self, r: int, j: int) -> None:
         """Make column j basic in row r.
@@ -567,14 +534,14 @@ class _Tableau:
         """True iff the basis is primal feasible."""
         return self.out_of_range()[0] < 0
 
-    def cheaper_bounds(self, cost: list[Rat]) -> None:
-        """Move each nonbasic column with a nonzero cost to its cheaper bound.
+    def cheaper_bounds(self) -> None:
+        """Move each column with a negative reduced cost to its other bound.
 
-        In the start basis every basic column costs 0, so each reduced cost
-        is then >= 0: the basis is dual feasible for cost.
+        On the start basis that is its cheaper bound, and `complement`
+        negates the reduced cost: the basis is then dual feasible.
         """
-        for k, c in enumerate(cost):
-            if c and (c > 0) == self.comp[k]:
+        for k, c in enumerate(self.cbar):
+            if c < 0:
                 self.complement(k, [i for i, row in enumerate(self.tab) if row[k]])
 
     def dual(self) -> bool:
@@ -719,23 +686,16 @@ def solve_to_vertex(lp: LinearProgram, start: Optional[LpSolution] = None) -> Lp
     earlier rows (or bounds, or objective) and an appended EQ row raise
     ValueError.
     """
-    objective = lp.objective
     if start is None:
         lp.check_well_formed()
         tab = _Tableau(lp)
-        cost = [0] * tab.ncols
-        for j, col in tab.col_of_var.items():
-            c = objective[j]
-            cost[col] = c if isinstance(c, (int, Fraction)) else Fraction(c)
         # A cold basis that violates a row becomes dual feasible once every
         # column sits at its cheaper bound.  A feasible crash start goes to
         # the primal simplex instead: on the rounding LPs that takes under
         # half the pivots of the dual simplex from the cheaper bounds.
-        # Either way the basis is priced once, here.
         needs_dual = not tab.in_range()
         if needs_dual:
-            tab.cheaper_bounds(cost)
-        tab.cbar, tab.cden = tab.reduced_costs(cost)
+            tab.cheaper_bounds()
     else:
         # a warm basis is dual feasible already and carries its cbar
         tab = _resume(lp, start)
@@ -748,7 +708,7 @@ def solve_to_vertex(lp: LinearProgram, start: Optional[LpSolution] = None) -> Lp
     tab.lex_min()
 
     values = tab.solution_values()
-    obj = sum(c * v for c, v in zip(objective, values) if c and v)
+    obj = sum(c * v for c, v in zip(lp.objective, values) if c and v)
     obj = rat(obj.numerator, obj.denominator)
     return LpSolution(status=OPTIMAL, values=values, objective_value=obj,
                       pivots=tab.pivots, tableau=tab)
@@ -775,6 +735,5 @@ def _resume(lp: LinearProgram, start: LpSolution) -> _Tableau:
         raise ValueError("a warm start takes appended LE and GE rows only")
     start.tableau = None
     tab.pivots = 0
-    for row in new:
-        tab.append_row(row)
+    tab.append_rows(new)
     return tab

@@ -349,14 +349,6 @@ class TestMisc:
         assert err == "error: --max-rounds must be a non-negative integer\n"
         assert not out.exists()
 
-    def test_env_var_enables_trace(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("LOTFORGE_TRACE", "1")
-        inst_path = tmp_path / "gap.json"
-        save(gen_kc_gap(Fraction(1000)), inst_path)
-        code, _, err = run_cli(capsys, "solve", "--in", str(inst_path),
-                               "--out", str(tmp_path / "s.json"))
-        assert code == 0 and "round=" in err
-
 
 # ---------------------------------------------------------------------------
 # malformed files: every outcome is an exit code and at most one stderr line

@@ -352,6 +352,53 @@ class TestWarmResolve:
         # cut round
         assert [start is None for start in starts] == [True] + [False] * (pair_rounds + rounds)
 
+    def test_warm_cut_resolves_on_stacked_gaps_match_cold_solves(self):
+        """Over gap-stack-style instances, which reach the cut loop, every
+        warm re-solve equals a cold solve of the same LP."""
+        rounds = set()
+
+        @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+        @given(gap_stacks())
+        def check(inst):
+            with warm_solves_checked_cold() as starts:
+                result = run_pipeline(inst)
+            rounds.add(result.certificate.rounds)
+            assert starts[0] is None and all(start is not None for start in starts[1:])
+
+        check()
+        assert max(rounds) >= 2
+
+
+@st.composite
+def gap_stacks(draw):
+    """1-3 `gen_kc_gap` levels stacked in time, plus 0-2 small fillers.
+
+    Level l takes the gap's two periods as periods 2l-1 and 2l, with a
+    random scale R and random order costs (cheap, then dear); its item of
+    demand R is due at 2l with no holding cost.  The cheap period alone
+    falls short of R, which is the gap the covering cuts close.  Each R - 1
+    exceeds the fillers' total demand, so every instance is feasible.
+    """
+    K, C, d, r, h = [], [], [], [], []
+    levels = draw(st.integers(1, 3))
+    for level in range(levels):
+        gap = gen_kc_gap(draw(st.sampled_from((10, 100, 1000, 10**6, F(123457, 3))))
+                         + draw(st.integers(1, 9)))
+        K += [F(draw(st.integers(0, 2))), F(draw(st.integers(3, 20)))]
+        C += gap.C
+        d += gap.d
+        r += [t + 2 * level for t in gap.r]
+        h.append((F(0),) * (2 * level) + gap.h[0])
+    T = 2 * levels
+    for _ in range(draw(st.integers(0, 2))):
+        due = draw(st.integers(1, T))
+        steps = draw(st.lists(st.integers(0, 3), min_size=due - 1, max_size=due - 1))
+        d.append(F(draw(st.integers(1, 5))))
+        r.append(due)
+        h.append(tuple(F(sum(steps[s:])) for s in range(due)))
+    return CmilsInstance(T=T, N=len(d), K=tuple(K), C=tuple(C), d=tuple(d), r=tuple(r),
+                         h=tuple(h))
+
 
 # gap-stack input 84 of the seed-902 benchmark pool: a cold and a warm re-solve
 # once reached different optimal vertices of equal value here
