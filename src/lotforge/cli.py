@@ -1,9 +1,20 @@
 """Command-line front end: generate, solve, verify, bench.
 
-Exit codes: 0 success, 1 usage or I/O error, 2 algorithmic failure (the
-cut loop hit its round cap, or a guarantee assertion failed), 3
-verification mismatch.  All rationals are reported both exactly ("p/q")
-and as 12-significant-digit decimals.
+A command returns 0, or 3 for verify's mismatch, which is an answer and
+not a failure; every other way a run ends is an error that `main` maps
+to an exit code and one stderr line:
+
+- InvariantError: 2, "invariant failed: ..." (a ratio certificate or an
+  internal guarantee failed; bench's cost above 10x the oracle's);
+- RoundLimitError: 2, "round cap exceeded: ..." (the cut loop hit its
+  cap; from bench, the message names the seed);
+- OSError, ValueError, other LotforgeError: 1, "error: ..." (malformed
+  or missing input, a missing generate size, bench's bad --seeds or a T
+  above the oracle's cap);
+- an argparse usage error: 1, with argparse's message.
+
+All rationals are reported both exactly ("p/q") and as
+12-significant-digit decimals.
 """
 
 from __future__ import annotations
@@ -12,6 +23,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
@@ -19,8 +31,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import cmils_master, instance, oracles
-from .errors import (InstanceFormatError, InvariantError, LotforgeError,
-                     RoundLimitError)
+from .errors import InvariantError, LotforgeError, RoundLimitError
 
 DIGITS = 12
 
@@ -110,43 +121,25 @@ def build_report(instance_id: str, result: cmils_master.PipelineResult,
     )
 
 
-def _parse_range(text: str) -> tuple[int, int]:
-    lo, _, hi = text.partition(":")
-    return int(lo), int(hi)
-
-
 def cmd_generate(args) -> int:
     if args.family == "kc-gap":
         if args.R is None:
-            print("kc-gap needs --R", file=sys.stderr)
-            return 1
+            raise ValueError("kc-gap needs --R")
         inst = instance.gen_kc_gap(instance.parse_rat(args.R))
     else:
         if args.T is None or args.N is None:
-            print("random family needs --T and --N", file=sys.stderr)
-            return 1
-        inst = instance.gen_random(
-            args.seed, T=args.T, N=args.N,
-            capacity_range=_parse_range(args.capacity_range),
-            cost_range=_parse_range(args.cost_range),
-            demand_range=_parse_range(args.demand_range),
-            slack_factor=instance.parse_rat(args.slack))
+            raise ValueError("random family needs --T and --N")
+        inst = instance.gen_random(args.seed, T=args.T, N=args.N)
     instance.save(inst, args.out)
     return 0
 
 
 def cmd_solve(args) -> int:
+    if args.max_rounds < 0:
+        raise ValueError("--max-rounds must be a non-negative integer")
     trace = (lambda line: print(line, file=sys.stderr)) if args.trace else None
-    try:
-        inst = instance.load(args.infile)
-    except InstanceFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        result = cmils_master.run_pipeline(inst, max_rounds=args.max_rounds, trace=trace)
-    except RoundLimitError as exc:
-        print(f"round cap exceeded: {exc}", file=sys.stderr)
-        return 2
+    inst = instance.load(args.infile)
+    result = cmils_master.run_pipeline(inst, max_rounds=args.max_rounds, trace=trace)
     instance.save_schedule(result.schedule, args.out)
     report = build_report(os.path.basename(args.infile), result, None)
     doc = report.to_json_dict()
@@ -156,12 +149,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        inst = instance.load(args.instance)
-        sched = instance.load_schedule(args.schedule)
-    except InstanceFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    inst = instance.load(args.instance)
+    sched = instance.load_schedule(args.schedule)
     bad = instance.validate(inst)
     if bad:
         raise ValueError("invalid instance: " + "; ".join(bad))
@@ -169,9 +158,8 @@ def cmd_verify(args) -> int:
     if not ok:
         print("mismatch: " + "; ".join(problems), file=sys.stderr)
         return 3
-    ordering, holding, total = instance.cost(inst, sched)
     stated = (sched.ordering_cost, sched.holding_cost, sched.total_cost)
-    recomputed = (ordering, holding, total)
+    recomputed = instance.cost(inst, sched)
     if stated != recomputed:
         print(f"mismatch: stated costs {tuple(map(str, stated))} != "
               f"recomputed {tuple(map(str, recomputed))}", file=sys.stderr)
@@ -180,32 +168,22 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    lo_txt, _, hi_txt = args.seeds.partition("..")
-    try:
-        lo, hi = int(lo_txt), int(hi_txt)
-        if lo > hi:
-            raise ValueError("empty range")
-    except ValueError:
-        print(f"bad --seeds {args.seeds!r}; want a..b with a <= b", file=sys.stderr)
-        return 1
-    if args.oracle and args.T > oracles.CMILS_CAP:
-        print(f"--oracle refused: T={args.T} above cap {oracles.CMILS_CAP}",
-              file=sys.stderr)
-        return 1
+    bounds = re.fullmatch(r"(-?\d+)\.\.(-?\d+)", args.seeds)
+    seeds = range(int(bounds[1]), int(bounds[2]) + 1) if bounds else range(0)
+    if not seeds:
+        raise ValueError(f"bad --seeds {args.seeds!r}; want a..b with a <= b")
     lines = [RunReport.CSV_HEADER]
-    for seed in range(lo, hi + 1):
+    for seed in seeds:
         inst = instance.gen_random(seed, T=args.T, N=args.N)
         try:
-            result = cmils_master.run_pipeline(inst, max_rounds=args.max_rounds)
+            result = cmils_master.run_pipeline(inst)
         except RoundLimitError as exc:
-            print(f"seed {seed}: round cap exceeded: {exc}", file=sys.stderr)
-            return 2
+            raise RoundLimitError(f"seed {seed}: {exc}", exc.state) from exc
         oracle_cost = None
         if args.oracle:
             oracle_cost = oracles.brute_force_cmils(inst).optimum_cost
             if result.schedule.total_cost > 10 * oracle_cost:
-                print(f"seed {seed}: cost exceeds 10x optimum", file=sys.stderr)
-                return 2
+                raise InvariantError(f"seed {seed}: cost exceeds 10x optimum")
         report = build_report(f"seed-{seed}", result, oracle_cost)
         lines.append(report.to_csv_row())
     text = "\n".join(lines) + "\n"
@@ -234,10 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--T", type=int)
     gen.add_argument("--N", type=int)
     gen.add_argument("--R", help="demand for the kc-gap family (rational)")
-    gen.add_argument("--capacity-range", default="3:12")
-    gen.add_argument("--cost-range", default="1:20")
-    gen.add_argument("--demand-range", default="1:8")
-    gen.add_argument("--slack", default="3/2")
     gen.add_argument("--out", required=True)
 
     solve = sub.add_parser("solve", help="run the full pipeline on an instance")
@@ -254,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--seeds", required=True, help="inclusive range a..b")
     bench.add_argument("--T", type=int, required=True)
     bench.add_argument("--N", type=int, required=True)
-    bench.add_argument("--max-rounds", type=int, default=200)
     bench.add_argument("--oracle", action="store_true")
     bench.add_argument("--out")
     return parser
@@ -266,13 +239,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
-    if getattr(args, "max_rounds", 0) < 0:
-        print("error: --max-rounds must be a non-negative integer", file=sys.stderr)
-        return 1
     try:
         return globals()[f"cmd_{args.command}"](args)
     except InvariantError as exc:
         print(f"invariant failed: {exc}", file=sys.stderr)
+        return 2
+    except RoundLimitError as exc:
+        print(f"round cap exceeded: {exc}", file=sys.stderr)
         return 2
     except (OSError, ValueError, LotforgeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,10 +22,9 @@ run_pipeline alternates exact LP solves with the rounding/separation step
 until the rounded order set covers every interval requirement, then places
 the demand by a min-cost flow into that order set.  Each solve after a cut
 or a per-pair row starts from the last optimal tableau (a dual simplex over
-the appended rows).
-Covered requirements make the placement feasible, and its holding cost is
-at most 5/2 hcost(x) (see assignment); the certificate checks both ratio
-bounds on every run.
+the appended rows).  Covered requirements make the placement feasible, and
+its holding cost is at most 5/2 hcost(x) (see assignment); the certificate
+checks both ratio bounds on every run.
 """
 
 from __future__ import annotations
@@ -117,7 +116,6 @@ class MasterState:
     layout: MasterLayout
     lp: lp_core.LinearProgram
     cut_pool: list[CoveringCut] = field(default_factory=list)
-    cut_keys: set[CoveringCut] = field(default_factory=set)
     current: Optional[FractionalSolution] = None
     lp_value: Optional[Rat] = None
     solution: Optional[lp_core.LpSolution] = None
@@ -172,7 +170,7 @@ def solve_master(state: MasterState, trace: Trace = None) -> FractionalSolution:
 def add_cut(state: MasterState, cut: CoveringCut) -> None:
     """Append a strictly violated covering cut to the pool."""
     check_cut(cut, state.instance)
-    if cut in state.cut_keys:
+    if cut in state.cut_pool:
         raise ValueError("duplicate cut rejected")
     if state.current is None:
         raise ValueError("solve the master before adding cuts")
@@ -182,7 +180,6 @@ def add_cut(state: MasterState, cut: CoveringCut) -> None:
     coeffs, rhs = cut_row(cut, state.instance, state.layout)
     state.lp.add_row(coeffs, lp_core.GE, rhs)
     state.cut_pool.append(cut)
-    state.cut_keys.add(cut)
 
 
 @dataclass

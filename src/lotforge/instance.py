@@ -448,18 +448,24 @@ def schedule_to_json_dict(sched: OrderSchedule) -> dict:
 
 def schedule_from_json_dict(doc: dict) -> OrderSchedule:
     orders = _list_field(doc, "orders", "schedule")
+    periods = set()
     for s in orders:
         if not _is_int(s):
             raise InstanceFormatError(f"schedule.orders must hold integers, got {_show(s)}")
+        if s in periods:
+            raise InstanceFormatError(f"schedule.orders lists period {_show(s)} twice")
+        periods.add(s)
     assignment = {}
     for entry in _list_field(doc, "assignment", "schedule"):
         where = "assignment entry"
         key = (_int_field(entry, "s", where), _int_field(entry, "i", where))
+        if key in assignment:
+            raise InstanceFormatError(f"assignment lists (s, i) = {_show(key)} twice")
         assignment[key] = parse_rat(_field(entry, "qty", where))
     costs = _field(doc, "costs", "schedule")
     ordering, holding, total = (parse_rat(_field(costs, key, "schedule costs"))
                                 for key in ("ordering", "holding", "total"))
-    return OrderSchedule(orders=frozenset(orders), assignment=assignment,
+    return OrderSchedule(orders=frozenset(periods), assignment=assignment,
                          ordering_cost=ordering, holding_cost=holding,
                          total_cost=total)
 

@@ -32,10 +32,11 @@ family build and to the laminar solve, so its rank tables are built once
 and y is passed on in no other form.  The entry check is one pass over
 intervals.uncovered's gaps of the locked set: each is compared with the
 given residual, and a positive residual gets the tenfold-mass-or-count-
-of-six covering test, the only place the pipeline asks it.  A failure names the lowest failing interval, whatever R's order.
-Each score is two binary searches over the view's ranks (max_coverable).
-A member's score is its residual requirement, so the laminar solve's entry
-check is the check that the score is attained.
+of-six covering test, the only place the pipeline asks it.  A failure
+names the lowest failing interval, whatever R's order.  Each score is
+two binary searches over the view's ranks (max_coverable).  A member's
+score is its residual requirement, so the laminar solve's entry check is
+the check that the score is attained.
 """
 
 from __future__ import annotations

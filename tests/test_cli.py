@@ -7,13 +7,15 @@ import os
 import re
 import tempfile
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lotforge import assignment, cli, cmils_master
+from lotforge import assignment, cli, cmils_master, oracles
 from lotforge.cli import decimal_str, main
+from lotforge.errors import RoundLimitError
 from lotforge.instance import (gen_kc_gap, gen_random, load, load_schedule, save,
                                schedule_to_json_dict, to_json_dict)
 
@@ -335,19 +337,82 @@ class TestMisc:
         monkeypatch.setattr(cli, "cmd_solve", lambda args: seen.append(args.infile) or 7)
         assert run_cli(capsys, *argv)[0] == 7 and seen == [str(inst_path)]
 
-    @pytest.mark.parametrize("command, rounds", [("solve", "-1"), ("solve", "-3"),
-                                                 ("bench", "-1")])
+    @pytest.mark.parametrize("command, rounds", [("solve", "-1"), ("solve", "-3")])
     def test_negative_max_rounds_rejected(self, tmp_path, capsys, command, rounds):
         inst_path = tmp_path / "gap.json"
         save(gen_kc_gap(Fraction(1000)), inst_path)
         out = tmp_path / "out"
-        where = {"solve": ["--in", str(inst_path)],
-                 "bench": ["--seeds", "1..2", "--T", "4", "--N", "2"]}[command]
-        code, stdout, err = run_cli(capsys, command, *where, "--out", str(out),
-                                    "--max-rounds", rounds)
+        code, stdout, err = run_cli(capsys, command, "--in", str(inst_path),
+                                    "--out", str(out), "--max-rounds", rounds)
         assert code == 1 and stdout == ""
         assert err == "error: --max-rounds must be a non-negative integer\n"
         assert not out.exists()
+
+
+def _round_cap(inst, **kwargs):
+    raise RoundLimitError("no rounding after 200 cut rounds", state="last state")
+
+
+def _failure_argv(kind, tmp_path, monkeypatch):
+    """The command line of one failure kind, with any monkeypatch it needs."""
+    gap_path, sched_path = str(tmp_path / "gap.json"), str(tmp_path / "s.json")
+    save(gen_kc_gap(Fraction(1000)), gap_path)
+    solve = ["solve", "--in", gap_path, "--out", sched_path]
+    bench = ["bench", "--seeds", "1..2", "--T", "4", "--N", "2"]
+    if kind == "certificate":
+        monkeypatch.setattr(cmils_master, "hcost", lambda inst, x: Fraction(-1))
+    elif kind == "bench-round-cap":
+        monkeypatch.setattr(cmils_master, "run_pipeline", _round_cap)
+    elif kind == "bench-10x":
+        monkeypatch.setattr(oracles, "brute_force_cmils",
+                            lambda inst: SimpleNamespace(optimum_cost=Fraction(1, 10 ** 6)))
+    elif kind == "repeated-entry":
+        assert main(solve) == 0
+        doc = json.loads((tmp_path / "s.json").read_text())
+        doc["assignment"] *= 2
+        (tmp_path / "s.json").write_text(json.dumps(doc))
+        return ["verify", "--instance", gap_path, "--schedule", sched_path]
+    return {
+        "certificate": solve,
+        "round-cap": [*solve, "--max-rounds", "0"],
+        "bench-round-cap": bench,
+        "bench-10x": [*bench, "--oracle"],
+        "missing-file": ["solve", "--in", str(tmp_path / "nope.json"), "--out", sched_path],
+        "generate-needs": ["generate", "--family", "kc-gap", "--out", gap_path],
+        "bad-seeds": ["bench", "--seeds", "2..1", "--T", "4", "--N", "2"],
+        "oracle-cap": ["bench", "--seeds", "1..1", "--T", "15", "--N", "2", "--oracle"],
+    }[kind]
+
+
+@pytest.mark.parametrize("kind, code, line", [
+    ("certificate", 2, "invariant failed: ratio certificate failed: "),
+    ("round-cap", 2, "round cap exceeded: no rounding after 0 cut rounds"),
+    ("bench-round-cap", 2, "round cap exceeded: seed 1: no rounding after 200 cut rounds"),
+    ("bench-10x", 2, "invariant failed: seed 1: cost exceeds 10x optimum"),
+    ("missing-file", 1, "error: [Errno 2] No such file or directory: "),
+    ("generate-needs", 1, "error: kc-gap needs --R"),
+    ("bad-seeds", 1, "error: bad --seeds '2..1'; want a..b with a <= b"),
+    ("oracle-cap", 1, "error: T=15 exceeds the oracle cap 14"),
+    ("repeated-entry", 1, "error: assignment lists (s, i) = (2, 1) twice"),
+])
+def test_each_failure_kind_is_one_line_from_main(tmp_path, capsys, monkeypatch,
+                                                 kind, code, line):
+    """main turns every error into its exit code and one stderr line that
+    starts with the prefix of the error's kind; a command's output is never
+    half written."""
+    argv = _failure_argv(kind, tmp_path, monkeypatch)
+    capsys.readouterr()
+    got, out, err = run_cli(capsys, *argv)
+    assert (got, out) == (code, "")
+    assert err.startswith(line) and err.count("\n") == 1, err
+
+
+def test_bench_round_cap_keeps_its_state(monkeypatch):
+    monkeypatch.setattr(cmils_master, "run_pipeline", _round_cap)
+    args = cli.build_parser().parse_args(["bench", "--seeds", "3..4", "--T", "4", "--N", "2"])
+    with pytest.raises(RoundLimitError, match="^seed 3: no rounding") as info:
+        cli.cmd_bench(args)
+    assert info.value.state == "last state"
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +468,7 @@ def _run_cli_quietly(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -414,8 +479,8 @@ def test_mutated_instance_never_escapes_solve(data):
         inst_path = os.path.join(tmp, "i.json")
         with open(inst_path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
-        code, err = _run_cli_quietly(["solve", "--in", inst_path,
-                                      "--out", os.path.join(tmp, "s.json")])
+        code, _, err = _run_cli_quietly(["solve", "--in", inst_path,
+                                         "--out", os.path.join(tmp, "s.json")])
     assert code in (0, 1, 2) and len(err.splitlines()) <= 1, (code, err)
 
 
@@ -436,7 +501,40 @@ def test_mutated_files_never_escape_verify(data):
             paths.append(os.path.join(tmp, name))
             with open(paths[-1], "w", encoding="utf-8") as fh:
                 json.dump(doc, fh)
-        code, err = _run_cli_quietly(["verify", "--instance", paths[0],
-                                      "--schedule", paths[1]])
+        code, _, err = _run_cli_quietly(["verify", "--instance", paths[0],
+                                         "--schedule", paths[1]])
     assert code in (0, 1, 3) and len(err.splitlines()) <= 1, (code, err)
 
+
+def _ranges(lo, hi):
+    """A range (a, b) that gen_random accepts: lo <= a <= b <= hi and b >= 1."""
+    return st.integers(lo, hi).flatmap(
+        lambda a: st.tuples(st.just(a), st.integers(max(a, 1), hi)))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10 ** 6), T=st.integers(1, 8), N=st.integers(1, 5),
+       capacity_range=_ranges(1, 30), cost_range=_ranges(0, 40),
+       demand_range=_ranges(1, 15),
+       slack_factor=st.fractions(1, Fraction(3, 2), max_denominator=8))
+def test_generator_space_solves_within_ten_times_and_verifies(
+        seed, T, N, capacity_range, cost_range, demand_range, slack_factor):
+    """Over gen_random's own parameters: the certificate holds, the total is
+    within 10x of the brute-force optimum, and solve then verify, both
+    through main, exit 0."""
+    inst = gen_random(seed, T=T, N=N, capacity_range=capacity_range,
+                      cost_range=cost_range, demand_range=demand_range,
+                      slack_factor=slack_factor)
+    with tempfile.TemporaryDirectory() as tmp:
+        inst_path, sched_path = os.path.join(tmp, "i.json"), os.path.join(tmp, "s.json")
+        save(inst, inst_path)
+        code, out, err = _run_cli_quietly(["solve", "--in", inst_path, "--out", sched_path])
+        assert (code, err) == (0, ""), err
+        report = json.loads(out)
+        assert report["certificate"]["ordering_bound_ok"] is True
+        assert report["certificate"]["holding_bound_ok"] is True
+        total = load_schedule(sched_path).total_cost
+        assert Fraction(report["alg_cost"]["total"]["exact"]) == total
+        assert total <= 10 * oracles.brute_force_cmils(inst).optimum_cost
+        assert _run_cli_quietly(["verify", "--instance", inst_path,
+                                 "--schedule", sched_path]) == (0, "", "")

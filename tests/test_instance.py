@@ -309,6 +309,9 @@ class TestSerialization:
         ({"assignment": [{"s": "1", "i": 1, "qty": "1/1"}]}, "entry.s must be an integer"),
         ({"assignment": [{"s": 1, "i": True, "qty": "1/1"}]}, "entry.i must be an integer"),
         ({"costs": []}, "schedule costs must be a JSON object"),
+        ({"orders": [1, 1]}, r"^schedule.orders lists period 1 twice$"),
+        ({"assignment": [{"s": 1, "i": 1, "qty": "3/1"}] * 2},
+         r"^assignment lists \(s, i\) = \(1, 1\) twice$"),
     ])
     def test_schedule_json_types_rejected(self, patch, match):
         doc = {"orders": [1], "assignment": [{"s": 1, "i": 1, "qty": "3/1"}],
