@@ -17,10 +17,10 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Mapping
 
-from .errors import InstanceFormatError
+from .errors import InstanceFormatError, InvariantError
 
 # An exact rational: an int when whole, else a Fraction.
 Rat = int | Fraction
@@ -239,20 +239,22 @@ def check_feasible(inst: CmilsInstance, sched: OrderSchedule) -> tuple[bool, lis
 
 
 def cost(inst: CmilsInstance, sched: OrderSchedule) -> tuple[Rat, Rat, Rat]:
-    """Ordering, holding and total cost of a feasible schedule."""
-    ok, bad = check_feasible(inst, sched)
-    if not ok:
-        raise ValueError("infeasible schedule: " + "; ".join(bad))
+    """Ordering, holding and total cost of a schedule that check_feasible
+    accepts."""
     ordering = sum(inst.order_cost(s) for s in sched.orders)
     holding = sum(qty * inst.hold(i, s) for (s, i), qty in sched.assignment.items() if qty)
     return ordering, holding, ordering + holding
 
 
 def make_schedule(inst: CmilsInstance, orders, assignment) -> OrderSchedule:
-    """Package an order set plus unit assignment, computing its costs."""
+    """Package a solver's order set plus unit assignment, computing its
+    costs; InvariantError if the schedule is infeasible."""
     sched = OrderSchedule(orders=frozenset(orders),
                           assignment=dict(assignment),
                           ordering_cost=0, holding_cost=0, total_cost=0)
+    ok, bad = check_feasible(inst, sched)
+    if not ok:
+        raise InvariantError("infeasible schedule: " + "; ".join(bad))
     ordering, holding, total = cost(inst, sched)
     return OrderSchedule(orders=sched.orders, assignment=sched.assignment,
                          ordering_cost=ordering, holding_cost=holding,
@@ -308,6 +310,8 @@ def gen_random(seed: int, *, T: int, N: int,
                            ("demand_range", demand_range)):
         if lo > hi or hi < 1:
             raise ValueError(f"{name} is empty or non-positive")
+    if cost_range[0] < 0:
+        raise ValueError("cost_range must not go below 0")
     rng = random.Random(seed)
     K = tuple(rng.randint(*cost_range) for _ in range(T))
     C = [max(1, rng.randint(*capacity_range)) for _ in range(T)]
@@ -316,13 +320,7 @@ def gen_random(seed: int, *, T: int, N: int,
     h = []
     for i in range(N):
         rates = [rng.randint(0, 3) for _ in range(r[i] - 1)]
-        table = []
-        tail = 0
-        for s in range(r[i] - 1, -1, -1):
-            table.append(tail)
-            if s > 0:
-                tail += rates[s - 1]
-        h.append(tuple(reversed(table)))
+        h.append(tuple(accumulate(reversed(rates), initial=0))[::-1])
     # enforce the prefix-capacity slack so the instance is always feasible
     slack = Fraction(slack_factor)
     cum_demand = 0

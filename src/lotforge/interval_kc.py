@@ -22,33 +22,38 @@ locked set covers every requirement already, at cost sum_{s locked} K_s
 the locked set: no family is built and no laminar solve runs.  On a 0/1
 y_scaled that is exactly what the laminar route returns, as every member
 then scores 0; on fractional openings the laminar route could add periods
-that no requirement needs.  Either selection ends in the closing check
-that both rounding layers share, intervals.check_selection: it covers R
-and costs at most K . y_scaled.
+that no requirement needs.
+
+Inside both rounding layers a requirement is the capacity still needed
+beyond the locked set, the view's ones, and the full R is read once, in
+the entry pass.  That pass walks intervals.uncovered's gaps of the locked
+set: each is compared with the given residual, and a positive residual is
+kept and gets the tenfold-mass-or-count-of-six covering test, the only
+place the pipeline asks it.  A failure names the lowest failing interval,
+whatever R's order.  Each member's score is its requirement in the
+laminar solve, whose entry check is then the check that the score is
+attained.  Either selection ends in the closing check that both rounding
+layers share, intervals.check_selection, on the positive residuals: the
+selection keeps the locked set, the periods it adds cover each residual,
+and it costs at most K . y_scaled.  A zero residual is covered by the
+locked set alone, so this is the check that the selection covers R.
 
 The scores and the covering checks run on one integer view of (C, y),
 intervals.ScaledCover, built and checked once per call and handed to the
 family build and to the laminar solve, so its rank tables are built once
-and y is passed on in no other form.  The entry check is one pass over
-intervals.uncovered's gaps of the locked set: each is compared with the
-given residual, and a positive residual gets the tenfold-mass-or-count-
-of-six covering test, the only place the pipeline asks it.  A failure
-names the lowest failing interval, whatever R's order.  Each score is
-two binary searches over the view's ranks (max_coverable).  A member's
-score is its residual requirement, so the laminar solve's entry check is
-the check that the score is attained.
+and y is passed on in no other form.  Each score is two binary searches
+over the view's ranks (max_coverable).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional
 
 from . import laminar_kc
 from .errors import InvariantError
-from .instance import Rat
-from .intervals import ScaledCover, check_selection, prefix_caps, uncovered
+from .instance import Rat, rat
+from .intervals import ScaledCover, check_selection, uncovered
 from .laminar_kc import Interval, LaminarFamily
 
 Trace = Optional[Callable[[str], None]]
@@ -171,7 +176,8 @@ def solve_interval_kc(ikc: IntervalKcInstance, y_scaled, locked,
     residual agrees with intervals.residuals, a key missing from either
     dict standing for 0; every interval with positive residual satisfies
     the tenfold-mass-or-count-of-six disjunction.  The returned selection
-    is verified by intervals.check_selection against R and K . y_scaled.
+    is verified by intervals.check_selection against the positive
+    residuals and K . y_scaled.
 
     When no residual is positive the selection is the locked set itself,
     with no family and no laminar solve, and trace (if given) gets one
@@ -189,7 +195,7 @@ def solve_interval_kc(ikc: IntervalKcInstance, y_scaled, locked,
     if frozenset(locked) != view.ones:
         raise InvariantError("locked set must be exactly the all-ones periods")
     locked, cden = view.ones, view.cden
-    positive = False
+    positive: dict[Interval, Rat] = {}  # the residuals the selection must cover
     failed: list[tuple[Interval, str]] = []  # the lowest failing interval is named
     for iv, q, gap in uncovered(ikc.R, view.c, cden, locked):
         a, b = iv  # the residual is max(gap, 0) / (q cden)
@@ -198,7 +204,7 @@ def solve_interval_kc(ikc: IntervalKcInstance, y_scaled, locked,
         if gp * q * cden != (gap if gap > 0 else 0) * gq:
             failed.append((iv, f"residual for ({a}, {b}] inconsistent"))
         elif gap > 0:
-            positive = True
+            positive[iv] = given
             if not view.holds(a, b, given, mass=10, count=6):
                 failed.append((iv, f"scaled coverage disjunction fails on ({a}, {b}]"))
     if failed:
@@ -206,21 +212,13 @@ def solve_interval_kc(ikc: IntervalKcInstance, y_scaled, locked,
 
     if positive:
         family = construct_laminar_family(view)
-        held = prefix_caps(view.c, locked)
-        member_req: dict[Interval, Fraction] = {}
-        for iv in family.members:
-            # the score n / d plus the locked capacity inside the member;
-            # the laminar solve checks that the score meets its row
-            n, d = family.scores[iv]
-            full = n * cden + d * (held[iv[1]] - held[iv[0]])
-            if full > 0:
-                member_req[iv] = Fraction(full, d * cden)
-        lkc = laminar_kc.LaminarKcInstance(T=ikc.T, C=ikc.C, K=ikc.K,
-                                           family=family, R=member_req)
+        lkc = laminar_kc.LaminarKcInstance(
+            T=ikc.T, C=ikc.C, K=ikc.K, family=family,
+            R={iv: rat(n, d) for iv, (n, d) in family.scores.items() if n})
         selected = laminar_kc.solve(lkc, view, trace=trace)
     else:  # the locked set covers every requirement already
         selected = locked
         if trace:
             trace(f"event=locked_only selected={len(locked)}")
-    check_selection(ikc.R, ikc.K, view, selected)
+    check_selection(positive, ikc.K, view, selected)
     return selected

@@ -20,8 +20,10 @@ ScaledCover   an integer view of capacities C and openings y: every C_s is
 
 ScaledCover is the one checked form of an opening vector: it rejects a y
 whose length is not C's or that leaves [0, 1], and the rounding layers
-take and pass nothing else.  check_selection is the closing check of both
-layers: the selection covers every requirement and costs at most K . y.
+take and pass nothing else.  Inside both layers a requirement is the
+capacity still needed beyond the view's ones.  check_selection is the
+closing check of both layers: the selection keeps every period at 1, the
+periods it adds cover every requirement, and it costs at most K . y.
 
 ScaledCover's covering test reads rank tables, built on the view's first
 coverage query in O(n T) for n ranked periods, those with y neither 0 nor
@@ -187,9 +189,12 @@ class ScaledCover:
 
 
 def check_selection(R: dict, K, view: ScaledCover, selected) -> None:
-    """Raise InvariantError unless the selection covers every requirement
-    in R and costs at most K . y, y the view's openings."""
-    for (a, b), _, gap in uncovered(R, view.c, view.cden, selected):
+    """Raise InvariantError unless the selection keeps every period of
+    view.ones, the periods it adds cover every requirement in R (each one
+    beyond the ones), and it costs at most K . y, y the view's openings."""
+    if not view.ones <= selected:
+        raise InvariantError("selection leaves out a period at y = 1")
+    for (a, b), _, gap in uncovered(R, view.c, view.cden, selected - view.ones):
         if gap > 0:
             raise InvariantError(f"requirement on ({a}, {b}] left uncovered")
     # both sides times kden * yden: K_s = k_s / kden, y_s = u_s / yden

@@ -1,21 +1,21 @@
 """Iterative rounding for laminar knapsack covering.
 
-Input: knapsacks 1..T with capacities C and costs K, a laminar family of
-intervals each demanding some capacity inside it, and a fractional opening
-vector y as an intervals.ScaledCover view, which has checked it.  The
-solver locks the periods at y = 1 into the selection (the view's ones),
+Input: knapsacks 1..T with capacities C and costs K, a fractional opening
+vector y as an intervals.ScaledCover view, which has checked it, and a
+laminar family of intervals each demanding some capacity inside it beyond
+the periods at y = 1: the residual demand of the paper's LP.  The solver
+locks the periods at y = 1 into the selection (the view's ones),
 repeatedly re-optimizes a shrinking LP to a vertex, permanently discards
 periods that hit 0 and selects periods that hit 1, and returns a selected
-set covering every requirement at cost at most the fractional cost of the
-input y.
+set whose added periods cover every requirement, at cost at most the
+fractional cost of the input y.
 
 Each round selects all of its vertex's new ones together, as in Jain's
 iterative rounding, so the selection is always the periods at y = 1 when
 the rows are evaluated.  The state is derived from the selection: an
-interval's remaining requirement is its requirement less the selected
-capacity inside it, read from intervals.uncovered for every member at the
-start and, after each round's picks, for the active intervals that contain
-one; an interval retires when its remainder is not positive.  Each active
+interval's remaining requirement starts as its requirement and, after
+each round, loses the capacity of that round's picks inside it; an
+interval retires when its remainder is not positive.  Each active
 interval has one LP row: a "count" row asks the fractional openings of
 large-enough periods to reach one, a "mass" row asks the capped fractional
 capacity inside the interval to reach twice the remainder.
@@ -32,12 +32,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Optional
 
 from . import lp_core
 from .errors import InvariantError
-from .instance import Rat, rat
-from .intervals import ScaledCover, check_selection, scale_caps, uncovered
+from .instance import Rat
+from .intervals import ScaledCover, check_selection, scale_caps
 
 Interval = tuple[int, int]
 Trace = Optional[Callable[[str], None]]
@@ -45,12 +45,10 @@ Trace = Optional[Callable[[str], None]]
 
 @dataclass
 class LaminarFamily:
-    """A laminar set of (a, b] intervals over [T], with containment links."""
+    """A laminar set of (a, b] intervals over [T], sorted by (a, -b)."""
 
     T: int
     members: tuple[Interval, ...]
-    parent: dict[Interval, Optional[Interval]]
-    children: dict[Interval, tuple[Interval, ...]]
     # interval rounding's score of each member: max_coverable's (num, den)
     scores: dict[Interval, tuple[int, int]] = field(default_factory=dict)
 
@@ -63,25 +61,15 @@ class LaminarFamily:
                 raise ValueError(f"interval ({a}, {b}] outside [0, {T}]")
         if (0, T) not in members:
             raise ValueError("the root interval (0, T] must be a member")
-        parent: dict[Interval, Optional[Interval]] = {}
-        children: dict[Interval, list[Interval]] = {m: [] for m in members}
-        stack: list[Interval] = []
-        for iv in members:
-            a, b = iv
+        stack: list[Interval] = []  # the members containing the next one
+        for a, b in members:
             while stack and stack[-1][1] <= a:
                 stack.pop()
-            if stack:
+            if stack and stack[-1][1] < b:
                 pa, pb = stack[-1]
-                if not (pa <= a and b <= pb):
-                    raise ValueError(f"intervals ({pa},{pb}] and ({a},{b}] cross")
-                parent[iv] = stack[-1]
-                children[stack[-1]].append(iv)
-            else:
-                parent[iv] = None
-            stack.append(iv)
-        return cls(T=T, members=tuple(members), parent=parent,
-                   children={m: tuple(c) for m, c in children.items()},
-                   scores=dict(scores or {}))
+                raise ValueError(f"intervals ({pa},{pb}] and ({a},{b}] cross")
+            stack.append((a, b))
+        return cls(T=T, members=tuple(members), scores=dict(scores or {}))
 
 
 @dataclass(frozen=True)
@@ -90,15 +78,16 @@ class LaminarKcInstance:
     C: tuple[Rat, ...]
     K: tuple[Rat, ...]
     family: LaminarFamily
-    R: dict[Interval, Rat]  # positive requirements, keyed by member
+    R: dict[Interval, Rat]  # positive requirements beyond the ones, by member
 
     def check(self) -> None:
         if len(self.C) != self.T or len(self.K) != self.T:
             raise ValueError("C and K must have one entry per period")
         if self.family.T != self.T:
             raise ValueError(f"family is over [0, {self.family.T}], not [0, {self.T}]")
+        members = set(self.family.members)
         for iv, value in self.R.items():
-            if iv not in self.family.children:
+            if iv not in members:
                 raise ValueError(f"requirement on non-member interval {iv}")
             if value <= 0:
                 raise ValueError(f"requirement on {iv} must be positive")
@@ -109,20 +98,13 @@ class RoundingState:
     instance: LaminarKcInstance
     discarded: set[int]
     selected: set[int]
-    # active interval -> its requirement less the selected capacity, > 0
+    # active interval -> its requirement less the added capacity, > 0
     remaining: dict[Interval, Rat]
     count_rows: set[Interval]  # the active intervals on a count row
     view: ScaledCover  # the current opening vector
 
     def active(self) -> list[Interval]:
         return sorted(self.remaining)
-
-    def unmet(self, R: dict) -> Iterator[tuple[Interval, Rat]]:
-        """(interval, requirement less the selected capacity inside it)
-        for each requirement in R, in R's order."""
-        cden = self.view.cden
-        for iv, q, gap in uncovered(R, self.view.c, cden, self.selected):
-            yield iv, rat(gap, q * cden)
 
     def retire(self, iv: Interval) -> None:
         del self.remaining[iv]
@@ -133,21 +115,18 @@ def init_state(inst: LaminarKcInstance, view: ScaledCover) -> RoundingState:
     """Set up the rounding state on the input openings; rejects inputs that
     break the contract.
 
-    view must be over inst.C, and every member that the periods at y = 1
-    leave short must meet its count row or its mass row.
+    view must be over inst.C, and every requirement must meet its count
+    row or its mass row.
     """
     inst.check()
     if view.C != inst.C:
         raise ValueError("the view is not over the instance's capacities")
     state = RoundingState(instance=inst, discarded=set(), selected=set(view.ones),
-                          remaining={}, count_rows=set(), view=view)
-    for iv, need in sorted(state.unmet(inst.R)):
-        if need <= 0:
-            continue
+                          remaining=dict(inst.R), count_rows=set(), view=view)
+    for iv, need in sorted(inst.R.items()):
         count_ok = view.holds(iv[0], iv[1], need, count=1)
         if not count_ok and not view.holds(iv[0], iv[1], need, mass=2):
             raise InvariantError(f"input y fails both cover conditions on {iv}")
-        state.remaining[iv] = need
         if count_ok:
             state.count_rows.add(iv)
     return state
@@ -229,15 +208,16 @@ def _assert_state_feasible(state: RoundingState, where: str) -> None:
 
 def solve(inst: LaminarKcInstance, view: ScaledCover,
           trace: Trace = None) -> frozenset[int]:
-    """Round the view's openings y to a selected set covering every member
-    requirement.
+    """Round the view's openings y to a selected set whose periods beyond
+    the locked ones cover every member requirement.
 
     The selection contains every locked period: it starts as the locked
     set and only grows.  Each round discards its vertex's zeros and selects
     its new ones together; every active interval that contains a pick then
-    has its remainder derived anew, and retires or migrates on it.  The
-    state is checked at the end of every round, and the selection by
-    intervals.check_selection against R and K . y before it is returned.
+    loses the picks' capacity from its remainder, and retires or migrates
+    on it.  The state is checked at the end of every round, and the
+    selection by intervals.check_selection against R and K . y before it
+    is returned.
     The outer loop fixes at least one new period per round and therefore
     runs at most T times.
     """
@@ -276,9 +256,11 @@ def solve(inst: LaminarKcInstance, view: ScaledCover,
         if trace:
             for s in picks:
                 trace(f"iter={rounds} event=select s={s}")
-        hit = {(a, b): inst.R[(a, b)] for a, b in state.active()
-               if any(a < s <= b for s in picks)}
-        for iv, left in state.unmet(hit):
+        for iv in state.active():
+            inside = [inst.C[s - 1] for s in picks if iv[0] < s <= iv[1]]
+            if not inside:
+                continue
+            left = state.remaining[iv] - sum(inside)
             if trace:
                 trace(f"iter={rounds} event=update iv={iv} left={left}")
             if left <= 0:

@@ -418,8 +418,8 @@ def grid_scan_coverable(a, b, y, locked, C) -> Fraction:
 def random_laminar_case(seed: int):
     """Laminar instance plus an opening vector y meeting the entry contract.
 
-    Locked periods are those with y = 1; each member's requirement is a
-    fraction of its score plus the locked capacity inside it.
+    Requirements are beyond the periods at y = 1: a member that gets one
+    asks for a quarter, a half, three quarters or all of its score.
     """
     rng = random.Random(seed)
     T = rng.randint(3, 10)
@@ -439,18 +439,14 @@ def random_laminar_case(seed: int):
     y = tuple(rng.choice([Fraction(0), Fraction(1, 4), Fraction(1, 2),
                           Fraction(3, 4), Fraction(9, 10), Fraction(1)])
               for _ in range(T))
-    locked = frozenset(s for s in range(1, T + 1) if y[s - 1] == 1)
     family = LaminarFamily.from_intervals(T, intervals)
     req: dict = {}
     for iv in family.members:
         room = coverable(iv[0], iv[1], ScaledCover(C, y))
         if room > 0 and rng.random() < 0.9:
-            want = room * Fraction(rng.randint(1, 4), 4)
-            req[iv] = want + cap_within(C, iv[0], iv[1], locked)
-        elif rng.random() < 0.3:
-            anchored = cap_within(C, iv[0], iv[1], locked)
-            if anchored > 0:
-                req[iv] = anchored  # already covered by the locked periods
+            req[iv] = room * Fraction(rng.randint(1, 4), 4)
+        else:
+            rng.random()  # no requirement; one draw, as for a member with one
     inst = LaminarKcInstance(T=T, C=C, K=K, family=family, R=req)
     return inst, y
 
@@ -518,10 +514,24 @@ def requirements_csv(req: dict, residual: dict) -> str:
     return "\n".join(lines)
 
 
+def family_links(family: LaminarFamily) -> tuple[dict, dict]:
+    """(parent, children): parent[m] is the shortest other member that
+    contains m, None for the root, and children[m] the members whose parent
+    is m, in the family's order."""
+    parent = {m: min((p for p in family.members
+                      if p != m and p[0] <= m[0] and m[1] <= p[1]),
+                     key=lambda p: p[1] - p[0], default=None)
+              for m in family.members}
+    children = {m: tuple(k for k in family.members if parent[k] == m)
+                for m in family.members}
+    return parent, children
+
+
 def is_binary_with_unit_leaves(family: LaminarFamily) -> bool:
     """Every member is a unit leaf or splits into exactly two adjacent halves."""
+    _, children = family_links(family)
     for m in family.members:
-        kids = family.children[m]
+        kids = children[m]
         if not kids:
             if m[1] - m[0] != 1:
                 return False
@@ -537,16 +547,17 @@ def is_binary_with_unit_leaves(family: LaminarFamily) -> bool:
 def render_tree(family: LaminarFamily) -> str:
     """Indented listing of the family, children under their parent."""
     lines: list[str] = []
+    parent, children = family_links(family)
 
     def walk(iv, depth: int) -> None:
         mark = family.scores.get(iv)
         note = f"  coverable={Fraction(*mark)}" if mark is not None else ""
         lines.append("  " * depth + f"({iv[0]}, {iv[1]}]{note}")
-        for kid in family.children[iv]:
+        for kid in children[iv]:
             walk(kid, depth + 1)
 
     for m in family.members:
-        if family.parent[m] is None:
+        if parent[m] is None:
             walk(m, 0)
     return "\n".join(lines)
 
@@ -569,7 +580,10 @@ def _covers(C, selected, requirements: dict) -> bool:
                for (a, b), need in requirements.items() if need > 0)
 
 
-def _brute_force_cover(T: int, C, K, requirements: dict) -> OracleResult:
+def _brute_force_cover(T: int, C, K, requirements: dict,
+                       ones: frozenset[int] = frozenset()) -> OracleResult:
+    """Cheapest superset of ones whose periods beyond them cover every
+    requirement, by enumerating every subset of [T]."""
     if T > KC_CAP:
         raise SizeCapError(f"T={T} exceeds the oracle cap {KC_CAP}")
     best_cost: Optional[Rat] = None
@@ -577,21 +591,22 @@ def _brute_force_cover(T: int, C, K, requirements: dict) -> OracleResult:
     explored = 0
     for mask in range(1 << T):
         explored += 1
-        selected = [s for s in range(1, T + 1) if mask >> (s - 1) & 1]
+        selected = frozenset(s for s in range(1, T + 1) if mask >> (s - 1) & 1)
         cost = sum(K[s - 1] for s in selected)
         if best_cost is not None and cost >= best_cost:
             continue
-        if _covers(C, selected, requirements):
+        if ones <= selected and _covers(C, selected - ones, requirements):
             best_cost = cost
-            best_set = frozenset(selected)
+            best_set = selected
     if best_cost is None:
         raise ValueError("covering instance is infeasible")
     return OracleResult(optimum_cost=best_cost, witness=best_set, explored=explored)
 
 
-def brute_force_laminar_kc(inst: LaminarKcInstance) -> OracleResult:
-    """Cheapest selection covering every member requirement, by enumeration."""
-    return _brute_force_cover(inst.T, inst.C, inst.K, inst.R)
+def brute_force_laminar_kc(inst: LaminarKcInstance, ones: frozenset[int]) -> OracleResult:
+    """Cheapest superset of ones, the periods at y = 1, whose periods beyond
+    them cover every member requirement, by enumeration."""
+    return _brute_force_cover(inst.T, inst.C, inst.K, inst.R, ones)
 
 
 def brute_force_interval_kc(inst: IntervalKcInstance) -> OracleResult:

@@ -104,14 +104,15 @@ def test_criterion_3_laminar_contract():
         inst, y = random_laminar_case(seed)
         events = []
         selected = laminar_solve(inst, ScaledCover(inst.C, y), trace=events.append)
-        assert selected >= locked_periods(y), seed
+        locked = locked_periods(y)
+        assert selected >= locked, seed
         for iv, need in inst.R.items():
-            assert cap_within(inst.C, iv[0], iv[1], selected) >= need, (seed, iv)
+            assert cap_within(inst.C, iv[0], iv[1], selected - locked) >= need, (seed, iv)
         budget = sum((y[s - 1] * inst.K[s - 1] for s in range(1, inst.T + 1)), F(0))
         assert sum((inst.K[s - 1] for s in selected), F(0)) <= budget, seed
         heads = sum(1 for line in events if "event=head" in line)
         assert heads <= inst.T, seed
-        oracle = brute_force_laminar_kc(inst)
+        oracle = brute_force_laminar_kc(inst, locked)
         assert oracle.optimum_cost <= sum((inst.K[s - 1] for s in selected), F(0))
         checked += 1
     assert checked == 100

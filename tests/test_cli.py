@@ -361,6 +361,15 @@ def _failure_argv(kind, tmp_path, monkeypatch):
     bench = ["bench", "--seeds", "1..2", "--T", "4", "--N", "2"]
     if kind == "certificate":
         monkeypatch.setattr(cmils_master, "hcost", lambda inst, x: Fraction(-1))
+    elif kind == "short-placement":  # the flow places one unit too few
+        real = assignment.solve_assignment
+
+        def short(inst, orders):
+            holding, units = real(inst, orders)
+            first = min(units)
+            return holding, {**units, first: units[first] - 1}
+
+        monkeypatch.setattr(assignment, "solve_assignment", short)
     elif kind == "bench-round-cap":
         monkeypatch.setattr(cmils_master, "run_pipeline", _round_cap)
     elif kind == "bench-10x":
@@ -374,6 +383,7 @@ def _failure_argv(kind, tmp_path, monkeypatch):
         return ["verify", "--instance", gap_path, "--schedule", sched_path]
     return {
         "certificate": solve,
+        "short-placement": solve,
         "round-cap": [*solve, "--max-rounds", "0"],
         "bench-round-cap": bench,
         "bench-10x": [*bench, "--oracle"],
@@ -386,6 +396,8 @@ def _failure_argv(kind, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("kind, code, line", [
     ("certificate", 2, "invariant failed: ratio certificate failed: "),
+    ("short-placement", 2, "invariant failed: infeasible schedule: item 1: assigned 999, "
+                           "demand 1000"),
     ("round-cap", 2, "round cap exceeded: no rounding after 0 cut rounds"),
     ("bench-round-cap", 2, "round cap exceeded: seed 1: no rounding after 200 cut rounds"),
     ("bench-10x", 2, "invariant failed: seed 1: cost exceeds 10x optimum"),

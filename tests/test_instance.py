@@ -6,7 +6,7 @@ import pytest
 
 from lotforge.assignment import solve_assignment
 from lotforge.cmils_master import run_pipeline
-from lotforge.errors import InstanceFormatError
+from lotforge.errors import InstanceFormatError, InvariantError
 from lotforge.instance import (CmilsInstance, FractionalSolution, OrderSchedule,
                                check_feasible, cost, from_json_dict, gen_kc_gap,
                                gen_random, hcost, load, make_schedule, parse_rat,
@@ -100,11 +100,11 @@ class TestCost:
         assert ordering == 1 and holding == 0 and total == 1
 
     def test_infeasible_schedule_rejected(self):
+        # a solver's schedule that breaks capacity is a broken invariant
         inst = tiny(d=(5,), C=(4,))
-        sched = OrderSchedule(orders=frozenset({1}), assignment={(1, 1): F(5)},
-                              ordering_cost=F(0), holding_cost=F(0), total_cost=F(0))
-        with pytest.raises(ValueError):
-            cost(inst, sched)
+        with pytest.raises(InvariantError,
+                           match=r"^infeasible schedule: period 1: load 5 exceeds capacity 4$"):
+            make_schedule(inst, {1}, {(1, 1): F(5)})
 
     def test_seed42_matches_naive_recomputation(self):
         inst = gen_random(42, T=6, N=4)
@@ -178,6 +178,9 @@ class TestGenerators:
             gen_random(1, T=3, N=2, demand_range=(5, 2))
         with pytest.raises(ValueError):
             gen_random(1, T=3, N=2, slack_factor=F(1, 2))
+        with pytest.raises(ValueError, match="^cost_range must not go below 0$"):
+            gen_random(1, T=3, N=2, cost_range=(-5, 3))
+        assert validate(gen_random(1, T=3, N=2, cost_range=(0, 3))) == []  # a zero low end
 
     def test_gap_fields(self):
         inst = gen_kc_gap(F(1000))

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (all_intervals, cap_within, coverable, family_dominates_requirements,
-                     grid_scan_coverable, is_binary_with_unit_leaves, rank_table_cases,
-                     render_tree)
+                     family_links, grid_scan_coverable, is_binary_with_unit_leaves,
+                     rank_table_cases, render_tree)
 from lotforge import interval_kc, laminar_kc
 from lotforge.errors import InvariantError
 from lotforge.instance import gen_kc_gap
@@ -111,7 +111,7 @@ class TestConstructFamily:
     def test_two_periods_split_at_one(self):
         fam = construct_laminar_family(ScaledCover((F(3), F(3)), (F(1, 2), F(1, 2))))
         assert set(fam.members) == {(0, 2), (0, 1), (1, 2)}
-        assert fam.children[(0, 2)] == ((0, 1), (1, 2))
+        assert family_links(fam)[1][(0, 2)] == ((0, 1), (1, 2))
 
     def test_structural_shape(self):
         rng = random.Random(5)

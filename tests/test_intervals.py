@@ -10,8 +10,8 @@ from helpers import (all_intervals, cap_within, capped_mass_and_count,
 from lotforge import laminar_kc
 from lotforge.errors import InvariantError
 from lotforge.interval_kc import IntervalKcInstance, solve_interval_kc
-from lotforge.intervals import (ScaledCover, locked_periods, prefix_caps, residuals,
-                                scale_caps, scale_y)
+from lotforge.intervals import (ScaledCover, check_selection, locked_periods, prefix_caps,
+                                residuals, scale_caps, scale_y)
 from lotforge.laminar_kc import LaminarFamily, LaminarKcInstance
 
 F = Fraction
@@ -137,6 +137,17 @@ Y_CALLERS = {
 def test_every_caller_checks_y_through_the_view(caller, y, error, message):
     with pytest.raises(error, match=message):
         Y_CALLERS[caller](y)
+
+
+def test_check_selection_keeps_every_period_at_one():
+    # y = (1, 1/2) on C = (3, 3) and K = (1, 0), so K . y = 1.  Period 2
+    # alone covers the requirement of 3 within that budget, but it leaves
+    # out period 1, which is at y = 1: only {1, 2} passes.
+    view = ScaledCover((F(3), F(3)), (F(1), F(1, 2)))
+    R, K = {(0, 2): F(3)}, (F(1), F(0))
+    check_selection(R, K, view, frozenset({1, 2}))
+    with pytest.raises(InvariantError, match=r"^selection leaves out a period at y = 1$"):
+        check_selection(R, K, view, frozenset({2}))
 
 
 def test_holds_without_thresholds_is_false():

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_laminar_kc, cap_within, is_feasible, random_laminar_case
+from helpers import (brute_force_laminar_kc, cap_within, family_links, is_feasible,
+                     random_laminar_case)
 from lotforge import laminar_kc
 from lotforge.errors import InvariantError
 from lotforge.intervals import ScaledCover, locked_periods
@@ -57,10 +58,10 @@ class TestLaminarFamily:
             family_over(3, {(0, 3), (1, 4)})
 
     def test_tree_links(self):
-        fam = family_over(4, {(0, 4), (0, 2), (2, 4), (2, 3)})
-        assert fam.parent[(2, 3)] == (2, 4)
-        assert fam.parent[(0, 4)] is None
-        assert set(fam.children[(0, 4)]) == {(0, 2), (2, 4)}
+        parent, children = family_links(family_over(4, {(0, 4), (0, 2), (2, 4), (2, 3)}))
+        assert parent[(2, 3)] == (2, 4)
+        assert parent[(0, 4)] is None
+        assert set(children[(0, 4)]) == {(0, 2), (2, 4)}
 
 
 class TestInstanceCheck:
@@ -84,7 +85,7 @@ class TestInstanceCheck:
 
 class TestInitState:
     def test_no_residual_means_no_active_pools(self):
-        inst = small_instance(R={(0, 4): 3})
+        inst = small_instance(R={})
         y = (F(1), F(0), F(0), F(0))
         state = init_state(inst, view_of(inst, y))
         assert not state.remaining and not state.count_rows
@@ -163,7 +164,7 @@ class TestDedup:
 
 class TestIterLp:
     def test_empty_pools_only_fixings(self):
-        inst = small_instance(R={(0, 4): 3})
+        inst = small_instance(R={})
         y = (F(1), F(0), F(0), F(0))
         state = init_state(inst, view_of(inst, y))
         lp = build_iter_lp(state)
@@ -241,7 +242,7 @@ class TestStateCheck:
         # (0, 3] keeps a count row met by periods 2 and 3; releasing locked
         # period 1 leaves the LP feasible at y, but the covering tests
         # would no longer leave out exactly the selection
-        inst = small_instance(T=3, C=(4, 4, 4), K=(1, 1, 1), R={(0, 3): 8})
+        inst = small_instance(T=3, C=(4, 4, 4), K=(1, 1, 1), R={(0, 3): 4})
         state = init_state(inst, view_of(inst, (F(1), F(1, 2), F(1, 2))))
         assert state.count_rows == {(0, 3)} and state_check_accepts(state)
         state.selected.discard(1)
@@ -306,7 +307,7 @@ class TestSolve:
         y = (F(1, 2), F(1, 2))
         selected = solve(inst, view_of(inst, y))
         assert selected == frozenset({1})
-        oracle = brute_force_laminar_kc(inst)
+        oracle = brute_force_laminar_kc(inst, frozenset())
         assert oracle.optimum_cost == 1 and oracle.witness == frozenset({1})
 
     def test_contract_on_random_instances(self):
@@ -314,21 +315,23 @@ class TestSolve:
             inst, y = random_laminar_case(seed)
             events = []
             selected = solve(inst, view_of(inst, y), trace=events.append)
-            assert selected >= locked_periods(y)
+            locked = locked_periods(y)
+            assert selected >= locked
             for iv, need in inst.R.items():
-                assert cap_within(inst.C, iv[0], iv[1], selected) >= need
+                assert cap_within(inst.C, iv[0], iv[1], selected - locked) >= need
             budget = sum((y[s - 1] * inst.K[s - 1] for s in range(1, inst.T + 1)),
                          F(0))
             assert sum((inst.K[s - 1] for s in selected), F(0)) <= budget
             heads = [line for line in events if "event=head" in line]
             assert len(heads) <= inst.T
-            oracle = brute_force_laminar_kc(inst)
+            oracle = brute_force_laminar_kc(inst, locked)
             assert oracle.optimum_cost <= sum((inst.K[s - 1] for s in selected), F(0))
 
     def test_selection_short_by_the_least_unit_rejected(self, monkeypatch):
         # with no active interval the loop never runs, and the final check
-        # must find (0, 2] one short: it needs 4 and locked period 2 has 3
-        inst = small_instance(T=2, C=(4, 3), members={(0, 2)}, R={(0, 2): 4})
+        # must find (0, 2] one short: it needs 1 beyond locked period 2, and
+        # the selection adds nothing
+        inst = small_instance(T=2, C=(4, 3), members={(0, 2)}, R={(0, 2): 1})
 
         def idle(inst, view):
             return RoundingState(instance=inst, discarded=set(), selected={2},

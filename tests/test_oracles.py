@@ -54,7 +54,7 @@ class TestCoverOracles:
         fam = LaminarFamily.from_intervals(T, {(0, T)})
         inst = LaminarKcInstance(T=T, C=C, K=(F(2),) * 4, family=fam,
                                  R={(0, T): F(5)})
-        result = brute_force_laminar_kc(inst)
+        result = brute_force_laminar_kc(inst, frozenset())
         assert result.optimum_cost == 2
         assert result.witness in (frozenset({2}), frozenset({4}))
 
@@ -62,7 +62,7 @@ class TestCoverOracles:
         fam = LaminarFamily.from_intervals(2, {(0, 2)})
         inst = LaminarKcInstance(T=2, C=(F(1), F(1)), K=(F(1), F(1)),
                                  family=fam, R={})
-        result = brute_force_laminar_kc(inst)
+        result = brute_force_laminar_kc(inst, frozenset())
         assert result.optimum_cost == 0 and result.witness == frozenset()
 
     def test_interval_oracle_mirrors(self):
