@@ -10,11 +10,15 @@ still cover, i.e. the largest W >= 0 with
     sum_{s in (a,b] free, C_s >= W} y_s   >= 1        (count of large periods).
 
 A binary laminar family over (0, T] is built by recursively splitting at
-the point that maximizes the weaker side's score; scoring the members and
-handing them to the laminar solver yields a selection that covers every
-interval requirement, not just the members'.  The given locked set and
-residuals are checked against intervals.locked_periods and the residual
-formula of intervals.residuals.
+the point that maximizes the weaker side's score, ties to the smallest
+point; scoring the members and handing them to the laminar solver yields
+a selection that covers every interval requirement, not just the
+members'.  A score never falls when its interval grows, so the left
+side's score never falls and the right side's never rises as the split
+point moves right: the best point is found by bisection, exactly the one
+a scan of every point would pick (construct_laminar_family).  The given
+locked set and residuals are checked against intervals.locked_periods
+and the residual formula of intervals.residuals.
 
 The family exists to cover the residuals.  When none is positive, the
 locked set covers every requirement already, at cost sum_{s locked} K_s
@@ -40,9 +44,9 @@ locked set alone, so this is the check that the selection covers R.
 
 The scores and the covering checks run on one integer view of (C, y),
 intervals.ScaledCover, built and checked once per call and handed to the
-family build and to the laminar solve, so its rank tables are built once
-and y is passed on in no other form.  Each score is two binary searches
-over the view's ranks (max_coverable).
+family build and to the laminar solve, so its rank tables are built once,
+C is scaled once, and y is passed on in no other form.  Each score is two
+binary searches over the view's ranks (max_coverable).
 """
 
 from __future__ import annotations
@@ -132,10 +136,23 @@ def max_coverable(a: int, b: int, view: ScaledCover) -> tuple[int, int]:
 def construct_laminar_family(view: ScaledCover) -> LaminarFamily:
     """Binary split of (0, T] down to unit leaves, T the view's length.
 
-    Each non-unit interval splits at the cut maximizing the smaller child
-    score; ties go to the smallest cut point.  Scores are memoized per call
-    as max_coverable's integer pairs, compared by cross-multiplication, and
-    the members' pairs are kept as the family's scores.
+    Each non-unit interval (a, b] splits at the cut c in (a, b) maximizing
+    the smaller child score min(f(c), g(c)), with f(c) = score(a, c) and
+    g(c) = score(c, b); ties go to the smallest cut.  A score never falls
+    when its interval grows, as the grown interval has all the free mass
+    of the smaller one and more, so f never falls and g never rises in c.
+    Hence the smaller score is f, which rises, below the least cut c* with
+    f(c*) > g(c*), and g, which falls, from c* on: the best value is
+    f(c* - 1) or g(c*), whichever is larger.  A bisection finds c*.  When
+    the left side wins, a tie included, the smallest cut still reaching
+    f(c* - 1) is the first c with f(c) >= f(c* - 1), found by a second
+    bisection; otherwise the cut is c*, as no cut below it reaches g(c*).
+    That is exactly the cut a scan of every c picks, from O(log(b - a))
+    scores instead of 2 (b - a - 1).
+
+    Scores are memoized per call as max_coverable's integer pairs, compared
+    by cross-multiplication, and the members' pairs are kept as the
+    family's scores.
     """
     scores: dict[Interval, tuple[int, int]] = {}
 
@@ -151,14 +168,30 @@ def construct_laminar_family(view: ScaledCover) -> LaminarFamily:
         score(a, b)
         if b - a <= 1:
             return
-        best_c, best_n, best_d = a, -1, 1  # below every score
-        for c in range(a + 1, b):
-            (ln, ld), (rn, rd) = score(a, c), score(c, b)
-            n, d = (ln, ld) if ln * rd <= rn * ld else (rn, rd)
-            if n * best_d > best_n * d:
-                best_n, best_d, best_c = n, d, c
-        build(a, best_c)
-        build(best_c, b)
+        lo, hi = a + 1, b  # c*, or b when f(c) <= g(c) at every cut
+        while lo < hi:
+            mid = (lo + hi) // 2
+            (fn, fd), (gn, gd) = score(a, mid), score(mid, b)
+            if fn * gd > gn * fd:
+                hi = mid
+            else:
+                lo = mid + 1
+        cut = lo
+        if cut > a + 1:
+            fn, fd = score(a, cut - 1)
+            gn, gd = score(cut, b) if cut < b else (-1, 1)  # below every score
+            if fn * gd >= gn * fd:  # the left side wins
+                lo, hi = a + 1, cut - 1
+                while lo < hi:
+                    mid = (lo + hi) // 2
+                    n, d = score(a, mid)
+                    if n * fd >= fn * d:
+                        hi = mid
+                    else:
+                        lo = mid + 1
+                cut = lo
+        build(a, cut)
+        build(cut, b)
 
     T = len(view.u)
     build(0, T)

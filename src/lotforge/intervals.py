@@ -18,9 +18,11 @@ ScaledCover   an integer view of capacities C and openings y: every C_s is
               the least common denominators.  Its covering test compares
               integers and builds no Fraction.
 
-ScaledCover is the one checked form of an opening vector: it rejects a y
-whose length is not C's or that leaves [0, 1], and the rounding layers
-take and pass nothing else.  Inside both layers a requirement is the
+ScaledCover is the one checked form of an opening vector: it rejects an
+entry of C or y that is neither an int nor a Fraction, and a y whose
+length is not C's or that leaves [0, 1], and the rounding layers take and
+pass nothing else.  C is scaled once per view; with_y reuses it for the
+openings of each later round.  Inside both layers a requirement is the
 capacity still needed beyond the view's ones.  check_selection is the
 closing check of both layers: the selection keeps every period at 1, the
 periods it adds cover every requirement, and it costs at most K . y.
@@ -40,6 +42,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from fractions import Fraction
 from itertools import accumulate
 from operator import mul
 
@@ -98,15 +101,23 @@ def residuals(R: dict, C, locked) -> dict:
             for iv, q, gap in uncovered(R, c, cden, locked)}
 
 
+def _check_rationals(name: str, values) -> None:
+    """ValueError unless every value is an int or a Fraction: a float would
+    be scaled as its binary expansion."""
+    if not all(isinstance(v, (int, Fraction)) for v in values):
+        raise ValueError(f"{name} entries must be int or Fraction")
+
+
 class ScaledCover:
     """Capacities C and openings y on common integer scales: the one
     checked form of an opening vector.
 
     c[s-1] = C_s * cden and u[s-1] = y_s * yden, where cden and yden are the
-    least common denominators of C and of y.  Build one view per y.  y must
-    have one entry per capacity (else ValueError) and lie in [0, 1] (else
-    InvariantError).  ones is the set of periods at y = 1, which every
-    covering test leaves out.
+    least common denominators of C and of y.  Build one view per C, and
+    with_y gives it for each further y.  Every entry of C and y must be an
+    int or a Fraction, and y must have one entry per capacity (else
+    ValueError) and lie in [0, 1] (else InvariantError).  ones is the set of
+    periods at y = 1, which every covering test leaves out.
 
     The rank tables cover the ranked periods, those with y neither 0 nor 1,
     sorted by (capacity, period); caps[r] is the capacity of rank r.  For
@@ -120,10 +131,23 @@ class ScaledCover:
     """
 
     def __init__(self, C, y):
-        if len(y) != len(C):
-            raise ValueError("y must have one entry per period")
+        _check_rationals("C", C)
         self.C = C
         self.c, self.cden = scale_caps(C)
+        self._open(y)
+
+    def with_y(self, y) -> "ScaledCover":
+        """A view of the same capacities at openings y, checked as in the
+        constructor; it shares c and cden, so C is scaled once."""
+        view = object.__new__(ScaledCover)
+        view.C, view.c, view.cden = self.C, self.c, self.cden
+        view._open(y)
+        return view
+
+    def _open(self, y) -> None:
+        if len(y) != len(self.C):
+            raise ValueError("y must have one entry per period")
+        _check_rationals("y", y)
         self.u, self.yden = scale_caps(y)
         if not all(0 <= v <= self.yden for v in self.u):
             raise InvariantError("input y outside [0, 1]")

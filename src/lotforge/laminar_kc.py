@@ -23,8 +23,12 @@ capacity inside the interval to reach twice the remainder.
 The rows, the migration from a mass to a count row and the state check
 are evaluated on integers with the state's view: the given one for the
 input y, whose rank tables interval rounding shares, then one per round's
-vertex.  Each state is checked once: the input state when it is set up,
-every later one at the end of its round.
+vertex, made by with_y so that C is scaled once.  The LP rows are written
+on integers from the same scaled capacities (c, cden): a mass row is
+scaled by cden times its remainder's denominator, which leaves its
+feasible set, and so each LP's lex-least vertex, as it was.  Each state
+is checked once: the input state when it is set up, every later one at
+the end of its round.
 """
 
 from __future__ import annotations
@@ -158,8 +162,19 @@ def dedup(state: RoundingState, trace: Trace = None) -> None:
 
 
 def build_iter_lp(state: RoundingState) -> lp_core.LinearProgram:
-    """The shrinking LP: min K.y subject to the active interval rows."""
+    """The shrinking LP: min K.y subject to the active interval rows.
+
+    The rows are written on integers from the view's capacities
+    C_s = c_s / cden.  For a remainder need = p/q, a mass row is
+
+        sum min(c_s q, p cden) y_s >= 2 p cden,
+
+    the row sum min(C_s, need) y_s >= 2 need times q cden, and a count row
+    sums the y_s with c_s q >= p cden to at least 1.  The selected periods,
+    fixed at 1, are left out of both.
+    """
     inst = state.instance
+    c, cden = state.view.c, state.view.cden
     lp = lp_core.LinearProgram(
         num_vars=inst.T,
         objective=list(inst.K),
@@ -171,15 +186,17 @@ def build_iter_lp(state: RoundingState) -> lp_core.LinearProgram:
         ],
     )
     for a, b in sorted(state.remaining.keys() - state.count_rows):
-        need = state.remaining[(a, b)]
-        coeffs = {s - 1: min(inst.C[s - 1], need)
+        p, q = state.remaining[(a, b)].as_integer_ratio()
+        top = p * cden
+        coeffs = {s - 1: min(c[s - 1] * q, top)
                   for s in range(a + 1, b + 1) if s not in state.selected}
-        lp.add_row(coeffs, lp_core.GE, 2 * need)
+        lp.add_row(coeffs, lp_core.GE, 2 * top)
     for a, b in sorted(state.count_rows):
-        need = state.remaining[(a, b)]
+        p, q = state.remaining[(a, b)].as_integer_ratio()
+        top = p * cden
         coeffs = {s - 1: 1
                   for s in range(a + 1, b + 1)
-                  if s not in state.selected and inst.C[s - 1] >= need}
+                  if s not in state.selected and c[s - 1] * q >= top}
         lp.add_row(coeffs, lp_core.GE, 1)
     return lp
 
@@ -241,7 +258,7 @@ def solve(inst: LaminarKcInstance, view: ScaledCover,
         if cost > prev_cost:
             raise InvariantError("rounding LP cost increased")
         prev_cost = cost
-        state.view = ScaledCover(inst.C, sol.values)
+        state.view = view.with_y(sol.values)
         if trace:
             trace(f"iter={rounds} event=lp cost={cost}")
 

@@ -514,6 +514,40 @@ def requirements_csv(req: dict, residual: dict) -> str:
     return "\n".join(lines)
 
 
+def scan_laminar_family(view: ScaledCover) -> LaminarFamily:
+    """Reference for interval_kc.construct_laminar_family: each non-unit
+    member (a, b] scores every cut c in (a, b), both children, and splits
+    at the first cut whose smaller child score is largest.  Scores are
+    max_coverable's pairs, memoized, and the members' pairs are kept."""
+    scores: dict = {}
+
+    def score(a: int, b: int) -> tuple[int, int]:
+        if (a, b) not in scores:
+            scores[(a, b)] = max_coverable(a, b, view)
+        return scores[(a, b)]
+
+    members: list = []
+
+    def build(a: int, b: int) -> None:
+        members.append((a, b))
+        score(a, b)
+        if b - a <= 1:
+            return
+        best_c, best_n, best_d = a, -1, 1  # below every score
+        for c in range(a + 1, b):
+            (ln, ld), (rn, rd) = score(a, c), score(c, b)
+            n, d = (ln, ld) if ln * rd <= rn * ld else (rn, rd)
+            if n * best_d > best_n * d:
+                best_n, best_d, best_c = n, d, c
+        build(a, best_c)
+        build(best_c, b)
+
+    T = len(view.u)
+    build(0, T)
+    return LaminarFamily.from_intervals(
+        T, members, scores={iv: scores[iv] for iv in members})
+
+
 def family_links(family: LaminarFamily) -> tuple[dict, dict]:
     """(parent, children): parent[m] is the shortest other member that
     contains m, None for the root, and children[m] the members whose parent

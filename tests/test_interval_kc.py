@@ -2,18 +2,18 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (all_intervals, cap_within, coverable, family_dominates_requirements,
                      family_links, grid_scan_coverable, is_binary_with_unit_leaves,
-                     rank_table_cases, render_tree)
-from lotforge import interval_kc, laminar_kc
+                     rank_table_cases, render_tree, scan_laminar_family)
+from lotforge import interval_kc, intervals, laminar_kc
 from lotforge.errors import InvariantError
 from lotforge.instance import gen_kc_gap
 from lotforge.interval_kc import (IntervalKcInstance, construct_laminar_family,
                                   solve_interval_kc)
-from lotforge.intervals import ScaledCover, locked_periods
+from lotforge.intervals import ScaledCover, locked_periods, scale_caps
 from lotforge.cmils_master import run_pipeline
 
 F = Fraction
@@ -90,17 +90,20 @@ class TestMaxCoverable:
             assert coverable(0, T, view) == want
             assert want == grid_scan_coverable(0, T, y, frozenset(), C)
 
-    def test_monotone_under_enlargement(self):
-        rng = random.Random(1)
-        for case in range(100):
-            T = rng.randint(2, 8)
-            caps = tuple(F(rng.randint(1, 9)) for _ in range(T))
-            y = tuple(F(rng.randint(0, 9), 10) for _ in range(T))
-            a = rng.randint(0, T - 2)
-            b = rng.randint(a + 1, T - 1)
-            inner = coverable(a, b, ScaledCover(caps, y))
-            outer = coverable(max(0, a - 1), min(T, b + 1), ScaledCover(caps, y))
-            assert outer >= inner
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(rank_table_cases(max_T=10))
+    def test_monotone_under_enlargement(self, case):
+        """Growing an interval never lowers its score: checked on every
+        nested pair, so also with each end moved on its own, over locked
+        periods (y = 1), closed ones (y = 0) and fractional capacities.
+        construct_laminar_family's bisection rests on this."""
+        C, y, _ = case
+        view, T = ScaledCover(C, y), len(C)
+        score = {(a, b): coverable(a, b, view) for a, b in all_intervals(T)}
+        for (a, b), inner in score.items():
+            for oa in range(a + 1):
+                for ob in range(b, T + 1):
+                    assert score[(oa, ob)] >= inner, ((oa, ob), (a, b))
 
 
 class TestConstructFamily:
@@ -112,6 +115,23 @@ class TestConstructFamily:
         fam = construct_laminar_family(ScaledCover((F(3), F(3)), (F(1, 2), F(1, 2))))
         assert set(fam.members) == {(0, 2), (0, 1), (1, 2)}
         assert family_links(fam)[1][(0, 2)] == ((0, 1), (1, 2))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(rank_table_cases(max_T=32))
+    # at T = 32: every score equal, so the left side wins every tie; every
+    # score 0; scores rising left to right
+    @example(((3,) * 32, (F(1, 2),) * 32, []))
+    @example(((3,) * 32, (0,) * 32, []))
+    @example((tuple(range(1, 33)), tuple(F(s, 33) for s in range(1, 33)), []))
+    def test_bisection_matches_the_scan(self, case):
+        """The bisection gives the members and scores of the reference
+        scan, which scores every cut, for T from 1 to 32 with fractional
+        capacities and y at 0, at 1 and in between."""
+        C, y, _ = case
+        got = construct_laminar_family(ScaledCover(C, y))
+        want = scan_laminar_family(ScaledCover(C, y))
+        assert got.members == want.members
+        assert got.scores == want.scores
 
     def test_structural_shape(self):
         rng = random.Random(5)
@@ -176,6 +196,26 @@ class TestSolveIntervalKc:
         assert cap_within(caps, 0, T, selected) >= 4
         budget = sum((costs[s - 1] * y[s - 1] for s in range(1, T + 1)), F(0))
         assert sum((costs[s - 1] for s in selected), F(0)) <= budget
+
+    def test_capacities_are_scaled_once_per_call(self, monkeypatch):
+        # every round's view reuses the input view's (c, cden): C is put on
+        # its integer scale once, not again for each rounding LP's vertex
+        T = 10
+        caps = tuple(F(5 + k % 3, 3) for k in range(T))
+        R = {(0, T): F(4, 3)}
+        ikc = IntervalKcInstance(T=T, C=caps, K=tuple(F(k % 4 + 1) for k in range(T)), R=R)
+        scaled = []
+
+        def counted(values):
+            if values is caps:
+                scaled.append(values)
+            return scale_caps(values)
+
+        monkeypatch.setattr(intervals, "scale_caps", counted)
+        lines: list[str] = []
+        solve_interval_kc(ikc, (F(3, 5),) * T, frozenset(), dict(R), trace=lines.append)
+        assert any("event=lp" in line for line in lines)
+        assert len(scaled) == 1
 
     def test_positive_residual_with_locked_period(self):
         T = 10

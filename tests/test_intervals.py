@@ -133,10 +133,37 @@ Y_CALLERS = {
     ((F(-1, 2), 1), InvariantError, r"^input y outside \[0, 1\]$"),
     ((F(3, 2), 1), InvariantError, r"^input y outside \[0, 1\]$"),
     ((1,), ValueError, "^y must have one entry per period$"),
-], ids=["below-0", "above-1", "short"])
+    ((0.5, 1), ValueError, "^y entries must be int or Fraction$"),
+], ids=["below-0", "above-1", "short", "float"])
 def test_every_caller_checks_y_through_the_view(caller, y, error, message):
     with pytest.raises(error, match=message):
         Y_CALLERS[caller](y)
+
+
+@pytest.mark.parametrize("C, y, message", [
+    ((3, 2), (0.1, F(1, 2)), "^y entries must be int or Fraction$"),
+    ((3.0, 2), (F(1, 10), F(1, 2)), "^C entries must be int or Fraction$"),
+], ids=["float-y", "float-C"])
+def test_view_takes_only_exact_entries(C, y, message):
+    # a float would otherwise be scaled as its binary expansion: 0.1 with
+    # 1/2 gives yden = 2**55
+    with pytest.raises(ValueError, match=message):
+        ScaledCover(C, y)
+
+
+def test_with_y_shares_the_scaled_capacities_and_checks_y():
+    view = ScaledCover((F(3, 2), 4, F(5, 3)), (F(1, 2), 1, 0))
+    other = view.with_y((F(1, 4), F(2, 3), 1))
+    assert other.c is view.c and other.cden == view.cden and other.C is view.C
+    fresh = ScaledCover(view.C, (F(1, 4), F(2, 3), 1))
+    assert (other.u, other.yden, other.ones) == (fresh.u, fresh.yden, fresh.ones)
+    assert other.tables() == fresh.tables()
+    assert view.ones == {2} and view.u == [1, 2, 0]  # the view itself is unchanged
+    for y, error, message in (((F(1, 2),), ValueError, "one entry per period"),
+                              ((0.5, 0, 0), ValueError, "int or Fraction"),
+                              ((F(3, 2), 0, 0), InvariantError, r"outside \[0, 1\]")):
+        with pytest.raises(error, match=message):
+            view.with_y(y)
 
 
 def test_check_selection_keeps_every_period_at_one():

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -172,6 +173,8 @@ class TestIterLp:
         assert lp.bounds[0] == (F(1), F(1))
 
     def test_single_mass_row(self):
+        """need = 2 on six periods of capacity 1: the mass row
+        sum min(C_s, 2) y_s >= 4, times q cden = 1, is on integers already."""
         inst = small_instance(T=6, C=(1,) * 6, K=(1,) * 6, members={(0, 6)},
                               R={(0, 6): 2})
         y = (F(3, 4),) * 6
@@ -181,6 +184,47 @@ class TestIterLp:
         row = lp.rows[0]
         assert row.relation == ">=" and row.rhs == 4
         assert row.coeffs == {j: F(1) for j in range(6)}
+
+    def test_rows_are_the_fraction_rows_scaled_to_integers(self, monkeypatch):
+        """On every state that random_laminar_case's solves reach, each mass
+        row is min(C_s, need) y >= 2 need times q cden, for need = p/q and
+        cden the lcm of C's denominators, and each count row sums y over
+        the unselected periods with C_s >= need to at least 1.  Each case
+        also runs with C and R scaled by 5/3, which keeps the contract
+        (the scores scale with C) and gives C a denominator."""
+        seen = {"mass": 0, "count": 0}
+
+        def checked(state):
+            lp = build_iter_lp(state)
+            C, selected = state.instance.C, state.selected
+            cden = math.lcm(*(F(v).denominator for v in C))
+            mass = sorted(state.remaining.keys() - state.count_rows)
+            assert len(lp.rows) == len(mass) + len(state.count_rows)
+            for (a, b), row in zip(mass + sorted(state.count_rows), lp.rows):
+                need = state.remaining[(a, b)]
+                free = [s for s in range(a + 1, b + 1) if s not in selected]
+                if (a, b) in state.count_rows:
+                    want = {s - 1: 1 for s in free if C[s - 1] >= need}, 1
+                    seen["count"] += 1
+                else:
+                    scale = need.denominator * cden
+                    want = ({s - 1: min(C[s - 1], need) * scale for s in free},
+                            2 * need * scale)
+                    seen["mass"] += 1
+                assert row.relation == ">="
+                assert (row.coeffs, row.rhs) == want, (a, b)
+                assert all(type(v) is int for v in (*row.coeffs.values(), row.rhs))
+            return lp
+
+        monkeypatch.setattr(laminar_kc, "build_iter_lp", checked)
+        for seed in range(150):
+            inst, y = random_laminar_case(seed)
+            for k in (1, F(5, 3)):
+                scaled = LaminarKcInstance(
+                    T=inst.T, C=tuple(k * v for v in inst.C), K=inst.K,
+                    family=inst.family, R={iv: k * v for iv, v in inst.R.items()})
+                solve(scaled, view_of(scaled, y))
+        assert min(seen.values()) >= 40, seen
 
     def test_current_y_feasible_for_built_lp(self):
         for seed in range(10):
