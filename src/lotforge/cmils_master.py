@@ -9,14 +9,9 @@ is (row generation, after Dantzig, Fulkerson and Johnson).  The solver
 returns the lexicographically least optimal point, and once that point of
 the relaxed LP satisfies every per-pair row it is also the full LP's, so
 generating the rows changes no vertex.  On top of it sits a pool of
-covering cuts: for disjoint period sets S1, S2 and an item set I with
-C(S1) < d(I),
-
-    C(S1) + sum_{s in S2} min(C_s, d(I) - C(S1)) y_s
-          + sum_{i in I} d_i x[outside S1+S2, i]  >=  d(I)
-
-must hold for every integral solution: orders in S2 only cover the residual
-d(I) - C(S1), so their usable capacity is capped at it.
+covering cuts (see cuts), which every integral solution satisfies: orders
+in S2 only cover the residual d(I) - C(S1), so their usable capacity is
+capped at it.  cut_row writes a cut's row from cuts.cut_terms.
 
 run_pipeline alternates exact LP solves with the rounding/separation step
 until the rounded order set covers every interval requirement, then places
@@ -35,7 +30,7 @@ from typing import Callable, Optional
 
 from . import assignment as assign_mod
 from . import interval_kc, lp_core, separation
-from .cuts import CoveringCut, check_cut, cut_demand, cut_lhs
+from .cuts import CoveringCut, cut_demand, cut_lhs, cut_terms
 from .errors import InvariantError, RoundLimitError
 from .instance import (CmilsInstance, FractionalSolution, OrderSchedule, Rat,
                        format_rat, hcost, make_schedule, validate)
@@ -95,18 +90,10 @@ def pair_row(inst: CmilsInstance, layout: MasterLayout,
 
 
 def cut_row(cut: CoveringCut, inst: CmilsInstance, layout: MasterLayout):
-    """Covering cut as an LP row (the constant C(S1) moves to the rhs)."""
-    cap1 = sum(inst.cap(s) for s in cut.S1)
-    residual = cut_demand(cut, inst) - cap1
-    coeffs: dict[int, Rat] = {}
-    for s in cut.S2:
-        coeffs[layout.y_col[s]] = coeffs.get(layout.y_col[s], 0) + min(inst.cap(s), residual)
-    excluded = cut.S1 | cut.S2
-    for i in cut.I:
-        for s in range(1, inst.deadline(i) + 1):
-            if s not in excluded:
-                col = layout.x_col[(s, i)]
-                coeffs[col] = coeffs.get(col, 0) + inst.demand(i)
+    """Covering cut as an LP row on the layout's columns, and its rhs d(I) - C(S1)."""
+    residual, y_terms, x_terms = cut_terms(cut, inst)
+    coeffs = {layout.y_col[s]: c for s, c in y_terms.items()}
+    coeffs.update((layout.x_col[key], c) for key, c in x_terms.items())
     return coeffs, residual
 
 
@@ -168,16 +155,17 @@ def solve_master(state: MasterState, trace: Trace = None) -> FractionalSolution:
 
 
 def add_cut(state: MasterState, cut: CoveringCut) -> None:
-    """Append a strictly violated covering cut to the pool."""
-    check_cut(cut, state.instance)
+    """Append a strictly violated covering cut to the pool.
+
+    cut_row raises first for a cut that is not well formed (see cut_terms).
+    """
+    coeffs, rhs = cut_row(cut, state.instance, state.layout)
     if cut in state.cut_pool:
         raise ValueError("duplicate cut rejected")
     if state.current is None:
         raise ValueError("solve the master before adding cuts")
-    demand = cut_demand(cut, state.instance)
-    if cut_lhs(cut, state.current, state.instance) >= demand:
+    if cut_lhs(cut, state.current, state.instance) >= cut_demand(cut, state.instance):
         raise ValueError("cut is not violated by the current solution")
-    coeffs, rhs = cut_row(cut, state.instance, state.layout)
     state.lp.add_row(coeffs, lp_core.GE, rhs)
     state.cut_pool.append(cut)
 
@@ -218,32 +206,29 @@ def run_pipeline(inst: CmilsInstance, max_rounds: int = 200,
     if bad:
         raise ValueError("invalid instance: " + "; ".join(bad))
     state = MasterState.new(inst)
-    sol = solve_master(state, trace)
-    prev_value = state.lp_value
-    payload = None
     while True:
-        outcome = separation.try_round(sol, inst)
-        if isinstance(outcome, separation.IntervalRequirements):
-            payload = outcome
+        sol = solve_master(state, trace)
+        if state.round:
+            if state.lp_value < prev_value:
+                raise InvariantError("LP value decreased after adding rows")
+            if trace:
+                trace(f"round={state.round} lp_value={state.lp_value} "
+                      f"pivots={state.pivots}")
+        prev_value = state.lp_value
+        found = separation.try_round(sol, inst)
+        if isinstance(found, separation.IntervalRequirements):
             break
         state.round += 1
         if state.round > max_rounds:
             raise RoundLimitError(f"no rounding after {max_rounds} cut rounds", state=state)
-        add_cut(state, outcome)
+        add_cut(state, found)
         if trace:
-            trace(f"round={state.round} cut S1={sorted(outcome.S1)} "
-                  f"S2={sorted(outcome.S2)} I={sorted(outcome.I)}")
-        sol = solve_master(state, trace)
-        if state.lp_value < prev_value:
-            raise InvariantError("LP value decreased after adding rows")
-        prev_value = state.lp_value
-        if trace:
-            trace(f"round={state.round} lp_value={state.lp_value} "
-                  f"pivots={state.pivots}")
+            trace(f"round={state.round} cut S1={sorted(found.S1)} "
+                  f"S2={sorted(found.S2)} I={sorted(found.I)}")
 
-    ikc = interval_kc.IntervalKcInstance(T=inst.T, C=inst.C, K=inst.K, R=payload.R)
+    ikc = interval_kc.IntervalKcInstance(T=inst.T, C=inst.C, K=inst.K, R=found.R)
     orders = interval_kc.solve_interval_kc(
-        ikc, payload.y_scaled, payload.locked, payload.residual, trace=trace)
+        ikc, found.y_scaled, found.locked, found.residual, trace=trace)
 
     placed = assign_mod.solve_assignment(inst, orders)
     if placed is None:
@@ -265,5 +250,5 @@ def run_pipeline(inst: CmilsInstance, max_rounds: int = 200,
                              f"holding_bound_ok={cert.holding_bound_ok}")
     elapsed = (time.perf_counter() - started) * 1000.0
     return PipelineResult(schedule=schedule, certificate=cert, lp_solution=sol,
-                          payload=payload, cuts=list(state.cut_pool),
+                          payload=found, cuts=list(state.cut_pool),
                           elapsed_ms=elapsed)

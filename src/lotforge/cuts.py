@@ -4,7 +4,15 @@ A cut is a triple (S1, S2, I): disjoint period sets and an item set with
 C(S1) < d(I).  It asserts that, beyond the capacity of S1 and the demand
 explicitly placed outside S1 and S2, the orders in S2 must cover the rest
 of d(I) -- and each order in S2 only counts up to the residual
-d(I) - C(S1), its usable share of that requirement.
+d(I) - C(S1), its usable share of that requirement:
+
+    C(S1) + sum_{s in S2} min(C_s, d(I) - C(S1)) y_s
+          + sum_{i in I} d_i x[outside S1+S2, i]  >=  d(I)
+
+(the knapsack-cover inequalities of Carr, Fleischer, Leung and Phillips).
+cut_terms states this inequality once, and its three readers take it from
+there: add_cut's validity check, cut_lhs's value at a point and the
+master's LP row (cmils_master.cut_row).
 """
 
 from __future__ import annotations
@@ -20,31 +28,37 @@ class CoveringCut:
     I: frozenset[int]
 
 
-def check_cut(cut: CoveringCut, inst: CmilsInstance) -> None:
+def cut_demand(cut: CoveringCut, inst: CmilsInstance) -> Rat:
+    return sum(inst.demand(i) for i in cut.I)
+
+
+def cut_terms(cut: CoveringCut, inst: CmilsInstance
+              ) -> tuple[Rat, dict[int, Rat], dict[tuple[int, int], Rat]]:
+    """The cut as sum_s y_terms[s] y_s + sum_(s, i) x_terms[(s, i)] x[s, i]
+    >= residual, with residual = d(I) - C(S1) > 0.
+
+    Raises ValueError unless S1 and S2 are disjoint, I is not empty and
+    C(S1) < d(I).
+    """
     if cut.S1 & cut.S2:
         raise ValueError("cut has overlapping period sets")
     if not cut.I:
         raise ValueError("cut has no items")
     cap1 = sum(inst.cap(s) for s in cut.S1)
-    need = sum(inst.demand(i) for i in cut.I)
+    need = cut_demand(cut, inst)
     if cap1 >= need:
         raise ValueError(f"cut rejected: C(S1)={cap1} >= d(I)={need}")
-
-
-def cut_demand(cut: CoveringCut, inst: CmilsInstance) -> Rat:
-    return sum(inst.demand(i) for i in cut.I)
+    residual = need - cap1
+    excluded = cut.S1 | cut.S2
+    y_terms = {s: min(inst.cap(s), residual) for s in cut.S2}
+    x_terms = {(s, i): inst.demand(i) for i in cut.I
+               for s in range(1, inst.deadline(i) + 1) if s not in excluded}
+    return residual, y_terms, x_terms
 
 
 def cut_lhs(cut: CoveringCut, sol: FractionalSolution, inst: CmilsInstance) -> Rat:
     """Left side of the covering inequality; violated iff < d(I)."""
-    check_cut(cut, inst)
-    lhs = sum(inst.cap(s) for s in cut.S1)
-    residual = cut_demand(cut, inst) - lhs
-    for s in cut.S2:
-        lhs += min(inst.cap(s), residual) * sol.y[s - 1]
-    excluded = cut.S1 | cut.S2
-    for i in cut.I:
-        outside = sum(sol.x_val(s, i) for s in range(1, inst.deadline(i) + 1)
-                      if s not in excluded)
-        lhs += inst.demand(i) * outside
-    return lhs
+    residual, y_terms, x_terms = cut_terms(cut, inst)
+    return (cut_demand(cut, inst) - residual
+            + sum(c * sol.y[s - 1] for s, c in y_terms.items())
+            + sum(c * v for key, c in x_terms.items() if (v := sol.x.get(key))))

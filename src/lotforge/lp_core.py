@@ -39,7 +39,9 @@ pass that reads its coefficients' numerators and denominators (as does the
 crash start's sign test), the objective is scaled to integers once, and the
 solution is read off as an int where a value is whole and a Fraction
 elsewhere.  Every pivot choice is the same exact comparison a rational
-tableau would make.
+tableau would make.  The LP takes exact entries only: check_well_formed
+rejects any other number, a float or a Decimal, with ValueError instead
+of converting it.
 
 The objective is a row of the tableau too (after Bixby and Koberstein):
 its reduced costs are an integer row over a positive denominator, with one
@@ -110,38 +112,45 @@ class LinearProgram:
     rows: list[Row] = field(default_factory=list)
     bounds: list[tuple[Rat, Rat]] = field(default_factory=list)
 
-    def add_row(self, coeffs: Mapping[int, Rat], relation: str, rhs) -> None:
-        """Append a row; int and Fraction values are kept as given, any other
-        number is converted to a Fraction."""
-        clean = {j: v if isinstance(v, (int, Fraction)) else Fraction(v)
-                 for j, v in coeffs.items() if v}
+    def add_row(self, coeffs: Mapping[int, Rat], relation: str, rhs: Rat) -> None:
+        """Append a row; its values are kept as given, zeros dropped."""
+        clean = {j: v for j, v in coeffs.items() if v}
         for j in clean:
             if not (0 <= j < self.num_vars):
                 raise ValueError(f"row references unknown variable {j}")
         if relation not in (LE, GE, EQ):
             raise ValueError(f"unknown relation {relation!r}")
-        if not isinstance(rhs, (int, Fraction)):
-            rhs = Fraction(rhs)
         self.rows.append(Row(coeffs=clean, relation=relation, rhs=rhs))
 
     def check_well_formed(self, since: int = 0) -> None:
         """Raise ValueError if the LP is malformed.
 
-        With since > 0 the bounds and rows[:since] are taken as checked: a
-        warm start has matched them, by identity, to ones it checked before.
+        Every objective entry, bound, row coefficient and rhs must be exact:
+        an int or a Fraction.  With since > 0 the objective, the bounds and
+        rows[:since] are taken as checked: a warm start has matched them, by
+        identity, to ones it checked before.
         """
         if len(self.objective) != self.num_vars:
             raise ValueError("objective length mismatch")
         if len(self.bounds) != self.num_vars:
             raise ValueError("bounds length mismatch")
         if not since:
+            _check_exact("the objective", self.objective)
+            _check_exact("the bounds", [v for bound in self.bounds for v in bound])
             for j, (lo, hi) in enumerate(self.bounds):
                 if lo > hi:
                     raise ValueError(f"variable {j}: lo {lo} > hi {hi}")
-        for row in self.rows[since:]:
+        for k, row in enumerate(self.rows[since:], start=since):
+            _check_exact(f"row {k}", (row.rhs, *row.coeffs.values()))
             for j in row.coeffs:
                 if not (0 <= j < self.num_vars):
                     raise ValueError(f"row references unknown variable {j}")
+
+
+def _check_exact(where: str, values) -> None:
+    for value in values:
+        if not isinstance(value, (int, Fraction)):
+            raise ValueError(f"in {where}: {value!r} is not an int or a Fraction")
 
 
 @dataclass
@@ -229,8 +238,6 @@ class _Tableau:
         cost = []
         for j, col in self.col_of_var.items():
             c = lp.objective[j]
-            if not isinstance(c, (int, Fraction)):
-                c = Fraction(c)
             cost.append(-c if self.comp[col] else c)
         self.cden = lcm(*(c.denominator for c in cost))
         self.cbar: list[int] = [c.numerator * (self.cden // c.denominator) for c in cost]

@@ -17,8 +17,9 @@ solver checks at its entry.
 
 The shortfalls and requirements are running integer sums over a common
 denominator, each stored value built by instance.rat: an int when whole,
-else a Fraction.  Each cut's left-hand side (cuts.cut_lhs) is still
-Fraction arithmetic, once per interval with a positive residual.
+else a Fraction.  Each candidate cut is tested by cuts.cut_lhs, which
+evaluates the terms of cuts.cut_terms at (x, y) in Fraction arithmetic,
+once per interval with a positive residual.
 """
 
 from __future__ import annotations

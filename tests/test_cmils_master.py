@@ -12,7 +12,7 @@ from helpers import (full_master_lp, schedule_to_fractional, verify_vertex,
                      warm_solves_checked_cold)
 from lotforge.cmils_master import (MasterState, add_cut, build_base_lp,
                                    run_pipeline, solve_master)
-from lotforge.cuts import CoveringCut, cut_demand, cut_lhs
+from lotforge.cuts import CoveringCut, cut_demand, cut_lhs, cut_terms
 from lotforge import cli, cmils_master, lp_core
 from lotforge.errors import InvariantError, RoundLimitError
 from lotforge.instance import (CmilsInstance, check_feasible, gen_kc_gap,
@@ -185,6 +185,29 @@ class TestCutPool:
         solve_master(state)
         with pytest.raises(ValueError, match="duplicate"):
             add_cut(state, cut)
+
+    @pytest.mark.parametrize("cut, message", [
+        pytest.param(CoveringCut(frozenset({1}), frozenset({1, 2}), frozenset({1})),
+                     "overlapping period sets", id="overlapping-S1-S2"),
+        pytest.param(CoveringCut(frozenset(), frozenset({2}), frozenset()),
+                     "no items", id="empty-I"),
+        pytest.param(CoveringCut(frozenset({1, 2}), frozenset(), frozenset({1})),
+                     r"C\(S1\)=1999 >= d\(I\)=1000", id="C(S1)-at-least-d(I)"),
+    ])
+    def test_malformed_cut_rejected(self, cut, message):
+        state = self.gap_state()
+        rows = len(state.lp.rows)
+        with pytest.raises(ValueError, match=message):
+            add_cut(state, cut)
+        assert len(state.lp.rows) == rows and not state.cut_pool
+
+    def test_cut_before_first_solve_rejected(self):
+        state = MasterState.new(gen_kc_gap(F(1000)))
+        cut = CoveringCut(S1=frozenset({1}), S2=frozenset({2}), I=frozenset({1}))
+        with pytest.raises(ValueError, match="solve the master before adding cuts"):
+            add_cut(state, cut)
+        assert len(state.lp.rows) == len(build_base_lp(state.instance).rows)
+        assert not state.cut_pool
 
 
 class TestPipeline:
@@ -398,6 +421,42 @@ def gap_stacks(draw):
         h.append(tuple(F(sum(steps[s:])) for s in range(due)))
     return CmilsInstance(T=T, N=len(d), K=tuple(K), C=tuple(C), d=tuple(d), r=tuple(r),
                          h=tuple(h))
+
+
+def test_pooled_cuts_read_one_statement(monkeypatch):
+    """Every pooled cut is well formed by cut_terms.  At the master point it
+    was separated from, cut_lhs is C(S1) plus cut_row's row evaluated at the
+    LP values, and falls below d(I)."""
+    seen = []
+    real = cmils_master.add_cut
+
+    def recording(state, cut):
+        seen.append((cut, state.solution.values, state.current))
+        real(state, cut)
+
+    monkeypatch.setattr(cmils_master, "add_cut", recording)
+    cuts = 0
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(gap_stacks())
+    def check(inst):
+        nonlocal cuts
+        seen.clear()
+        result = run_pipeline(inst)
+        assert [cut for cut, _, _ in seen] == result.cuts
+        layout = cmils_master.MasterLayout(inst)
+        for cut, values, point in seen:
+            residual, _, _ = cut_terms(cut, inst)
+            coeffs, rhs = cmils_master.cut_row(cut, inst, layout)
+            assert rhs == residual
+            cap1 = sum((inst.cap(s) for s in cut.S1), F(0))
+            lhs = cut_lhs(cut, point, inst)
+            assert lhs == cap1 + sum(c * values[j] for j, c in coeffs.items())
+            assert lhs < cut_demand(cut, inst)
+        cuts += len(seen)
+
+    check()
+    assert cuts > 0
 
 
 # gap-stack input 84 of the seed-902 benchmark pool: a cold and a warm re-solve

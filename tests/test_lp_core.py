@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import json
 import os
+import re
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm
@@ -156,7 +157,7 @@ def test_well_formed_rejects_bad_rows():
         solve_to_vertex(lp, start=sol)
 
 
-def test_add_row_keeps_fractions_and_converts_other_numbers():
+def test_add_row_keeps_fractions_and_solve_rejects_other_numbers():
     lp = box_lp(3, [1, 1, 1])
     half, rhs, big = F(1, 2), F(3, 2), 10 ** 30
     lp.add_row({0: half, 1: big, 2: 0}, GE, rhs)
@@ -166,9 +167,42 @@ def test_add_row_keeps_fractions_and_converts_other_numbers():
     lp.add_row({0: F(1)}, LE, big)
     assert lp.rows[-1].rhs is big
     lp.add_row({0: 0.5, 1: Decimal("1.25")}, LE, 2.5)
-    row = lp.rows[-1]
-    assert all(type(v) is Fraction for v in row.coeffs.values()) and type(row.rhs) is Fraction
-    assert row.coeffs == {0: F(1, 2), 1: F(5, 4)} and row.rhs == F(5, 2)
+    assert lp.rows[-1] == lp_core.Row({0: 0.5, 1: Decimal("1.25")}, LE, 2.5)
+    for coeffs, rhs, bad in (({0: 0.5, 1: Decimal("1.25")}, 2.5, "2.5"),
+                             ({0: 0.5, 1: F(5, 4)}, F(5, 2), "0.5"),
+                             ({0: F(1, 2), 1: Decimal("1.25")}, F(5, 2), "Decimal('1.25')")):
+        lp.rows[-1] = lp_core.Row(coeffs=coeffs, relation=LE, rhs=rhs)
+        with pytest.raises(ValueError, match=re.escape(f"in row 2: {bad} is not")):
+            solve_to_vertex(lp)
+
+
+INEXACT = [pytest.param(0.5, id="float"), pytest.param(Decimal("0.5"), id="decimal")]
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("value", INEXACT)
+@pytest.mark.parametrize("place", ["objective", "bound", "coefficient", "rhs"])
+def test_solve_takes_exact_entries_only(place, value, warm):
+    """A float or a Decimal anywhere in the LP is refused, never converted.
+
+    A warm start checks the rows appended since its solve; an objective entry
+    or a bound replaced since then makes the start stale.
+    """
+    lp = warm_start_lp()
+    start = solve_to_vertex(lp) if warm else None
+    message = re.escape(f"{value!r} is not an int or a Fraction")
+    if place == "objective":
+        lp.objective[1] = value
+    elif place == "bound":
+        lp.bounds[1] = (F(0), value)
+    elif place == "coefficient":
+        lp.add_row({0: value}, LE, 1)
+    else:
+        lp.add_row({0: F(1)}, LE, value)
+    if warm and place in ("objective", "bound"):
+        message = "stale"
+    with pytest.raises(ValueError, match=message):
+        solve_to_vertex(lp, start=start)
 
 
 def test_dump_lp_mentions_rows():
