@@ -37,13 +37,17 @@ def cut_terms(cut: CoveringCut, inst: CmilsInstance
     """The cut as sum_s y_terms[s] y_s + sum_(s, i) x_terms[(s, i)] x[s, i]
     >= residual, with residual = d(I) - C(S1) > 0.
 
-    Raises ValueError unless S1 and S2 are disjoint, I is not empty and
-    C(S1) < d(I).
+    Raises ValueError unless S1 and S2 are disjoint periods in 1..T, I is
+    a non-empty set of items in 1..N and C(S1) < d(I).
     """
     if cut.S1 & cut.S2:
         raise ValueError("cut has overlapping period sets")
     if not cut.I:
         raise ValueError("cut has no items")
+    if not (cut.S1 | cut.S2).issubset(inst.periods()):
+        raise ValueError(f"cut names a period outside 1..{inst.T}")
+    if not cut.I.issubset(inst.items()):
+        raise ValueError(f"cut names an item outside 1..{inst.N}")
     cap1 = sum(inst.cap(s) for s in cut.S1)
     need = cut_demand(cut, inst)
     if cap1 >= need:

@@ -337,9 +337,14 @@ def gen_random(seed: int, *, T: int, N: int,
     return CmilsInstance(T=T, N=N, K=K, C=tuple(C), d=d, r=r, h=tuple(h))
 
 
-def gen_kc_gap(R) -> CmilsInstance:
-    """Two-period knapsack-cover gap embed: C=(R-1, R), K=(0, 1), one demand R."""
-    R = Fraction(R)
+def gen_kc_gap(R: Rat) -> CmilsInstance:
+    """Two-period knapsack-cover gap embed: C=(R-1, R), K=(0, 1), one demand R.
+
+    R must be exact, an int or a Fraction (a bool is neither), and at least
+    2; else ValueError.
+    """
+    if type(R) not in _RAT_TYPES:
+        raise ValueError(f"R = {_show(R)} is not an int or a Fraction")
     R = rat(R.numerator, R.denominator)
     if R < 2:
         raise ValueError("R must be >= 2")

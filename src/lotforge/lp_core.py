@@ -14,16 +14,19 @@ columns are set up first, each at a start bound: its upper bound when
 raising it only loosens the rows it is in (no EQ row, positive in every GE
 row, negative in every LE row), its lower bound otherwise, a crash start.
 Every row then enters as a warm start's rows do (below), basic in a new
-column: an LE/GE row in its slack, an EQ row in an artificial of width 0,
-which never enters.  If every row holds at the start (every basic offset is
-in range), the primal simplex starts from it.  Otherwise each column with a
-negative reduced cost moves to its other, cheaper bound.  Every structural
+column: an LE/GE row in its slack, an EQ row in an artificial of width 0.
+The artificial is a fixed column, as an equality row's logical is in the
+bounded dual simplex (after Koberstein): it never enters, and in a feasible
+basis one still basic sits at 0.  A ratio-test step of length 0 takes it
+out of its row when an entering column needs that row; a redundant EQ row
+simply keeps it basic.  If every row holds at the start (every basic offset
+is in range), the primal simplex starts from it.  Otherwise each column with
+a negative reduced cost moves to its other, cheaper bound.  Every structural
 column is boxed, so that basis is dual feasible, and Lemke's dual simplex
 (below) runs from it to a feasible basis or proves that none exists.  From a
-feasible basis the artificials, all at 0 then, are pivoted out, and the
-primal simplex prices by the most negative reduced cost (Dantzig's rule);
-after a run of DEGENERATE_RUN zero-length steps, Bland's least-index rule
-takes over until a step moves, so it cannot cycle.
+feasible basis the primal simplex prices by the most negative reduced cost
+(Dantzig's rule); after a run of DEGENERATE_RUN zero-length steps, Bland's
+least-index rule takes over until a step moves, so it cannot cycle.
 
 The tableau is fraction-free (after Bareiss elimination and the
 integer-preserving simplex of Azulay and Pique): each row is a list of
@@ -174,11 +177,13 @@ class _Tableau:
 
     Columns: free structural variables first, then one per row, basic in it
     as the row enters (`append_rows`): a slack for an LE/GE row, an
-    artificial of width 0 for an EQ row.  Column k's value is lo[k] + z_k,
-    or lo[k] + width[k] - z_k once it is complemented (comp[k]); every
-    nonbasic z is 0, so a nonbasic column sits at its lower bound, or at its
-    upper bound when complemented.  width[k] is the integer pair (numerator,
-    denominator) of hi - lo, or None for a slack, which has no upper bound.
+    artificial of width 0 for an EQ row, banned from entering; every row
+    stays, and its artificial may stay basic.  Column k's value is
+    lo[k] + z_k, or lo[k] + width[k] - z_k once it is complemented (comp[k]);
+    every nonbasic z is 0, so a nonbasic column sits at its lower bound, or at
+    its upper bound when complemented.  width[k] is the integer pair
+    (numerator, denominator) of hi - lo, or None for a slack, which has no
+    upper bound.
 
     Row i is the integer list tab[i] over the positive integer den[i]; its
     last entry is the row's constant, so the row reads
@@ -485,15 +490,23 @@ class _Tableau:
         its z runs against its value); a nonbasic column at its lower bound
         is already least.  The bans are lifted again at the end, back to the
         artificials.
+
+        Every nonbasic column is banned exactly when len(banned) + len(tab)
+        is ncols plus the number of banned basic columns.  Only artificials
+        are both: no ban here falls on a basic column, and a banned column
+        never enters.  full counts the artificials basic as the stage
+        starts; one that a stage pivots out leaves it too high, which only
+        delays the stop.
         """
         tab, den, basis, comp, banned = self.tab, self.den, self.basis, self.comp, self.banned
+        full = self.ncols + sum(self.in_basis[k] for k in self.art_cols)
         ncols = self.ncols
         true_row = self.cbar, self.cden
 
         def ban_positive(row: list[int]) -> bool:
             """Ban every column with a positive entry; True once all nonbasic are."""
             banned.update(k for k in range(ncols) if row[k] > 0)
-            return len(banned) + len(tab) == ncols
+            return len(banned) + len(tab) == full
 
         done = ban_positive(self.cbar)
         for col in range(len(self.col_of_var)):
@@ -510,7 +523,7 @@ class _Tableau:
                 row[col] = -1
             else:
                 banned.add(col)
-                done = len(banned) + len(tab) == ncols
+                done = len(banned) + len(tab) == full
                 continue
             self.cbar, self.cden = row, rden
             self.run()
@@ -586,27 +599,6 @@ class _Tableau:
                 return False
             self._pivot(r, enter)
         raise InvariantError("dual simplex failed to terminate (cycling guard tripped)")
-
-    def drop_artificials(self) -> None:
-        """Pivot the basic artificials, all at 0, out; delete dead rows."""
-        arts = set(self.art_cols)
-        for i in range(len(self.tab) - 1, -1, -1):
-            b = self.basis[i]
-            if b not in arts:
-                continue
-            row = self.tab[i]
-            if row[-1]:
-                raise InvariantError("artificial variable basic at nonzero value")
-            target = next((j for j in range(self.ncols)
-                           if row[j] and j not in arts and not self.in_basis[j]), -1)
-            if target >= 0:
-                self._pivot(i, target)
-            else:
-                # Row only touches artificials: redundant.
-                self.in_basis[b] = False
-                del self.tab[i]
-                del self.den[i]
-                del self.basis[i]
 
     def solution_values(self) -> list[Rat]:
         """Every variable's value, read off the integer rows: an int where
@@ -689,9 +681,10 @@ def solve_to_vertex(lp: LinearProgram, start: Optional[LpSolution] = None) -> Lp
     be an LE or GE row added by `add_row`.  The solve then goes on from
     start's final tableau: the new rows are appended to it and the dual
     simplex re-optimizes.  That uses the tableau up, and the new solution
-    carries it on.  A start from another LP or already used, replaced
-    earlier rows (or bounds, or objective) and an appended EQ row raise
-    ValueError.
+    carries it on.  The tableau keeps a row for every LP row: a redundant EQ
+    row stays too, its artificial basic at 0.  A start from another LP or
+    already used, replaced earlier rows (or bounds, or objective) and an
+    appended EQ row raise ValueError.
     """
     if start is None:
         lp.check_well_formed()
@@ -710,7 +703,6 @@ def solve_to_vertex(lp: LinearProgram, start: Optional[LpSolution] = None) -> Lp
     if needs_dual and not tab.dual():
         return LpSolution(status=INFEASIBLE, values=None, objective_value=None,
                           pivots=tab.pivots)
-    tab.drop_artificials()
     tab.run()
     tab.lex_min()
 

@@ -193,10 +193,20 @@ class TestCutPool:
                      "no items", id="empty-I"),
         pytest.param(CoveringCut(frozenset({1, 2}), frozenset(), frozenset({1})),
                      r"C\(S1\)=1999 >= d\(I\)=1000", id="C(S1)-at-least-d(I)"),
+        # Period 0 would read C_T and y_T through a negative index, and
+        # item 7 past the end of d.
+        pytest.param(CoveringCut(frozenset(), frozenset({0}), frozenset({1})),
+                     r"period outside 1\.\.2", id="S2-period-0"),
+        pytest.param(CoveringCut(frozenset({0}), frozenset({2}), frozenset({1})),
+                     r"period outside 1\.\.2", id="S1-period-0"),
+        pytest.param(CoveringCut(frozenset(), frozenset({2}), frozenset({7})),
+                     r"item outside 1\.\.1", id="I-item-7"),
     ])
     def test_malformed_cut_rejected(self, cut, message):
         state = self.gap_state()
         rows = len(state.lp.rows)
+        with pytest.raises(ValueError, match=message):
+            cut_lhs(cut, state.current, state.instance)
         with pytest.raises(ValueError, match=message):
             add_cut(state, cut)
         assert len(state.lp.rows) == rows and not state.cut_pool

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -209,6 +210,14 @@ class TestGenerators:
     def test_gap_requires_r_at_least_2(self):
         with pytest.raises(ValueError):
             gen_kc_gap(F(3, 2))
+
+    def test_gap_takes_an_exact_r_only(self):
+        # A float is its binary expansion: 2.1 is 4728779608739021/2251799813685248.
+        for R in (2.1, 1000.0, True, Decimal("2.1"), "1000"):
+            with pytest.raises(ValueError, match="not an int or a Fraction"):
+                gen_kc_gap(R)
+        assert gen_kc_gap(1000) == gen_kc_gap(F(1000))
+        assert gen_kc_gap(F(21, 10)).d == (F(21, 10),)
 
 
 class TestSerialization:

@@ -581,7 +581,7 @@ def test_bland_pricing_returns_the_golden_vertices(monkeypatch):
 # golden case takes, in case order, as their total and the sha256 of their
 # JSON list.  A change that means to alter pricing, the start basis or the
 # column order re-pins both and says in its notes why the path moved.
-GOLDEN_PIVOTS = (474, "e473049dad538f507fd98954861132c1b35ce9302fecddc97cb50676534ab04e")
+GOLDEN_PIVOTS = (471, "763eee8d4dbe732a6141b47ca75b290a7ec619050eaebc11a8f34e969bcb6899")
 
 
 def test_golden_cases_keep_their_pivot_path():
@@ -603,7 +603,7 @@ def small_lps(draw):
 
     Each rhs is the row's value at a point of the box plus an offset that is
     zero half the time, so both feasible and infeasible LPs come up; an exact
-    or scaled copy of an earlier EQ row leaves a redundant row to delete.
+    or scaled copy of an earlier EQ row leaves a redundant row, which stays.
     """
     n = draw(st.integers(1, 4))
     bounds, point = [], []
@@ -700,7 +700,9 @@ def test_random_mixed_lps_match_enumeration(lp):
 
 def test_dual_start_matches_the_primal_start():
     """Forced onto the dual start, every cold solve ends where it would
-    have: same status and vertex, and the optimum the enumeration finds."""
+    have: same status and vertex, and the optimum the enumeration finds.
+    Every row stays in the tableau: a redundant EQ row, which touches only
+    artificials, keeps its artificial basic at 0."""
     reached = set()
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -725,12 +727,37 @@ def test_dual_start_matches_the_primal_start():
         check_still_optimal(tab, lp, sol.values)
         if crash.art_cols:
             reached.add("EQ")
-        if len(tab.tab) < len(lp.rows):
-            reached.add("redundant row deleted")
+        assert len(tab.tab) == len(lp.rows)
+        arts = set(tab.art_cols)
+        for row, b in zip(tab.tab, tab.basis):
+            if b in arts and not any(row[k] for k in range(tab.ncols) if k not in arts):
+                assert row[-1] == 0
+                reached.add("redundant row kept")
 
     check()
     assert reached == {"crash start feasible", "fixed", "infeasible", "EQ",
-                       "redundant row deleted"}
+                       "redundant row kept"}
+
+
+def test_lex_min_stops_only_once_every_nonbasic_column_is_banned(monkeypatch):
+    """An EQ row's artificial may still be basic, at 0, when the
+    lexicographic stage starts.  It is banned and basic at once, so the
+    stage's stop must not count it as a banned nonbasic column: here x3,
+    in no row and free of cost, starts at its upper bound and must still
+    be lowered to 0."""
+    basic_arts = []
+    real_lex_min = lp_core._Tableau.lex_min
+
+    def lex_min(tab):
+        basic_arts.append([k for k in tab.art_cols if tab.in_basis[k]])
+        real_lex_min(tab)
+
+    monkeypatch.setattr(lp_core._Tableau, "lex_min", lex_min)
+    lp = random_lp(315)
+    sol = solve_to_vertex(lp)
+    assert len(basic_arts) == 1 and basic_arts[0]
+    assert sol.values == [0, 0, F(1, 3), 0] == enumerate_lex_optimum(lp)
+    assert verify_vertex(lp, sol)
 
 
 # -- warm re-solves --------------------------------------------------------------
