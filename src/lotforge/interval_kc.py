@@ -47,6 +47,11 @@ intervals.ScaledCover, built and checked once per call and handed to the
 family build and to the laminar solve, so its rank tables are built once,
 C is scaled once, and y is passed on in no other form.  Each score is two
 binary searches over the view's ranks (max_coverable).
+
+Costs, requirements and residuals are checked exact on entry, before
+anything reads them.  The laminar instance and the closing check take K
+through intervals.exact and C as the view keeps it, so whole capacities
+and costs are ints there, whichever exact type the caller used.
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ from typing import Callable, Optional
 from . import laminar_kc
 from .errors import InvariantError
 from .instance import Rat, rat
-from .intervals import ScaledCover, check_selection, uncovered
+from .intervals import ScaledCover, check_selection, check_exact, exact, uncovered
 from .laminar_kc import Interval, LaminarFamily
 
 Trace = Optional[Callable[[str], None]]
@@ -203,8 +208,9 @@ def solve_interval_kc(ikc: IntervalKcInstance, y_scaled, locked,
                       residual: dict, trace: Trace = None) -> frozenset[int]:
     """Select periods covering every interval requirement.
 
-    Preconditions (checked): C and K have T entries and R and residual are
-    keyed by intervals over [T] (else ValueError); y_scaled passes
+    Preconditions (checked): C and K have T entries, every entry of C, K,
+    R and residual is an int or a Fraction, and R and residual are keyed
+    by intervals over [T] (else ValueError); y_scaled passes
     intervals.ScaledCover's checks; locked is locked_periods(y_scaled);
     residual agrees with intervals.residuals, a key missing from either
     dict standing for 0; every interval with positive residual satisfies
@@ -217,12 +223,13 @@ def solve_interval_kc(ikc: IntervalKcInstance, y_scaled, locked,
     line "event=locked_only selected=<number of locked periods>".
     """
     ikc.check()
-    for (a, b), given in residual.items():
-        if (a, b) in ikc.R:
-            continue
+    K = exact("K", ikc.K)
+    check_exact("R", ikc.R.values())
+    check_exact("residual", residual.values())
+    for a, b in sorted(residual.keys() - ikc.R.keys()):
         if not (0 <= a < b <= ikc.T):
             raise ValueError(f"residual on ({a}, {b}] outside [0, {ikc.T}]")
-        if given.numerator:  # no requirement there, so no residual either
+        if residual[(a, b)]:  # no requirement there, so no residual either
             raise InvariantError(f"residual for ({a}, {b}] inconsistent")
     view = ScaledCover(ikc.C, y_scaled)
     if frozenset(locked) != view.ones:
@@ -246,12 +253,12 @@ def solve_interval_kc(ikc: IntervalKcInstance, y_scaled, locked,
     if positive:
         family = construct_laminar_family(view)
         lkc = laminar_kc.LaminarKcInstance(
-            T=ikc.T, C=ikc.C, K=ikc.K, family=family,
+            T=ikc.T, C=view.C, K=K, family=family,
             R={iv: rat(n, d) for iv, (n, d) in family.scores.items() if n})
         selected = laminar_kc.solve(lkc, view, trace=trace)
     else:  # the locked set covers every requirement already
         selected = locked
         if trace:
             trace(f"event=locked_only selected={len(locked)}")
-    check_selection(positive, ikc.K, view, selected)
+    check_selection(positive, K, view, selected)
     return selected

@@ -18,8 +18,13 @@ ScaledCover   an integer view of capacities C and openings y: every C_s is
               the least common denominators.  Its covering test compares
               integers and builds no Fraction.
 
-ScaledCover is the one checked form of an opening vector: it rejects an
-entry of C or y that is neither an int nor a Fraction, and a y whose
+Every number handed to a rounding layer is exact: check_exact rejects an
+entry that is neither an int nor a Fraction, and exact also makes every
+whole entry an int.  Both layers take capacities and costs through exact,
+so a caller's Fraction(7) runs on int arithmetic; interval rounding only
+checks its requirements and residuals, which it reads as integer ratios.
+ScaledCover is the one checked form of an opening vector: it keeps exact's
+C as view.C, and rejects a y with an entry that is not exact or whose
 length is not C's or that leaves [0, 1], and the rounding layers take and
 pass nothing else.  C is scaled once per view; with_y reuses it for the
 openings of each later round.  Inside both layers a requirement is the
@@ -101,11 +106,19 @@ def residuals(R: dict, C, locked) -> dict:
             for iv, q, gap in uncovered(R, c, cden, locked)}
 
 
-def _check_rationals(name: str, values) -> None:
+def check_exact(name: str, values) -> None:
     """ValueError unless every value is an int or a Fraction: a float would
-    be scaled as its binary expansion."""
-    if not all(isinstance(v, (int, Fraction)) for v in values):
+    be read as its binary expansion."""
+    if not all(issubclass(kind, (int, Fraction)) for kind in set(map(type, values))):
         raise ValueError(f"{name} entries must be int or Fraction")
+
+
+def exact(name: str, values) -> tuple[Rat, ...]:
+    """values as a tuple with every whole entry an int, the form that
+    instance.rat gives, once check_exact has passed them."""
+    values = tuple(values)
+    check_exact(name, values)
+    return tuple([v.numerator if v.denominator == 1 else v for v in values])
 
 
 class ScaledCover:
@@ -116,7 +129,8 @@ class ScaledCover:
     least common denominators of C and of y.  Build one view per C, and
     with_y gives it for each further y.  Every entry of C and y must be an
     int or a Fraction, and y must have one entry per capacity (else
-    ValueError) and lie in [0, 1] (else InvariantError).  ones is the set of
+    ValueError) and lie in [0, 1] (else InvariantError).  C is kept as
+    exact gives it, whole capacities as ints.  ones is the set of
     periods at y = 1, which every covering test leaves out.
 
     The rank tables cover the ranked periods, those with y neither 0 nor 1,
@@ -131,9 +145,8 @@ class ScaledCover:
     """
 
     def __init__(self, C, y):
-        _check_rationals("C", C)
-        self.C = C
-        self.c, self.cden = scale_caps(C)
+        self.C = exact("C", C)
+        self.c, self.cden = scale_caps(self.C)
         self._open(y)
 
     def with_y(self, y) -> "ScaledCover":
@@ -147,7 +160,7 @@ class ScaledCover:
     def _open(self, y) -> None:
         if len(y) != len(self.C):
             raise ValueError("y must have one entry per period")
-        _check_rationals("y", y)
+        check_exact("y", y)
         self.u, self.yden = scale_caps(y)
         if not all(0 <= v <= self.yden for v in self.u):
             raise InvariantError("input y outside [0, 1]")

@@ -3,7 +3,10 @@
 Input: knapsacks 1..T with capacities C and costs K, a fractional opening
 vector y as an intervals.ScaledCover view, which has checked it, and a
 laminar family of intervals each demanding some capacity inside it beyond
-the periods at y = 1: the residual demand of the paper's LP.  The solver
+the periods at y = 1: the residual demand of the paper's LP.  C, K and the
+requirements are taken once per solve through intervals.exact, so the
+rounding LPs, the remainders and the budget checks run on ints wherever
+the values are whole.  The solver
 locks the periods at y = 1 into the selection (the view's ones),
 repeatedly re-optimizes a shrinking LP to a vertex, permanently discards
 periods that hit 0 and selects periods that hit 1, and returns a selected
@@ -33,15 +36,14 @@ the end of its round.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass, field, replace
 from operator import mul
 from typing import Callable, Iterable, Optional
 
 from . import lp_core
 from .errors import InvariantError
-from .instance import Rat
-from .intervals import ScaledCover, check_selection, scale_caps
+from .instance import Rat, rat
+from .intervals import ScaledCover, check_selection, exact, scale_caps
 
 Interval = tuple[int, int]
 Trace = Optional[Callable[[str], None]]
@@ -84,17 +86,23 @@ class LaminarKcInstance:
     family: LaminarFamily
     R: dict[Interval, Rat]  # positive requirements beyond the ones, by member
 
-    def check(self) -> None:
-        if len(self.C) != self.T or len(self.K) != self.T:
+    def check(self) -> "LaminarKcInstance":
+        """This instance with C, K and R through intervals.exact; ValueError
+        if C or K has not one entry per period, the family is over another
+        [T], or a requirement is not positive or not on a member."""
+        C, K = exact("C", self.C), exact("K", self.K)
+        R = dict(zip(self.R, exact("R", self.R.values())))
+        if len(C) != self.T or len(K) != self.T:
             raise ValueError("C and K must have one entry per period")
         if self.family.T != self.T:
             raise ValueError(f"family is over [0, {self.family.T}], not [0, {self.T}]")
         members = set(self.family.members)
-        for iv, value in self.R.items():
+        for iv, value in R.items():
             if iv not in members:
                 raise ValueError(f"requirement on non-member interval {iv}")
             if value <= 0:
                 raise ValueError(f"requirement on {iv} must be positive")
+        return replace(self, C=C, K=K, R=R)
 
 
 @dataclass
@@ -119,10 +127,11 @@ def init_state(inst: LaminarKcInstance, view: ScaledCover) -> RoundingState:
     """Set up the rounding state on the input openings; rejects inputs that
     break the contract.
 
-    view must be over inst.C, and every requirement must meet its count
-    row or its mass row.
+    The state's instance is inst.check()'s, whole values as ints.  view
+    must be over its C, and every requirement must meet its count row or
+    its mass row.
     """
-    inst.check()
+    inst = inst.check()
     if view.C != inst.C:
         raise ValueError("the view is not over the instance's capacities")
     state = RoundingState(instance=inst, discarded=set(), selected=set(view.ones),
@@ -239,9 +248,10 @@ def solve(inst: LaminarKcInstance, view: ScaledCover,
     runs at most T times.
     """
     state = init_state(inst, view)
+    inst = state.instance  # C, K and R with every whole value an int
     # the first LP costs at most K . y: K_s = k_s / kden, y_s = u_s / yden
     k, kden = scale_caps(inst.K)
-    prev_cost = Fraction(sum(map(mul, k, view.u)), kden * view.yden)
+    prev_cost = rat(sum(map(mul, k, view.u)), kden * view.yden)
     rounds = 0
     while state.remaining:
         rounds += 1

@@ -464,6 +464,44 @@ def random_interval_kc(seed: int, max_T: int = 10) -> IntervalKcInstance:
     return IntervalKcInstance(T=T, C=C, K=K, R=R)
 
 
+@dataclass(frozen=True)
+class IntervalCase:
+    ikc: IntervalKcInstance
+    y_scaled: tuple[Rat, ...]
+    locked: frozenset[int]
+    residual: dict
+
+
+def random_positive_interval_case(seed: int) -> IntervalCase:
+    """Interval rounding input with positive residuals, C and K whole
+    Fractions.
+
+    Each interval's residual is a random need halved until the
+    tenfold-mass-or-count-of-six test admits it, or 0 after a few halvings;
+    its requirement adds the locked capacity inside it.
+    """
+    rng = random.Random(seed)
+    T = rng.randint(10, 16)
+    C = tuple(Fraction(rng.randint(1, 12)) for _ in range(T))
+    K = tuple(Fraction(rng.randint(1, 9)) for _ in range(T))
+    y = tuple(rng.choice([Fraction(0), Fraction(1, 2), Fraction(3, 4),
+                          Fraction(9, 10), Fraction(9, 10), Fraction(1)])
+              for _ in range(T))
+    view, locked = ScaledCover(C, y), locked_periods(y)
+    R, residual = {}, {}
+    for a, b in all_intervals(T):
+        need = Fraction(rng.randint(1, 24), rng.choice([1, 2, 3]))
+        for _ in range(6):
+            if view.holds(a, b, need, mass=10, count=6):
+                break
+            need /= 2
+        else:
+            need = Fraction(0)
+        residual[(a, b)] = need
+        R[(a, b)] = need + cap_within(C, a, b, locked)
+    return IntervalCase(IntervalKcInstance(T=T, C=C, K=K, R=R), y, locked, residual)
+
+
 def transportation_lp(inst: CmilsInstance, orders) -> lp_core.LinearProgram:
     """The placement of all demand into an order set, as an LP over units.
 

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from helpers import (all_intervals, cap_within, coverable, family_dominates_requirements,
                      family_links, grid_scan_coverable, is_binary_with_unit_leaves,
-                     rank_table_cases, render_tree, scan_laminar_family)
+                     random_positive_interval_case, rank_table_cases, render_tree,
+                     scan_laminar_family)
 from lotforge import interval_kc, intervals, laminar_kc
 from lotforge.errors import InvariantError
 from lotforge.instance import gen_kc_gap
@@ -197,9 +198,30 @@ class TestSolveIntervalKc:
         budget = sum((costs[s - 1] * y[s - 1] for s in range(1, T + 1)), F(0))
         assert sum((costs[s - 1] for s in selected), F(0)) <= budget
 
+    def test_ints_and_whole_fractions_round_alike(self):
+        # the same selection and trace lines whether C and K come as ints or
+        # as whole Fractions, on inputs that mostly reach laminar rounding
+        laminar = 0
+        for seed in range(30):
+            case = random_positive_interval_case(seed)
+            ikc = case.ikc
+            twin = IntervalKcInstance(T=ikc.T, C=tuple(map(int, ikc.C)),
+                                      K=tuple(map(int, ikc.K)), R=ikc.R)
+            runs = []
+            for each in (ikc, twin):
+                lines: list[str] = []
+                runs.append((solve_interval_kc(each, case.y_scaled, case.locked,
+                                               case.residual, trace=lines.append),
+                             lines))
+            assert runs[0] == runs[1], seed
+            laminar += any("event=lp" in line for line in runs[0][1])
+        assert laminar >= 10
+
     def test_capacities_are_scaled_once_per_call(self, monkeypatch):
         # every round's view reuses the input view's (c, cden): C is put on
-        # its integer scale once, not again for each rounding LP's vertex
+        # its integer scale once, not again for each rounding LP's vertex;
+        # the view scales its own copy of C, with whole entries as ints, so
+        # a call on C is found by value
         T = 10
         caps = tuple(F(5 + k % 3, 3) for k in range(T))
         R = {(0, T): F(4, 3)}
@@ -207,7 +229,7 @@ class TestSolveIntervalKc:
         scaled = []
 
         def counted(values):
-            if values is caps:
+            if tuple(values) == caps:
                 scaled.append(values)
             return scale_caps(values)
 

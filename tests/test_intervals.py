@@ -166,6 +166,62 @@ def test_with_y_shares_the_scaled_capacities_and_checks_y():
             view.with_y(y)
 
 
+def interval_locked_only(K0, R, inside, outside):
+    # period 1 is locked on C = (3, 3) and covers R on (0, 1]; (1, 2] has
+    # a residual but no requirement
+    ikc = IntervalKcInstance(T=2, C=(3, 3), K=(K0, 1), R={(0, 1): R})
+    return solve_interval_kc(ikc, (1, 0), frozenset({1}),
+                             {(0, 1): inside, (1, 2): outside})
+
+
+def interval_laminar(K0, R, inside, outside):
+    # ten periods at 3/5 carry the residual on (0, 10] (count 6 >= 6), so
+    # interval rounding builds its family and runs laminar rounding
+    ikc = IntervalKcInstance(T=10, C=(5,) * 10, K=(K0, 2, 3, 4, 1, 2, 3, 4, 1, 2),
+                             R={(0, 10): R})
+    return solve_interval_kc(ikc, (F(3, 5),) * 10, frozenset(),
+                             {(0, 10): inside, (0, 1): outside})
+
+
+def laminar(K0, R):
+    return laminar_kc.solve(
+        LaminarKcInstance(T=2, C=(3, 3), K=(K0, 1), R={(0, 2): R},
+                          family=LaminarFamily.from_intervals(2, {(0, 2)})),
+        ScaledCover((3, 3), (F(1, 2), F(1, 2))))
+
+
+# Each rounding entry with exact data it accepts, and what it selects.
+# "inside" is a residual on an interval with a requirement, "outside" one
+# on an interval without.
+EXACT_ENTRIES = {
+    "interval-locked-only": (interval_locked_only,
+                             {"K0": 0, "R": 1, "inside": 0, "outside": 0}, {1}),
+    "interval-laminar": (interval_laminar, {"K0": 1, "R": 4, "inside": 4, "outside": 0},
+                         {1, 2, 5, 6, 9, 10}),
+    "laminar": (laminar, {"K0": 0, "R": 1}, {1}),
+}
+ERROR_NAME = {"K0": "K", "R": "R", "inside": "residual", "outside": "residual"}
+
+
+@pytest.mark.parametrize("entry", EXACT_ENTRIES)
+def test_each_rounding_entry_runs_on_its_exact_data(entry):
+    run, data, selected = EXACT_ENTRIES[entry]
+    assert run(**data) == selected
+
+
+@pytest.mark.parametrize("entry, field, kind", [
+    (entry, field, kind) for entry, (_, data, _) in EXACT_ENTRIES.items()
+    for field in data for kind in (float, str)])
+def test_every_rounding_entry_takes_exact_costs_requirements_and_residuals(
+        entry, field, kind):
+    # the accepted value as a float or a str: only its type is wrong, and a
+    # float would otherwise be read as its binary expansion
+    run, data, _ = EXACT_ENTRIES[entry]
+    name = ERROR_NAME[field]
+    with pytest.raises(ValueError, match=f"^{name} entries must be int or Fraction$"):
+        run(**{**data, field: kind(data[field])})
+
+
 def test_check_selection_keeps_every_period_at_one():
     # y = (1, 1/2) on C = (3, 3) and K = (1, 0), so K . y = 1.  Period 2
     # alone covers the requirement of 3 within that budget, but it leaves

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (brute_force_laminar_kc, cap_within, family_links, is_feasible,
-                     random_laminar_case)
-from lotforge import laminar_kc
+                     random_laminar_case, random_positive_interval_case)
+from lotforge import laminar_kc, lp_core
 from lotforge.errors import InvariantError
+from lotforge.interval_kc import solve_interval_kc
 from lotforge.intervals import ScaledCover, locked_periods
 from lotforge.laminar_kc import (LaminarFamily, LaminarKcInstance, RoundingState,
                                  _assert_state_feasible, build_iter_lp, dedup,
@@ -423,3 +424,52 @@ class TestSolve:
         solve(inst, view_of(inst, (F(1, 2), F(1, 2))), trace=events.append)
         kinds = {line.split("event=")[1].split()[0] for line in events}
         assert "head" in kinds and "lp" in kinds and "select" in kinds
+
+
+class TestWholeValuesAsInts:
+    """random_laminar_case gives C, K and some of R as whole Fractions."""
+
+    def test_ints_and_whole_fractions_round_alike(self):
+        lps = 0
+        for seed in range(40):
+            inst, y = random_laminar_case(seed)
+            twin = LaminarKcInstance(T=inst.T, C=tuple(map(int, inst.C)),
+                                     K=tuple(map(int, inst.K)), family=inst.family,
+                                     R={iv: int(v) if v.denominator == 1 else v
+                                        for iv, v in inst.R.items()})
+            runs = []
+            for each in (inst, twin):
+                lines: list[str] = []
+                runs.append((solve(each, view_of(each, y), trace=lines.append), lines))
+            assert runs[0] == runs[1], seed
+            lps += sum("event=lp" in line for line in runs[0][1])
+        assert lps >= 40
+
+    def test_rounding_runs_on_int_costs_and_remainders(self, monkeypatch):
+        # every rounding LP's objective is all ints, and every whole
+        # remainder an int, both from laminar_kc.solve and from interval
+        # rounding
+        real_solve, real_dedup = lp_core.solve_to_vertex, laminar_kc.dedup
+        objectives, remainders = [], []
+
+        def solve_recorded(lp, *args, **kwargs):
+            objectives.append(lp.objective)
+            return real_solve(lp, *args, **kwargs)
+
+        def dedup_recorded(state, trace=None):
+            remainders.extend(state.remaining.values())
+            return real_dedup(state, trace)
+
+        monkeypatch.setattr(laminar_kc.lp_core, "solve_to_vertex", solve_recorded)
+        monkeypatch.setattr(laminar_kc, "dedup", dedup_recorded)
+        for seed in range(40):
+            inst, y = random_laminar_case(seed)
+            assert all(type(v) is F for v in (*inst.C, *inst.K))
+            solve(inst, view_of(inst, y))
+        for seed in range(20):
+            case = random_positive_interval_case(seed)
+            solve_interval_kc(case.ikc, case.y_scaled, case.locked, case.residual)
+        assert len(objectives) >= 40
+        assert all(type(v) is int for objective in objectives for v in objective)
+        assert sum(type(v) is int for v in remainders) >= 40
+        assert all(type(v) is int for v in remainders if v.denominator == 1)
