@@ -4,11 +4,14 @@ The base relaxation covers every demand fractionally and carries two families
 of capped-capacity rows.  The per-period rows min(C_s, d(all)) y_s >=
 sum_i d_i x[s, i] are seeded.  The per-pair rows min(C_s, d_i) y_s >=
 d_i x[s, i] are generated: only a few are ever violated, so each master
-solve appends the ones its optimum violates and re-solves warm until none
-is (row generation, after Dantzig, Fulkerson and Johnson).  The solver
-returns the lexicographically least optimal point, and once that point of
-the relaxed LP satisfies every per-pair row it is also the full LP's, so
-generating the rows changes no vertex.  On top of it sits a pool of
+solve hands lp_core a separator, and the solver appends the rows each of
+its optima violates and re-solves in place until none is (row generation,
+after Dantzig, Fulkerson and Johnson).  The solver runs its lexicographic
+pass only then, once per master solve unless the lex-least point violates
+a row too.  It returns the lexicographically least optimal point, and once
+that point of the relaxed LP satisfies every per-pair row it is also the
+full LP's, so generating the rows changes no vertex, whichever rows the
+intermediate optima called for.  On top of it sits a pool of
 covering cuts (see cuts), which every integral solution satisfies: orders
 in S2 only cover the residual d(I) - C(S1), so their usable capacity is
 capped at it.  cut_row writes a cut's row from cuts.cut_terms.
@@ -16,10 +19,10 @@ capped at it.  cut_row writes a cut's row from cuts.cut_terms.
 run_pipeline alternates exact LP solves with the rounding/separation step
 until the rounded order set covers every interval requirement, then places
 the demand by a min-cost flow into that order set.  Each solve after a cut
-or a per-pair row starts from the last optimal tableau (a dual simplex over
-the appended rows).  Covered requirements make the placement feasible, and
-its holding cost is at most 5/2 hcost(x) (see assignment); the certificate
-checks both ratio bounds on every run.
+starts from the last optimal tableau, and each after a per-pair row goes on
+in it (a dual simplex over the appended rows).  Covered requirements make
+the placement feasible, and its holding cost is at most 5/2 hcost(x) (see
+assignment); the certificate checks both ratio bounds on every run.
 """
 
 from __future__ import annotations
@@ -107,7 +110,7 @@ class MasterState:
     lp_value: Optional[Rat] = None
     solution: Optional[lp_core.LpSolution] = None
     round: int = 0
-    pivots: int = 0  # over every LP solve of the last solve_master call
+    pivots: int = 0  # of the last solve_master call, its row generation included
 
     @classmethod
     def new(cls, inst: CmilsInstance) -> "MasterState":
@@ -118,35 +121,34 @@ class MasterState:
 def solve_master(state: MasterState, trace: Trace = None) -> FractionalSolution:
     """Solve the master, warm from the last optimum once there is one.
 
-    Every per-pair row the optimum violates is appended, in x_col order, and
-    the master re-solved warm until none is.  Each round adds a row the LP
-    lacked, so the loop ends.
+    One lp_core.solve_to_vertex call generates the per-pair rows: each
+    optimum it shows the separator gets every per-pair row it violates
+    appended, in x_col order, and a trace line "round=<r> pair_rows=<k>".
+    Each such row is one the LP lacked, so the generation ends.
 
-    The row of (s, i) is violated exactly when x[s, i] > y_s, so only the
-    nonzero x need a look.  With
+    The row of (s, i) is violated exactly when x[s, i] > y_s.  With
     C_s >= d_i it reads d_i y_s >= d_i x[s, i].  With C_s < d_i the seeded
     per-period row already implies it (C_s y_s >= sum_k d_k x[s, k] >=
     d_i x[s, i]), and then x[s, i] <= C_s / d_i * y_s <= y_s.
     """
     inst, layout = state.instance, state.layout
-    state.pivots = 0
-    while True:
-        sol = lp_core.solve_to_vertex(state.lp, start=state.solution)
-        state.pivots += sol.pivots
-        if sol.status == lp_core.INFEASIBLE:
-            raise ValueError("master LP infeasible: the demands cannot be met")
-        if sol.status != lp_core.OPTIMAL:
-            raise InvariantError(f"master LP came back {sol.status}")
-        state.solution = sol
-        state.current = layout.extract(sol.values, inst)
-        y = state.current.y
-        violated = [pair for pair, v in state.current.x.items() if v > y[pair[0] - 1]]
-        if not violated:
-            break
-        for pair in violated:
-            state.lp.add_row(pair_row(inst, layout, pair), lp_core.GE, 0)
-        if trace:
+    y_col = layout.y_col
+
+    def separate(values):
+        violated = [pair for pair, col in layout.x_col.items()
+                    if values[col] and values[col] > values[y_col[pair[0]]]]
+        if violated and trace:
             trace(f"round={state.round} pair_rows={len(violated)}")
+        return [(pair_row(inst, layout, pair), lp_core.GE, 0) for pair in violated]
+
+    sol = lp_core.solve_to_vertex(state.lp, start=state.solution, separate=separate)
+    state.pivots = sol.pivots
+    if sol.status == lp_core.INFEASIBLE:
+        raise ValueError("master LP infeasible: the demands cannot be met")
+    if sol.status != lp_core.OPTIMAL:
+        raise InvariantError(f"master LP came back {sol.status}")
+    state.solution = sol
+    state.current = layout.extract(sol.values, inst)
     state.lp_value = sol.objective_value
     for cut in state.cut_pool:
         if cut_lhs(cut, state.current, state.instance) < cut_demand(cut, state.instance):

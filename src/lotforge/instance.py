@@ -51,6 +51,12 @@ def rat(num: int, den: int) -> Rat:
     return Fraction(num, den) if r else q
 
 
+def all_exact(values) -> bool:
+    """Whether every value is an int or a Fraction.  It tests the set of the
+    values' types, not each value, so a long list of ints costs one test."""
+    return all(issubclass(kind, (int, Fraction)) for kind in set(map(type, values)))
+
+
 def parse_rat(text) -> Rat:
     """Parse "p/q" (or any string Fraction reads, or an int) into a Rat.
 

@@ -48,10 +48,12 @@ family build and to the laminar solve, so its rank tables are built once,
 C is scaled once, and y is passed on in no other form.  Each score is two
 binary searches over the view's ranks (max_coverable).
 
-Costs, requirements and residuals are checked exact on entry, before
-anything reads them.  The laminar instance and the closing check take K
-through intervals.exact and C as the view keeps it, so whole capacities
-and costs are ints there, whichever exact type the caller used.
+Costs, requirements and residuals are checked exact on entry, and the
+intervals of R and of the residuals are checked to have int endpoints
+inside [0, T] (intervals.check_intervals), before anything reads them.
+The laminar instance and the closing check take K through intervals.exact
+and C as the view keeps it, so whole capacities and costs are ints there,
+whichever exact type the caller used.
 """
 
 from __future__ import annotations
@@ -62,7 +64,8 @@ from typing import Callable, Optional
 from . import laminar_kc
 from .errors import InvariantError
 from .instance import Rat, rat
-from .intervals import ScaledCover, check_selection, check_exact, exact, uncovered
+from .intervals import (ScaledCover, check_exact, check_intervals, check_selection, exact,
+                        uncovered)
 from .laminar_kc import Interval, LaminarFamily
 
 Trace = Optional[Callable[[str], None]]
@@ -78,9 +81,7 @@ class IntervalKcInstance:
     def check(self) -> None:
         if len(self.C) != self.T or len(self.K) != self.T:
             raise ValueError("C and K must have one entry per period")
-        for a, b in self.R:
-            if not (0 <= a < b <= self.T):
-                raise ValueError(f"requirement on ({a}, {b}] outside [0, {self.T}]")
+        check_intervals("requirement", self.R, self.T)
 
 
 def max_coverable(a: int, b: int, view: ScaledCover) -> tuple[int, int]:
@@ -210,7 +211,8 @@ def solve_interval_kc(ikc: IntervalKcInstance, y_scaled, locked,
 
     Preconditions (checked): C and K have T entries, every entry of C, K,
     R and residual is an int or a Fraction, and R and residual are keyed
-    by intervals over [T] (else ValueError); y_scaled passes
+    by intervals over [T] with int endpoints (intervals.check_intervals;
+    else ValueError); y_scaled passes
     intervals.ScaledCover's checks; locked is locked_periods(y_scaled);
     residual agrees with intervals.residuals, a key missing from either
     dict standing for 0; every interval with positive residual satisfies
@@ -226,9 +228,8 @@ def solve_interval_kc(ikc: IntervalKcInstance, y_scaled, locked,
     K = exact("K", ikc.K)
     check_exact("R", ikc.R.values())
     check_exact("residual", residual.values())
+    check_intervals("residual", residual, ikc.T)
     for a, b in sorted(residual.keys() - ikc.R.keys()):
-        if not (0 <= a < b <= ikc.T):
-            raise ValueError(f"residual on ({a}, {b}] outside [0, {ikc.T}]")
         if residual[(a, b)]:  # no requirement there, so no residual either
             raise InvariantError(f"residual for ({a}, {b}] inconsistent")
     view = ScaledCover(ikc.C, y_scaled)

@@ -1,7 +1,9 @@
 """Half-open period intervals and the covering tests over them.
 
 An interval (a, b] with 0 <= a < b <= T stands for the periods a+1 .. b.
-Intervals are passed around as plain (a, b) tuples.
+Intervals are passed around as plain (a, b) tuples of ints, and
+check_intervals is the one test of that form: both rounding layers take
+their intervals through it.
 
 The rounding hand-off is derived here once: scale_y (y tenfold, capped
 at 1), locked_periods (y exactly 1) and residuals (max(R - C(locked), 0)).
@@ -47,12 +49,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from fractions import Fraction
 from itertools import accumulate
 from operator import mul
 
 from .errors import InvariantError
-from .instance import Rat, rat
+from .instance import Rat, all_exact, rat
 
 
 def scale_caps(C) -> tuple[list[int], int]:
@@ -106,10 +107,21 @@ def residuals(R: dict, C, locked) -> dict:
             for iv, q, gap in uncovered(R, c, cden, locked)}
 
 
+def check_intervals(what: str, intervals, T: int) -> None:
+    """ValueError, naming the first bad one as a what, unless every interval
+    is (a, b] over [T]: int endpoints (a bool is not one), 0 <= a < b <= T."""
+    for iv in intervals:
+        a, b = iv
+        if type(a) is not int or type(b) is not int:
+            raise ValueError(f"{what} interval {iv!r} has an endpoint that is not an int")
+        if not 0 <= a < b <= T:
+            raise ValueError(f"{what} interval ({a}, {b}] outside [0, {T}]")
+
+
 def check_exact(name: str, values) -> None:
     """ValueError unless every value is an int or a Fraction: a float would
     be read as its binary expansion."""
-    if not all(issubclass(kind, (int, Fraction)) for kind in set(map(type, values))):
+    if not all_exact(values):
         raise ValueError(f"{name} entries must be int or Fraction")
 
 

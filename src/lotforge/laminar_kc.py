@@ -43,7 +43,7 @@ from typing import Callable, Iterable, Optional
 from . import lp_core
 from .errors import InvariantError
 from .instance import Rat, rat
-from .intervals import ScaledCover, check_selection, exact, scale_caps
+from .intervals import ScaledCover, check_intervals, check_selection, exact, scale_caps
 
 Interval = tuple[int, int]
 Trace = Optional[Callable[[str], None]]
@@ -61,10 +61,9 @@ class LaminarFamily:
     @classmethod
     def from_intervals(cls, T: int, intervals: Iterable[Interval],
                        scores: dict | None = None) -> "LaminarFamily":
+        intervals = list(intervals)
+        check_intervals("member", intervals, T)
         members = sorted(set(intervals), key=lambda ab: (ab[0], -ab[1]))
-        for a, b in members:
-            if not (0 <= a < b <= T):
-                raise ValueError(f"interval ({a}, {b}] outside [0, {T}]")
         if (0, T) not in members:
             raise ValueError("the root interval (0, T] must be a member")
         stack: list[Interval] = []  # the members containing the next one

@@ -62,10 +62,20 @@ vertex returned does not depend on the pivot path: not on the pricing rule,
 and not on whether the solve started warm or cold.  It is a basic solution:
 the constraints tight at it span the full variable space.
 
+Rows can also be generated inside one solve (row generation, after Dantzig,
+Fulkerson and Johnson): a separate callback is shown each optimum and
+returns rows it violates, which are appended to the tableau in place and
+re-solved warm.  Any optimum serves to find violated rows, so the
+lexicographic pass runs only once separate finds none, and separate is
+asked once more at the lex-least point if the pass moved.  If that point
+violates no row it is the lex-least optimum of every LP between the final
+one and the one with all the rows separate could return, so each call
+makes one lexicographic pass unless that last question finds rows.
+
 An optimal solution keeps its final tableau, so that rows appended to its
-LP afterwards -- the cutting-plane master's per-pair rows and cuts -- are
-re-solved warm rather than from scratch.  Only the new rows are checked for
-form; the older ones, the bounds and the objective are matched by identity.
+LP afterwards -- the cutting-plane master's cuts -- are re-solved warm
+rather than from scratch.  Only the new rows are checked for form; the
+older ones, the bounds and the objective are matched by identity.
 Each appended LE/GE row gets a new slack column basic in it and is reduced
 by the current basis; the basis stays dual feasible, and a violated row
 leaves its slack's offset negative.  The dual simplex, cold or warm,
@@ -82,12 +92,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 from operator import is_
-from typing import Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 from .errors import InvariantError
-from .instance import Rat, rat
+from .instance import Rat, all_exact, rat
 
 LE = "<="
 GE = ">="
@@ -95,6 +106,10 @@ EQ = "="
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
+
+# A row generator for `solve_to_vertex`: an optimum's values to the rows to
+# append, as (coeffs, relation, rhs) triples.
+Separate = Callable[[list[Rat]], Iterable[tuple[Mapping[int, Rat], str, Rat]]]
 
 # Zero-length primal steps in a row after which pricing falls back from
 # Dantzig's rule to Bland's until a step moves.
@@ -151,9 +166,10 @@ class LinearProgram:
 
 
 def _check_exact(where: str, values) -> None:
-    for value in values:
-        if not isinstance(value, (int, Fraction)):
-            raise ValueError(f"in {where}: {value!r} is not an int or a Fraction")
+    """ValueError naming the first value that is not exact, if any is."""
+    if not all_exact(values):
+        bad = next(v for v in values if not isinstance(v, (int, Fraction)))
+        raise ValueError(f"in {where}: {bad!r} is not an int or a Fraction")
 
 
 @dataclass
@@ -260,8 +276,9 @@ class _Tableau:
         self.objective_seen = list(lp.objective)
         self.append_rows(lp.rows)
 
-    def _integer_row(self, row: Row, size: int) -> tuple[list[int], int]:
-        """An LP row over the current columns: (integer entries, den).
+    def _integer_row(self, row: Row, size: int, sign: int = 1) -> tuple[list[int], int]:
+        """An LP row, times sign (1 or -1), over the current columns:
+        (integer entries, den).
 
         Fixed variables and each column's active bound move into the
         constant, and a complemented column's coefficient is negated.  The
@@ -302,8 +319,8 @@ class _Tableau:
         den = lcm(den, cd)
         ints = [0] * (size + 1)
         for col, p, q in entries:
-            ints[col] = p * (den // q)
-        ints[-1] = num * (den // cd)
+            ints[col] = sign * p * (den // q)
+        ints[-1] = sign * num * (den // cd)
         return ints, den
 
     def append_rows(self, rows: list[Row]) -> None:
@@ -315,7 +332,8 @@ class _Tableau:
         order: pricing and the ratio test break ties by column index, so
         that order keeps the pivot path.  Each basic column is eliminated
         from a new row by its own row, which is in pivot-row form, and the
-        row is signed so that its column is basic at +den; a row the basis
+        row is signed so that its column is basic at +den: a GE row enters
+        negated, and an elimination keeps that entry's sign.  A row the basis
         violates leaves that offset out of range.
         """
         slack = [row for row in rows if row.relation != EQ]
@@ -335,15 +353,15 @@ class _Tableau:
         for r in self.tab:
             r[-1:-1] = zeros
         old = list(enumerate(self.basis))
+        nonzeros: dict[int, list[tuple[int, int]]] = {}  # an old row's, once read
         for col, row in enumerate(slack + eq, start=first):
-            ints, den = self._integer_row(row, self.ncols)
-            ints[col] = -den if row.relation == GE else den
+            ints, den = self._integer_row(row, self.ncols, -1 if row.relation == GE else 1)
+            ints[col] = den
             for i, b in old:
                 if ints[b]:
-                    nz = [(j, v) for j, v in enumerate(self.tab[i]) if v]
-                    ints, den = _eliminate(ints, den, self.den[i], b, nz)
-            if ints[col] < 0:
-                ints = [-v for v in ints]
+                    if i not in nonzeros:
+                        nonzeros[i] = _nonzeros(self.tab[i])
+                    ints, den = _eliminate(ints, den, self.den[i], b, nonzeros[i])
             self.tab.append(ints)
             self.den.append(den)
             self.basis.append(col)
@@ -361,15 +379,10 @@ class _Tableau:
         value by the step.  The cost row cbar is updated the same way,
         without the constant, unless its entry in column j is 0.
         """
-        prow = self.tab[r]
-        piv = prow[j]
-        if piv < 0:
-            prow = [-v for v in prow]
-            piv = -piv
-        prow, piv = _lowest_terms(prow, piv)
+        prow, piv = _lowest_terms(self.tab[r], self.tab[r][j])
         self.tab[r] = prow
         self.den[r] = piv
-        nz = [(k, v) for k, v in enumerate(prow) if v]
+        nz = _nonzeros(prow)
         for i, row in enumerate(self.tab):
             if i != r and row[j]:
                 self.tab[i], self.den[i] = _eliminate(row, self.den[i], piv, j, nz)
@@ -471,8 +484,9 @@ class _Tableau:
                 self._pivot(best_row, enter)
         raise InvariantError("simplex failed to terminate (cycling guard tripped)")
 
-    def lex_min(self) -> None:
-        """Move an optimal basis to the lexicographically least optimal point.
+    def lex_min(self) -> bool:
+        """Move an optimal basis to the lexicographically least optimal point;
+        False if no stage ran the simplex, so the point did not move.
 
         The optimal face is where every column with a positive reduced cost
         in cbar stays at its bound, so those columns are banned.  Each
@@ -488,8 +502,10 @@ class _Tableau:
         basic column, its row over den with the column's own entry 0 and the
         constant left out, negated unless the column is complemented (then
         its z runs against its value); a nonbasic column at its lower bound
-        is already least.  The bans are lifted again at the end, back to the
-        artificials.
+        is already least.  So is a stage whose row is negative at no column
+        that may enter: it runs no simplex and only bans the columns where
+        the row is positive, read off the tableau row's nonzeros.  The bans
+        are lifted again at the end, back to the artificials.
 
         Every nonbasic column is banned exactly when len(banned) + len(tab)
         is ncols plus the number of banned basic columns.  Only artificials
@@ -500,12 +516,13 @@ class _Tableau:
         """
         tab, den, basis, comp, banned = self.tab, self.den, self.basis, self.comp, self.banned
         full = self.ncols + sum(self.in_basis[k] for k in self.art_cols)
+        moved = False
         ncols = self.ncols
         true_row = self.cbar, self.cden
 
         def ban_positive(row: list[int]) -> bool:
             """Ban every column with a positive entry; True once all nonbasic are."""
-            banned.update(k for k in range(ncols) if row[k] > 0)
+            banned.update(k for k in compress(range(ncols), row) if row[k] > 0)
             return len(banned) + len(tab) == full
 
         done = ban_positive(self.cbar)
@@ -515,21 +532,29 @@ class _Tableau:
             if self.in_basis[col]:
                 i = basis.index(col)
                 sign = 1 if comp[col] else -1
-                row, rden = [sign * v for v in tab[i]], den[i]
-                del row[-1]
-                row[col] = 0
+                nz, rden = [(k, sign * v) for k, v in _nonzeros(tab[i])
+                            if k < ncols and k != col], den[i]
             elif comp[col]:
-                row, rden = [0] * ncols, 1
-                row[col] = -1
+                nz, rden = [(col, -1)], 1
             else:
                 banned.add(col)
                 done = len(banned) + len(tab) == full
                 continue
+            if not any(v < 0 and k not in banned for k, v in nz):
+                # no column may enter: the stage is least already
+                banned.update(k for k, v in nz if v > 0)
+                done = len(banned) + len(tab) == full
+                continue
+            row = [0] * ncols
+            for k, v in nz:
+                row[k] = v
             self.cbar, self.cden = row, rden
             self.run()
+            moved = True
             done = ban_positive(self.cbar)
         self.cbar, self.cden = true_row
         self.banned = set(self.art_cols)
+        return moved
 
     def out_of_range(self) -> tuple[int, bool]:
         """The first row whose basic offset is out of range, and whether above.
@@ -591,7 +616,7 @@ class _Tableau:
             # the lowest k; with none, the row cannot reach its range.
             row, cbar = tab[r], self.cbar
             enter, best_n, best_d = -1, 0, 1
-            for k in range(self.ncols):
+            for k in compress(range(self.ncols), row):
                 a = row[k]
                 if a < 0 and k not in banned and (enter < 0 or cbar[k] * best_d < best_n * -a):
                     enter, best_n, best_d = k, cbar[k], -a
@@ -602,28 +627,44 @@ class _Tableau:
 
     def solution_values(self) -> list[Rat]:
         """Every variable's value, read off the integer rows: an int where
-        it is whole, a Fraction elsewhere."""
-        offset = {b: (row[-1], d)
-                  for row, d, b in zip(self.tab, self.den, self.basis) if row[-1]}
-        out = []
-        for j in range(self.lp.num_vars):
-            if j in self.fixed:
-                v = self.fixed[j]
-                out.append(rat(v.numerator, v.denominator))
-                continue
-            col = self.col_of_var[j]
-            zn, zd = offset.get(col, (0, 1))  # the offset z = zn / zd
-            if self.comp[col]:
-                wn, wd = self.width[col]
-                zn, zd = wn * zd - zn * wd, wd * zd
-            lo = self.lo[col]
-            out.append(rat(lo.numerator * zd + zn * lo.denominator, lo.denominator * zd))
+        it is whole, a Fraction elsewhere.
+
+        Every variable starts at a bound, read as it is: a fixed one at its
+        value, a column at lo, or at hi once complemented.  Only a basic
+        column with a nonzero offset then takes arithmetic.
+        """
+        bounds, comp, lo = self.lp.bounds, self.comp, self.lo
+        out = [b[0] for b in bounds]
+        for j, col in self.col_of_var.items():
+            if comp[col]:
+                out[j] = bounds[j][1]
+        out = [v.numerator if v.denominator == 1 else v for v in out]
+        var_of_col = list(self.col_of_var)  # free variables in index order
+        nfree = len(var_of_col)
+        for row, d, col in zip(self.tab, self.den, self.basis):
+            zn = row[-1]  # the offset z = zn / d
+            if zn and col < nfree:
+                zd = d
+                if comp[col]:
+                    wn, wd = self.width[col]
+                    zn, zd = wn * zd - zn * wd, wd * zd
+                low = lo[col]
+                out[var_of_col[col]] = rat(low.numerator * zd + zn * low.denominator,
+                                           low.denominator * zd)
         return out
 
 
+def _nonzeros(row: list[int]) -> list[tuple[int, int]]:
+    """The (column, entry) pairs of a row's nonzero entries, constant included."""
+    return [(k, row[k]) for k in compress(range(len(row)), row)]
+
+
 def _lowest_terms(row: list[int], den: int) -> tuple[list[int], int]:
-    """Divide an integer row and its positive denominator by their gcd."""
+    """Divide an integer row and its nonzero denominator by their gcd,
+    negated if den < 0, so that the denominator comes out positive."""
     g = gcd(den, *row)
+    if den < 0:
+        g = -g
     if g == 1:
         return row, den
     return [v // g for v in row], den // g
@@ -668,7 +709,8 @@ def _complement(row: list[int], den: int, j: int, wn: int,
     return _lowest_terms(row, den * wd)
 
 
-def solve_to_vertex(lp: LinearProgram, start: Optional[LpSolution] = None) -> LpSolution:
+def solve_to_vertex(lp: LinearProgram, start: Optional[LpSolution] = None,
+                    separate: Optional[Separate] = None) -> LpSolution:
     """Solve to the lexicographically least optimal point, exactly.
 
     Among the optimal points, the one returned has the least x_0, then the
@@ -685,6 +727,21 @@ def solve_to_vertex(lp: LinearProgram, start: Optional[LpSolution] = None) -> Lp
     row stays too, its artificial basic at 0.  A start from another LP or
     already used, replaced earlier rows (or bounds, or objective) and an
     appended EQ row raise ValueError.
+
+    separate, when given, generates rows (after Dantzig, Fulkerson and
+    Johnson).  It is called with each optimum's values and returns the rows
+    to append, (coeffs, relation, rhs) triples, or none.  Each one goes
+    through `add_row`, is checked as a warm start's rows are, and must be
+    violated by the point it was asked at, else ValueError.  The rows are
+    appended to the tableau in place and the dual simplex re-optimizes, as
+    from a start.  Only once separate returns none does the lexicographic
+    pass run, and separate is asked again at the lex-least point if the
+    pass moved; if it returns rows there, the loop goes on.  So the
+    lexicographic pass runs once per call unless that last question finds
+    rows, and the point returned is the lex-least optimum of the final LP,
+    which lp now holds: it satisfies every row separate can return, so it
+    is also the least of the LP with all of them.  pivots counts every
+    re-solve of the call.
     """
     if start is None:
         lp.check_well_formed()
@@ -700,17 +757,53 @@ def solve_to_vertex(lp: LinearProgram, start: Optional[LpSolution] = None) -> Lp
         # a warm basis is dual feasible already and carries its cbar
         tab = _resume(lp, start)
         needs_dual = True
-    if needs_dual and not tab.dual():
-        return LpSolution(status=INFEASIBLE, values=None, objective_value=None,
-                          pivots=tab.pivots)
-    tab.run()
-    tab.lex_min()
+    while True:
+        if needs_dual and not tab.dual():
+            return LpSolution(status=INFEASIBLE, values=None, objective_value=None,
+                              pivots=tab.pivots)
+        tab.run()
+        needs_dual = True  # the loop comes back only after appended rows
+        if separate:
+            values = tab.solution_values()
+            if _separated(lp, tab, separate(values)):
+                continue
+        # a pass that ran no simplex left the point that separate has seen
+        if tab.lex_min() or not separate:
+            values = tab.solution_values()
+            if separate and _separated(lp, tab, separate(values)):
+                continue
+        break
 
-    values = tab.solution_values()
     obj = sum(c * v for c, v in zip(lp.objective, values) if c and v)
     obj = rat(obj.numerator, obj.denominator)
     return LpSolution(status=OPTIMAL, values=values, objective_value=obj,
                       pivots=tab.pivots, tableau=tab)
+
+
+def _separated(lp: LinearProgram, tab: _Tableau, rows) -> bool:
+    """Add separate's rows to lp and append them to tab; False if none.
+
+    A row that the tableau's point satisfies raises ValueError: asked at
+    the same point again, separate could return it forever.
+    """
+    since = len(lp.rows)
+    for coeffs, relation, rhs in rows:
+        lp.add_row(coeffs, relation, rhs)
+    if len(lp.rows) == since:
+        return False
+    _append_new(lp, tab, since)
+    if tab.in_range():
+        raise ValueError("separate returned only rows that the point satisfies")
+    return True
+
+
+def _append_new(lp: LinearProgram, tab: _Tableau, since: int) -> None:
+    """Check lp.rows[since:], LE and GE rows only, and append them to tab."""
+    lp.check_well_formed(since)
+    new = lp.rows[since:]
+    if any(row.relation == EQ for row in new):
+        raise ValueError("a warm start takes appended LE and GE rows only")
+    tab.append_rows(new)
 
 
 def _same(seen: list, now: list) -> bool:
@@ -728,11 +821,7 @@ def _resume(lp: LinearProgram, start: LpSolution) -> _Tableau:
     if not (_same(tab.rows_seen, lp.rows[:seen]) and _same(tab.bounds_seen, lp.bounds)
             and _same(tab.objective_seen, lp.objective)):
         raise ValueError("start is stale: the LP's rows, bounds or objective were replaced")
-    lp.check_well_formed(seen)
-    new = lp.rows[seen:]
-    if any(row.relation == EQ for row in new):
-        raise ValueError("a warm start takes appended LE and GE rows only")
+    _append_new(lp, tab, seen)
     start.tableau = None
     tab.pivots = 0
-    tab.append_rows(new)
     return tab

@@ -153,16 +153,29 @@ def full_master_lp(inst: CmilsInstance) -> lp_core.LinearProgram:
 
 @contextlib.contextmanager
 def warm_solves_checked_cold():
-    """Patch lp_core.solve_to_vertex so every warm solve is checked against
-    a cold solve of a copy of its LP; yields the list of each call's start.
+    """Patch lp_core.solve_to_vertex so that every call that appended rows,
+    from its start or from its separate, cold or warm, is checked against a
+    cold solve of a copy of its final LP without separate.
+
+    Yields a list with one entry per LP solve, True where it was warm: a
+    call's first solve is warm when it has a start, and each re-solve after
+    its separate returned rows is warm.
     """
     real = lp_core.solve_to_vertex
-    starts = []
+    warm = []
 
-    def checked(lp, start=None):
-        sol = real(lp, start=start)
-        starts.append(start)
-        if start is not None:
+    def checked(lp, start=None, separate=None):
+        rows = len(lp.rows)
+        warm.append(start is not None)
+
+        def counted(values):
+            found = list(separate(values))
+            if found:
+                warm.append(True)
+            return found
+
+        sol = real(lp, start=start, separate=separate and counted)
+        if start is not None or len(lp.rows) > rows:
             fresh = lp_core.LinearProgram(num_vars=lp.num_vars,
                                           objective=list(lp.objective),
                                           rows=list(lp.rows), bounds=list(lp.bounds))
@@ -175,7 +188,7 @@ def warm_solves_checked_cold():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lp_core, "solve_to_vertex", checked)
-        yield starts
+        yield warm
 
 
 def dump_lp(lp: lp_core.LinearProgram) -> str:

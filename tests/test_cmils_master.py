@@ -1,6 +1,8 @@
 import contextlib
 import dataclasses
+import hashlib
 import io
+import json
 import re
 from fractions import Fraction
 
@@ -378,12 +380,12 @@ class TestWarmResolve:
     @pytest.mark.parametrize("inst, rounds", CASES)
     def test_warm_resolves_match_cold_solves(self, inst, rounds):
         lines = []
-        with warm_solves_checked_cold() as starts:
+        with warm_solves_checked_cold() as warm:
             assert run_pipeline(inst, trace=lines.append).certificate.rounds == rounds
         pair_rounds = sum(1 for line in lines if "pair_rows=" in line)
         # one cold solve, then one warm re-solve per pair-row round and per
         # cut round
-        assert [start is None for start in starts] == [True] + [False] * (pair_rounds + rounds)
+        assert warm == [False] + [True] * (pair_rounds + rounds)
 
     def test_warm_cut_resolves_on_stacked_gaps_match_cold_solves(self):
         """Over gap-stack-style instances, which reach the cut loop, every
@@ -393,10 +395,10 @@ class TestWarmResolve:
         @settings(max_examples=100, deadline=None, derandomize=True, database=None)
         @given(gap_stacks())
         def check(inst):
-            with warm_solves_checked_cold() as starts:
+            with warm_solves_checked_cold() as warm:
                 result = run_pipeline(inst)
             rounds.add(result.certificate.rounds)
-            assert starts[0] is None and all(start is not None for start in starts[1:])
+            assert not warm[0] and all(warm[1:])
 
         check()
         assert max(rounds) >= 2
@@ -507,3 +509,58 @@ def test_cold_resolves_give_the_same_report(monkeypatch, tmp_path, inst):
 
     monkeypatch.setattr(cmils_master, "solve_master", cold)
     assert solve("cold.json") == warm
+
+
+def test_one_lexicographic_pass_per_master_call(monkeypatch):
+    """Each solve_master call makes one lexicographic pass, plus one for each
+    time its lex-least point still violated a per-pair row; the re-solves
+    between pair-row rounds make none.  A call ends on a separation that
+    found no row, before or after its last pass."""
+    real_lex, real_solve = lp_core._Tableau.lex_min, lp_core.solve_to_vertex
+    events = []
+
+    def lex_min(tab):
+        events.append("lex")
+        return real_lex(tab)
+
+    def solve(lp, start=None, separate=None):
+        events.append("call")
+
+        def watched(values):
+            rows = list(separate(values))
+            events.append("rows" if rows else "none")
+            return rows
+
+        return real_solve(lp, start=start, separate=watched)
+
+    monkeypatch.setattr(lp_core._Tableau, "lex_min", lex_min)
+    monkeypatch.setattr(lp_core, "solve_to_vertex", solve)
+    calls = rounds = rounds_after_lex = 0
+    for inst in ([gen_random(seed, T=10, N=6) for seed in range(1, 21)]
+                 + [stacked_gaps(3), gen_kc_gap(F(1000))]):
+        events.clear()
+        run_pipeline(inst)
+        for call in " ".join(events).split("call")[1:]:
+            assert call.split()[-2:] in (["lex", "none"], ["none", "lex"])
+            assert call.count("lex") == 1 + call.count("lex rows")
+            calls += 1
+            rounds += call.count("rows")
+            rounds_after_lex += call.count("lex rows")
+    # most pair-row rounds are found, and re-solved, with no lexicographic pass
+    assert calls > 22 and rounds > 2 * rounds_after_lex
+
+
+def test_pipeline_at_scale_is_pinned(tmp_path):
+    """`solve` on gen_random(1, T=60, N=30): the report without its wall time
+    and the schedule file hash to the values a speed change must keep."""
+    inst_path, sched_path = tmp_path / "random-1-T60-N30.json", tmp_path / "schedule.json"
+    save(gen_random(1, T=60, N=30), inst_path)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["solve", "--in", str(inst_path), "--out", str(sched_path)]) == 0
+    report = json.loads(out.getvalue())
+    report.pop("wall_time_ms")
+    assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest() == (
+        "b61eeb222f2b0d87628041b06c76409e05ff69e8332e13ec9948ee839dac32aa")
+    assert hashlib.sha256(sched_path.read_bytes()).hexdigest() == (
+        "13d0cd2e5ff5be859f91bc799b1a0ac104d8e8c0b6e4065daa58cd315e16eeed")

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -273,6 +274,19 @@ class TestSolveIntervalKc:
                                  R={(0, 3): F(3)})
         with pytest.raises(ValueError, match="outside"):
             solve_interval_kc(ikc, (F(1), F(0), F(0)), frozenset({1}), {key: F(2)})
+
+    @pytest.mark.parametrize("key", [(0.0, 2.0), (0, 2.5), (True, 2), (0, F(2))],
+                             ids=["floats", "float-end", "bool-start", "fraction-end"])
+    @pytest.mark.parametrize("place", ["R", "residual"])
+    def test_interval_with_a_non_int_endpoint_rejected(self, key, place):
+        """A key equal to an int interval, as (0.0, 2.0) is to (0, 2), is still
+        refused, and named as given."""
+        R, residual = {(0, 3): 3}, {}
+        (R if place == "R" else residual)[key] = 1 if place == "R" else 0
+        ikc = IntervalKcInstance(T=3, C=(3, 3, 3), K=(1, 1, 1), R=R)
+        what = "requirement" if place == "R" else "residual"
+        with pytest.raises(ValueError, match=re.escape(f"{what} interval {key!r} has an endpoint")):
+            solve_interval_kc(ikc, (1, 0, 0), frozenset({1}), residual)
 
     def test_residual_without_a_requirement_must_be_zero(self):
         ikc = IntervalKcInstance(T=3, C=(F(3),) * 3, K=(F(1),) * 3,

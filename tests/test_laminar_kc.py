@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -58,6 +59,13 @@ class TestLaminarFamily:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="outside"):
             family_over(3, {(0, 3), (1, 4)})
+
+    @pytest.mark.parametrize("member", [(0.0, 1.0), (1, 2.5), (False, 1)])
+    def test_non_int_endpoint_rejected(self, member):
+        """Also where an int member equal to it comes first."""
+        for members in ([(0, 3), member, (1, 3)], [(0, 3), (0, 1), (1, 3), member]):
+            with pytest.raises(ValueError, match=re.escape(f"member interval {member!r} has")):
+                LaminarFamily.from_intervals(3, members)
 
     def test_tree_links(self):
         parent, children = family_links(family_over(4, {(0, 4), (0, 2), (2, 4), (2, 3)}))

@@ -883,9 +883,9 @@ def test_only_a_cold_solve_prices_from_scratch(inst):
         solves[-1][1] += 1
         real_init(tab, lp)
 
-    def solve(lp, start=None):
+    def solve(lp, start=None, separate=None):
         solves.append([start is not None, 0])
-        return real_solve(lp, start=start)
+        return real_solve(lp, start=start, separate=separate)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lp_core._Tableau, "__init__", build)
@@ -940,6 +940,81 @@ def test_warm_start_with_an_appended_eq_row_rejected():
     with pytest.raises(ValueError, match="LE and GE rows only"):
         solve_to_vertex(lp, start=sol)
     assert sol.tableau is not None  # a rejected start is not used up
+
+
+# -- row generation --------------------------------------------------------------
+
+def rows_once(*rows):
+    """A separate that returns the given rows on its first call and none after."""
+    calls = []
+
+    def separate(values):
+        calls.append(values)
+        return rows if len(calls) == 1 else []
+
+    return separate
+
+
+def test_separated_rows_are_appended_and_re_solved_in_place(monkeypatch):
+    # Every point of x0 + x1 = 1 is optimal for min x0 + x1 over
+    # x0 + x1 >= 1.  The separator cuts each coordinate above 1/2 down to it,
+    # in the same tableau, and the lexicographic pass runs once, at the end.
+    lp = warm_start_lp()
+    lp.objective[1] = F(1)
+    seen = []
+
+    def separate(values):
+        seen.append(values)
+        return [({j: F(1)}, LE, F(1, 2)) for j, v in enumerate(values) if v > F(1, 2)]
+
+    real_lex, lex_runs = lp_core._Tableau.lex_min, []
+    monkeypatch.setattr(lp_core._Tableau, "lex_min",
+                        lambda tab: lex_runs.append(tab) or real_lex(tab))
+    with recording_tableaus() as made:
+        sol = solve_to_vertex(lp, separate=separate)
+    assert len(made) == 1 and lex_runs == [sol.tableau] == made
+    # the pass leaves the unique optimum where it is, so separate is not
+    # asked there again
+    assert seen[0] in ([0, 1], [1, 0]) and seen[1:] == [[F(1, 2), F(1, 2)]]
+    assert sol.values == [F(1, 2), F(1, 2)] == solve_to_vertex(copy_lp(lp)).values
+    assert len(lp.rows) == 2 and lp.rows[1].relation == LE
+    assert verify_vertex(lp, sol)
+
+
+def test_separate_may_not_append_an_eq_row():
+    lp = warm_start_lp()
+    with pytest.raises(ValueError, match="LE and GE rows only"):
+        solve_to_vertex(lp, separate=rows_once(({0: F(1)}, EQ, F(1, 2))))
+
+
+def test_separate_must_return_a_violated_row():
+    lp = warm_start_lp()
+    with pytest.raises(ValueError, match="satisfies"):
+        solve_to_vertex(lp, separate=rows_once(({0: F(1)}, LE, 1)))
+
+
+def test_separated_rows_are_checked_exact():
+    lp = warm_start_lp()
+    with pytest.raises(ValueError, match=re.escape("in row 1: 0.5 is not")):
+        solve_to_vertex(lp, separate=rows_once(({0: F(1)}, LE, 0.5)))
+
+
+def test_separated_rows_that_leave_no_feasible_point_give_infeasible():
+    lp = warm_start_lp()
+    sol = solve_to_vertex(lp, separate=rows_once(({0: F(1), 1: F(1)}, LE, F(1, 2))))
+    assert sol.status == INFEASIBLE and sol.values is None and sol.tableau is None
+    assert solve_to_vertex(copy_lp(lp)).status == INFEASIBLE
+
+
+def test_values_at_bounds_are_read_as_given_with_whole_ones_as_ints():
+    # x0 sits at its upper bound (complemented), x1 at its lower, x2 is fixed
+    # and x3 is basic at 5/2; every whole value comes back an int.
+    lp = box_lp(4, [-1, 1, 0, 0], bounds=[(F(0), F(2)), (F(1), F(4)), (F(3), F(3)),
+                                           (F(1), F(4))])
+    lp.add_row({3: F(2)}, EQ, 5)
+    sol = solve_to_vertex(lp)
+    assert sol.values == [2, 1, 3, F(5, 2)]
+    assert [type(v) for v in sol.values] == [int, int, int, Fraction]
 
 
 if __name__ == "__main__":
