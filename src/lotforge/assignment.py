@@ -95,12 +95,17 @@ def solve_assignment(inst: CmilsInstance, orders
         dist: list[Optional[int]] = [None] * n
         via = [-1] * n
         dist[0] = 0
+        # dist[u] as u's out-edges were last relaxed: with room fixed during
+        # the search, a node not reached or not lowered since then improves
+        # no neighbour, so it is skipped.
+        relaxed: list[Optional[int]] = [None] * n
         for _ in range(n - 1):
             changed = False
             for u in range(n):
                 du = dist[u]
-                if du is None:
+                if du == relaxed[u]:
                     continue
+                relaxed[u] = du
                 for e in out[u]:
                     if room[e]:
                         v = to[e]

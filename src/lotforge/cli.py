@@ -9,8 +9,8 @@ to an exit code and one stderr line:
 - RoundLimitError: 2, "round cap exceeded: ..." (the cut loop hit its
   cap; from bench, the message names the seed);
 - OSError, ValueError, other LotforgeError: 1, "error: ..." (malformed
-  or missing input, a missing generate size, bench's bad --seeds or a T
-  above the oracle's cap);
+  or missing input, an infeasible instance, a missing generate size,
+  bench's bad --seeds or a T above the oracle's cap);
 - an argparse usage error: 1, with argparse's message.
 
 All rationals are reported both exactly ("p/q") and as

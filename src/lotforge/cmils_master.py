@@ -36,7 +36,7 @@ from . import interval_kc, lp_core, separation
 from .cuts import CoveringCut, cut_demand, cut_lhs, cut_terms
 from .errors import InvariantError, RoundLimitError
 from .instance import (CmilsInstance, FractionalSolution, OrderSchedule, Rat,
-                       format_rat, hcost, make_schedule, validate)
+                       format_rat, hcost, make_schedule, short_prefix, validate)
 
 Trace = Optional[Callable[[str], None]]
 
@@ -143,9 +143,9 @@ def solve_master(state: MasterState, trace: Trace = None) -> FractionalSolution:
 
     sol = lp_core.solve_to_vertex(state.lp, start=state.solution, separate=separate)
     state.pivots = sol.pivots
-    if sol.status == lp_core.INFEASIBLE:
-        raise ValueError("master LP infeasible: the demands cannot be met")
     if sol.status != lp_core.OPTIMAL:
+        # run_pipeline has checked every deadline prefix, so opening every
+        # period meets every master row and every cut
         raise InvariantError(f"master LP came back {sol.status}")
     state.solution = sol
     state.current = layout.extract(sol.values, inst)
@@ -202,11 +202,22 @@ class PipelineResult:
 
 def run_pipeline(inst: CmilsInstance, max_rounds: int = 200,
                  trace: Trace = None) -> PipelineResult:
-    """Full solve: cut loop, interval rounding, then demand placement."""
+    """Full solve: cut loop, interval rounding, then demand placement.
+
+    An instance whose demand due by some period exceeds the capacity up to
+    it is infeasible, and ValueError names the first such period.  Once no
+    period is short, opening every period and placing the demand by the
+    flow is a schedule, so the master LP always has a point.
+    """
     started = time.perf_counter()
     bad = validate(inst)
     if bad:
         raise ValueError("invalid instance: " + "; ".join(bad))
+    short = short_prefix(inst)
+    if short:
+        t, due, cap = short
+        raise ValueError(f"infeasible instance: demand due by period {t} is {due}, "
+                         f"above the capacity {cap} of periods 1..{t}")
     state = MasterState.new(inst)
     while True:
         sol = solve_master(state, trace)

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain
-from typing import Mapping
+from typing import Mapping, Optional
 
 from .errors import InstanceFormatError, InvariantError
 
@@ -129,9 +129,6 @@ class FractionalSolution:
 
     x: Mapping[tuple[int, int], Rat]
     y: tuple[Rat, ...]
-
-    def x_val(self, s: int, i: int) -> Rat:
-        return self.x.get((s, i), 0)
 
 
 @dataclass(frozen=True)
@@ -273,11 +270,14 @@ def hcost(inst: CmilsInstance, x: Mapping[tuple[int, int], Rat]) -> Rat:
                for (s, i), frac in x.items() if frac and s <= inst.deadline(i))
 
 
-def prefix_feasible(inst: CmilsInstance, orders=None) -> bool:
-    """True iff every deadline-prefix demand fits in the prefix capacity.
+def short_prefix(inst: CmilsInstance, orders=None) -> Optional[tuple[int, Rat, Rat]]:
+    """The first period t whose due demand, that of the items with deadline
+    <= t, exceeds the capacity of the order periods up to t, as (t, due
+    demand, capacity); None if no period does.
 
     Item i may only use periods <= r_i, so usable periods always form a
-    prefix and this condition is exact for the given order set.
+    prefix and this condition is exact for the given order set, every
+    period when orders is None.
     """
     chosen = set(inst.periods()) if orders is None else set(orders)
     prefix_cap = 0
@@ -290,8 +290,13 @@ def prefix_feasible(inst: CmilsInstance, orders=None) -> bool:
             prefix_cap += inst.cap(t)
         cum_demand += due.get(t, 0)
         if cum_demand > prefix_cap:
-            return False
-    return True
+            return t, cum_demand, prefix_cap
+    return None
+
+
+def prefix_feasible(inst: CmilsInstance, orders=None) -> bool:
+    """True iff every deadline-prefix demand fits in the prefix capacity."""
+    return short_prefix(inst, orders) is None
 
 
 def gen_random(seed: int, *, T: int, N: int,

@@ -1,13 +1,12 @@
 """Exact-rational linear programming to optimal vertex solutions.
 
 Minimization LPs with sparse rows and finite box bounds are solved by the
-simplex method in exact arithmetic, with no phase 1.  Variables fixed by
-their bounds are substituted out; the remaining bounds are handled natively
-by the classic bounded-variable simplex: each column is measured by its
-offset from one of its bounds.  When the offset reaches the column's width
--- a bound flip, or a basic column leaving at its far bound -- the column is
-complemented, that is measured from its other bound instead, so every
-nonbasic offset is 0.
+simplex method in exact arithmetic.  Variables fixed by their bounds are
+substituted out; the remaining bounds are handled natively by the classic
+bounded-variable simplex: each column is measured by its offset from one of
+its bounds.  When the offset reaches the column's width -- a bound flip, or
+a basic column leaving at its far bound -- the column is complemented, that
+is measured from its other bound instead, so every nonbasic offset is 0.
 
 A cold solve starts from the slack basis (after Bixby).  The structural
 columns are set up first, each at a start bound: its upper bound when
@@ -28,31 +27,30 @@ feasible basis the primal simplex prices by the most negative reduced cost
 (Dantzig's rule); after a run of DEGENERATE_RUN zero-length steps, Bland's
 least-index rule takes over until a step moves, so it cannot cycle.
 
-The tableau is fraction-free (after Bareiss elimination and the
-integer-preserving simplex of Azulay and Pique): each row is a list of
-Python ints over one positive row denominator, divided by its gcd after
-every update, and ends in a constant column whose entry over the
-denominator is the row's basic offset.  A pivot touches only the rows with
-a nonzero in the entering column, at the pivot row's nonzero columns, and
-carries the constants along, so basic values need no update of their own.
-The ratio test compares integer (numerator, denominator) step pairs by
-cross-multiplication.  Rationals (an int, or a Fraction when not whole)
-appear only at the API boundary: a row enters the tableau in one integer
-pass that reads its coefficients' numerators and denominators (as does the
-crash start's sign test), the objective is scaled to integers once, and the
-solution is read off as an int where a value is whole and a Fraction
-elsewhere.  Every pivot choice is the same exact comparison a rational
-tableau would make.  The LP takes exact entries only: check_well_formed
-rejects any other number, a float or a Decimal, with ValueError instead
-of converting it.
+The tableau is fraction-free and sparse (after Bareiss elimination, the
+integer-preserving simplex of Azulay and Pique, and the row-wise storage of
+Koberstein's and Bixby's dual simplex codes): each row keeps only its
+nonzero ints, its constant among them, over one positive row denominator,
+and is divided by its gcd after every update (see `_Tableau`).  A pivot
+touches only the rows with an entry in the entering column, at the pivot
+row's keys, and carries the constants along, so basic values need no
+update of their own.  Ties go to the lowest column index, written out
+rather than read off a row's order, so every pivot choice is the same
+exact comparison a dense rational tableau would make.  Rationals (an int,
+or a Fraction when not whole) appear only at the API boundary: a row
+enters the tableau in one integer pass that reads its coefficients'
+numerators and denominators (as does the crash start's sign test), the
+objective is scaled to integers once, and the solution is read off as an
+int where a value is whole and a Fraction elsewhere.  The LP takes exact
+entries only: check_well_formed rejects any other number, a float or a
+Decimal, with ValueError.
 
-The objective is a row of the tableau too (after Bixby and Koberstein):
-its reduced costs are an integer row over a positive denominator, with one
-entry per column and no constant.  A cold solve prices it once: the slack
-basis costs 0, so it is the objective, negated at complemented columns.
-Every pivot, complement and appended row then updates it as it does the
-other rows, so a warm re-solve prices nothing.  No pricing reads a
-constant, and the objective value is summed from the solution at the end.
+The objective is a row of the tableau too (after Bixby and Koberstein), in
+the same form: its entries are the reduced costs, and its constant carries
+the objective value.  A cold solve prices it once: the slack basis costs 0,
+so it is the objective, negated at complemented columns.  Every pivot,
+complement and appended row then updates it as it does the other rows, so
+a warm re-solve prices nothing, and the optimum's value is read off it.
 
 The optimum returned is the lexicographically least optimal point (after
 the lexicographic rule of Dantzig, Orden and Wolfe): once the objective is
@@ -92,7 +90,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress
 from math import gcd, lcm
 from operator import is_
 from typing import Callable, Iterable, Mapping, Optional
@@ -110,6 +107,9 @@ INFEASIBLE = "infeasible"
 # A row generator for `solve_to_vertex`: an optimum's values to the rows to
 # append, as (coeffs, relation, rhs) triples.
 Separate = Callable[[list[Rat]], Iterable[tuple[Mapping[int, Rat], str, Rat]]]
+
+# The key of a tableau row's constant; no column has it.
+CONST = -1
 
 # Zero-length primal steps in a row after which pricing falls back from
 # Dantzig's rule to Bland's until a step moves.
@@ -189,35 +189,43 @@ class LpSolution:
 
 
 class _Tableau:
-    """Bounded-variable simplex working state over integer rows.
+    """Bounded-variable simplex working state over sparse integer rows.
 
     Columns: free structural variables first, then one per row, basic in it
     as the row enters (`append_rows`): a slack for an LE/GE row, an
-    artificial of width 0 for an EQ row, banned from entering; every row
-    stays, and its artificial may stay basic.  Column k's value is
-    lo[k] + z_k, or lo[k] + width[k] - z_k once it is complemented (comp[k]);
-    every nonbasic z is 0, so a nonbasic column sits at its lower bound, or at
-    its upper bound when complemented.  width[k] is the integer pair
+    artificial of width 0 for an EQ row; every row stays, and its
+    artificial may stay basic.  Column k's value is lo[k] + z_k, or
+    lo[k] + width[k] - z_k once it is complemented (comp[k]); every
+    nonbasic z is 0, so a nonbasic column sits at its lower bound, or at its
+    upper bound when complemented.  width[k] is the integer pair
     (numerator, denominator) of hi - lo, or None for a slack, which has no
     upper bound.
 
-    Row i is the integer list tab[i] over the positive integer den[i]; its
-    last entry is the row's constant, so the row reads
+    Row i is the dict tab[i] from column to nonzero int, with the row's
+    constant under the key CONST, over the positive integer den[i]:
 
-        den[i] * z_basis[i] + sum_(k nonbasic) tab[i][k] * z_k = tab[i][-1]
+        den[i] * z_basis[i] + sum_(k nonbasic) tab[i][k] * z_k = tab[i][CONST]
 
-    Its basic column holds exactly den[i], and the basic offset is
-    tab[i][-1] / den[i].  Every row is divided by the gcd of its entries,
-    constant included, and its denominator after each update, so the pair is
-    the row's lowest-terms form and never grows past its rational content.
+    No entry stored is 0, and an absent key reads 0.  The basic column
+    holds exactly den[i], and the basic offset is tab[i][CONST] / den[i].
+    Every row is divided by the gcd of its entries, constant included, and
+    its denominator after each update, so the pair is the row's lowest-terms
+    form and never grows past its rational content.
 
     The ratio test reads its step bounds off these integers: a row whose
     entry a in the entering column is positive lets the entering offset grow
-    to tab[i][-1] / a, one with a < 0 to (w * den[i] - tab[i][-1]) / -a,
+    to tab[i][CONST] / a, one with a < 0 to (w * den[i] - tab[i][CONST]) / -a,
     where w is its basic column's width, so each bound is an integer pair.
 
-    cbar over cden > 0 is the objective's reduced-cost row: one integer per
-    column, 0 at every basic column, and no constant.
+    cbar over cden > 0 is the objective's row in the same form, with -cden
+    at the objective in place of a basic column:
+
+        -cden * objective + sum_(k nonbasic) cbar[k] * z_k = cbar[CONST]
+
+    so its entries are the reduced costs, none at a basic column, and the
+    objective value at the basic point is -cbar[CONST] / cden.  banned holds
+    the keys that may not enter the basis: CONST, which is no column, and
+    the artificials.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -254,21 +262,26 @@ class _Tableau:
 
         # Each row will be basic in a column of its own, which costs nothing,
         # so the start basis's reduced costs are the objective, negated where
-        # a column is complemented (its z runs against its value); the lcm of
-        # the denominators leaves the row in lowest terms.
-        cost = []
-        for j, col in self.col_of_var.items():
-            c = lp.objective[j]
-            cost.append(-c if self.comp[col] else c)
-        self.cden = lcm(*(c.denominator for c in cost))
-        self.cbar: list[int] = [c.numerator * (self.cden // c.denominator) for c in cost]
+        # a column is complemented (its z runs against its value), and the
+        # constant is minus the objective at the start point; the lcm of the
+        # denominators leaves the row in lowest terms.
+        cost: dict[int, Rat] = {CONST: 0}
+        for j, (c, (lo, hi)) in enumerate(zip(lp.objective, lp.bounds)):
+            col = self.col_of_var.get(j)
+            at_hi = col is not None and self.comp[col]
+            if col is not None and c:
+                cost[col] = -c if at_hi else c
+            cost[CONST] -= c * (hi if at_hi else lo)
+        self.cden = lcm(*(c.denominator for c in cost.values()))
+        self.cbar = {k: c.numerator * (self.cden // c.denominator)
+                     for k, c in cost.items() if c}
 
-        self.tab: list[list[int]] = []
+        self.tab: list[dict[int, int]] = []
         self.den: list[int] = []
         self.basis: list[int] = []
         self.in_basis: list[bool] = [False] * self.ncols
         self.art_cols: list[int] = []
-        self.banned: set[int] = set()
+        self.banned: set[int] = {CONST}
         self.pivots = 0
         # What a warm start checks the LP against (see `_resume`).
         self.rows_seen: list[Row] = []
@@ -276,15 +289,14 @@ class _Tableau:
         self.objective_seen = list(lp.objective)
         self.append_rows(lp.rows)
 
-    def _integer_row(self, row: Row, size: int, sign: int = 1) -> tuple[list[int], int]:
+    def _integer_row(self, row: Row, sign: int = 1) -> tuple[dict[int, int], int]:
         """An LP row, times sign (1 or -1), over the current columns:
         (integer entries, den).
 
         Fixed variables and each column's active bound move into the
         constant, and a complemented column's coefficient is negated.  The
         coefficients and the constant are scaled to integers by the lcm of
-        their denominators, which leaves the row in lowest terms; the list
-        has `size` column entries, all 0 but the row's, then the constant.
+        their denominators, which leaves the row in lowest terms.
 
         One pass over the nonzeros, on integers and numerators and
         denominators only: the constant is a pair num / cd over a running
@@ -317,10 +329,9 @@ class _Tableau:
         g = gcd(num, cd)
         num, cd = num // g, cd // g
         den = lcm(den, cd)
-        ints = [0] * (size + 1)
-        for col, p, q in entries:
-            ints[col] = sign * p * (den // q)
-        ints[-1] = sign * num * (den // cd)
+        ints = {col: sign * p * (den // q) for col, p, q in entries if p}
+        if num:
+            ints[CONST] = sign * num * (den // cd)
         return ints, den
 
     def append_rows(self, rows: list[Row]) -> None:
@@ -345,23 +356,16 @@ class _Tableau:
         self.width += [None] * len(slack) + [(0, 1)] * len(eq)
         self.comp += [False] * k
         self.in_basis += [True] * k
-        self.cbar += [0] * k  # a basic column costs nothing
         arts = range(first + len(slack), self.ncols)
         self.art_cols += arts
         self.banned.update(arts)
-        zeros = [0] * k
-        for r in self.tab:
-            r[-1:-1] = zeros
-        old = list(enumerate(self.basis))
-        nonzeros: dict[int, list[tuple[int, int]]] = {}  # an old row's, once read
+        old = list(zip(self.basis, self.tab, self.den))
         for col, row in enumerate(slack + eq, start=first):
-            ints, den = self._integer_row(row, self.ncols, -1 if row.relation == GE else 1)
+            ints, den = self._integer_row(row, -1 if row.relation == GE else 1)
             ints[col] = den
-            for i, b in old:
-                if ints[b]:
-                    if i not in nonzeros:
-                        nonzeros[i] = _nonzeros(self.tab[i])
-                    ints, den = _eliminate(ints, den, self.den[i], b, nonzeros[i])
+            for b, brow, bden in old:
+                if b in ints:
+                    ints, den = _eliminate(ints, den, bden, b, brow)
             self.tab.append(ints)
             self.den.append(den)
             self.basis.append(col)
@@ -373,23 +377,19 @@ class _Tableau:
         """Make column j basic in row r.
 
         The pivot row takes its pivot entry as denominator, so its entry in
-        column j reads exactly 1.  Only the rows with a nonzero in column j
-        are updated, each at the pivot row's nonzero columns (see
+        column j reads exactly 1.  Only the rows with an entry in column j,
+        cbar among them, are updated, each at the pivot row's keys (see
         `_eliminate`); the constants ride along, which moves every basic
-        value by the step.  The cost row cbar is updated the same way,
-        without the constant, unless its entry in column j is 0.
+        value and the objective by the step.
         """
         prow, piv = _lowest_terms(self.tab[r], self.tab[r][j])
         self.tab[r] = prow
         self.den[r] = piv
-        nz = _nonzeros(prow)
         for i, row in enumerate(self.tab):
-            if i != r and row[j]:
-                self.tab[i], self.den[i] = _eliminate(row, self.den[i], piv, j, nz)
-        if self.cbar[j]:
-            # the constant, if nonzero, is the last of nz
-            cols = nz[:-1] if prow[-1] else nz
-            self.cbar, self.cden = _eliminate(self.cbar, self.cden, piv, j, cols)
+            if i != r and j in row:
+                self.tab[i], self.den[i] = _eliminate(row, self.den[i], piv, j, prow)
+        if j in self.cbar:
+            self.cbar, self.cden = _eliminate(self.cbar, self.cden, piv, j, prow)
         self.in_basis[self.basis[r]] = False
         self.basis[r] = j
         self.in_basis[j] = True
@@ -398,14 +398,14 @@ class _Tableau:
     def complement(self, j: int, rows: list[int]) -> None:
         """Measure column j from its other bound in the given rows and cbar.
 
-        The rows must be all that have a nonzero in column j: every row with
+        The rows must be all that have an entry in column j: every row with
         one for a nonbasic column, the row it is basic in for a basic one.
-        The cost row has no constant, so only its entry j changes sign.
         """
         wn, wd = self.width[j]
         for i in rows:
             self.tab[i], self.den[i] = _complement(self.tab[i], self.den[i], j, wn, wd)
-        self.cbar[j] = -self.cbar[j]
+        if j in self.cbar:
+            self.cbar, self.cden = _complement(self.cbar, self.cden, j, wn, wd)
         self.comp[j] = not self.comp[j]
 
     def run(self) -> None:
@@ -418,28 +418,23 @@ class _Tableau:
         """
         tab, den, basis, width = self.tab, self.den, self.basis, self.width
         banned = self.banned
-        ncols = self.ncols
         degenerate = 0  # zero-length steps in a row
-        guard = 2000 + 200 * (len(tab) + ncols)
+        guard = 2000 + 200 * (len(tab) + self.ncols)
         for _ in range(guard):
             # Dantzig: the column whose increase lowers the cost fastest; the
             # row shares one denominator cden > 0, so integers compare, and
             # ties go to the lowest index.  After DEGENERATE_RUN zero-length
             # steps in a row, Bland's lowest-index rule takes over until a
-            # step moves, so the loop cannot cycle.  A basic column's reduced
-            # cost is exactly 0.
+            # step moves, so the loop cannot cycle.
             cbar = self.cbar
             enter, most = -1, 0
             if degenerate < DEGENERATE_RUN:
-                for k in range(ncols):
-                    c = cbar[k]
-                    if c < most and k not in banned:
+                for k, c in cbar.items():
+                    if (c < most or c == most and k < enter) and k not in banned:
                         enter, most = k, c
             else:
-                for k in range(ncols):
-                    if cbar[k] < 0 and k not in banned:
-                        enter = k
-                        break
+                enter = min((k for k, c in cbar.items() if c < 0 and k not in banned),
+                            default=-1)
             if enter < 0:
                 return
 
@@ -451,18 +446,18 @@ class _Tableau:
             best_n, best_d = (0, 0) if w is None else w
             best_row = -1  # -1 means a bound flip of the entering column
             for i, row in enumerate(tab):
-                a = row[enter]
+                a = row.get(enter)
                 if not a:
                     continue
                 if a > 0:
                     # the basic offset falls to 0
-                    num, dn = row[-1], a
+                    num, dn = row.get(CONST, 0), a
                 else:
                     # the basic offset rises to its width
                     wb = width[basis[i]]
                     if wb is None:
                         continue
-                    num, dn = wb[0] * den[i] - row[-1] * wb[1], -a * wb[1]
+                    num, dn = wb[0] * den[i] - row.get(CONST, 0) * wb[1], -a * wb[1]
                 if best_d:
                     lhs, rhs = num * best_d, best_n * dn
                     if lhs > rhs or (lhs == rhs and (best_row < 0
@@ -475,11 +470,11 @@ class _Tableau:
             # a bound flip moves by the column's width, which is positive
             degenerate = degenerate + 1 if best_row >= 0 and not best_n else 0
             if best_row < 0:
-                self.complement(enter, [i for i, row in enumerate(tab) if row[enter]])
+                self.complement(enter, [i for i, row in enumerate(tab) if enter in row])
             else:
                 if tab[best_row][enter] < 0:
                     # the leaving column stops at its far bound; being basic,
-                    # it has a nonzero in its own row only
+                    # it has an entry in its own row only
                     self.complement(basis[best_row], [best_row])
                 self._pivot(best_row, enter)
         raise InvariantError("simplex failed to terminate (cycling guard tripped)")
@@ -498,62 +493,50 @@ class _Tableau:
         feasible) for the true one.  A stage therefore runs with its own row
         in place of cbar, and cbar is put back unchanged at the end.
 
-        A unit objective's reduced costs are read off the tableau: for a
-        basic column, its row over den with the column's own entry 0 and the
-        constant left out, negated unless the column is complemented (then
-        its z runs against its value); a nonbasic column at its lower bound
-        is already least.  So is a stage whose row is negative at no column
-        that may enter: it runs no simplex and only bans the columns where
-        the row is positive, read off the tableau row's nonzeros.  The bans
-        are lifted again at the end, back to the artificials.
+        A unit objective's row is read off the tableau: for a basic column,
+        its row over den without the column's own entry, and for a nonbasic
+        one its own z alone; either is negated unless the column is
+        complemented (then its z runs against its value).  A stage whose row
+        is negative at no column that may enter, such as a nonbasic column
+        at its lower bound, is least already: it runs no simplex and only
+        bans the columns where its row is positive.  The bans are lifted
+        again at the end, back to CONST and the artificials.
 
         Every nonbasic column is banned exactly when len(banned) + len(tab)
-        is ncols plus the number of banned basic columns.  Only artificials
-        are both: no ban here falls on a basic column, and a banned column
-        never enters.  full counts the artificials basic as the stage
-        starts; one that a stage pivots out leaves it too high, which only
-        delays the stop.
+        is ncols plus the number of banned keys that are no nonbasic column:
+        CONST, and the artificials still basic.  No ban here falls on a
+        basic column, and a banned column never enters.  full counts the
+        artificials basic as the stage starts; one that a stage pivots out
+        leaves it too high, which only delays the stop.
         """
         tab, den, basis, comp, banned = self.tab, self.den, self.basis, self.comp, self.banned
-        full = self.ncols + sum(self.in_basis[k] for k in self.art_cols)
+        full = self.ncols + 1 + sum(self.in_basis[k] for k in self.art_cols)
         moved = False
-        ncols = self.ncols
         true_row = self.cbar, self.cden
 
-        def ban_positive(row: list[int]) -> bool:
-            """Ban every column with a positive entry; True once all nonbasic are."""
-            banned.update(k for k in compress(range(ncols), row) if row[k] > 0)
+        def ban_positive(row: dict[int, int]) -> bool:
+            """Ban every key with a positive entry; True once all nonbasic are."""
+            banned.update(k for k, v in row.items() if v > 0)
             return len(banned) + len(tab) == full
 
         done = ban_positive(self.cbar)
         for col in range(len(self.col_of_var)):
             if done:
                 break
+            sign = 1 if comp[col] else -1
             if self.in_basis[col]:
                 i = basis.index(col)
-                sign = 1 if comp[col] else -1
-                nz, rden = [(k, sign * v) for k, v in _nonzeros(tab[i])
-                            if k < ncols and k != col], den[i]
-            elif comp[col]:
-                nz, rden = [(col, -1)], 1
+                row, rden = {k: sign * v for k, v in tab[i].items() if k != col}, den[i]
             else:
-                banned.add(col)
-                done = len(banned) + len(tab) == full
-                continue
-            if not any(v < 0 and k not in banned for k, v in nz):
-                # no column may enter: the stage is least already
-                banned.update(k for k, v in nz if v > 0)
-                done = len(banned) + len(tab) == full
-                continue
-            row = [0] * ncols
-            for k, v in nz:
-                row[k] = v
-            self.cbar, self.cden = row, rden
-            self.run()
-            moved = True
-            done = ban_positive(self.cbar)
+                row, rden = {col: -sign}, 1
+            if any(v < 0 and k not in banned for k, v in row.items()):
+                self.cbar, self.cden = row, rden
+                self.run()
+                moved = True
+                row = self.cbar
+            done = ban_positive(row)
         self.cbar, self.cden = true_row
-        self.banned = set(self.art_cols)
+        self.banned = {CONST, *self.art_cols}
         return moved
 
     def out_of_range(self) -> tuple[int, bool]:
@@ -569,9 +552,10 @@ class _Tableau:
             b = basis[i]
             if r >= 0 and b > basis[r]:
                 continue
-            if row[-1] < 0:
+            c = row.get(CONST, 0)
+            if c < 0:
                 r, above = i, False
-            elif (w := width[b]) is not None and row[-1] * w[1] > w[0] * den[i]:
+            elif (w := width[b]) is not None and c * w[1] > w[0] * den[i]:
                 r, above = i, True
         return r, above
 
@@ -585,9 +569,8 @@ class _Tableau:
         On the start basis that is its cheaper bound, and `complement`
         negates the reduced cost: the basis is then dual feasible.
         """
-        for k, c in enumerate(self.cbar):
-            if c < 0:
-                self.complement(k, [i for i, row in enumerate(self.tab) if row[k]])
+        for k in [k for k, c in self.cbar.items() if c < 0 and k not in self.banned]:
+            self.complement(k, [i for i, row in enumerate(self.tab) if k in row])
 
     def dual(self) -> bool:
         """Dual simplex to a feasible basis; False if the LP has none.
@@ -607,19 +590,21 @@ class _Tableau:
             if above:
                 # Measured from its other bound the basic offset is below 0;
                 # negating the row gives its basic entry +den again.  The
-                # reduced costs stay: the column's own is 0, and its cost and
+                # reduced costs stay: the column has none, and its cost and
                 # its row change sign together.
                 self.complement(basis[r], [r])
-                tab[r] = [-v for v in tab[r]]
+                tab[r] = {k: -v for k, v in tab[r].items()}
 
             # Entering: the least cbar[k] / -row[k] over row[k] < 0, ties to
             # the lowest k; with none, the row cannot reach its range.
-            row, cbar = tab[r], self.cbar
+            cbar = self.cbar
             enter, best_n, best_d = -1, 0, 1
-            for k in compress(range(self.ncols), row):
-                a = row[k]
-                if a < 0 and k not in banned and (enter < 0 or cbar[k] * best_d < best_n * -a):
-                    enter, best_n, best_d = k, cbar[k], -a
+            for k, a in tab[r].items():
+                if a < 0 and k not in banned:
+                    c = cbar.get(k, 0)
+                    lhs, rhs = c * best_d, best_n * -a
+                    if enter < 0 or lhs < rhs or lhs == rhs and k < enter:
+                        enter, best_n, best_d = k, c, -a
             if enter < 0:
                 return False
             self._pivot(r, enter)
@@ -642,7 +627,7 @@ class _Tableau:
         var_of_col = list(self.col_of_var)  # free variables in index order
         nfree = len(var_of_col)
         for row, d, col in zip(self.tab, self.den, self.basis):
-            zn = row[-1]  # the offset z = zn / d
+            zn = row.get(CONST)  # the offset z = zn / d
             if zn and col < nfree:
                 zd = d
                 if comp[col]:
@@ -654,59 +639,60 @@ class _Tableau:
         return out
 
 
-def _nonzeros(row: list[int]) -> list[tuple[int, int]]:
-    """The (column, entry) pairs of a row's nonzero entries, constant included."""
-    return [(k, row[k]) for k in compress(range(len(row)), row)]
-
-
-def _lowest_terms(row: list[int], den: int) -> tuple[list[int], int]:
+def _lowest_terms(row: dict[int, int], den: int) -> tuple[dict[int, int], int]:
     """Divide an integer row and its nonzero denominator by their gcd,
     negated if den < 0, so that the denominator comes out positive."""
-    g = gcd(den, *row)
+    g = gcd(den, *row.values())
     if den < 0:
         g = -g
     if g == 1:
         return row, den
-    return [v // g for v in row], den // g
+    return {k: v // g for k, v in row.items()}, den // g
 
 
-def _eliminate(row: list[int], den: int, piv: int, j: int,
-               nz: list[tuple[int, int]]) -> tuple[list[int], int]:
-    """row/den minus row[j]/den times the pivot row, whose entry j is 1.
+def _eliminate(row: dict[int, int], den: int, piv: int, j: int,
+               prow: dict[int, int]) -> tuple[dict[int, int], int]:
+    """row/den minus row[j]/den times the pivot row prow/piv, whose entry j
+    is 1.
 
-    The pivot row is nz (its nonzero (column, integer) pairs) over piv.
     Over the common denominator den * piv / g, with g = gcd(row[j], piv),
     the row is scaled by piv / g and the pivot row by row[j] / g; when piv
     divides row[j] the row keeps its denominator and is updated in place.
+    Only the pivot row's keys change, and an entry that cancels is dropped.
     """
     a = row[j]
     g = gcd(a, piv)
     scale, f = piv // g, a // g
     if scale != 1:
-        row = [v * scale for v in row]
+        row = {k: v * scale for k, v in row.items()}
         den *= scale
-    for k, v in nz:
-        row[k] -= f * v
+    for k, v in prow.items():
+        x = row.get(k, 0) - f * v
+        if x:
+            row[k] = x
+        else:
+            del row[k]
     return _lowest_terms(row, den)
 
 
-def _complement(row: list[int], den: int, j: int, wn: int,
-                wd: int) -> tuple[list[int], int]:
+def _complement(row: dict[int, int], den: int, j: int, wn: int,
+                wd: int) -> tuple[dict[int, int], int]:
     """row/den with z_j replaced by wn/wd - z_j.
 
-    Column j is negated and wn/wd times its entry moves into the constant.
-    A fractional width first scales the row by wd; an integer one changes
+    Entry j is negated and wn/wd times it moves into the constant.  A
+    fractional width first scales the row by wd; an integer one changes
     the row in place and keeps its gcd.
     """
     a = row[j]
-    if wd == 1:
-        row[j] = -a
-        row[-1] -= a * wn
-        return row, den
-    row = [v * wd for v in row]
+    if wd != 1:
+        row = {k: v * wd for k, v in row.items()}
     row[j] = -a * wd
-    row[-1] -= a * wn
-    return _lowest_terms(row, den * wd)
+    c = row.get(CONST, 0) - a * wn
+    if c:
+        row[CONST] = c
+    else:
+        row.pop(CONST, None)
+    return (row, den) if wd == 1 else _lowest_terms(row, den * wd)
 
 
 def solve_to_vertex(lp: LinearProgram, start: Optional[LpSolution] = None,
@@ -774,9 +760,8 @@ def solve_to_vertex(lp: LinearProgram, start: Optional[LpSolution] = None,
                 continue
         break
 
-    obj = sum(c * v for c, v in zip(lp.objective, values) if c and v)
-    obj = rat(obj.numerator, obj.denominator)
-    return LpSolution(status=OPTIMAL, values=values, objective_value=obj,
+    return LpSolution(status=OPTIMAL, values=values,
+                      objective_value=rat(-tab.cbar.get(CONST, 0), tab.cden),
                       pivots=tab.pivots, tableau=tab)
 
 

@@ -290,6 +290,11 @@ def schedule_to_fractional(inst: CmilsInstance, sched: OrderSchedule) -> Fractio
     return FractionalSolution(x=x, y=y)
 
 
+def x_val(sol: FractionalSolution, s: int, i: int) -> Rat:
+    """The fraction of item i that sol orders at period s; 0 where x has no entry."""
+    return sol.x.get((s, i), 0)
+
+
 def naive_requirements(sol: FractionalSolution, inst: CmilsInstance) -> dict:
     """Direct double-loop evaluation of the interval requirements."""
     out = {}
@@ -297,7 +302,7 @@ def naive_requirements(sol: FractionalSolution, inst: CmilsInstance) -> dict:
         total = Fraction(0)
         for i in inst.items():
             if a < inst.deadline(i) <= b:
-                prefix = sum((sol.x_val(s, i) for s in range(1, a + 1)), Fraction(0))
+                prefix = sum((x_val(sol, s, i) for s in range(1, a + 1)), Fraction(0))
                 total += max(1 - Fraction(5, 2) * prefix, Fraction(0)) * inst.demand(i)
         out[(a, b)] = total
     return out
@@ -313,11 +318,12 @@ def fraction_residuals(R: dict, C, locked) -> dict:
             for (a, b), need in R.items()}
 
 
-def fraction_integer_row(tab, row: lp_core.Row, size: int) -> tuple[list[int], int]:
+def fraction_integer_row(tab, row: lp_core.Row) -> tuple[dict[int, int], int]:
     """Fraction reference for lp_core._Tableau._integer_row on tableau tab.
 
     The constant takes each fixed value and active bound as Fraction
-    products; the row is then scaled by the lcm of the denominators.
+    products; the row is then scaled by the lcm of the denominators and
+    keeps only its nonzeros, the constant under lp_core.CONST.
     """
     coeffs: dict[int, Fraction] = {}
     resid = Fraction(row.rhs)
@@ -331,12 +337,9 @@ def fraction_integer_row(tab, row: lp_core.Row, size: int) -> tuple[list[int], i
             resid -= v * Fraction(*tab.width[col])
             v = -v
         coeffs[col] = v
-    den = math.lcm(resid.denominator, *(v.denominator for v in coeffs.values()))
-    ints = [0] * (size + 1)
-    for col, v in coeffs.items():
-        ints[col] = v.numerator * (den // v.denominator)
-    ints[-1] = resid.numerator * (den // resid.denominator)
-    return ints, den
+    coeffs[lp_core.CONST] = resid
+    den = math.lcm(*(v.denominator for v in coeffs.values()))
+    return {k: v.numerator * (den // v.denominator) for k, v in coeffs.items() if v}, den
 
 
 def capped_mass_and_count(C, a: int, b: int, need: Fraction, y,

@@ -13,11 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lotforge import assignment, cli, cmils_master, oracles
+from lotforge import assignment, cli, cmils_master, lp_core, oracles
 from lotforge.cli import decimal_str, main
 from lotforge.errors import RoundLimitError
-from lotforge.instance import (gen_kc_gap, gen_random, load, load_schedule, save,
-                               schedule_to_json_dict, to_json_dict)
+from lotforge.instance import (CmilsInstance, gen_kc_gap, gen_random, load, load_schedule,
+                               save, schedule_to_json_dict, to_json_dict)
 
 
 def run_cli(capsys, *argv):
@@ -375,6 +375,13 @@ def _failure_argv(kind, tmp_path, monkeypatch):
     elif kind == "bench-10x":
         monkeypatch.setattr(oracles, "brute_force_cmils",
                             lambda inst: SimpleNamespace(optimum_cost=Fraction(1, 10 ** 6)))
+    elif kind == "short-capacity":  # 1 + 4 due by period 2, 2 + 2 to hold it
+        save(CmilsInstance(T=3, N=2, K=(1, 1, 1), C=(2, 2, 5), d=(1, 4), r=(1, 2),
+                           h=((0,), (1, 0))), gap_path)
+    elif kind == "infeasible-master":
+        monkeypatch.setattr(lp_core, "solve_to_vertex", lambda lp, start=None, separate=None:
+                            lp_core.LpSolution(status=lp_core.INFEASIBLE, values=None,
+                                               objective_value=None))
     elif kind == "repeated-entry":
         assert main(solve) == 0
         doc = json.loads((tmp_path / "s.json").read_text())
@@ -384,6 +391,8 @@ def _failure_argv(kind, tmp_path, monkeypatch):
     return {
         "certificate": solve,
         "short-placement": solve,
+        "short-capacity": solve,
+        "infeasible-master": solve,
         "round-cap": [*solve, "--max-rounds", "0"],
         "bench-round-cap": bench,
         "bench-10x": [*bench, "--oracle"],
@@ -398,6 +407,9 @@ def _failure_argv(kind, tmp_path, monkeypatch):
     ("certificate", 2, "invariant failed: ratio certificate failed: "),
     ("short-placement", 2, "invariant failed: infeasible schedule: item 1: assigned 999, "
                            "demand 1000"),
+    ("short-capacity", 1, "error: infeasible instance: demand due by period 2 is 5, "
+                          "above the capacity 4 of periods 1..2"),
+    ("infeasible-master", 2, "invariant failed: master LP came back infeasible"),
     ("round-cap", 2, "round cap exceeded: no rounding after 0 cut rounds"),
     ("bench-round-cap", 2, "round cap exceeded: seed 1: no rounding after 200 cut rounds"),
     ("bench-10x", 2, "invariant failed: seed 1: cost exceeds 10x optimum"),

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (full_master_lp, schedule_to_fractional, verify_vertex,
-                     warm_solves_checked_cold)
+                     warm_solves_checked_cold, x_val)
 from lotforge.cmils_master import (MasterState, add_cut, build_base_lp,
                                    run_pipeline, solve_master)
 from lotforge.cuts import CoveringCut, cut_demand, cut_lhs, cut_terms
@@ -109,7 +109,7 @@ class TestCutEvaluation:
         cut = CoveringCut(S1=frozenset(), S2=frozenset({s}), I=frozenset({i}))
         d = inst.demand(i)
         expected = min(inst.cap(s), d) * sol.y[s - 1] + d * sum(
-            (sol.x_val(t, i) for t in range(1, inst.deadline(i) + 1) if t != s), F(0))
+            (x_val(sol, t, i) for t in range(1, inst.deadline(i) + 1) if t != s), F(0))
         assert cut_lhs(cut, sol, inst) == expected
 
     def test_integral_solutions_satisfy_valid_cuts(self):
@@ -148,7 +148,7 @@ class TestCutEvaluation:
         for i in cut.I:
             for t in range(1, inst.deadline(i) + 1):
                 if t not in cut.S1 | cut.S2:
-                    naive += inst.demand(i) * sol.x_val(t, i)
+                    naive += inst.demand(i) * x_val(sol, t, i)
         assert cut_lhs(cut, sol, inst) == naive
 
     def test_oversized_s1_rejected(self):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import x_val
 from lotforge.assignment import solve_assignment
 from lotforge.cmils_master import run_pipeline
 from lotforge.errors import InstanceFormatError, InvariantError
@@ -342,5 +343,5 @@ class TestSerialization:
 
 def test_fractional_solution_helpers():
     sol = FractionalSolution(x={(1, 1): F(1, 3), (2, 1): F(2, 3)}, y=(F(1), F(0)))
-    assert sol.x_val(3, 1) == 0
-    assert sol.x_val(2, 1) == F(2, 3)
+    assert x_val(sol, 3, 1) == 0
+    assert x_val(sol, 2, 1) == F(2, 3)

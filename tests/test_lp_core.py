@@ -16,7 +16,7 @@ from helpers import (dump_lp, enumerate_lex_optimum, enumerate_optimum,
                      random_lp, tight_sets, verify_vertex)
 from lotforge import cmils_master, instance, laminar_kc, lp_core
 from lotforge.intervals import ScaledCover
-from lotforge.lp_core import (EQ, GE, INFEASIBLE, LE, OPTIMAL, LinearProgram,
+from lotforge.lp_core import (CONST, EQ, GE, INFEASIBLE, LE, OPTIMAL, LinearProgram,
                               LpSolution, solve_to_vertex)
 
 F = Fraction
@@ -299,11 +299,12 @@ def column_values(tab, lp, values):
 def check_rows(tab, x=None, in_range=True):
     """Check the integer row invariant of a solved tableau.
 
-    Each row is in lowest terms over den > 0 and its basic column is den
-    times a unit column.  Its constant / den is the basic column's offset
-    from its active bound: equal to the offset at the column values x when
-    they are given, otherwise within the column's width unless in_range is
-    false (a dual simplex that found no feasible basis stops out of range).
+    Each row stores no 0 and no key but a column or CONST, is in lowest
+    terms over den > 0, and its basic column is den times a unit column.
+    Its constant / den is the basic column's offset from its active bound:
+    equal to the offset at the column values x when they are given,
+    otherwise within the column's width unless in_range is false (a dual
+    simplex that found no feasible basis stops out of range).
     At x, every nonbasic column sits at its active bound.
     """
     def offset(k):
@@ -311,11 +312,12 @@ def check_rows(tab, x=None, in_range=True):
         return F(*tab.width[k]) - z if tab.comp[k] else z
 
     for i, (row, den, b) in enumerate(zip(tab.tab, tab.den, tab.basis)):
-        assert len(row) == tab.ncols + 1
-        assert den > 0 and gcd(den, *row) == 1
+        assert all(k == CONST or 0 <= k < tab.ncols for k in row)
+        assert 0 not in row.values()
+        assert den > 0 and gcd(den, *row.values()) == 1
         assert row[b] == den
-        assert all(other[b] == 0 for r, other in enumerate(tab.tab) if r != i)
-        z = F(row[-1], den)
+        assert all(b not in other for r, other in enumerate(tab.tab) if r != i)
+        z = F(row.get(CONST, 0), den)
         if in_range:
             assert z >= 0 and (tab.width[b] is None or z <= F(*tab.width[b]))
         if x is not None:
@@ -325,48 +327,44 @@ def check_rows(tab, x=None, in_range=True):
         assert all(offset(k) == 0 for k in range(tab.ncols) if k not in basic)
 
 
-def column_costs(tab, lp):
-    """The LP's objective over the tableau's columns."""
-    cost = [F(0)] * tab.ncols
-    for j, col in tab.col_of_var.items():
-        cost[col] = lp.objective[j]
-    return cost
+def reduced_costs(tab, lp):
+    """Integer row and positive denominator of the objective over z, priced
+    afresh for any basis of tab, in the tableau's row form.
 
-
-def reduced_costs(tab, cost):
-    """Integer row and positive denominator of cost - c_B B^-1 A over z.
-
-    The general pricing, for any basis of tab: a complemented column's cost
-    is negated, because its z runs against its value, and each basic
-    column's cost times its row is taken off.  The row has one entry per
-    column and no constant, in lowest terms.  The solver never prices this
-    way: a cold tableau's basic columns all cost 0, so its row is the
-    objective itself, and every basis change after that updates the row.
+    In Fractions: a complemented column's cost is negated, because its z
+    runs against its value; the constant is minus the objective where every
+    z is 0, so every variable at its active bound; and each basic column's
+    cost times its row, constant included, is taken off.  The row is then
+    put over the lcm of its denominators, which leaves it in lowest terms,
+    and keeps only its nonzeros.  The solver never prices this way: a cold
+    tableau's basic columns all cost 0, so its row is the objective itself,
+    and every basis change after that updates the row.
     """
-    cost = [-c if f else c for c, f in zip(cost, tab.comp)]
-    cden = lcm(*(c.denominator for c in cost))
-    cbar = [c.numerator * (cden // c.denominator) for c in cost]
-    for row, den, b in zip(tab.tab, tab.den, tab.basis):
-        cb = cost[b]
+    row = {CONST: F(0)}
+    for j, c in enumerate(lp.objective):
+        if j in tab.fixed:
+            row[CONST] -= c * tab.fixed[j]
+            continue
+        col = tab.col_of_var[j]
+        at = tab.lo[col] + (F(*tab.width[col]) if tab.comp[col] else 0)
+        row[CONST] -= c * at
+        row[col] = -c if tab.comp[col] else c
+    for trow, den, b in zip(tab.tab, tab.den, tab.basis):
+        cb = row.get(b, 0)
         if cb:
-            # cbar/cden - cb * row/den, over the lcm of the denominators;
-            # zip stops before the row's constant
-            q = cb.denominator * den
-            g = gcd(cden, q)
-            sx, sy = q // g, cb.numerator * (cden // g)
-            cbar = [x * sx - y * sy for x, y in zip(cbar, row)]
-            cden *= sx
-    return lp_core._lowest_terms(cbar, cden)
+            for k, v in trow.items():
+                row[k] = row.get(k, 0) - cb * F(v, den)
+    cden = lcm(*(v.denominator for v in row.values()))
+    return {k: v.numerator * (cden // v.denominator) for k, v in row.items() if v}, cden
 
 
 def check_carried_costs(tab):
     """The tableau's carried reduced-cost row is a fresh pricing's row.
 
-    Both are in lowest terms over a positive denominator, so they agree up
-    to a positive factor exactly when they are equal; the row has one entry
-    per column and no constant.
+    Both are in lowest terms over a positive denominator and store no 0, so
+    they agree up to a positive factor exactly when they are equal.
     """
-    assert (tab.cbar, tab.cden) == reduced_costs(tab, column_costs(tab, tab.lp))
+    assert (tab.cbar, tab.cden) == reduced_costs(tab, tab.lp)
 
 
 def check_still_optimal(tab, lp, values):
@@ -377,7 +375,7 @@ def check_still_optimal(tab, lp, values):
     pivots nor flips a bound: every reduced cost of an unbanned column is
     still >= 0, which the next warm start relies on.
     """
-    assert tab.banned == set(tab.art_cols)
+    assert tab.banned == {CONST, *tab.art_cols}
     check_carried_costs(tab)
     before = (tab.pivots, len(tab.events))
     tab.run()
@@ -472,10 +470,10 @@ def test_crash_start_on_base_masters():
         assert len(tab.art_cols) == inst.N
         assert all(tab.comp[tab.col_of_var[col]] for col in layout.y_col.values())
         assert not any(tab.comp[tab.col_of_var[col]] for col in layout.x_col.values())
-        out = [i for i, (row, den) in enumerate(zip(tab.tab, tab.den))
-               if row[-1] < 0 or (tab.basis[i] in tab.art_cols and row[-1])]
+        out = [i for i, row in enumerate(tab.tab)
+               if row.get(CONST, 0) < 0 or (tab.basis[i] in tab.art_cols and CONST in row)]
         assert out == [i for i, b in enumerate(tab.basis) if b in tab.art_cols]
-        assert all(tab.tab[i][-1] == tab.den[i] for i in out)
+        assert all(tab.tab[i].get(CONST) == tab.den[i] for i in out)
 
 
 def test_base_masters_take_the_dual_start_and_rounding_lps_the_primal_one():
@@ -641,9 +639,8 @@ def test_integer_row_matches_the_fraction_reference(lp, data):
     tab = lp_core._Tableau(lp)
     for col in tab.col_of_var.values():
         tab.comp[col] = data.draw(st.booleans())
-    size = tab.ncols + data.draw(st.integers(0, 2))
     for row in lp.rows:
-        assert tab._integer_row(row, size) == fraction_integer_row(tab, row, size)
+        assert tab._integer_row(row) == fraction_integer_row(tab, row)
 
 
 def test_cold_columns_are_structurals_then_slacks_then_artificials():
@@ -666,12 +663,12 @@ def test_cold_columns_are_structurals_then_slacks_then_artificials():
         assert tab.ncols == n + m and tab.basis == list(range(n, n + m))
         assert tab.width[n:] == [None] * len(slack) + [(0, 1)] * len(eq)
         assert tab.art_cols == list(range(n + len(slack), n + m))
-        assert tab.banned == set(tab.art_cols)
+        assert tab.banned == {CONST, *tab.art_cols}
         assert tab.rows_seen == lp.rows
         for basic, row, ints, den in zip(tab.basis, slack + eq, tab.tab, tab.den):
-            want, wden = fraction_integer_row(tab, row, tab.ncols)
+            want, wden = fraction_integer_row(tab, row)
             if row.relation == GE:  # row - slack = rhs, negated
-                want = [-v for v in want]
+                want = {k: -v for k, v in want.items()}
             want[basic] = wden
             assert (ints, den) == (want, wden)
         check_carried_costs(tab)
@@ -730,8 +727,8 @@ def test_dual_start_matches_the_primal_start():
         assert len(tab.tab) == len(lp.rows)
         arts = set(tab.art_cols)
         for row, b in zip(tab.tab, tab.basis):
-            if b in arts and not any(row[k] for k in range(tab.ncols) if k not in arts):
-                assert row[-1] == 0
+            if b in arts and all(k in arts or k == CONST for k in row):
+                assert row.get(CONST, 0) == 0
                 reached.add("redundant row kept")
 
     check()

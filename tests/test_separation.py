@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (all_intervals, capped_mass_and_count, naive_requirements,
-                     requirements_csv, schedule_to_fractional)
+                     requirements_csv, schedule_to_fractional, x_val)
 from lotforge.cmils_master import MasterState, solve_master
 from lotforge.cuts import CoveringCut, cut_demand, cut_lhs
 from lotforge.errors import InvariantError
@@ -79,7 +79,7 @@ class TestRequirements:
             short = shortfalls(sol, inst)
             for i in inst.items():
                 for a in range(inst.deadline(i)):
-                    prefix = sum((sol.x_val(s, i) for s in range(1, a + 1)), F(0))
+                    prefix = sum((x_val(sol, s, i) for s in range(1, a + 1)), F(0))
                     assert ((a, i) in short) == (prefix < F(2, 5))
 
     def test_shortfalls_over_mixed_denominators(self):
@@ -97,7 +97,7 @@ class TestRequirements:
                                        ((0, 2), 1), ((1, 2), F(7, 12)), ((2, 2), F(1, 3))]
         assert [type(v) for v in short.values()] == [int, F, int, F, F]
         for (a, i), value in short.items():
-            prefix = sum((sol.x_val(s, i) for s in range(1, a + 1)), F(0))
+            prefix = sum((x_val(sol, s, i) for s in range(1, a + 1)), F(0))
             assert value == 1 - F(5, 2) * prefix
 
     def test_requirement_count(self):
