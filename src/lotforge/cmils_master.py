@@ -61,25 +61,25 @@ class MasterLayout:
 def build_base_lp(inst: CmilsInstance, layout: MasterLayout | None = None) -> lp_core.LinearProgram:
     """Base relaxation: coverage equalities plus the seeded per-period rows."""
     layout = layout or MasterLayout(inst)
+    x_col, y_col, d, r = layout.x_col, layout.y_col, inst.d, inst.r
     obj: list[Rat] = [0] * layout.num_vars
-    for (s, i), col in layout.x_col.items():
-        obj[col] = inst.demand(i) * inst.hold(i, s)
-    for s in inst.periods():
-        obj[layout.y_col[s]] = inst.order_cost(s)
+    for (s, i), col in x_col.items():
+        obj[col] = d[i - 1] * inst.h[i - 1][s - 1]
+    for s, k in enumerate(inst.K, start=1):
+        obj[y_col[s]] = k
     lp = lp_core.LinearProgram(
         num_vars=layout.num_vars,
         objective=obj,
         bounds=[(0, 1)] * layout.num_vars,
     )
-    total_d = inst.total_demand()
-    for i in inst.items():
-        lp.add_row({layout.x_col[(s, i)]: 1
-                    for s in range(1, inst.deadline(i) + 1)}, lp_core.EQ, 1)
-    for s in inst.periods():
-        coeffs = {layout.y_col[s]: min(inst.cap(s), total_d)}
-        for i in inst.items():
-            if s <= inst.deadline(i):
-                coeffs[layout.x_col[(s, i)]] = -inst.demand(i)
+    for i, due in enumerate(r, start=1):
+        lp.add_row({x_col[(s, i)]: 1 for s in range(1, due + 1)}, lp_core.EQ, 1)
+    total_d = sum(d)
+    for s, cap in enumerate(inst.C, start=1):
+        coeffs = {y_col[s]: min(cap, total_d)}
+        for i, (di, due) in enumerate(zip(d, r), start=1):
+            if s <= due:
+                coeffs[x_col[(s, i)]] = -di
         lp.add_row(coeffs, lp_core.GE, 0)
     return lp
 
@@ -88,8 +88,8 @@ def pair_row(inst: CmilsInstance, layout: MasterLayout,
              pair: tuple[int, int]) -> dict[int, Rat]:
     """The per-pair row min(C_s, d_i) y_s - d_i x[s, i] >= 0, as coefficients."""
     s, i = pair
-    return {layout.y_col[s]: min(inst.cap(s), inst.demand(i)),
-            layout.x_col[pair]: -inst.demand(i)}
+    d = inst.d[i - 1]
+    return {layout.y_col[s]: min(inst.C[s - 1], d), layout.x_col[pair]: -d}
 
 
 def cut_row(cut: CoveringCut, inst: CmilsInstance, layout: MasterLayout):

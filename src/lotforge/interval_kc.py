@@ -37,9 +37,10 @@ place the pipeline asks it.  A failure names the lowest failing interval,
 whatever R's order.  Each member's score is its requirement in the
 laminar solve, whose entry check is then the check that the score is
 attained.  Either selection ends in the closing check that both rounding
-layers share, intervals.check_selection, on the positive residuals: the
-selection keeps the locked set, the periods it adds cover each residual,
-and it costs at most K . y_scaled.  A zero residual is covered by the
+layers share, intervals.check_selection, on the positive residuals as the
+integer pairs the entry pass read them as: the selection keeps the locked
+set, the periods it adds cover each residual, and it costs at most
+K . y_scaled.  A zero residual is covered by the
 locked set alone, so this is the check that the selection covers R.
 
 The scores and the covering checks run on one integer view of (C, y),
@@ -236,7 +237,8 @@ def solve_interval_kc(ikc: IntervalKcInstance, y_scaled, locked,
     if frozenset(locked) != view.ones:
         raise InvariantError("locked set must be exactly the all-ones periods")
     locked, cden = view.ones, view.cden
-    positive: dict[Interval, Rat] = {}  # the residuals the selection must cover
+    # the residuals the selection must cover, as integer pairs
+    positive: dict[Interval, tuple[int, int]] = {}
     failed: list[tuple[Interval, str]] = []  # the lowest failing interval is named
     for iv, q, gap in uncovered(ikc.R, view.c, cden, locked):
         a, b = iv  # the residual is max(gap, 0) / (q cden)
@@ -245,7 +247,7 @@ def solve_interval_kc(ikc: IntervalKcInstance, y_scaled, locked,
         if gp * q * cden != (gap if gap > 0 else 0) * gq:
             failed.append((iv, f"residual for ({a}, {b}] inconsistent"))
         elif gap > 0:
-            positive[iv] = given
+            positive[iv] = gp, gq
             if not view.holds(a, b, given, mass=10, count=6):
                 failed.append((iv, f"scaled coverage disjunction fails on ({a}, {b}]"))
     if failed:

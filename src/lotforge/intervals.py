@@ -32,7 +32,10 @@ pass nothing else.  C is scaled once per view; with_y reuses it for the
 openings of each later round.  Inside both layers a requirement is the
 capacity still needed beyond the view's ones.  check_selection is the
 closing check of both layers: the selection keeps every period at 1, the
-periods it adds cover every requirement, and it costs at most K . y.
+periods it adds cover every requirement, and it costs at most K . y.  It
+reads each requirement as an integer pair (p, q), the form in which
+interval rounding's entry pass keeps its positive residuals, so none is
+converted twice.
 
 ScaledCover's covering test reads rank tables, built on the view's first
 coverage query in O(n T) for n ranked periods, those with y neither 0 nor
@@ -237,14 +240,17 @@ class ScaledCover:
                                       >= count.numerator * self.yden)
 
 
-def check_selection(R: dict, K, view: ScaledCover, selected) -> None:
+def check_selection(needs: dict, K, view: ScaledCover, selected) -> None:
     """Raise InvariantError unless the selection keeps every period of
-    view.ones, the periods it adds cover every requirement in R (each one
-    beyond the ones), and it costs at most K . y, y the view's openings."""
+    view.ones, the periods it adds cover every requirement p / q in needs,
+    given as the integer pair (p, q) with q > 0 and each one beyond the
+    ones, and it costs at most K . y, y the view's openings."""
     if not view.ones <= selected:
         raise InvariantError("selection leaves out a period at y = 1")
-    for (a, b), _, gap in uncovered(R, view.c, view.cden, selected - view.ones):
-        if gap > 0:
+    # as in uncovered: the added capacity inside (a, b] is (P[b] - P[a]) / cden
+    P, cden = prefix_caps(view.c, selected - view.ones), view.cden
+    for (a, b), (p, q) in needs.items():
+        if p * cden > q * (P[b] - P[a]):
             raise InvariantError(f"requirement on ({a}, {b}] left uncovered")
     # both sides times kden * yden: K_s = k_s / kden, y_s = u_s / yden
     k, _ = scale_caps(K)

@@ -304,5 +304,6 @@ def solve(inst: LaminarKcInstance, view: ScaledCover,
         _assert_state_feasible(state, f"round {rounds}")
 
     selected = frozenset(state.selected)
-    check_selection(inst.R, inst.K, view, selected)
+    check_selection({iv: need.as_integer_ratio() for iv, need in inst.R.items()},
+                    inst.K, view, selected)
     return selected

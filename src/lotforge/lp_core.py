@@ -37,13 +37,15 @@ row's keys, and carries the constants along, so basic values need no
 update of their own.  Ties go to the lowest column index, written out
 rather than read off a row's order, so every pivot choice is the same
 exact comparison a dense rational tableau would make.  Rationals (an int,
-or a Fraction when not whole) appear only at the API boundary: a row
-enters the tableau in one integer pass that reads its coefficients'
-numerators and denominators (as does the crash start's sign test), the
-objective is scaled to integers once, and the solution is read off as an
-int where a value is whole and a Fraction elsewhere.  The LP takes exact
-entries only: check_well_formed rejects any other number, a float or a
-Decimal, with ValueError.
+or a Fraction when not whole) appear only at the API boundary.
+check_well_formed rejects any other number, a float or a Decimal, and any
+key that is no variable, with ValueError; it reads the new rows' value
+types as one set and each row's least and greatest key.  Every row, and the
+objective as the start's reduced-cost row, then enters the tableau in one
+integer pass over its entries' numerators and denominators, int and
+Fraction alike, with gcd work only for a denominator other than 1.  The
+solution is read off as an int where a value is whole and a Fraction
+elsewhere.
 
 The objective is a row of the tableau too (after Bixby and Koberstein), in
 the same form: its entries are the reduced costs, and its constant carries
@@ -90,9 +92,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
-from operator import is_
-from typing import Callable, Iterable, Mapping, Optional
+from itertools import chain, starmap
+from math import gcd
+from operator import gt, is_
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional
 
 from .errors import InvariantError
 from .instance import Rat, all_exact, rat
@@ -116,8 +119,7 @@ CONST = -1
 DEGENERATE_RUN = 50
 
 
-@dataclass(frozen=True)
-class Row:
+class Row(NamedTuple):
     coeffs: Mapping[int, Rat]
     relation: str
     rhs: Rat
@@ -133,9 +135,7 @@ class LinearProgram:
     def add_row(self, coeffs: Mapping[int, Rat], relation: str, rhs: Rat) -> None:
         """Append a row; its values are kept as given, zeros dropped."""
         clean = {j: v for j, v in coeffs.items() if v}
-        for j in clean:
-            if not (0 <= j < self.num_vars):
-                raise ValueError(f"row references unknown variable {j}")
+        _check_keys(clean, self.num_vars)
         if relation not in (LE, GE, EQ):
             raise ValueError(f"unknown relation {relation!r}")
         self.rows.append(Row(coeffs=clean, relation=relation, rhs=rhs))
@@ -144,9 +144,12 @@ class LinearProgram:
         """Raise ValueError if the LP is malformed.
 
         Every objective entry, bound, row coefficient and rhs must be exact:
-        an int or a Fraction.  With since > 0 the objective, the bounds and
-        rows[:since] are taken as checked: a warm start has matched them, by
-        identity, to ones it checked before.
+        an int or a Fraction, and every row key a variable index.  The rows
+        are checked exact together, by the set of their values' types, and
+        each row's keys by its least and greatest one; only a failure walks
+        the rows again, to name the first bad value or key.  With since > 0
+        the objective, the bounds and rows[:since] are taken as checked: a
+        warm start has matched them, by identity, to ones it checked before.
         """
         if len(self.objective) != self.num_vars:
             raise ValueError("objective length mismatch")
@@ -154,15 +157,17 @@ class LinearProgram:
             raise ValueError("bounds length mismatch")
         if not since:
             _check_exact("the objective", self.objective)
-            _check_exact("the bounds", [v for bound in self.bounds for v in bound])
-            for j, (lo, hi) in enumerate(self.bounds):
-                if lo > hi:
-                    raise ValueError(f"variable {j}: lo {lo} > hi {hi}")
-        for k, row in enumerate(self.rows[since:], start=since):
-            _check_exact(f"row {k}", (row.rhs, *row.coeffs.values()))
-            for j in row.coeffs:
-                if not (0 <= j < self.num_vars):
-                    raise ValueError(f"row references unknown variable {j}")
+            _check_exact("the bounds", list(chain.from_iterable(self.bounds)))
+            if any(starmap(gt, self.bounds)):
+                j, (lo, hi) = next((j, b) for j, b in enumerate(self.bounds) if gt(*b))
+                raise ValueError(f"variable {j}: lo {lo} > hi {hi}")
+        rows = self.rows[since:]
+        if not all_exact(chain([row.rhs for row in rows],
+                               *[row.coeffs.values() for row in rows])):
+            for k, row in enumerate(rows, start=since):
+                _check_exact(f"row {k}", (row.rhs, *row.coeffs.values()))
+        for row in rows:
+            _check_keys(row.coeffs, self.num_vars)
 
 
 def _check_exact(where: str, values) -> None:
@@ -170,6 +175,14 @@ def _check_exact(where: str, values) -> None:
     if not all_exact(values):
         bad = next(v for v in values if not isinstance(v, (int, Fraction)))
         raise ValueError(f"in {where}: {bad!r} is not an int or a Fraction")
+
+
+def _check_keys(coeffs: Mapping[int, Rat], n: int) -> None:
+    """ValueError naming the first key outside 0 .. n - 1, if any is; the
+    least and the greatest key tell whether one is."""
+    if coeffs and (min(coeffs) < 0 or max(coeffs) >= n):
+        bad = next(j for j in coeffs if not 0 <= j < n)
+        raise ValueError(f"row references unknown variable {bad}")
 
 
 @dataclass
@@ -254,27 +267,20 @@ class _Tableau:
         # changes, never the vertex.
         tightens: set[int] = set()
         for row in lp.rows:
-            rel = row.relation
-            tightens.update(j for j, v in row.coeffs.items()
-                            if rel == EQ or (v.numerator < 0 if rel == GE
-                                             else v.numerator > 0))
+            if row.relation == EQ:
+                tightens.update(row.coeffs)
+            elif row.relation == GE:
+                tightens.update([j for j, v in row.coeffs.items() if v < 0])
+            else:
+                tightens.update([j for j, v in row.coeffs.items() if v > 0])
         self.comp: list[bool] = [j not in tightens for j in self.col_of_var]
 
         # Each row will be basic in a column of its own, which costs nothing,
-        # so the start basis's reduced costs are the objective, negated where
-        # a column is complemented (its z runs against its value), and the
-        # constant is minus the objective at the start point; the lcm of the
-        # denominators leaves the row in lowest terms.
-        cost: dict[int, Rat] = {CONST: 0}
-        for j, (c, (lo, hi)) in enumerate(zip(lp.objective, lp.bounds)):
-            col = self.col_of_var.get(j)
-            at_hi = col is not None and self.comp[col]
-            if col is not None and c:
-                cost[col] = -c if at_hi else c
-            cost[CONST] -= c * (hi if at_hi else lo)
-        self.cden = lcm(*(c.denominator for c in cost.values()))
-        self.cbar = {k: c.numerator * (self.cden // c.denominator)
-                     for k, c in cost.items() if c}
+        # so the start basis's reduced-cost row is the objective's own row
+        # over the columns, rhs 0: negated where a column is complemented
+        # (its z runs against its value), with minus the objective at the
+        # start point as its constant, in lowest terms.
+        self.cbar, self.cden = self._integer_row(Row(dict(enumerate(lp.objective)), EQ, 0))
 
         self.tab: list[dict[int, int]] = []
         self.den: list[int] = []
@@ -298,39 +304,48 @@ class _Tableau:
         coefficients and the constant are scaled to integers by the lcm of
         their denominators, which leaves the row in lowest terms.
 
-        One pass over the nonzeros, on integers and numerators and
-        denominators only: the constant is a pair num / cd over a running
-        common denominator, reduced once at the end.  No Fraction is built.
+        One pass over the entries, int and Fraction alike, on numerators
+        and denominators only; a zero entry writes nothing.  Each entry is
+        written over den, the lcm of the denominators so far, and the
+        constant is a pair num / cd.  Only a denominator other than 1 costs
+        gcd work: den then grows, and the entries written so far are scaled
+        up to it.  No Fraction is built.
         """
-        fixed, col_of_var, lo, comp = self.fixed, self.col_of_var, self.lo, self.comp
+        fixed, col_of_var, lo, comp, width = (self.fixed, self.col_of_var, self.lo,
+                                              self.comp, self.width)
         num, cd = row.rhs.numerator, row.rhs.denominator
-        entries: list[tuple[int, int, int]] = []  # (column, numerator, denominator)
-        den = 1  # lcm of the column entries' denominators
+        ints: dict[int, int] = {}
+        den = 1
         for j, v in row.coeffs.items():
             p, q = v.numerator, v.denominator
-            if j in fixed:
-                bn, bd = fixed[j].numerator, fixed[j].denominator
-            else:
-                col = col_of_var[j]
-                bn, bd = lo[col].numerator, lo[col].denominator
+            col = col_of_var.get(j)
+            bound = fixed[j] if col is None else lo[col]
+            bn, bd = bound.numerator, bound.denominator
+            if col is not None:
+                e = sign * p
                 if comp[col]:  # measured from its upper bound lo + width
-                    wn, wd = self.width[col]
+                    wn, wd = width[col]
                     bn, bd = bn * wd + wn * bd, bd * wd
-                    entries.append((col, -p, q))
+                    e = -e
+                if q == 1:
+                    if e:
+                        ints[col] = e * den
                 else:
-                    entries.append((col, p, q))
-                if q != 1:
-                    den = lcm(den, q)
+                    den = _widen(ints, den, q)
+                    ints[col] = e * (den // q)
             if bn:  # the constant less v * bound
                 step = q * bd
-                g = gcd(cd, step)
-                num = num * (step // g) - p * bn * (cd // g)
-                cd *= step // g
-        g = gcd(num, cd)
-        num, cd = num // g, cd // g
-        den = lcm(den, cd)
-        ints = {col: sign * p * (den // q) for col, p, q in entries if p}
+                if step == 1:
+                    num -= p * bn * cd
+                else:
+                    g = gcd(cd, step)
+                    num = num * (step // g) - p * bn * (cd // g)
+                    cd *= step // g
         if num:
+            if cd != 1:
+                g = gcd(num, cd)
+                num, cd = num // g, cd // g
+                den = _widen(ints, den, cd)
             ints[CONST] = sign * num * (den // cd)
         return ints, den
 
@@ -637,6 +652,15 @@ class _Tableau:
                 out[var_of_col[col]] = rat(low.numerator * zd + zn * low.denominator,
                                            low.denominator * zd)
         return out
+
+
+def _widen(ints: dict[int, int], den: int, q: int) -> int:
+    """lcm(den, q), the entries of ints over den scaled up to it in place."""
+    f = q // gcd(den, q)
+    if f != 1:
+        for k in ints:
+            ints[k] *= f
+    return den * f
 
 
 def _lowest_terms(row: dict[int, int], den: int) -> tuple[dict[int, int], int]:

@@ -85,6 +85,24 @@ class TestSolveVerify:
                              "--schedule", str(sched_path))
         assert code == 0
 
+    def test_kc_gap_r10_attains_the_factor(self, tmp_path, capsys):
+        """The 10 x bound is tight: on kc-gap with R = 10 the LP opens the
+        free period 1 and a tenth of period 2, but period 1 holds only 9 of
+        the 10 units, so any schedule opens period 2 in full and the total
+        is exactly 10 x the LP value."""
+        inst_path = tmp_path / "gap10.json"
+        assert run_cli(capsys, "generate", "--family", "kc-gap", "--R", "10",
+                       "--out", str(inst_path))[0] == 0
+        code, out, _ = run_cli(capsys, "solve", "--in", str(inst_path),
+                               "--out", str(tmp_path / "s.json"))
+        assert code == 0
+        report = json.loads(out)
+        assert report["lp_value"]["exact"] == "1/10"
+        assert report["alg_cost"]["total"]["exact"] == "1/1"
+        assert report["ratio_vs_lp"]["exact"] == "10/1"
+        cert = report["certificate"]
+        assert cert["ordering_bound_ok"] is True and cert["holding_bound_ok"] is True
+
     def test_single_period_total(self, tmp_path, capsys):
         inst_path = tmp_path / "one.json"
         save(gen_random(1, T=1, N=1), inst_path)

@@ -227,7 +227,7 @@ def test_check_selection_keeps_every_period_at_one():
     # alone covers the requirement of 3 within that budget, but it leaves
     # out period 1, which is at y = 1: only {1, 2} passes.
     view = ScaledCover((F(3), F(3)), (F(1), F(1, 2)))
-    R, K = {(0, 2): F(3)}, (F(1), F(0))
+    R, K = {(0, 2): (3, 1)}, (F(1), F(0))
     check_selection(R, K, view, frozenset({1, 2}))
     with pytest.raises(InvariantError, match=r"^selection leaves out a period at y = 1$"):
         check_selection(R, K, view, frozenset({2}))

@@ -155,6 +155,22 @@ def test_well_formed_rejects_bad_rows():
     lp.rows.append(lp_core.Row(coeffs={5: F(1)}, relation=GE, rhs=F(0)))
     with pytest.raises(ValueError, match="unknown variable 5"):
         solve_to_vertex(lp, start=sol)
+    # just past the last variable, and -1, which is also the key of a
+    # tableau row's constant (CONST): refused cold, warm and from separate
+    for key in (2, CONST):
+        message = f"^row references unknown variable {key}$"
+        lp = warm_start_lp()
+        lp.rows.append(lp_core.Row(coeffs={0: F(1), key: F(1)}, relation=GE, rhs=F(1)))
+        with pytest.raises(ValueError, match=message):
+            solve_to_vertex(lp)
+        lp = warm_start_lp()
+        sol = solve_to_vertex(lp)
+        lp.rows.append(lp_core.Row(coeffs={key: F(1), 1: F(1)}, relation=LE, rhs=F(0)))
+        with pytest.raises(ValueError, match=message):
+            solve_to_vertex(lp, start=sol)
+        lp = warm_start_lp()
+        with pytest.raises(ValueError, match=message):
+            solve_to_vertex(lp, separate=lambda values: [({key: F(1)}, GE, 1)])
 
 
 def test_add_row_keeps_fractions_and_solve_rejects_other_numbers():
@@ -591,8 +607,14 @@ def test_golden_cases_keep_their_pivot_path():
 # -- property test -------------------------------------------------------------
 
 def _rationals(bound):
+    """Plain ints, whole Fractions and Fractions, as an LP may hold them."""
     ints = st.integers(-bound, bound)
-    return st.one_of(ints.map(F), st.builds(F, ints, st.integers(1, 1000)))
+    return st.one_of(ints, ints.map(F), st.builds(F, ints, st.integers(1, 1000)))
+
+
+def _maybe_int(draw, value):
+    """value, or as a plain int half the time when it is whole."""
+    return value.numerator if value.denominator == 1 and draw(st.booleans()) else value
 
 
 @st.composite
@@ -608,11 +630,11 @@ def small_lps(draw):
     for _ in range(n):
         lo = draw(_rationals(100))
         fixed = draw(st.integers(0, 3)) == 0
-        width = F(0) if fixed else abs(draw(_rationals(1000)))
+        width = 0 if fixed else abs(draw(_rationals(1000)))
         bounds.append((lo, lo + width))
         point.append(lo + width * draw(st.fractions(0, 1, max_denominator=7)))
     # zero coefficients make optima tie, which gives the lexicographic stage work
-    objective = draw(st.lists(st.one_of(st.just(F(0)), _rationals(10**6)),
+    objective = draw(st.lists(st.one_of(st.sampled_from([0, F(0)]), _rationals(10**6)),
                               min_size=n, max_size=n))
     lp = LinearProgram(num_vars=n, objective=objective, bounds=bounds)
     for _ in range(draw(st.integers(1, 5))):
@@ -627,20 +649,31 @@ def small_lps(draw):
                                       min_size=1, max_size=n))
         at_point = sum((v * point[j] for j, v in coeffs.items()), F(0))
         offset = draw(st.one_of(st.just(F(0)), _rationals(10**6)))
-        lp.add_row(coeffs, draw(st.sampled_from([LE, GE, EQ, EQ])), at_point + offset)
+        lp.add_row(coeffs, draw(st.sampled_from([LE, GE, EQ, EQ])),
+                   _maybe_int(draw, at_point + offset))
     return lp
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(small_lps(), st.data())
-def test_integer_row_matches_the_fraction_reference(lp, data):
+def test_integer_row_matches_the_fraction_reference():
     """Fixed variables, fractional lower bounds and widths, and any pattern
-    of complemented columns: the one integer pass gives the Fraction form."""
-    tab = lp_core._Tableau(lp)
-    for col in tab.col_of_var.values():
-        tab.comp[col] = data.draw(st.booleans())
-    for row in lp.rows:
-        assert tab._integer_row(row) == fraction_integer_row(tab, row)
+    of complemented columns: the one integer pass gives the Fraction form,
+    on rows of plain ints as the master and rounding LPs write them, of
+    Fractions, and of both."""
+    reached = set()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(small_lps(), st.data())
+    def check(lp, data):
+        tab = lp_core._Tableau(lp)
+        for col in tab.col_of_var.values():
+            tab.comp[col] = data.draw(st.booleans())
+        for row in lp.rows:
+            kinds = {type(v) for v in (row.rhs, *row.coeffs.values())}
+            reached.add("ints" if kinds == {int} else "mixed" if int in kinds else "fractions")
+            assert tab._integer_row(row) == fraction_integer_row(tab, row)
+
+    check()
+    assert reached == {"ints", "mixed", "fractions"}
 
 
 def test_cold_columns_are_structurals_then_slacks_then_artificials():
